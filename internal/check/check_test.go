@@ -56,17 +56,17 @@ func TestEvalParity(t *testing.T) {
 	sweep(t, trials(t, 600), CheckEvalParity)
 }
 
-// TestViewParity: incrementally maintained views (flat and
-// witness-tracking) stay identical to refreshed-from-scratch references
-// after every edit of every generated script, including union disjuncts and
-// negated-atom queries.
+// TestViewParity: incrementally maintained counting views stay identical to
+// refreshed-from-scratch references, and eval.Witnesses with the engine
+// registered to the cold and naive-derived witness sets, after every edit of
+// every generated script, including union disjuncts and negated-atom queries.
 func TestViewParity(t *testing.T) {
 	sweep(t, trials(t, 500), CheckViewParity)
 }
 
 // TestIVMParity: with a view.Engine registered as the store's maintainer,
-// every maintained evaluation path (Result, Witnesses, AnswerHolds, Holds,
-// ResultUnion) is byte-identical to the naive reference at every step of the
+// every evaluation path (Result, Witnesses, AnswerHolds, Holds, ResultUnion)
+// is byte-identical to the naive reference at every step of the
 // edit script, and out-of-band edits force a correct cold fallback.
 func TestIVMParity(t *testing.T) {
 	sweep(t, trials(t, 500), CheckIVMParity)

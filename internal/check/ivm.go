@@ -16,9 +16,10 @@ import (
 //
 //   - eval.Result on the maintained query and every union disjunct equals
 //     NaiveResult, and the engine really served it (MaintainedResult ok)
-//   - eval.Witnesses equals the cold (NoCache) enumeration byte for byte,
-//     canonical order included — the hitting-set instances built from them
-//     are then identical
+//   - eval.Witnesses (not maintained: served by the cache or a cold
+//     enumeration) equals the NoCache enumeration byte for byte, canonical
+//     order included — the hitting-set instances built from them are then
+//     identical
 //   - eval.AnswerHolds and empty-seed eval.Holds agree with their cold
 //     counterparts
 //   - eval.ResultUnion equals the deduplicated union of per-disjunct
@@ -109,9 +110,9 @@ func ivmStep(ins *Instance, d *db.Database, engine *view.Engine, step string) er
 			step, formatTuples(got), formatTuples(naive))
 	}
 
-	// Witness parity: the maintained enumeration must be byte-identical to
-	// the cold one (canonical witness-key order), for present answers and for
-	// a perturbed absent probe.
+	// Witness parity: the enumeration with the engine registered must be
+	// byte-identical to the cold one (canonical witness-key order), for
+	// present answers and for a perturbed absent probe.
 	for _, t := range naive {
 		got := eval.Witnesses(q, d, t)
 		cold := eval.Witnesses(q, d, t, eval.NoCache())

@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/cq"
@@ -11,16 +12,18 @@ import (
 )
 
 // CheckViewParity replays the instance's edit script through incrementally
-// maintained views and compares, after every edit, against views refreshed
-// from scratch over the same store:
+// maintained views and compares, after every edit, against references
+// computed from scratch over the same store:
 //
 //   - flat (support-counting) views registered on a Monitor, one per
 //     distinct query among ins.Query and the union's disjuncts — rows and
 //     per-answer support counts must match a fresh view.New
-//   - witness-tracking views (view.NewMaintained) applied directly — rows,
-//     support, and per-answer witness sets must match both a fresh
-//     view.NewMaintained and the cold eval.Witnesses enumeration, in the
-//     same canonical order
+//   - the same queries maintained by a view.Engine registered as the store's
+//     eval.Maintainer — eval.Witnesses of every answer and of an absent
+//     probe, read twice (the second read is a cache hit), must be
+//     byte-identical to the cold eval.Witnesses(..., eval.NoCache()) and to
+//     the witness sets derived from eval.NaiveEval, so witnesses exist for
+//     exactly the answers of NaiveResult
 //
 // Negated atoms are covered by the generator (a third of queries carry one),
 // which is exactly where delta evaluation is easiest to get wrong: an
@@ -31,24 +34,29 @@ func CheckViewParity(ins *Instance) error {
 
 	m := view.NewMonitor(d)
 	flat := make([]*view.View, len(queries))
-	maintained := make([]*view.View, len(queries))
+	engine := view.NewEngine(d)
 	for i, q := range queries {
 		v, err := m.Register(fmt.Sprintf("v%d", i), q)
 		if err != nil {
 			return fmt.Errorf("view parity: Register(%s): %w", q, err)
 		}
 		flat[i] = v
-		maintained[i] = view.NewMaintained(fmt.Sprintf("w%d", i), q, d)
+		if err := engine.Ensure(q); err != nil {
+			return fmt.Errorf("view parity: Ensure(%s): %w", q, err)
+		}
 	}
+	eval.SetMaintainer(d.ID(), engine)
+	defer func() {
+		eval.ClearMaintainer(d.ID(), engine)
+		eval.InvalidateDB(d.ID())
+	}()
 
 	check := func(step string) error {
 		for i, q := range queries {
-			ref := view.New("ref", q, d)
-			if err := viewsAgree(step, q, flat[i], ref, d, false); err != nil {
+			if err := viewsAgree(step, q, flat[i], view.New("ref", q, d)); err != nil {
 				return err
 			}
-			refW := view.NewMaintained("refw", q, d)
-			if err := viewsAgree(step, q, maintained[i], refW, d, true); err != nil {
+			if err := witnessesAgree(step, q, d); err != nil {
 				return err
 			}
 		}
@@ -60,16 +68,14 @@ func CheckViewParity(ins *Instance) error {
 
 	for ei, e := range ins.Edits {
 		// A no-op edit (inserting a present fact, deleting an absent one) must
-		// not be propagated into directly-applied views; the Monitor makes the
-		// same call internally from the store's changed flag.
+		// not be propagated into the engine; the Monitor makes the same call
+		// internally from the store's changed flag.
 		changed := (e.Op == db.Insert) != d.Has(e.Fact)
 		if _, _, err := m.Apply(e); err != nil {
 			return fmt.Errorf("view parity: edit %d (%v): %w", ei, e, err)
 		}
 		if changed {
-			for i := range queries {
-				maintained[i].Apply(d, e)
-			}
+			engine.Apply(e)
 		}
 		if err := check(fmt.Sprintf("after edit %d (%v)", ei, e)); err != nil {
 			return err
@@ -100,10 +106,8 @@ func distinctQueries(ins *Instance) []*cq.Query {
 }
 
 // viewsAgree compares an incrementally maintained view against a freshly
-// refreshed reference: rows, support counts, and (for witness-tracking views)
-// witness sets, which must also match the cold eval.Witnesses enumeration
-// byte for byte.
-func viewsAgree(step string, q *cq.Query, got, ref *view.View, d db.Reader, wits bool) error {
+// refreshed reference: rows and support counts.
+func viewsAgree(step string, q *cq.Query, got, ref *view.View) error {
 	if gk, rk := rowsKey(got.Rows()), rowsKey(ref.Rows()); gk != rk {
 		return fmt.Errorf("view parity (%s, %s): incremental rows %q, refreshed %q", step, q, gk, rk)
 	}
@@ -111,23 +115,72 @@ func viewsAgree(step string, q *cq.Query, got, ref *view.View, d db.Reader, wits
 		if gs, rs := got.Support(t), ref.Support(t); gs != rs {
 			return fmt.Errorf("view parity (%s, %s): support(%v) = %d, refreshed %d", step, q, t, gs, rs)
 		}
-		if !wits {
-			continue
+	}
+	return nil
+}
+
+// witnessesAgree checks eval.Witnesses on a store with a registered engine:
+// for every answer of NaiveResult and one absent probe, the first (cold) and
+// second (cached) read and the NoCache read must all equal the witness sets
+// derived from NaiveEval.
+func witnessesAgree(step string, q *cq.Query, d db.Reader) error {
+	want := naiveWitnessKeys(q, d)
+	naive := eval.NaiveResult(q, d)
+	if len(want) != len(naive) {
+		return fmt.Errorf("view parity (%s, %s): naive witnesses for %d answers, NaiveResult has %d",
+			step, q, len(want), len(naive))
+	}
+	probes := naive
+	if len(q.Head) > 0 {
+		probe := make(db.Tuple, len(q.Head))
+		for i := range probe {
+			probe[i] = "\x00not-a-value"
 		}
-		gw, ok := got.WitnessSets(t)
-		if !ok {
-			return fmt.Errorf("view parity (%s, %s): maintained view lost witness tracking", step, q)
-		}
-		rw, _ := ref.WitnessSets(t)
-		if gk, rk := witnessSetsKey(gw), witnessSetsKey(rw); gk != rk {
-			return fmt.Errorf("view parity (%s, %s): witnesses(%v) = %q, refreshed %q", step, q, t, gk, rk)
-		}
-		cold := eval.Witnesses(q, d, t, eval.NoCache())
-		if gk, ck := witnessSetsKey(gw), witnessSetsKey(cold); gk != ck {
-			return fmt.Errorf("view parity (%s, %s): witnesses(%v) = %q, cold eval %q", step, q, t, gk, ck)
+		probes = append(append([]db.Tuple(nil), naive...), probe)
+	}
+	for _, t := range probes {
+		w := want[t.Key()]
+		for _, read := range []struct {
+			name string
+			opts []eval.Option
+		}{{"first", nil}, {"cached", nil}, {"cold", []eval.Option{eval.NoCache()}}} {
+			if got := witnessSetsKey(eval.Witnesses(q, d, t, read.opts...)); got != w {
+				return fmt.Errorf("view parity (%s, %s): %s Witnesses(%v) = %q, naive %q", step, q, read.name, t, got, w)
+			}
 		}
 	}
 	return nil
+}
+
+// naiveWitnessKeys derives, per answer key, the canonical witness list (as
+// witnessSetsKey renders it) from the assignments of eval.NaiveEval.
+func naiveWitnessKeys(q *cq.Query, d db.Reader) map[string]string {
+	byAnswer := map[string]map[string]bool{}
+	for _, a := range eval.NaiveEval(q, d) {
+		t, ok := a.HeadTuple(q)
+		if !ok {
+			continue
+		}
+		if byAnswer[t.Key()] == nil {
+			byAnswer[t.Key()] = map[string]bool{}
+		}
+		byAnswer[t.Key()][eval.WitnessSetKey(a.Witness(q))] = true
+	}
+	out := make(map[string]string, len(byAnswer))
+	for k, sets := range byAnswer {
+		keys := make([]string, 0, len(sets))
+		for wk := range sets {
+			keys = append(keys, wk)
+		}
+		sort.Strings(keys)
+		var b strings.Builder
+		for _, wk := range keys {
+			b.WriteString(wk)
+			b.WriteByte('|')
+		}
+		out[k] = b.String()
+	}
+	return out
 }
 
 // rowsKey canonicalizes a sorted row list for exact (order-included)

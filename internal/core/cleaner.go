@@ -159,9 +159,11 @@ type Config struct {
 	UseKeys bool
 	// Incremental enables maintained (counting-IVM) evaluation for Clean and
 	// CleanUnion: the run materializes the query (and, transiently, each
-	// embedded Q|t) as witness-tracking views in a view.Engine registered
-	// with the evaluator, and every edit the cleaner applies propagates as a
-	// delta through the views instead of forcing cold re-evaluation. Output
+	// embedded Q|t) as counting views — answers with support counts — in a
+	// view.Engine registered with the evaluator, and every edit the cleaner
+	// applies propagates as a delta through the views instead of forcing
+	// cold re-evaluation of Result, AnswerHolds and Holds. Witnesses are not
+	// maintained: Algorithm 1 enumerates them once per wrong answer. Output
 	// is byte-identical to non-incremental runs (the differential harness
 	// enforces it); only the evaluation cost changes. Requires that OnEdit
 	// hooks never edit the store themselves (the existing monitor contract).
@@ -335,12 +337,6 @@ func New(d db.Store, oracle crowd.Oracle, cfg Config) *Cleaner {
 
 // Store returns the cleaner's fact store.
 func (c *Cleaner) Store() db.Store { return c.d }
-
-// Database returns the cleaner's store as an in-memory *db.Database.
-//
-// Deprecated: it exists for callers that predate the Store interface and
-// panics when the cleaner holds a different backend; use Store instead.
-func (c *Cleaner) Database() *db.Database { return c.d.(*db.Database) }
 
 // evalOpts returns the evaluation options every eval call of this cleaner
 // uses, derived from Config.EvalWorkers.
@@ -519,7 +515,7 @@ func (c *Cleaner) apply(r *Report, e db.Edit) error {
 }
 
 // beginMaintained starts maintained (IVM) evaluation for a run: it builds the
-// engine, materializes the given queries as witness-tracking views, and
+// engine, materializes the given queries as counting views, and
 // registers the engine with the evaluator. A no-op unless Config.Incremental
 // is set; a query that fails validation disables maintained mode for the run
 // (evaluation of that query will surface the problem on its own terms).

@@ -184,19 +184,25 @@ func (c *Cleaner) verifyGrounded(ctx context.Context, qt *cq.Query, a eval.Assig
 }
 
 // complete poses COMPL(α, Q|t), consulting the non-satisfiable cache so the
-// same hopeless partial assignment is never sent to the crowd twice.
+// same hopeless partial assignment is never sent to the crowd twice. The
+// crowd call happens outside c.mu, as in verifyFact, so Progress stays
+// responsive while the question waits. Completions are asked only from the
+// cleaning goroutine (Algorithm 2 runs one insertion at a time), so no two
+// asks of the same key overlap and no in-flight wait is needed.
 func (c *Cleaner) complete(ctx context.Context, qt *cq.Query, a eval.Assignment) (eval.Assignment, bool) {
 	key := qt.String() + "\x1d" + a.Key()
 	c.mu.Lock()
-	if c.unsat[key] {
-		c.mu.Unlock()
+	known := c.unsat[key]
+	c.mu.Unlock()
+	if known {
 		return nil, false
 	}
 	full, ok := c.oracle.Complete(ctx, qt, a)
 	if !ok && ctx.Err() == nil {
+		c.mu.Lock()
 		c.unsat[key] = true
+		c.mu.Unlock()
 	}
-	c.mu.Unlock()
 	return full, ok
 }
 

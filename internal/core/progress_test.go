@@ -13,38 +13,59 @@ import (
 	"repro/internal/eval"
 )
 
-// stallOracle blocks every VerifyFact until release is closed, counting the
-// calls — a crowd member taking minutes over a question.
+// stallOracle blocks every VerifyFact and Complete until release is closed,
+// counting the calls — a crowd member taking minutes over a question.
 type stallOracle struct {
-	asked   chan struct{} // one tick per VerifyFact arrival
+	asked   chan struct{} // one tick per VerifyFact or Complete arrival
 	release chan struct{}
 	calls   atomic.Int64
 }
 
 func (o *stallOracle) VerifyFact(ctx context.Context, f db.Fact) bool {
-	o.calls.Add(1)
-	o.asked <- struct{}{}
-	select {
-	case <-o.release:
-		return true
-	case <-ctx.Done():
-		return true
-	}
+	o.stall(ctx)
+	return true
 }
 func (o *stallOracle) VerifyAnswer(context.Context, *cq.Query, db.Tuple) bool { return true }
-func (o *stallOracle) Complete(context.Context, *cq.Query, eval.Assignment) (eval.Assignment, bool) {
-	return nil, false
+func (o *stallOracle) Complete(ctx context.Context, _ *cq.Query, _ eval.Assignment) (eval.Assignment, bool) {
+	o.stall(ctx)
+	return nil, false // nothing completes the assignment
 }
 func (o *stallOracle) CompleteResult(context.Context, *cq.Query, []db.Tuple) (db.Tuple, bool) {
 	return nil, false
 }
 
+func (o *stallOracle) stall(ctx context.Context) {
+	o.calls.Add(1)
+	o.asked <- struct{}{}
+	select {
+	case <-o.release:
+	case <-ctx.Done():
+	}
+}
+
+// progressResponds fails the test unless Progress returns promptly.
+func progressResponds(t *testing.T, c *Cleaner) {
+	t.Helper()
+	progressed := make(chan Progress, 1)
+	go func() { progressed <- c.Progress() }()
+	select {
+	case <-progressed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Progress blocked behind a pending crowd question")
+	}
+}
+
 // TestProgressNotBlockedByPendingQuestion: Progress (the server's job-status
-// source) must stay responsive while a verify-fact question is waiting on
-// the crowd. Regression test — verifyFact used to hold the cleaner mutex
-// across the oracle call, hanging GET /api/v1/jobs/{id} for as long as a
-// human took to answer.
+// source) must stay responsive while a verify-fact or completion question is
+// waiting on the crowd. Regression test — verifyFact and complete used to
+// hold the cleaner mutex across the oracle call, hanging GET
+// /api/v1/jobs/{id} for as long as a human took to answer.
 func TestProgressNotBlockedByPendingQuestion(t *testing.T) {
+	t.Run("verify-fact", testProgressDuringVerifyFact)
+	t.Run("complete", testProgressDuringComplete)
+}
+
+func testProgressDuringVerifyFact(t *testing.T) {
 	d, _ := dataset.Figure1()
 	oracle := &stallOracle{asked: make(chan struct{}, 8), release: make(chan struct{})}
 	c := New(d, oracle, Config{})
@@ -53,14 +74,7 @@ func TestProgressNotBlockedByPendingQuestion(t *testing.T) {
 	done := make(chan bool, 1)
 	go func() { done <- c.verifyFact(context.Background(), fact) }()
 	<-oracle.asked // the question is now at the (stalled) crowd
-
-	progressed := make(chan Progress, 1)
-	go func() { progressed <- c.Progress() }()
-	select {
-	case <-progressed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Progress blocked behind a pending crowd question")
-	}
+	progressResponds(t, c)
 
 	// A concurrent ask of the same fact must wait on the in-flight question,
 	// not repeat it (§3.2), and must see the same answer.
@@ -86,6 +100,31 @@ func TestProgressNotBlockedByPendingQuestion(t *testing.T) {
 	// And the answer is cached: no further oracle calls.
 	if !c.verifyFact(context.Background(), fact) || oracle.calls.Load() != 1 {
 		t.Errorf("cached fact re-asked")
+	}
+}
+
+func testProgressDuringComplete(t *testing.T) {
+	d, _ := dataset.Figure1()
+	oracle := &stallOracle{asked: make(chan struct{}, 8), release: make(chan struct{})}
+	c := New(d, oracle, Config{})
+	q := dataset.IntroQ1()
+	seed := eval.Assignment{"x": "ITA"}
+
+	done := make(chan bool, 1)
+	go func() {
+		_, ok := c.complete(context.Background(), q, seed)
+		done <- ok
+	}()
+	<-oracle.asked // COMPL(α, Q) is now at the (stalled) crowd
+	progressResponds(t, c)
+
+	close(oracle.release)
+	if ok := <-done; ok {
+		t.Errorf("complete = true, want false (the crowd completed nothing)")
+	}
+	// The refusal is cached: the same completion is never asked again.
+	if _, ok := c.complete(context.Background(), q, seed); ok || oracle.calls.Load() != 1 {
+		t.Errorf("unsatisfiable completion re-asked (%d oracle calls)", oracle.calls.Load())
 	}
 }
 

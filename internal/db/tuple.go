@@ -24,6 +24,18 @@ type Tuple []string
 // Key returns a canonical map key for the tuple.
 func (t Tuple) Key() string { return strings.Join(t, keySep) }
 
+// AppendKey appends Key() to b. A map lookup indexed by string(AppendKey(...))
+// on a reused buffer does not allocate.
+func (t Tuple) AppendKey(b []byte) []byte {
+	for i, v := range t {
+		if i > 0 {
+			b = append(b, keySep...)
+		}
+		b = append(b, v...)
+	}
+	return b
+}
+
 // Equal reports component-wise equality.
 func (t Tuple) Equal(o Tuple) bool {
 	if len(t) != len(o) {
@@ -71,6 +83,13 @@ func NewFact(rel string, args ...string) Fact {
 
 // Key returns a canonical map key for the fact.
 func (f Fact) Key() string { return f.Rel + keySep + f.Args.Key() }
+
+// AppendKey appends Key() to b.
+func (f Fact) AppendKey(b []byte) []byte {
+	b = append(b, f.Rel...)
+	b = append(b, keySep...)
+	return f.Args.AppendKey(b)
+}
 
 // Equal reports whether two facts denote the same tuple of the same relation.
 func (f Fact) Equal(o Fact) bool { return f.Rel == o.Rel && f.Args.Equal(o.Args) }

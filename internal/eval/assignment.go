@@ -129,21 +129,27 @@ func (a Assignment) IneqHolds(e cq.Ineq) bool {
 // paper's witness for α. All atoms must be fully bound; callers use it only
 // with total (or total-on-atoms) assignments.
 func (a Assignment) Witness(q *cq.Query) []db.Fact {
-	seen := make(map[string]bool, len(q.Atoms))
 	out := make([]db.Fact, 0, len(q.Atoms))
 	for _, atom := range q.Atoms {
-		f, ok := a.AtomFact(atom)
-		if !ok {
-			continue
-		}
-		k := f.Key()
-		if !seen[k] {
-			seen[k] = true
+		if f, ok := a.AtomFact(atom); ok {
 			out = append(out, f)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	// Insertion sort: a body has a handful of atoms, and Witnesses calls this
+	// once per assignment, where sort.Slice's allocations would dominate.
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j].Less(out[j-1]); j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+	n := 0
+	for _, f := range out {
+		if n == 0 || !f.Equal(out[n-1]) {
+			out[n] = f
+			n++
+		}
+	}
+	return out[:n]
 }
 
 // PartialFromAnswer builds the partial assignment induced by an answer tuple

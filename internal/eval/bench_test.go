@@ -5,14 +5,32 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/db"
 )
 
+// BenchmarkWitnessesCold guards the streaming cold path of Witnesses: one
+// answer of Soccer Q3 (the Fig 3d query) enumerated with the cache bypassed,
+// folding witness sets straight from the search. Allocations scale with the
+// answer's assignments, not with clones of them.
+func BenchmarkWitnessesCold(b *testing.B) {
+	d := dataset.Soccer(dataset.SoccerOpts{})
+	q := dataset.SoccerQueries()[2]
+	t := Result(q, d, NoCache())[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(Witnesses(q, d, t, NoCache())) == 0 {
+			b.Fatal("answer without witnesses")
+		}
+	}
+}
+
 // BenchmarkWitnessKey guards the dedup-key construction of Witnesses: the
-// key itself is built with one pre-sized allocation (strings.Builder), where
-// the string concatenation it replaced allocated a growing copy per fact —
-// quadratic bytes in the witness size. Run with -benchmem; allocations must
-// stay linear in len(w) (the per-fact Fact.Key renderings plus one builder).
+// fact keys are appended into one pre-sized buffer, where string
+// concatenation allocated a growing copy per fact — quadratic bytes in the
+// witness size. Run with -benchmem; it must stay at two allocations (the
+// buffer and the key string) whatever len(w).
 func BenchmarkWitnessKey(b *testing.B) {
 	w := make([]db.Fact, 16)
 	for i := range w {

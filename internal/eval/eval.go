@@ -2,7 +2,6 @@ package eval
 
 import (
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/cq"
@@ -37,7 +36,13 @@ func Result(q *cq.Query, d db.Reader, opts ...Option) []db.Tuple {
 		}
 	}
 	gen := d.Generation()
-	out := sortTuples(collectResult(q, d, cfg))
+	out := sortTuples(collectKeyed(q, d, Assignment{}, cfg, func(a Assignment) (string, db.Tuple, bool) {
+		t, ok := a.HeadTuple(q)
+		if !ok {
+			return "", nil, false
+		}
+		return t.Key(), t, true
+	}))
 	if !cfg.noCache {
 		storeTuples(d, gen, key, out)
 	}
@@ -79,6 +84,15 @@ func Extensions(q *cq.Query, d db.Reader, seed Assignment, opts ...Option) []Ass
 	return out
 }
 
+// Each streams the valid total assignments extending seed to yield, in
+// enumeration order rather than the canonical order of Eval, until yield
+// returns false. It consults neither the cache nor a maintainer. The
+// assignment is borrowed: the enumeration rebinds it after yield returns, so
+// yield must not keep it (Clone what must outlive the call).
+func Each(q *cq.Query, d db.Reader, seed Assignment, yield func(Assignment) bool) {
+	search(q, d, seed, yield)
+}
+
 // AssignmentsFor returns A(t,Q,D): the valid assignments of Q w.r.t. D that
 // yield answer t. It returns nil when t conflicts with the head shape.
 func AssignmentsFor(q *cq.Query, d db.Reader, t db.Tuple, opts ...Option) []Assignment {
@@ -94,10 +108,11 @@ func AssignmentsFor(q *cq.Query, d db.Reader, t db.Tuple, opts ...Option) []Assi
 // Witnesses returns the witness sets for answer t: one set of facts per valid
 // assignment in A(t,Q,D), deduplicated (distinct assignments can induce the
 // same witness, e.g. by permuting symmetric atoms) and sorted canonically by
-// witness key, so the maintained (IVM) path and cold enumeration produce
-// byte-identical output. Witness sets are memoized per database generation —
-// the question-selection loop of Algorithm 1 re-enumerates the same answer's
-// witnesses between crowd questions.
+// witness key, so serial, parallel and cached calls produce byte-identical
+// output. Witness sets are memoized per database generation — the
+// question-selection loop of Algorithm 1 re-reads the same answer's witnesses
+// between crowd questions. A miss enumerates A(t,Q,D) seeded by t, folding
+// each assignment's witness straight from the search.
 func Witnesses(q *cq.Query, d db.Reader, t db.Tuple, opts ...Option) [][]db.Fact {
 	start := time.Now()
 	cfg := resolve(opts)
@@ -108,27 +123,15 @@ func Witnesses(q *cq.Query, d db.Reader, t db.Tuple, opts ...Option) [][]db.Fact
 			observeWitnesses(start, out)
 			return out
 		}
-		if out, ok := maintainedWitnesses(d, q, t); ok {
-			storeWitnesses(d, d.Generation(), key, out)
-			observeWitnesses(start, out)
-			return out
-		}
 	}
 	gen := d.Generation()
-	asgs := AssignmentsFor(q, d, t, opts...)
-	seen := make(map[string]bool)
 	var out [][]db.Fact
-	var keys []string
-	for _, a := range asgs {
-		w := a.Witness(q)
-		k := witnessKey(w)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, w)
-			keys = append(keys, k)
-		}
+	if seed, ok := PartialFromAnswer(q, t); ok {
+		out = sortWitnessSets(collectKeyed(q, d, seed, cfg, func(a Assignment) (string, []db.Fact, bool) {
+			w := a.Witness(q)
+			return witnessKey(w), w, true
+		}))
 	}
-	sortWitnessSets(out, keys)
 	if !cfg.noCache {
 		storeWitnesses(d, gen, key, out)
 	}
@@ -136,46 +139,42 @@ func Witnesses(q *cq.Query, d db.Reader, t db.Tuple, opts ...Option) [][]db.Fact
 	return out
 }
 
-// sortWitnessSets orders witness sets by their precomputed canonical keys.
-func sortWitnessSets(out [][]db.Fact, keys []string) {
-	if len(out) < 2 {
-		return
+// sortWitnessSets lists witness sets in the order of their canonical keys;
+// no sets yield nil.
+func sortWitnessSets(byKey map[string][]db.Fact) [][]db.Fact {
+	if len(byKey) == 0 {
+		return nil
 	}
-	sort.Sort(&witnessesByKey{sets: out, keys: keys})
-}
-
-type witnessesByKey struct {
-	sets [][]db.Fact
-	keys []string
-}
-
-func (s *witnessesByKey) Len() int           { return len(s.sets) }
-func (s *witnessesByKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *witnessesByKey) Swap(i, j int) {
-	s.sets[i], s.sets[j] = s.sets[j], s.sets[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+	keys := make([]string, 0, len(byKey))
+	for k := range byKey {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([][]db.Fact, len(keys))
+	for i, k := range keys {
+		out[i] = byKey[k]
+	}
+	return out
 }
 
 // WitnessSetKey returns the canonical identity of one witness set — the
-// dedup and sort key Witnesses uses. The view engine keys its maintained
-// witness counts by it so the incremental path reproduces Witnesses' output
-// exactly.
+// dedup and sort key Witnesses uses. Differential checks compare witness
+// lists by it.
 func WitnessSetKey(w []db.Fact) string { return witnessKey(w) }
 
-// witnessKey builds the dedup key of one witness set with a single
-// allocation (the sets are sorted, so concatenated fact keys are canonical).
+// witnessKey builds the dedup key of one witness set in one pre-sized buffer
+// (the sets are sorted, so concatenated fact keys are canonical).
 func witnessKey(w []db.Fact) string {
-	var b strings.Builder
 	n := 0
 	for _, f := range w {
 		n += len(f.Rel) + len(f.Args)*8 + 2
 	}
-	b.Grow(n)
+	b := make([]byte, 0, n)
 	for _, f := range w {
-		b.WriteString(f.Key())
-		b.WriteByte('\x1e')
+		b = f.AppendKey(b)
+		b = append(b, '\x1e')
 	}
-	return b.String()
+	return string(b)
 }
 
 // Holds reports whether the boolean query (or the body of q under the given

@@ -9,9 +9,10 @@ import (
 
 // A Maintainer serves evaluation results from incrementally maintained state
 // instead of enumeration. The view engine (internal/view) registers itself
-// here per store ID; Result, Witnesses, AnswerHolds and Holds consult the
-// registered maintainer between the generation-stamped cache and cold
-// evaluation.
+// here per store ID; Result, AnswerHolds and Holds consult the registered
+// maintainer between the generation-stamped cache and cold evaluation.
+// Witnesses does not: a maintainer keeps support counts, not witness sets,
+// and the cleaner reads the witnesses of an answer only when removing it.
 //
 // Every method returns (value, ok). ok == false means the maintainer cannot
 // serve this call — the query is not maintained, the reader's generation does
@@ -28,9 +29,6 @@ import (
 type Maintainer interface {
 	// MaintainedResult returns Q(D) for a maintained query.
 	MaintainedResult(d db.Reader, q *cq.Query) ([]db.Tuple, bool)
-	// MaintainedWitnesses returns the witness sets of answer t, in the same
-	// canonical order Witnesses produces (sorted by witness key).
-	MaintainedWitnesses(d db.Reader, q *cq.Query, t db.Tuple) ([][]db.Fact, bool)
 	// MaintainedAnswerHolds reports whether t ∈ Q(D).
 	MaintainedAnswerHolds(d db.Reader, q *cq.Query, t db.Tuple) (bool, bool)
 	// MaintainedHolds reports whether the query body is satisfiable under the
@@ -84,16 +82,6 @@ func maintainedResult(d db.Reader, q *cq.Query) ([]db.Tuple, bool) {
 		return nil, false
 	}
 	out, ok := m.MaintainedResult(d, q)
-	countMaintained(ok)
-	return out, ok
-}
-
-func maintainedWitnesses(d db.Reader, q *cq.Query, t db.Tuple) ([][]db.Fact, bool) {
-	m := maintainerFor(d)
-	if m == nil {
-		return nil, false
-	}
-	out, ok := m.MaintainedWitnesses(d, q, t)
 	countMaintained(ok)
 	return out, ok
 }

@@ -137,37 +137,36 @@ func collect(q *cq.Query, d db.Reader, seed Assignment, cfg config) []Assignment
 	return out
 }
 
-// collectResult gathers the distinct head tuples of all valid assignments
-// extending the empty seed — the enumeration core of Result — serially or in
-// parallel with per-worker dedup maps merged afterwards.
-func collectResult(q *cq.Query, d db.Reader, cfg config) map[string]db.Tuple {
-	if cfg.workers > 1 {
-		parts := make([]map[string]db.Tuple, cfg.workers)
-		if searchParallel(q, d, Assignment{}, cfg.workers, func(w int) func(Assignment) bool {
-			seen := make(map[string]db.Tuple)
-			parts[w] = seen
-			return func(a Assignment) bool {
-				if t, ok := a.HeadTuple(q); ok {
-					seen[t.Key()] = t
-				}
-				return true
+// collectKeyed streams the valid total assignments extending seed through
+// pick and keeps one value per distinct key pick returns (pick reports
+// ok = false to skip an assignment, which it sees borrowed). It enumerates
+// serially via search, or via searchParallel with per-worker maps merged
+// afterwards, so both paths produce the same map.
+func collectKeyed[T any](q *cq.Query, d db.Reader, seed Assignment, cfg config, pick func(Assignment) (string, T, bool)) map[string]T {
+	into := func(m map[string]T) func(Assignment) bool {
+		return func(a Assignment) bool {
+			if k, v, ok := pick(a); ok {
+				m[k] = v
 			}
-		}) {
-			seen := make(map[string]db.Tuple)
-			for _, p := range parts {
-				for k, t := range p {
-					seen[k] = t
-				}
-			}
-			return seen
+			return true
 		}
 	}
-	seen := make(map[string]db.Tuple)
-	search(q, d, Assignment{}, func(a Assignment) bool {
-		if t, ok := a.HeadTuple(q); ok {
-			seen[t.Key()] = t
+	if cfg.workers > 1 {
+		parts := make([]map[string]T, cfg.workers)
+		if searchParallel(q, d, seed, cfg.workers, func(w int) func(Assignment) bool {
+			parts[w] = make(map[string]T)
+			return into(parts[w])
+		}) {
+			out := make(map[string]T)
+			for _, p := range parts {
+				for k, v := range p {
+					out[k] = v
+				}
+			}
+			return out
 		}
-		return true
-	})
-	return seen
+	}
+	out := make(map[string]T)
+	search(q, d, seed, into(out))
+	return out
 }

@@ -51,13 +51,8 @@ type IVMBenchRow struct {
 	// Speedup = cold / (apply + maintained read) — how much cheaper keeping
 	// the result current is than recomputing it per edit.
 	Speedup float64 `json:"speedup"`
-	// WitnessMaintainedNS / WitnessColdNS compare one answer's witness
-	// enumeration (the question-selection hot path) maintained vs cold,
-	// averaged over the script.
-	WitnessMaintainedNS int64 `json:"witness_maintained_ns,omitempty"`
-	WitnessColdNS       int64 `json:"witness_cold_ns,omitempty"`
-	// Identical reports that the maintained result (and witness sets) were
-	// byte-identical to the cold evaluation after every edit.
+	// Identical reports that the maintained result was byte-identical to the
+	// cold evaluation after every edit.
 	Identical bool `json:"identical"`
 }
 
@@ -76,8 +71,7 @@ type IVMBenchReport struct {
 // Q1-Q5): a seeded script of fact deletions and re-insertions runs against
 // each query — a maintained view absorbing per-edit deltas, compared with
 // recomputing from cold after the same edit — and every maintained read is
-// checked byte-identical to the cold one (answers and witness sets, canonical
-// order included).
+// checked byte-identical to the cold one (canonical order included).
 func IVMBench(opts IVMBenchOpts) IVMBenchReport {
 	opts.applyDefaults()
 	dg := dataset.Soccer(opts.Soccer)
@@ -121,8 +115,6 @@ func ivmBenchQuery(name string, q *cq.Query, dg *db.Database, opts IVMBenchOpts)
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	var applyTotal, readTotal, coldTotal time.Duration
-	var witMaintTotal, witColdTotal time.Duration
-	witSamples := 0
 	for step := 0; step < opts.Edits; step++ {
 		f := facts[rng.Intn(len(facts))]
 		var e db.Edit
@@ -153,27 +145,6 @@ func ivmBenchQuery(name string, q *cq.Query, dg *db.Database, opts IVMBenchOpts)
 			row.Identical = false
 		}
 
-		// Witness parity and timing on one answer per step (the hot path of
-		// question selection during cleaning).
-		if len(maintained) > 0 {
-			t := maintained[0]
-			start = time.Now()
-			wm := eval.Witnesses(q, d, t)
-			witMaintTotal += time.Since(start)
-			start = time.Now()
-			wc := eval.Witnesses(q, d, t, eval.NoCache())
-			witColdTotal += time.Since(start)
-			witSamples++
-			if len(wm) != len(wc) {
-				row.Identical = false
-			} else {
-				for i := range wm {
-					if eval.WitnessSetKey(wm[i]) != eval.WitnessSetKey(wc[i]) {
-						row.Identical = false
-					}
-				}
-			}
-		}
 		row.Edits++
 	}
 
@@ -182,10 +153,6 @@ func ivmBenchQuery(name string, q *cq.Query, dg *db.Database, opts IVMBenchOpts)
 		row.ApplyNS = applyTotal.Nanoseconds() / n
 		row.MaintainedReadNS = readTotal.Nanoseconds() / n
 		row.ColdNS = coldTotal.Nanoseconds() / n
-	}
-	if witSamples > 0 {
-		row.WitnessMaintainedNS = witMaintTotal.Nanoseconds() / int64(witSamples)
-		row.WitnessColdNS = witColdTotal.Nanoseconds() / int64(witSamples)
 	}
 	if denom := row.ApplyNS + row.MaintainedReadNS; denom > 0 {
 		row.Speedup = float64(row.ColdNS) / float64(denom)
@@ -198,18 +165,17 @@ func RenderIVMBench(rep IVMBenchReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "IVM benchmark — per-edit maintenance vs cold re-evaluation (%d facts, %d-edit script, seed %d)\n",
 		rep.Facts, rep.Edits, rep.Seed)
-	fmt.Fprintf(&b, "%-5s %8s %6s %12s %12s %12s %9s %12s %12s %-3s\n",
-		"name", "answers", "edits", "apply", "read", "cold", "speedup", "wit-maint", "wit-cold", "ok")
+	fmt.Fprintf(&b, "%-5s %8s %6s %12s %12s %12s %9s %-3s\n",
+		"name", "answers", "edits", "apply", "read", "cold", "speedup", "ok")
 	for _, r := range rep.Rows {
 		ok := "yes"
 		if !r.Identical {
 			ok = "NO"
 		}
-		fmt.Fprintf(&b, "%-5s %8d %6d %12s %12s %12s %8.1fx %12s %12s %-3s\n",
+		fmt.Fprintf(&b, "%-5s %8d %6d %12s %12s %12s %8.1fx %-3s\n",
 			r.Name, r.Answers, r.Edits,
 			time.Duration(r.ApplyNS), time.Duration(r.MaintainedReadNS), time.Duration(r.ColdNS),
-			r.Speedup,
-			time.Duration(r.WitnessMaintainedNS), time.Duration(r.WitnessColdNS), ok)
+			r.Speedup, ok)
 	}
 	if !rep.Identical {
 		b.WriteString("\nWARNING: maintained evaluation diverged from cold re-evaluation\n")

@@ -6,12 +6,11 @@ import (
 	"repro/internal/eval"
 )
 
-// Engine maintains a set of witness-tracking views over one store and serves
-// them through the eval.Maintainer interface: while the engine is registered
+// Engine maintains a set of counting views over one store and serves them
+// through the eval.Maintainer interface: while the engine is registered
 // (eval.SetMaintainer) and in sync with the store, eval.Result,
-// eval.Witnesses, eval.AnswerHolds and eval.Holds on a maintained query are
-// answered from the views in O(answer) instead of re-enumerating the join —
-// the counting-IVM mode of ROADMAP item 2.
+// eval.AnswerHolds and eval.Holds on a maintained query are answered from the
+// views in O(answer) instead of re-enumerating the join.
 //
 // The engine mirrors the store's edit generation: Apply must be called with
 // every semantically-changing edit, after the store itself applied it. If the
@@ -67,7 +66,7 @@ func (e *Engine) Ensure(q *cq.Query) error {
 	if _, ok := e.views[fp]; ok {
 		return nil
 	}
-	e.views[fp] = NewMaintained(fp, q, e.d)
+	e.views[fp] = New(fp, q, e.d)
 	// Materializing evaluates the query, which cannot edit the store — but
 	// record the generation anyway in case a future reader is added between
 	// Sync and here.
@@ -163,19 +162,6 @@ func (e *Engine) MaintainedResult(d db.Reader, q *cq.Query) ([]db.Tuple, bool) {
 		return nil, false
 	}
 	return v.Rows(), true
-}
-
-// MaintainedWitnesses implements eval.Maintainer.
-func (e *Engine) MaintainedWitnesses(d db.Reader, q *cq.Query, t db.Tuple) ([][]db.Fact, bool) {
-	v := e.lookup(d, q)
-	if v == nil {
-		return nil, false
-	}
-	sets, ok := v.WitnessSets(t)
-	if !ok {
-		return nil, false
-	}
-	return sets, true
 }
 
 // MaintainedAnswerHolds implements eval.Maintainer.

@@ -15,10 +15,11 @@ import (
 // queries, and explicit Sync — and after every step cross-checks the engine
 // against the naive evaluator on the live store. It is the delta propagator's
 // counterpart of FuzzEvalCacheInterleave: any miscounted support (an
-// assignment gained or lost twice, a negation delta with the wrong sign, a
-// witness entry leaking past zero) or any missed staleness transition (the
-// engine serving rows for a generation it never saw) surfaces as a divergence
-// from NaiveResult or from the cold eval.Witnesses order.
+// assignment gained or lost twice, a negation delta with the wrong sign) or
+// any missed staleness transition (the engine serving rows for a generation
+// it never saw) surfaces as a divergence from NaiveResult. With the engine
+// registered as the store's maintainer, eval.Witnesses must also match the
+// cold enumeration and exist for exactly the naive answers.
 func FuzzViewDeltaInterleave(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 0})                   // tracked inserts and a delete
@@ -63,6 +64,11 @@ func FuzzViewDeltaInterleave(f *testing.F) {
 			}
 		}
 		inSync := true // our own model of the engine's staleness
+		eval.SetMaintainer(d.ID(), e)
+		defer func() {
+			eval.ClearMaintainer(d.ID(), e)
+			eval.InvalidateDB(d.ID())
+		}()
 
 		check := func(step int, op string) {
 			for qi, q := range queries {
@@ -75,21 +81,29 @@ func FuzzViewDeltaInterleave(f *testing.F) {
 					t.Fatalf("step %d (%s, query %d): MaintainedResult ok = %v, expected sync = %v",
 						step, op, qi, ok, inSync)
 				}
-				if !ok {
-					continue
-				}
-				if !tuplesEqualTest(rows, want) {
+				if ok && !tuplesEqualTest(rows, want) {
 					t.Fatalf("step %d (%s, query %d %s): maintained %v, naive %v",
 						step, op, qi, q, rows, want)
 				}
-				for _, tp := range want {
-					got, ok := e.MaintainedWitnesses(d, q, tp)
-					if !ok {
-						t.Fatalf("step %d (%s, query %d): witnesses declined for %v", step, op, qi, tp)
-					}
+				// Witnesses are not maintained: with the engine registered
+				// they come from the cache or a cold enumeration, and must
+				// exist for exactly the naive answers.
+				if got := eval.Result(q, d); !tuplesEqualTest(got, want) {
+					t.Fatalf("step %d (%s, query %d %s): Result %v, naive %v", step, op, qi, q, got, want)
+				}
+				probe := make(db.Tuple, len(q.Head))
+				for i := range probe {
+					probe[i] = "C9"
+				}
+				for _, tp := range append(append([]db.Tuple(nil), want...), probe) {
+					got := eval.Witnesses(q, d, tp)
 					cold := eval.Witnesses(q, d, tp, eval.NoCache())
+					if member := containsTuple(want, tp); (len(cold) > 0) != member {
+						t.Fatalf("step %d (%s, query %d): %v has %d witness sets, naive membership %v",
+							step, op, qi, tp, len(cold), member)
+					}
 					if len(got) != len(cold) {
-						t.Fatalf("step %d (%s, query %d): %d maintained witness sets for %v, cold %d",
+						t.Fatalf("step %d (%s, query %d): %d witness sets for %v, cold %d",
 							step, op, qi, len(got), tp, len(cold))
 					}
 					for i := range got {
@@ -162,6 +176,15 @@ func FuzzViewDeltaInterleave(f *testing.F) {
 		inSync = true
 		check(len(script), "final")
 	})
+}
+
+func containsTuple(ts []db.Tuple, t db.Tuple) bool {
+	for _, u := range ts {
+		if u.Equal(t) {
+			return true
+		}
+	}
+	return false
 }
 
 func tuplesEqualTest(a, b []db.Tuple) bool {

@@ -9,11 +9,9 @@
 // A View materializes the answers of a CQ≠ over a database and keeps, per
 // answer, the number of valid assignments supporting it; edits flowing
 // through the Monitor update that support incrementally (delta evaluation)
-// instead of recomputing the view. A maintained View additionally keeps the
-// witness sets of every answer with per-witness assignment counts, and the
-// Engine aggregates maintained views into an eval.Maintainer that serves the
-// cleaner's Result/Witnesses/AnswerHolds/Holds calls in place of cold
-// re-evaluation (counting-based incremental view maintenance).
+// instead of recomputing the view. The Engine aggregates views into an
+// eval.Maintainer that serves the cleaner's Result/AnswerHolds/Holds calls in
+// place of cold re-evaluation (counting-based incremental view maintenance).
 package view
 
 import (
@@ -26,156 +24,121 @@ import (
 )
 
 // View is a materialized CQ≠ view: the current answer tuples plus the number
-// of valid assignments supporting each. With witness tracking enabled it also
-// maintains, per answer, the distinct witness sets with the number of valid
-// assignments inducing each.
+// of valid assignments supporting each.
 type View struct {
 	Name  string
 	Query *cq.Query
 
-	rows    map[string]db.Tuple
-	support map[string]int // answer key -> |A(t, Q, D)|
-
-	trackWits bool
-	wits      map[string]map[string]*witnessEntry // answer key -> witness key -> entry
+	answers map[string]*answer // answer key -> answer
+	head    db.Tuple           // scratch: the head tuple being counted
+	key     []byte             // scratch: its key
 }
 
-// witnessEntry counts the valid assignments inducing one witness set of one
-// answer. The witness disappears when the count drops to zero.
-type witnessEntry struct {
-	facts []db.Fact
-	count int
+// answer is one materialized answer with its support |A(t, Q, D)|. It leaves
+// the view when the support drops to zero.
+type answer struct {
+	t db.Tuple
+	n int
 }
 
 // New materializes the query over the database.
 func New(name string, q *cq.Query, d db.Reader) *View {
-	v := &View{Name: name, Query: q}
+	v := &View{Name: name, Query: q, head: make(db.Tuple, len(q.Head))}
 	v.Refresh(d)
 	return v
 }
 
-// NewMaintained materializes the query with witness tracking: the view keeps
-// every answer's witness sets up to date under Apply, which is what lets the
-// Engine serve eval.Witnesses (and the hitting-set instance built from it)
-// without re-enumeration.
-func NewMaintained(name string, q *cq.Query, d db.Reader) *View {
-	v := &View{Name: name, Query: q, trackWits: true}
-	v.Refresh(d)
-	return v
-}
-
-// Refresh recomputes the materialization from scratch.
+// Refresh recomputes the materialization from scratch in one streaming pass
+// over the query's assignments.
 func (v *View) Refresh(d db.Reader) {
-	v.rows = make(map[string]db.Tuple)
-	v.support = make(map[string]int)
-	if v.trackWits {
-		v.wits = make(map[string]map[string]*witnessEntry)
-	}
-	for _, a := range eval.Eval(v.Query, d) {
-		t, ok := a.HeadTuple(v.Query)
+	v.answers = make(map[string]*answer)
+	eval.Each(v.Query, d, nil, func(a eval.Assignment) bool {
+		if ans := v.answerOf(a); ans != nil {
+			ans.n++
+		}
+		return true
+	})
+}
+
+// answerOf returns the entry of the answer α(head(Q)), creating it with zero
+// support if absent, or nil when the assignment leaves a head variable
+// unbound. Counting another assignment of a known answer allocates nothing.
+func (v *View) answerOf(a eval.Assignment) *answer {
+	for i, term := range v.Query.Head {
+		val, ok := a.Resolve(term)
 		if !ok {
-			continue
+			return nil
 		}
-		k := t.Key()
-		v.rows[k] = t
-		v.support[k]++
-		if v.trackWits {
-			v.addWitness(k, a)
-		}
+		v.head[i] = val
 	}
+	v.key = v.head.AppendKey(v.key[:0])
+	if ans := v.answers[string(v.key)]; ans != nil {
+		return ans
+	}
+	ans := &answer{t: v.head.Clone()}
+	v.answers[string(v.key)] = ans
+	return ans
 }
 
 // Rows returns the materialized answers in deterministic order.
 func (v *View) Rows() []db.Tuple {
-	out := make([]db.Tuple, 0, len(v.rows))
-	for _, t := range v.rows {
-		out = append(out, t)
+	out := make([]db.Tuple, 0, len(v.answers))
+	for _, ans := range v.answers {
+		out = append(out, ans.t)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	sortTuples(out)
 	return out
 }
 
 // Len returns the number of materialized answers.
-func (v *View) Len() int { return len(v.rows) }
+func (v *View) Len() int { return len(v.answers) }
 
 // Has reports whether the answer is currently in the view.
 func (v *View) Has(t db.Tuple) bool {
-	_, ok := v.rows[t.Key()]
+	_, ok := v.answers[t.Key()]
 	return ok
 }
 
 // Support returns the number of valid assignments supporting the answer.
-func (v *View) Support(t db.Tuple) int { return v.support[t.Key()] }
-
-// WitnessSets returns the answer's maintained witness sets in the canonical
-// order of eval.Witnesses (sorted by witness key). ok is false when the view
-// does not track witnesses. The inner fact slices are shared and must be
-// treated as immutable, as everywhere in the engine.
-func (v *View) WitnessSets(t db.Tuple) (sets [][]db.Fact, ok bool) {
-	if !v.trackWits {
-		return nil, false
+func (v *View) Support(t db.Tuple) int {
+	if ans := v.answers[t.Key()]; ans != nil {
+		return ans.n
 	}
-	byW := v.wits[t.Key()]
-	if len(byW) == 0 {
-		return nil, true
-	}
-	keys := make([]string, 0, len(byW))
-	for wk := range byW {
-		keys = append(keys, wk)
-	}
-	sort.Strings(keys)
-	sets = make([][]db.Fact, len(keys))
-	for i, wk := range keys {
-		sets[i] = byW[wk].facts
-	}
-	return sets, true
+	return 0
 }
 
 // Apply updates the materialization for a single edit. The database must
 // already reflect the edit (for insertions the fact is present; for deletions
 // it is absent). It returns the answers whose membership flipped.
 //
-// Negated atoms are handled symmetrically: an inserted fact can block
-// previously valid assignments (support losses), and a deleted fact can
-// unblock assignments (support gains).
+// The delta is counted over the assignments that ground an atom to the edited
+// fact: those using it in a positive atom, evaluated on the state that has
+// the fact, gain support on an insertion and lose it on a deletion; those
+// whose negated atom it grounds, evaluated on the state that lacks the fact,
+// do the opposite (an inserted fact blocks them, a deleted one unblocks
+// them).
 //
-// Apply only reads d: the pre-edit state its delta rules need is
-// reconstructed through a db.Overlay, never by editing the store (which
-// would bump the generation and, on journaled backends, append non-semantic
-// records to the durable log).
+// Apply only reads d: whichever of the two states d is not is reconstructed
+// through a db.Overlay, never by editing the store (which would bump the
+// generation and, on journaled backends, append non-semantic records to the
+// durable log).
 func (v *View) Apply(d db.Reader, e db.Edit) (appeared, disappeared []db.Tuple) {
-	f := e.Fact
-	var gains, losses []deltaAsg
-	if e.Op == db.Insert {
-		gains = v.matchPositive(d, f, false)
-		losses = v.matchNegative(d, f, true)
-	} else {
-		losses = v.matchPositive(d, f, true)
-		gains = v.matchNegative(d, f, false)
+	with, without, sign := d, db.Overlay(d, db.Deletion(e.Fact)), 1
+	if e.Op != db.Insert {
+		with, without, sign = db.Overlay(d, db.Insertion(e.Fact)), d, -1
 	}
-	for k, n := range countByAnswer(gains) {
-		if v.support[k] == 0 {
-			appeared = append(appeared, v.rows[k])
-		}
-		v.support[k] += n
-	}
-	if v.trackWits {
-		for _, da := range gains {
-			v.addWitness(da.key, da.asg)
-		}
-		for _, da := range losses {
-			v.dropWitness(da.key, da.asg)
-		}
-	}
-	for k, n := range countByAnswer(losses) {
-		v.support[k] -= n
-		if v.support[k] <= 0 {
-			if t, ok := v.rows[k]; ok {
-				disappeared = append(disappeared, t)
+	before := make(map[*answer]int) // touched answer -> support before the edit
+	v.matchAtoms(with, v.Query.Atoms, e.Fact, sign, before)
+	v.matchAtoms(without, v.Query.Negs, e.Fact, -sign, before)
+	for ans, n := range before {
+		switch {
+		case n == 0 && ans.n > 0:
+			appeared = append(appeared, ans.t)
+		case ans.n <= 0:
+			if n > 0 {
+				disappeared = append(disappeared, ans.t)
 			}
-			delete(v.support, k)
-			delete(v.rows, k)
-			delete(v.wits, k)
+			delete(v.answers, ans.t.Key())
 		}
 	}
 	sortTuples(appeared)
@@ -183,97 +146,12 @@ func (v *View) Apply(d db.Reader, e db.Edit) (appeared, disappeared []db.Tuple) 
 	return appeared, disappeared
 }
 
-// addWitness counts one valid assignment into the answer's witness table.
-func (v *View) addWitness(k string, a eval.Assignment) {
-	w := a.Witness(v.Query)
-	wk := eval.WitnessSetKey(w)
-	byW := v.wits[k]
-	if byW == nil {
-		byW = make(map[string]*witnessEntry)
-		v.wits[k] = byW
-	}
-	ent := byW[wk]
-	if ent == nil {
-		ent = &witnessEntry{facts: w}
-		byW[wk] = ent
-	}
-	ent.count++
-}
-
-// dropWitness removes one no-longer-valid assignment from the witness table.
-func (v *View) dropWitness(k string, a eval.Assignment) {
-	byW := v.wits[k]
-	if byW == nil {
-		return
-	}
-	wk := eval.WitnessSetKey(a.Witness(v.Query))
-	ent := byW[wk]
-	if ent == nil {
-		return
-	}
-	ent.count--
-	if ent.count <= 0 {
-		delete(byW, wk)
-		if len(byW) == 0 {
-			delete(v.wits, k)
-		}
-	}
-}
-
-// deltaAsg is one valid assignment gained or lost by an edit, with its
-// answer key precomputed.
-type deltaAsg struct {
-	key string
-	asg eval.Assignment
-}
-
-// countByAnswer folds delta assignments into per-answer counts.
-func countByAnswer(deltas []deltaAsg) map[string]int {
-	if len(deltas) == 0 {
-		return nil
-	}
-	out := make(map[string]int)
-	for _, da := range deltas {
-		out[da.key]++
-	}
-	return out
-}
-
-// matchPositive enumerates, per answer key, the valid assignments that use
-// the fact in at least one positive atom. With preDelete the fact is absent
-// from d (a deletion happened) and the enumeration runs against a read-only
-// overlay showing the pre-delete state — d itself is never mutated, so no
-// generation bump and no journal traffic.
-func (v *View) matchPositive(d db.Reader, f db.Fact, preDelete bool) []deltaAsg {
-	r := d
-	if preDelete {
-		r = db.Overlay(d, db.Insertion(f))
-	}
-	return v.matchAtoms(r, v.Query.Atoms, f)
-}
-
-// matchNegative enumerates, per answer key, the assignments whose negated
-// atom grounds to the fact and that are valid when the fact is absent. With
-// preInsert the fact is present in d (an insertion happened) and the
-// enumeration runs against a read-only overlay showing the pre-insert state.
-func (v *View) matchNegative(d db.Reader, f db.Fact, preInsert bool) []deltaAsg {
-	if len(v.Query.Negs) == 0 {
-		return nil
-	}
-	r := d
-	if preInsert {
-		r = db.Overlay(d, db.Deletion(f))
-	}
-	return v.matchAtoms(r, v.Query.Negs, f)
-}
-
-// matchAtoms enumerates valid assignments (over d's current state) that
-// ground one of the given atoms to the fact, deduplicated across atom
-// positions. Answer tuples are cached in rows.
-func (v *View) matchAtoms(d db.Reader, atoms []cq.Atom, f db.Fact) []deltaAsg {
-	seen := make(map[string]bool)
-	var deltas []deltaAsg
-	for _, atom := range atoms {
+// matchAtoms adds by to the support of every valid assignment over d that
+// grounds one of the atoms to f, recording each touched answer's prior
+// support in before. An assignment grounding several of the atoms to f is
+// enumerated once per such atom but counted only at the first of them.
+func (v *View) matchAtoms(d db.Reader, atoms []cq.Atom, f db.Fact, by int, before map[*answer]int) {
+	for i, atom := range atoms {
 		if atom.Rel != f.Rel {
 			continue
 		}
@@ -281,22 +159,36 @@ func (v *View) matchAtoms(d db.Reader, atoms []cq.Atom, f db.Fact) []deltaAsg {
 		if !ok {
 			continue
 		}
-		for _, a := range eval.Extensions(v.Query, d, seed) {
-			ak := a.Key()
-			if seen[ak] {
-				continue
+		eval.Each(v.Query, d, seed, func(a eval.Assignment) bool {
+			for _, prev := range atoms[:i] {
+				if prev.Rel == f.Rel && grounds(prev, a, f.Args) {
+					return true // counted at prev
+				}
 			}
-			seen[ak] = true
-			t, ok := a.HeadTuple(v.Query)
-			if !ok {
-				continue
+			ans := v.answerOf(a)
+			if ans == nil {
+				return true
 			}
-			k := t.Key()
-			deltas = append(deltas, deltaAsg{key: k, asg: a})
-			v.rows[k] = t
+			if _, seen := before[ans]; !seen {
+				before[ans] = ans.n
+			}
+			ans.n += by
+			return true
+		})
+	}
+}
+
+// grounds reports whether the assignment maps the atom to the tuple args.
+func grounds(atom cq.Atom, a eval.Assignment, args db.Tuple) bool {
+	if len(atom.Args) != len(args) {
+		return false
+	}
+	for i, term := range atom.Args {
+		if val, ok := a.Resolve(term); !ok || val != args[i] {
+			return false
 		}
 	}
-	return deltas
+	return true
 }
 
 // unifyAtom binds the atom's variables against the fact, returning false on a
@@ -341,12 +233,6 @@ func NewMonitor(d db.Store) *Monitor {
 
 // Store returns the monitored store.
 func (m *Monitor) Store() db.Store { return m.d }
-
-// Database returns the monitored store as an in-memory *db.Database.
-//
-// Deprecated: it exists for callers that predate the Store interface and
-// panics when the monitor holds a different backend; use Store instead.
-func (m *Monitor) Database() *db.Database { return m.d.(*db.Database) }
 
 // Register materializes a query as a named view.
 func (m *Monitor) Register(name string, q *cq.Query) (*View, error) {

@@ -197,7 +197,7 @@ func TestDurableCleaningSession(t *testing.T) {
 	}
 	// Not necessarily equal to DG (cleaning stops at Q(D) = Q(DG)), but the
 	// recovered database must match the pre-restart one exactly.
-	if st2.Database().Distance(cl.Database()) != 0 {
+	if db.Distance(st2.Database(), cl.Store()) != 0 {
 		t.Errorf("recovered database differs from the cleaned one")
 	}
 }
