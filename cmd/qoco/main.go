@@ -170,7 +170,7 @@ func loadDatabase(ds, dataFile, schemaSpec string) (d, dg *db.Database, defQuery
 			return nil, nil, "", err
 		}
 		defer f.Close()
-		if err := d.LoadCSV(f); err != nil {
+		if err := db.LoadCSV(d, f); err != nil {
 			return nil, nil, "", err
 		}
 		return d, nil, "", nil

@@ -6,8 +6,8 @@
 // and cold evaluation after every edit, the
 // greedy hitting-set heuristics vs exact branch-and-bound vs brute-force
 // subset enumeration, the end-to-end cleaner vs the ground truth it is
-// supposed to converge to, and WAL journal replay vs direct edit
-// application — and, when a property fails, shrinks the instance to a
+// supposed to converge to, and the disk-backed store vs the in-memory one —
+// and, when a property fails, shrinks the instance to a
 // minimal counterexample with a re-runnable seed and Datalog rendering.
 //
 // Properties are plain functions from *Instance to error so the same code
@@ -44,7 +44,7 @@ type Instance struct {
 	Query *cq.Query
 	Union *cq.Union
 	// Edits is a random edit script (including deliberate no-ops) used by
-	// the WAL-replay and cache-invalidation properties.
+	// the store-parity, crash-recovery and cache-invalidation properties.
 	Edits []db.Edit
 }
 

@@ -78,12 +78,6 @@ func TestCleanerConvergence(t *testing.T) {
 	sweep(t, trials(t, 500), CheckCleaner)
 }
 
-// TestWALReplayDifferential: journaled runs, truncated journals, and
-// corrupted journals behave exactly like direct edit application.
-func TestWALReplayDifferential(t *testing.T) {
-	sweep(t, trials(t, 500), CheckWALReplay)
-}
-
 // TestHittingDifferential: greedy, exact, and Theorem 4.5 unique-minimal
 // detection agree with brute-force subset enumeration on seeded random set
 // systems.

@@ -10,7 +10,6 @@ import (
 	"repro/internal/crowd"
 	"repro/internal/db"
 	"repro/internal/eval"
-	"repro/internal/wal"
 )
 
 // The disk-backend differential properties replay the same generated
@@ -173,93 +172,6 @@ func CheckCleanerDisk(ins *Instance) error {
 		if !db.Equal(re, cleaned) {
 			return fmt.Errorf("cleaner (disk): reopened store lost cleaning edits (distance %d)",
 				db.Distance(re, cleaned))
-		}
-		return nil
-	})
-}
-
-// CheckWALReplayDisk layers the WAL over a disk-backed target
-// (wal.OpenWith) and asserts the journaled run reopens — through both
-// recovery layers, journal replay over segment replay — to exactly the
-// state direct edit application produces.
-func CheckWALReplayDisk(ins *Instance) error {
-	walDir, err := os.MkdirTemp("", "check-waldisk-*")
-	if err != nil {
-		return fmt.Errorf("wal (disk): temp dir: %w", err)
-	}
-	defer os.RemoveAll(walDir)
-	return withDiskStore(ins, func(ds *db.DiskStore, dir string) error {
-		st, err := wal.OpenWith(walDir, ins.Schema, ds)
-		if err != nil {
-			return fmt.Errorf("wal (disk): open: %w", err)
-		}
-		direct := db.New(ins.Schema)
-		apply := func(e db.Edit) error {
-			chS, err := st.Apply(e)
-			if err != nil {
-				return fmt.Errorf("wal (disk): apply %v: %w", e, err)
-			}
-			chD, err := direct.Apply(e)
-			if err != nil {
-				return fmt.Errorf("wal (disk): direct apply %v: %w", e, err)
-			}
-			if chS != chD {
-				return fmt.Errorf("wal (disk): Apply(%v) changed=%v on the store, %v directly", e, chS, chD)
-			}
-			return nil
-		}
-		for _, f := range ins.D.Facts() {
-			if err := apply(db.Insertion(f)); err != nil {
-				st.Close()
-				return err
-			}
-		}
-		for _, e := range ins.Edits {
-			if err := apply(e); err != nil {
-				st.Close()
-				return err
-			}
-		}
-		if err := st.Close(); err != nil {
-			return fmt.Errorf("wal (disk): close: %w", err)
-		}
-		if err := ds.Close(); err != nil {
-			return fmt.Errorf("wal (disk): closing target: %w", err)
-		}
-		// Recovery path 1: the disk store alone (segments) already holds
-		// everything — the WAL journaled the same edits the store applied.
-		re, err := db.OpenDisk(dir, ins.Schema, diskShardsFor(ins.Seed))
-		if err != nil {
-			return fmt.Errorf("wal (disk): reopening target: %w", err)
-		}
-		if !db.Equal(re, direct) {
-			re.Close()
-			return fmt.Errorf("wal (disk): reopened segments differ from direct application (distance %d)",
-				db.Distance(re, direct))
-		}
-		re.Close()
-		// Recovery path 2: WAL replay into a fresh, empty disk target
-		// rebuilds the same state from snapshot+journal alone.
-		freshDir, err := os.MkdirTemp("", "check-waldisk-fresh-*")
-		if err != nil {
-			return fmt.Errorf("wal (disk): temp dir: %w", err)
-		}
-		defer os.RemoveAll(freshDir)
-		fresh, err := db.OpenDisk(freshDir, ins.Schema, diskShardsFor(ins.Seed))
-		if err != nil {
-			return fmt.Errorf("wal (disk): opening fresh target: %w", err)
-		}
-		st2, err := wal.OpenWith(walDir, ins.Schema, fresh)
-		if err != nil {
-			fresh.Close()
-			return fmt.Errorf("wal (disk): replay into fresh target: %w", err)
-		}
-		equal := db.Equal(st2.Target(), direct)
-		dist := db.Distance(st2.Target(), direct)
-		st2.Close()
-		fresh.Close()
-		if !equal {
-			return fmt.Errorf("wal (disk): journal replay into a fresh disk target differs from direct application (distance %d)", dist)
 		}
 		return nil
 	})

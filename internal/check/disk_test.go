@@ -30,13 +30,6 @@ func TestCleanerConvergenceDisk(t *testing.T) {
 	sweep(t, diskTrials(t, 240), CheckCleanerDisk)
 }
 
-// TestWALReplayDisk: layering the WAL over a disk-backed target replays to
-// the directly-applied state through both recovery paths — the target's own
-// segments, and journal replay into a fresh empty disk target.
-func TestWALReplayDisk(t *testing.T) {
-	sweep(t, diskTrials(t, 240), CheckWALReplayDisk)
-}
-
 // TestDiskReopenDifferential: kill-and-reopen at seed-chosen sync points —
 // every fact state synced to disk and untouched afterwards is recovered, no
 // recovered fact was invented, and the recovered store stays writable.

@@ -6,23 +6,6 @@ import (
 	"io"
 )
 
-// WriteCSV serializes any reader as CSV records of the form rel,v1,...,vk
-// in deterministic order. The format round-trips through LoadCSV given a
-// store of the same schema.
-func WriteCSV(w io.Writer, r Reader) error {
-	cw := csv.NewWriter(w)
-	for _, f := range r.Facts() {
-		rec := make([]string, 0, len(f.Args)+1)
-		rec = append(rec, f.Rel)
-		rec = append(rec, f.Args...)
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("db: writing csv: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // LoadCSV reads CSV records (rel,v1,...,vk) into the store, validating each
 // record against the schema. Records are appended to existing contents.
 func LoadCSV(s Store, r io.Reader) error {
@@ -44,10 +27,3 @@ func LoadCSV(s Store, r io.Reader) error {
 		}
 	}
 }
-
-// WriteCSV serializes the database as CSV (see the package-level WriteCSV).
-func (d *Database) WriteCSV(w io.Writer) error { return WriteCSV(w, d) }
-
-// LoadCSV reads CSV records into the database (see the package-level
-// LoadCSV).
-func (d *Database) LoadCSV(r io.Reader) error { return LoadCSV(d, r) }

@@ -1,7 +1,6 @@
 package db
 
 import (
-	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -225,34 +224,37 @@ func TestCloneDeep(t *testing.T) {
 	}
 }
 
+// TestCSVRoundTrip: LoadCSV parses quoted values (separators, escaped
+// quotes, embedded newlines) back into exactly the facts they encode.
 func TestCSVRoundTrip(t *testing.T) {
-	d := New(testSchema())
-	d.InsertFact(NewFact("Teams", "GER", "EU"))
-	d.InsertFact(NewFact("Teams", "comma,value", "EU"))
-	d.InsertFact(NewFact("Goals", "Pirlo", "09.07.06"))
+	const text = "Teams,GER,EU\n" +
+		"Teams,\"comma,value\",EU\n" +
+		"Teams,\"say \"\"hi\"\"\",\"line\nbreak\"\n" +
+		"Goals,Pirlo,09.07.06\n"
+	want := New(testSchema())
+	want.InsertFact(NewFact("Teams", "GER", "EU"))
+	want.InsertFact(NewFact("Teams", "comma,value", "EU"))
+	want.InsertFact(NewFact("Teams", `say "hi"`, "line\nbreak"))
+	want.InsertFact(NewFact("Goals", "Pirlo", "09.07.06"))
 
-	var buf bytes.Buffer
-	if err := d.WriteCSV(&buf); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	d2 := New(testSchema())
-	if err := d2.LoadCSV(&buf); err != nil {
+	d := New(testSchema())
+	if err := LoadCSV(d, strings.NewReader(text)); err != nil {
 		t.Fatalf("LoadCSV: %v", err)
 	}
-	if !d.Equal(d2) {
-		t.Errorf("CSV round trip lost facts: distance %d", d.Distance(d2))
+	if !d.Equal(want) {
+		t.Errorf("LoadCSV parsed %v, want %v", d.Facts(), want.Facts())
 	}
 }
 
 func TestLoadCSVErrors(t *testing.T) {
 	d := New(testSchema())
-	if err := d.LoadCSV(strings.NewReader("Bogus,x\n")); err == nil {
+	if err := LoadCSV(d, strings.NewReader("Bogus,x\n")); err == nil {
 		t.Errorf("unknown relation: want error")
 	}
-	if err := d.LoadCSV(strings.NewReader("Teams\n")); err == nil {
+	if err := LoadCSV(d, strings.NewReader("Teams\n")); err == nil {
 		t.Errorf("short record: want error")
 	}
-	if err := d.LoadCSV(strings.NewReader("Teams,a,b,c\n")); err == nil {
+	if err := LoadCSV(d, strings.NewReader("Teams,a,b,c\n")); err == nil {
 		t.Errorf("arity mismatch: want error")
 	}
 }

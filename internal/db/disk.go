@@ -34,7 +34,7 @@ import (
 // and fsyncs everything — after it returns, even a machine crash loses
 // nothing. A process kill between Syncs loses at most the buffered tail;
 // reopening truncates each segment at its last complete, valid record
-// (per-shard prefix recovery, the same torn-tail contract as the WAL).
+// (per-shard prefix recovery, the same torn-tail contract as the job journal).
 //
 // Robustness model (v2 format, record.go): every record carries a CRC-32C
 // trailer and every Sync appends a commit marker, so recovery can prove
@@ -142,8 +142,8 @@ type DiskStore struct {
 	compactReclaimed int64
 
 	// detached marks forks and snapshot backings: in-memory overlays that
-	// never touch the segment files (their edits are not durable — the
-	// cleaner's working copies and the WAL cover durability above).
+	// never touch the segment files (their edits are not durable — they are
+	// working copies; only the source store's edits persist).
 	detached bool
 	closed   bool
 	err      error // first append/fsync failure; sticky, poisons mutations
@@ -673,7 +673,7 @@ func (s *DiskStore) Facts() []Fact {
 
 // InsertFact adds the fact, appending a segment record first so the
 // in-memory state never runs ahead of what a reopen can recover. A failed
-// append poisons the store (sticky error), mirroring the WAL contract.
+// append poisons the store (sticky error), mirroring the job journal.
 func (s *DiskStore) InsertFact(f Fact) (bool, error) {
 	r := s.rels[f.Rel]
 	if r == nil {
@@ -801,8 +801,8 @@ func (s *DiskStore) forkDetached() *DiskStore {
 
 // Fork returns a mutable copy-on-write copy with a fresh identity at
 // generation zero. Forks are detached: their edits live in memory only (the
-// cleaner's working copies don't need segment durability — the WAL above
-// journals whatever should survive).
+// cleaner's working copies don't need segment durability; only the source
+// store's edits persist).
 func (s *DiskStore) Fork() Store { return s.forkDetached() }
 
 // Snapshot captures an immutable read view at the current generation,

@@ -71,8 +71,8 @@ type Snapshot interface {
 	Fork() Store
 }
 
-// Store is the pluggable storage API: everything the cleaning loop, the
-// WAL, and the server need from the fact store. The in-memory *Database and
+// Store is the pluggable storage API: everything the cleaning loop and the
+// server need from the fact store. The in-memory *Database and
 // the disk-backed *DiskStore implement it.
 //
 // The concurrency contract matches the historical *db.Database one:

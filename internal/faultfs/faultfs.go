@@ -10,9 +10,9 @@
 // The package also owns RenameAndSyncDir, the one shared helper for the
 // atomic-replace idiom: rename alone is not durable on ext4 — the new
 // directory entry lives in the directory inode, which has its own cache —
-// so every atomic install (store metadata, compacted segments, WAL
-// snapshots, job-journal rewrites) must fsync the containing directory
-// after the rename.
+// so every atomic install (store metadata, compacted segments, job-journal
+// and replica-log rewrites) must fsync the containing directory after the
+// rename.
 package faultfs
 
 import (
@@ -115,7 +115,7 @@ func (osFS) SyncDir(dir string) error {
 // shortly after the rename can roll the directory entry back to the old
 // file on ext4 and friends. Used by the disk store (metadata installs,
 // segment compaction, quarantine), the symbol table (quarantine), and the
-// WAL (snapshot compaction, job-journal rewrites).
+// job and replica journals (compaction and full-state rewrites).
 func RenameAndSyncDir(fsys FS, oldpath, newpath string) error {
 	if err := fsys.Rename(oldpath, newpath); err != nil {
 		return err

@@ -2,7 +2,10 @@ package server
 
 import (
 	"context"
+	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +15,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/db"
 	"repro/internal/eval"
+	"repro/internal/faultfs"
 	"repro/internal/wal"
 )
 
@@ -363,5 +367,212 @@ func TestRecoveryAfterCompaction(t *testing.T) {
 		if r.ID == job1.ID {
 			t.Errorf("job 1 still in the journal after compaction: %+v", r)
 		}
+	}
+}
+
+// answerUntilDone drives job id on srv to a terminal state with perfect
+// answers, failing on any question whose key is in journaled (a replayed
+// answer must never be re-asked), and returns the number of answers given.
+func answerUntilDone(t *testing.T, srv *Server, id int, oracle *crowd.Perfect, journaled map[string]bool) int {
+	t.Helper()
+	n := 0
+	deadline := time.Now().Add(20 * time.Second)
+	for jobView(srv, id).State == JobRunning {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %d did not finish", id)
+		}
+		for _, qu := range srv.Queue().Pending() {
+			if journaled[QuestionKey(qu)] {
+				t.Fatalf("journaled question re-asked after recovery: %s", qu.Text)
+			}
+			if srv.Queue().Answer(qu.ID, perfectAnswer(qu, oracle)) == nil {
+				n++
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
+// waitTerminal polls until job id leaves the running state.
+func waitTerminal(t *testing.T, srv *Server, id int) Job {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		if cur := jobView(srv, id); cur.State != JobRunning {
+			return cur
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %d did not terminate", id)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// sameTuples reports whether two sorted result sets are equal.
+func sameTuples(a, b []db.Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// openFigure1Disk opens a 4-shard disk store in dir holding the dirty
+// Figure 1 database, synced.
+func openFigure1Disk(t *testing.T, dir string, opts ...db.DiskOption) *db.DiskStore {
+	t.Helper()
+	d0, _ := dataset.Figure1()
+	ds, err := db.OpenDisk(dir, d0.Schema(), 4, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Copy(ds, d0); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// TestCrashAfterAnswersOnDisk kills a Figure 1 job over a journaled disk
+// store after k answers, for every k up to and past the job's end: the
+// server stops, the store drops everything it never synced, and a second
+// server recovers over the same directory and journal. Every row must reach
+// Q(D) = Q(DG) without re-asking a journaled question. The past-the-end row
+// pins the ordering rule: the store is synced before the end record, so a
+// job the journal calls done never loses its edits.
+func TestCrashAfterAnswersOnDisk(t *testing.T) {
+	d0, dg := dataset.Figure1()
+	oracle := crowd.NewPerfect(dg)
+	probe := New(d0, core.Config{})
+	total := answerUntilDone(t, probe, probe.startJob(dataset.IntroQ1(), nil).ID, oracle, nil)
+	probe.Close()
+	if total == 0 {
+		t.Fatal("the Figure 1 job asked no questions")
+	}
+	want := eval.Result(dataset.IntroQ1(), dg)
+
+	for k := 0; k <= total; k++ {
+		name := fmt.Sprintf("k=%d", k)
+		if k == total {
+			name = "past-end"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			storeDir, logPath := filepath.Join(dir, "store"), filepath.Join(dir, "jobs.log")
+			ds := openFigure1Disk(t, storeDir)
+			log1, _, err := wal.OpenJobLog(logPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv1 := New(ds, core.Config{})
+			srv1.SetJobLog(log1)
+			job := srv1.startJob(dataset.IntroQ1(), nil)
+
+			journaled := make(map[string]bool)
+			if k < total {
+				lastID := 0
+				for i := 0; i < k; i++ {
+					qu := waitQuestion(t, srv1.Queue(), lastID)
+					journaled[QuestionKey(qu)] = true
+					if err := srv1.Queue().Answer(qu.ID, perfectAnswer(qu, oracle)); err != nil {
+						t.Fatal(err)
+					}
+					lastID = qu.ID
+				}
+				// The next question proves the k-th answer was journaled.
+				waitQuestion(t, srv1.Queue(), lastID)
+			} else {
+				answerUntilDone(t, srv1, job.ID, oracle, nil)
+			}
+			srv1.Close()
+			waitTerminal(t, srv1, job.ID)
+			ds.Crash()
+			log1.Close()
+
+			ds2, err := db.OpenDisk(storeDir, d0.Schema(), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds2.Close()
+			log2, recs, err := wal.OpenJobLog(logPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer log2.Close()
+			srv2 := New(ds2, core.Config{})
+			srv2.SetJobLog(log2)
+			defer srv2.Close()
+			if _, err := srv2.Recover(recs); err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+			answerUntilDone(t, srv2, job.ID, oracle, journaled)
+			if st := jobView(srv2, job.ID).State; st != JobDone {
+				t.Fatalf("job ended %s, want done", st)
+			}
+			got := eval.Result(dataset.IntroQ1(), ds2)
+			if !sameTuples(got, want) {
+				t.Fatalf("Q(D) = %v after recovery, want Q(DG) = %v", got, want)
+			}
+		})
+	}
+}
+
+// TestStoreSyncFailureLeavesJobOpen: when the store cannot sync a finished
+// run's edits, the job fails with the sync error and journals no end event,
+// so the next boot re-runs it; the store's sticky error flips readiness.
+func TestStoreSyncFailureLeavesJobOpen(t *testing.T) {
+	// Count the file operations that opening and seeding take, then fail
+	// every fsync after them.
+	counter := faultfs.NewInjector(faultfs.OS())
+	seeded := openFigure1Disk(t, t.TempDir(), db.WithFS(counter))
+	n := counter.OpCount()
+	seeded.Close()
+	inj := faultfs.NewInjector(faultfs.OS(), faultfs.Fault{At: n + 1, Op: faultfs.OpAny, Kind: faultfs.KindStickySync})
+	ds := openFigure1Disk(t, t.TempDir(), db.WithFS(inj))
+	defer ds.Close()
+
+	logPath := filepath.Join(t.TempDir(), "jobs.log")
+	jl, _, err := wal.OpenJobLog(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dg := dataset.Figure1()
+	srv := New(ds, core.Config{})
+	srv.SetJobLog(jl)
+	defer srv.Close()
+	job := srv.startJob(dataset.IntroQ1(), nil)
+	answerUntilDone(t, srv, job.ID, crowd.NewPerfect(dg), nil)
+
+	cur := jobView(srv, job.ID)
+	if cur.State != JobFailed || !strings.Contains(cur.Error, faultfs.ErrInjected.Error()) {
+		t.Fatalf("job ended %s (%q), want failed with the injected sync error", cur.State, cur.Error)
+	}
+	if srv.StoreError() == nil {
+		t.Error("failed store sync left StoreError nil")
+	}
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), `"ev":"end"`) {
+		t.Fatalf("end event journaled over unsynced edits:\n%s", raw)
+	}
+	jl2, recs, err := wal.OpenJobLog(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl2.Close()
+	if len(recs) != 1 || recs[0].Done {
+		t.Fatalf("journal records = %+v, want job %d open for recovery", recs, job.ID)
 	}
 }

@@ -667,16 +667,9 @@ func (s *Server) launchJob(id int, q *cq.Query, recovered bool, grant *admission
 	}
 
 	ctx = withJob(ctx, job.ID)
-	go func() {
-		s.dbMu.Lock()
-		cleaner := s.newCleaner()
-		s.mu.Lock()
-		job.cleaner = cleaner
-		s.mu.Unlock()
-		report, err := cleaner.Clean(ctx, q)
-		s.dbMu.Unlock()
-		s.finishJob(job, report, err)
-	}()
+	go s.runJob(job, func(cleaner *core.Cleaner) (*core.Report, error) {
+		return cleaner.Clean(ctx, q)
+	})
 
 	s.mu.Lock()
 	view := *job
@@ -684,17 +677,40 @@ func (s *Server) launchJob(id int, q *cq.Query, recovered bool, grant *admission
 	return view
 }
 
-// finishJob records a run's outcome. A job already marked cancelled keeps
-// that state (the run's context error is not a failure); otherwise the report
-// and error decide between done, degraded and failed. The terminal state is
-// journaled — except during graceful shutdown, where an interrupted run's
-// journal entry stays open so the next boot recovers it.
-func (s *Server) finishJob(job *Job, report *core.Report, err error) {
+// runJob runs a job body with a fresh cleaner under the database write lock,
+// then syncs the store before releasing the lock and recording the outcome.
+// The sync must precede finishJob's end record on every path: an end record
+// over edits still sitting in the store's write buffer would let a crash lose
+// them while the next boot's Recover skips the job as finished.
+func (s *Server) runJob(job *Job, run func(*core.Cleaner) (*core.Report, error)) {
+	s.dbMu.Lock()
+	cleaner := s.newCleaner()
+	s.mu.Lock()
+	job.cleaner = cleaner
+	s.mu.Unlock()
+	report, err := run(cleaner)
+	syncErr := s.d.Sync()
+	s.dbMu.Unlock()
+	s.finishJob(job, report, err, syncErr)
+}
+
+// finishJob records a run's outcome. A failed store sync fails the job and
+// leaves its journal record open, so the next boot re-runs it with its
+// answers replayed. Otherwise a job already marked cancelled keeps that state
+// (the run's context error is not a failure), and the report and error decide
+// between done, degraded and failed. The terminal state is journaled — except
+// during graceful shutdown, where an interrupted run's journal entry stays
+// open so the next boot recovers it.
+func (s *Server) finishJob(job *Job, report *core.Report, err, syncErr error) {
 	s.queue.ClearReplay(job.ID)
 	s.mu.Lock()
 	job.Report = report
 	job.cleaner = nil
 	switch {
+	case syncErr != nil:
+		job.State = JobFailed
+		job.Error = syncErr.Error()
+		s.obs.Inc(MetricJobsFailed)
 	case job.State == JobCancelled, job.State == JobHandoff:
 		// State was set by the DELETE handler or by Abandon; nothing to decide.
 	case err != nil:
@@ -728,7 +744,7 @@ func (s *Server) finishJob(job *Job, report *core.Report, err error) {
 	}
 	// A cancelled job is finished by user decision even when the cancel races
 	// a shutdown: journal its end so it is not resurrected.
-	if jl != nil && (!closing || state == JobCancelled || state == JobHandoff) {
+	if jl != nil && syncErr == nil && (!closing || state == JobCancelled || state == JobHandoff) {
 		_ = jl.End(job.ID, string(state))
 	}
 	// The finished job's evaluation-cache sections are dead weight (the next

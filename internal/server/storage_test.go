@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/schema"
-	"repro/internal/wal"
 )
 
 func storageTestSchema() *schema.Schema {
@@ -128,66 +127,6 @@ func TestQuarantinedStoreSurfacesReadyz(t *testing.T) {
 	}
 	if err := json.NewDecoder(res2.Body).Decode(&env); err != nil || env.Error.Code != "storage_unavailable" {
 		t.Errorf("clean error envelope code = %q (%v), want storage_unavailable", env.Error.Code, err)
-	}
-}
-
-// TestCorruptWALSurfacesReadyz: a corrupt WAL journal over a healthy disk
-// store fails wal.OpenWith with the typed wal.ErrCorrupt, and the server
-// surfaces it the same sticky way instead of serving whatever state the
-// partial replay produced.
-func TestCorruptWALSurfacesReadyz(t *testing.T) {
-	walDir := t.TempDir()
-	storeDir := t.TempDir()
-	ds, err := db.OpenDisk(storeDir, storageTestSchema(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := wal.OpenWith(walDir, storageTestSchema(), ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []db.Fact{db.NewFact("R", "a", "b"), db.NewFact("R", "c", "d"), db.NewFact("R", "e", "f")} {
-		if _, err := st.Apply(db.Insertion(f)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ds.Close()
-	// Corrupt the journal mid-line: structurally invalid JSON before intact
-	// records is corruption, not a torn tail.
-	jpath := filepath.Join(walDir, "journal.log")
-	raw, err := os.ReadFile(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[0] = 0xff
-	if err := os.WriteFile(jpath, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ds2, err := db.OpenDisk(storeDir, storageTestSchema(), 1)
-	if err != nil {
-		t.Fatalf("healthy store reopen: %v", err)
-	}
-	defer ds2.Close()
-	_, werr := wal.OpenWith(walDir, storageTestSchema(), ds2)
-	if !errors.Is(werr, wal.ErrCorrupt) {
-		t.Fatalf("OpenWith over corrupt journal = %v, want wal.ErrCorrupt", werr)
-	}
-
-	srv := New(db.New(storageTestSchema()), core.Config{})
-	srv.SetStoreError(werr)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer srv.Close()
-	res, err := http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz status = %d, want 503", res.StatusCode)
 	}
 }
 

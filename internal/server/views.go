@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/admission"
+	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/db"
 )
@@ -239,12 +240,7 @@ func (s *Server) startRepairJob(q *cq.Query, t db.Tuple, action string, grant *a
 	s.obs.Inc(MetricJobsStarted)
 
 	ctx = withJob(ctx, job.ID)
-	go func() {
-		s.dbMu.Lock()
-		cleaner := s.newCleaner()
-		s.mu.Lock()
-		job.cleaner = cleaner
-		s.mu.Unlock()
+	go s.runJob(job, func(cleaner *core.Cleaner) (*core.Report, error) {
 		var err error
 		var edits []db.Edit
 		if action == "wrong" {
@@ -252,9 +248,8 @@ func (s *Server) startRepairJob(q *cq.Query, t db.Tuple, action string, grant *a
 		} else {
 			edits, err = cleaner.AddMissingAnswer(ctx, q, t)
 		}
-		s.dbMu.Unlock()
-		s.finishJob(job, reportOfEdits(edits), err)
-	}()
+		return reportOfEdits(edits), err
+	})
 
 	s.mu.Lock()
 	view := *job

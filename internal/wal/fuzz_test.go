@@ -4,84 +4,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/db"
-	"repro/internal/schema"
 )
 
-func fuzzSchema() *schema.Schema {
-	return schema.New(
-		schema.Relation{Name: "R", Attrs: []string{"a", "b"}},
-		schema.Relation{Name: "S", Attrs: []string{"a"}},
-	)
-}
-
-// FuzzWALReplay feeds arbitrary bytes to the journal replayer. Invariants:
-// Open never panics; it either succeeds or returns an error; a success with a
-// replayed journal must be re-openable to the same database (replay is
-// deterministic and its effects are re-journalable); and any failure on
-// journal content matches ErrCorrupt or reports an I/O condition, never a
-// silent half-replay.
-func FuzzWALReplay(f *testing.F) {
-	f.Add([]byte(""))
-	f.Add([]byte(`{"op":"+","rel":"R","args":["a","b"]}` + "\n"))
-	f.Add([]byte(`{"op":"+","rel":"R","args":["a","b"]}` + "\n" + `{"op":"-","rel":"R","args":["a","b"]}` + "\n"))
-	f.Add([]byte(`{"op":"+","rel":"R","args":["a","b"]}` + "\n" + `{"op":"+","rel":"R","ar`))
-	f.Add([]byte(`{"op":"?","rel":"R","args":["a","b"]}` + "\n"))
-	f.Add([]byte(`{"op":"+","rel":"Bogus","args":["x"]}` + "\n"))
-	f.Add([]byte(`{"op":"+","rel":"R","args":["x"]}` + "\n")) // arity mismatch
-	f.Add([]byte("\n\n\n"))
-	f.Add([]byte(`garbage`))
-	f.Fuzz(func(t *testing.T, journal []byte) {
-		if strings.Contains(string(journal), "\x00") {
-			// NUL bytes cannot be journaled by the writer and only exercise
-			// the scanner; still must not panic.
-			dir := t.TempDir()
-			os.WriteFile(filepath.Join(dir, "journal.log"), journal, 0o644)
-			st, err := Open(dir, fuzzSchema())
-			if err == nil {
-				st.Close()
-			}
-			return
-		}
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "journal.log"), journal, 0o644); err != nil {
-			t.Skip()
-		}
-		st, err := Open(dir, fuzzSchema())
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) && !strings.Contains(err.Error(), "wal:") {
-				t.Fatalf("unclassified replay error: %v", err)
-			}
-			return
-		}
-		first := st.Database().Facts()
-		if err := st.Close(); err != nil {
-			t.Fatalf("close after replay: %v", err)
-		}
-		// Reopening replays the same journal; the database must be identical.
-		st2, err := Open(dir, fuzzSchema())
-		if err != nil {
-			t.Fatalf("reopen after successful replay failed: %v", err)
-		}
-		defer st2.Close()
-		second := st2.Database().Facts()
-		if len(first) != len(second) {
-			t.Fatalf("replay not deterministic: %d vs %d facts", len(first), len(second))
-		}
-		for i := range first {
-			if first[i].Key() != second[i].Key() {
-				t.Fatalf("replay not deterministic at fact %d: %v vs %v", i, first[i], second[i])
-			}
-		}
-	})
-}
-
-// FuzzJobLogReplay does the same for the job journal: OpenJobLog must never
-// panic, failures must be typed, and a successful open must be stable across
-// a reopen (the returned records are identical).
+// FuzzJobLogReplay feeds arbitrary bytes to the job journal: OpenJobLog must
+// never panic, failures must be typed, and a successful open must be stable
+// across a reopen (the returned records are identical).
 func FuzzJobLogReplay(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte(`{"ev":"start","job":1,"query":"(x) :- R(x)"}` + "\n"))
@@ -121,44 +51,45 @@ func FuzzJobLogReplay(f *testing.F) {
 	})
 }
 
-// TestWALReplayEquivalence: a journal written by the Store itself replays to
-// exactly the database produced by applying the same edits directly — the
-// no-crash differential baseline the check harness extends with interrupted
-// runs.
-func TestWALReplayEquivalence(t *testing.T) {
-	s := fuzzSchema()
-	dir := t.TempDir()
-	st, err := Open(dir, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := db.New(s)
-	edits := []db.Edit{
-		db.Insertion(db.NewFact("R", "a", "b")),
-		db.Insertion(db.NewFact("R", "a", "c")),
-		db.Deletion(db.NewFact("R", "a", "b")),
-		db.Insertion(db.NewFact("S", "a")),
-		db.Deletion(db.NewFact("S", "zzz")),     // no-op: not journaled
-		db.Insertion(db.NewFact("R", "a", "c")), // no-op: duplicate
-	}
-	for _, e := range edits {
-		if _, err := st.Apply(e); err != nil {
-			t.Fatal(err)
+// FuzzReplicaLogReplay does the same for a replica's copy of a peer journal:
+// OpenReplicaLog must never panic, failures must be typed, and a successful
+// open must reopen to the same sender cursor and the same folded jobs.
+func FuzzReplicaLogReplay(f *testing.F) {
+	snapshot := `{"event":{"ev":"start","job":1,"query":"q"}}` + "\n" +
+		`{"event":{"ev":"answer","job":1,"key":"k","answer":{"bool":true}}}` + "\n"
+	f.Add([]byte(""))
+	f.Add([]byte(snapshot + `{"boot":"b","seq":3}` + "\n"))
+	f.Add([]byte(snapshot + `{"boot":"b","seq":3}` + "\n" +
+		`{"boot":"b","seq":4,"event":{"ev":"end","job":1,"state":"done"}}` + "\n"))
+	f.Add([]byte(snapshot + `{"event":{"ev":"end","job":1,"state":"handoff"}}` + "\n"))
+	f.Add([]byte(snapshot + `{"event":{"ev":"end","jo`)) // torn snapshot: no cursor line
+	f.Add([]byte(`{"boot":"b","seq":1,"event":{"ev":"answer","job":9,"key":"k","answer":{}}}` + "\n"))
+	f.Add([]byte(`{"boot":"b","seq":1,"event":{"ev":"?","job":1}}` + "\n"))
+	f.Fuzz(func(t *testing.T, journal []byte) {
+		path := filepath.Join(t.TempDir(), "replica.log")
+		if err := os.WriteFile(path, journal, 0o644); err != nil {
+			t.Skip()
 		}
-		if _, err := direct.Apply(e); err != nil {
-			t.Fatal(err)
+		rl, err := OpenReplicaLog(path)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !strings.Contains(err.Error(), "wal:") {
+				t.Fatalf("unclassified replica log error: %v", err)
+			}
+			return
 		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := Open(dir, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if !st2.Database().Equal(direct) {
-		t.Fatalf("replayed database differs from direct application:\nreplayed: %v\ndirect:   %v",
-			st2.Database().Facts(), direct.Facts())
-	}
+		boot, seq := rl.State()
+		jobs := rl.Jobs()
+		rl.Close()
+		rl2, err := OpenReplicaLog(path)
+		if err != nil {
+			t.Fatalf("reopen after successful open failed: %v", err)
+		}
+		defer rl2.Close()
+		if boot2, seq2 := rl2.State(); boot2 != boot || seq2 != seq {
+			t.Fatalf("cursor differs across reopen: (%q, %d) vs (%q, %d)", boot, seq, boot2, seq2)
+		}
+		if jobs2 := rl2.Jobs(); !reflect.DeepEqual(jobs, jobs2) {
+			t.Fatalf("folded jobs differ across reopen: %+v vs %+v", jobs, jobs2)
+		}
+	})
 }

@@ -18,13 +18,15 @@ import (
 // — resuming each job at its first unanswered question.
 //
 // The log is answer-granular, not edit-granular: replaying answers through
-// the deterministic cleaner re-derives the edits, so the job journal composes
-// with (but does not require) a Store for the database itself.
+// the deterministic cleaner re-derives the edits. The facts themselves are
+// the db.Store's to keep durable; the server syncs the store before it
+// journals a job's terminal event, so an end record never outlives the edits
+// it vouches for.
 //
 // Every record is flushed and fsynced before the append returns: a crowd
 // answer is minutes of human work and must survive the very next crash. The
 // first write failure is sticky and surfaces from every later append and
-// Close, mirroring Store.
+// Close.
 type JobLog struct {
 	mu      sync.Mutex
 	f       faultfs.File
@@ -101,7 +103,7 @@ func OpenJobLog(path string, opts ...JobLogOption) (*JobLog, []JobRecord, error)
 		}
 	}
 	fold := NewFold()
-	_, err := scanJournal(options.fs, path, func(line []byte) error {
+	err := scanJournal(options.fs, path, func(line []byte) error {
 		var ev JobEvent
 		if err := json.Unmarshal(line, &ev); err != nil {
 			return err

@@ -164,7 +164,7 @@ func OpenReplicaLog(path string, opts ...JobLogOption) (*ReplicaLog, error) {
 		}
 	}
 	rl := &ReplicaLog{fs: options.fs, path: path, fold: NewFold()}
-	_, err := scanJournal(options.fs, path, func(line []byte) error {
+	err := scanJournal(options.fs, path, func(line []byte) error {
 		var sl shipLine
 		if err := json.Unmarshal(line, &sl); err != nil {
 			return err
