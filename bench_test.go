@@ -178,14 +178,12 @@ func BenchmarkEvalNaive(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalColdSerial, BenchmarkEvalWarmCache and BenchmarkEvalParallel
-// are the evaluation trajectory benchmarks (the series BENCH_eval.json
-// records): cache-bypassed serial evaluation of the Fig3 workload queries on
-// the full-scale Soccer database, re-evaluation of the unchanged database
-// through the generation-stamped cache, and cache-bypassed evaluation with
-// the top-level scan partitioned across workers. CI runs them at
-// -benchtime=1x as a smoke test; compare cold vs warm locally with
-// -bench='BenchmarkEval(ColdSerial|WarmCache)'.
+// BenchmarkEvalColdSerial and BenchmarkEvalWarmCache are the evaluation
+// trajectory benchmarks (the series BENCH_eval.json records): cache-bypassed
+// evaluation of the Fig3 workload queries on the full-scale Soccer database,
+// and re-evaluation of the unchanged database through the generation-stamped
+// cache. CI runs them at -benchtime=1x as a smoke test; compare cold vs warm
+// locally with -bench='BenchmarkEval(ColdSerial|WarmCache)'.
 func BenchmarkEvalColdSerial(b *testing.B) {
 	d := dataset.Soccer(dataset.SoccerOpts{})
 	for i, q := range dataset.SoccerQueries() {
@@ -211,22 +209,6 @@ func BenchmarkEvalWarmCache(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkEvalParallel(b *testing.B) {
-	d := dataset.Soccer(dataset.SoccerOpts{})
-	queries := dataset.SoccerQueries()
-	for _, workers := range []int{1, 4} {
-		for i, q := range queries {
-			b.Run(fmt.Sprintf("Q%d/workers=%d", i+1, workers), func(b *testing.B) {
-				for n := 0; n < b.N; n++ {
-					if len(eval.Result(q, d, eval.NoCache(), eval.Parallel(workers))) == 0 {
-						b.Fatal("empty result")
-					}
-				}
-			})
-		}
 	}
 }
 

@@ -11,7 +11,7 @@
 //	qocobench -seeds 5        # average over more random seeds
 //	qocobench -tournaments 8  # smaller Soccer database for quick runs
 //	qocobench -fig overload   # admission-control rate sweep (-json for JSON)
-//	qocobench -fig eval       # evaluator cold/warm/parallel benchmark
+//	qocobench -fig eval       # evaluator cold/warm benchmark
 //	qocobench -fig eval -json # …writing BENCH_eval.json (the bench trajectory)
 //	qocobench -fig ivm        # per-edit incremental maintenance vs cold re-eval
 //	qocobench -fig ivm -json  # …writing BENCH_ivm.json (the IVM trajectory)
@@ -42,8 +42,6 @@ func main() {
 	errRate := flag.Float64("errrate", 0.1, "per-question error rate of imperfect experts (Figure 4)")
 	overloadDur := flag.Duration("overload-duration", 2*time.Second, "load duration per rate point of the overload sweep")
 	jsonOut := flag.Bool("json", false, "overload/cluster: emit JSON to stdout; eval: write BENCH_eval.json")
-	parallel := flag.Int("parallel", 4, "eval-benchmark worker count measured against serial evaluation")
-	evalWorkers := flag.Int("eval-workers", 0, "parallel workers for the figures' upper-bound witness enumerations (0 = serial)")
 	ivmEdits := flag.Int("ivm-edits", 40, "length of the IVM benchmark's seeded edit script (-fig ivm)")
 	metamorphSeeds := flag.Int("metamorph-seeds", 2000, "seeded workloads per oracle in the metamorphic sweep (-fig metamorph)")
 	clusterSubs := flag.Int("cluster-submissions", 2000, "cleaning jobs submitted by the cluster soak (-fig cluster)")
@@ -56,7 +54,6 @@ func main() {
 		MissingAnswers: *missing,
 		ExpertError:    *errRate,
 		Soccer:         dataset.SoccerOpts{Tournaments: *tournaments},
-		EvalWorkers:    *evalWorkers,
 	}
 	for s := int64(1); s <= int64(*seeds); s++ {
 		cfg.Seeds = append(cfg.Seeds, s)
@@ -124,13 +121,12 @@ func main() {
 		}
 		any = true
 	}
-	// The eval benchmark measures wall-clock cold/warm/parallel evaluation,
+	// The eval benchmark measures wall-clock cold/warm evaluation,
 	// so like the overload sweep it only runs when asked for by name. With
 	// -json it records the run into BENCH_eval.json, the repo's evaluation
 	// performance trajectory.
 	if *fig == "eval" {
 		rep := experiment.EvalBench(experiment.EvalBenchOpts{
-			Workers:     *parallel,
 			Soccer:      cfg.Soccer,
 			StoreDir:    scfg.Dir,
 			StoreShards: scfg.Shards,

@@ -111,8 +111,6 @@ func run() error {
 		"how long shutdown waits for in-flight jobs to finish after admission stops")
 	questionHistory := flag.Int("question-history", server.DefaultQuestionHistory,
 		"resolved crowd questions retained at /api/v1/questions/log (0 disables)")
-	evalWorkers := flag.Int("eval-workers", 1,
-		"query-evaluation parallelism: top-level scans are partitioned across this many goroutines (1 = serial, -1 = GOMAXPROCS)")
 	ivm := flag.Bool("ivm", true,
 		"maintained (incremental view maintenance) evaluation: cleaning jobs propagate each edit as a delta through materialized views instead of re-evaluating the query cold (see docs/EVAL.md)")
 	compactEvery := flag.Duration("compact-store", 0,
@@ -153,7 +151,7 @@ func run() error {
 	}
 	defer d.Close()
 
-	srv := server.New(d, core.Config{EvalWorkers: *evalWorkers, Incremental: *ivm})
+	srv := server.New(d, core.Config{Incremental: *ivm})
 	if bootErr != nil {
 		srv.SetStoreError(bootErr)
 	}

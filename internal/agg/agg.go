@@ -95,8 +95,8 @@ type Group struct {
 
 // Eval computes the aggregate over the database. Groups are ordered by key.
 // SUM/MIN/MAX require numeric values of the aggregated variable; non-numeric
-// values are an error. Options tune the body enumeration (eval.Parallel,
-// eval.NoCache) and must not change the result — the metamorphic harness
+// values are an error. Options are forwarded to the body enumeration
+// (eval.Eval) and must not change the result — the metamorphic harness
 // (internal/metamorph) compares aggregate output across option legs.
 func Eval(q *Query, d db.Reader, opts ...eval.Option) ([]Group, error) {
 	values := make(map[string]map[string]bool) // group key -> distinct of-values

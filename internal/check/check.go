@@ -1,7 +1,7 @@
 // Package check is the differential correctness harness: it generates
 // seeded random QOCO instances (schemas, databases, CQ≠ and union queries,
 // edit scripts), replays them through every optimized path and its naive
-// reference — the indexed/cached/parallel evaluator vs NaiveResult, the
+// reference — the indexed/cached evaluator vs NaiveResult, the
 // incrementally maintained views and the IVM engine vs refresh-from-scratch
 // and cold evaluation after every edit, the
 // greedy hitting-set heuristics vs exact branch-and-bound vs brute-force

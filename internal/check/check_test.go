@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/db"
-	"repro/internal/eval"
 )
 
 // trials returns the sweep width: the full 500+ seeded instances per
@@ -49,7 +48,7 @@ func TestGeneratedInstancesValid(t *testing.T) {
 	})
 }
 
-// TestEvalParity: the optimized evaluator (indexed, cached, parallel)
+// TestEvalParity: the optimized evaluator (indexed, cached)
 // agrees with the naive reference on every generated instance, including
 // after cache-warming and in-place edits.
 func TestEvalParity(t *testing.T) {
@@ -178,10 +177,3 @@ type errTestType struct{}
 func (errTestType) Error() string { return "marker present" }
 
 func contains(s, sub string) bool { return strings.Contains(s, sub) }
-
-// Keep the eval cache in its default (enabled) state even if another test
-// in the package toggles it.
-func TestMain(m *testing.M) {
-	eval.SetCache(true)
-	m.Run()
-}

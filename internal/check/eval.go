@@ -13,7 +13,6 @@ import (
 //   - uncached (eval.NoCache) vs NaiveResult
 //   - cold cache, then warm cache (second call served from the
 //     generation-stamped cache) vs NaiveResult
-//   - parallel evaluation with 2 and 4 workers vs NaiveResult
 //   - the same sweep again after applying the instance's edit script to a
 //     clone, which must invalidate the cache (generation bump) — a stale
 //     cache would reproduce the pre-edit result
@@ -84,8 +83,6 @@ func checkResultModes(ins *Instance, label string) error {
 		{"nocache", []eval.Option{eval.NoCache()}},
 		{"cold-cache", nil},
 		{"warm-cache", nil}, // second uncached-option call hits the cache
-		{"parallel-2", []eval.Option{eval.Parallel(2)}},
-		{"parallel-4", []eval.Option{eval.Parallel(4), eval.NoCache()}},
 	}
 	for _, m := range modes {
 		if got := eval.Result(q, d, m.opts...); !tuplesEqual(got, naive) {

@@ -79,7 +79,7 @@ func (c *Cleaner) Clean(ctx context.Context, q *cq.Query) (*Report, error) {
 				stopInsert()
 				return finish(err)
 			}
-			cur := eval.Result(q, c.d, c.evalOpts()...)
+			cur := eval.Result(q, c.d)
 			proposals := c.completeResults(ctx, q, cur)
 			if err := ctx.Err(); err != nil {
 				stopInsert()
@@ -100,7 +100,7 @@ func (c *Cleaner) Clean(ctx context.Context, q *cq.Query) (*Report, error) {
 					stuck = true
 					continue
 				}
-				if eval.AnswerHolds(q, c.d, t, c.evalOpts()...) {
+				if eval.AnswerHolds(q, c.d, t) {
 					continue // an earlier proposal of this round added it
 				}
 				est.Observe(t.Key())
@@ -163,7 +163,7 @@ func (c *Cleaner) completeResults(ctx context.Context, q *cq.Query, cur []db.Tup
 // unverifiedAnswers returns Q(D) ∖ VerifiedResults in deterministic order.
 func (c *Cleaner) unverifiedAnswers(q *cq.Query, verified map[string]bool) []db.Tuple {
 	var out []db.Tuple
-	for _, t := range eval.Result(q, c.d, c.evalOpts()...) {
+	for _, t := range eval.Result(q, c.d) {
 		if !verified[t.Key()] {
 			out = append(out, t)
 		}
@@ -242,7 +242,7 @@ func (c *Cleaner) CleanUnion(ctx context.Context, u *cq.Union) (*Report, error) 
 		c.setIteration(iter + 1)
 
 		var unverified []db.Tuple
-		for _, t := range eval.ResultUnion(u, c.d, c.evalOpts()...) {
+		for _, t := range eval.ResultUnion(u, c.d) {
 			if !verified[t.Key()] {
 				unverified = append(unverified, t)
 			}
@@ -276,7 +276,7 @@ func (c *Cleaner) CleanUnion(ctx context.Context, u *cq.Union) (*Report, error) 
 			// Remove the answer from every disjunct that currently yields it.
 			stopDelete := c.phase(MetricDeleteSeconds, &r.Timings.Delete)
 			for _, q := range u.Disjuncts {
-				if eval.AnswerHolds(q, c.d, t, c.evalOpts()...) {
+				if eval.AnswerHolds(q, c.d, t) {
 					if err := c.removeWrongAnswer(ctx, r, q, t); err != nil {
 						stopDelete()
 						return finish(err)
@@ -292,7 +292,7 @@ func (c *Cleaner) CleanUnion(ctx context.Context, u *cq.Union) (*Report, error) 
 				stopInsert()
 				return finish(err)
 			}
-			cur := eval.ResultUnion(u, c.d, c.evalOpts()...)
+			cur := eval.ResultUnion(u, c.d)
 			t, proposer, ok := c.completeResultUnion(ctx, u, cur)
 			if err := ctx.Err(); err != nil {
 				stopInsert()

@@ -140,10 +140,7 @@ type Config struct {
 	// round are posed to the crowd concurrently. The oracle must be safe for
 	// concurrent use (Perfect is; wrap others appropriately).
 	Parallel bool
-	// EvalWorkers sets the parallelism of query evaluation (eval.Parallel):
-	// 0 or 1 evaluates serially, n > 1 partitions the top-level scan across
-	// n goroutines, and a negative value selects GOMAXPROCS. Outputs are
-	// byte-identical to serial evaluation regardless of the setting.
+	// Deprecated: ignored; evaluation is serial.
 	EvalWorkers int
 	// MinSamples and MinNulls configure the enumeration stopping rule for
 	// COMPL(Q(D)) questions (§6.1, the Chao92 black box): stop once the
@@ -337,15 +334,6 @@ func New(d db.Store, oracle crowd.Oracle, cfg Config) *Cleaner {
 
 // Store returns the cleaner's fact store.
 func (c *Cleaner) Store() db.Store { return c.d }
-
-// evalOpts returns the evaluation options every eval call of this cleaner
-// uses, derived from Config.EvalWorkers.
-func (c *Cleaner) evalOpts() []eval.Option {
-	if c.cfg.EvalWorkers == 0 || c.cfg.EvalWorkers == 1 {
-		return nil
-	}
-	return []eval.Option{eval.Parallel(c.cfg.EvalWorkers)}
-}
 
 // Stats returns the crowd interaction statistics accumulated so far.
 func (c *Cleaner) Stats() crowd.Stats { return c.oracle.Snapshot() }

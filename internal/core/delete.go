@@ -32,7 +32,7 @@ func (c *Cleaner) RemoveWrongAnswer(ctx context.Context, q *cq.Query, t db.Tuple
 }
 
 func (c *Cleaner) removeWrongAnswer(ctx context.Context, r *Report, q *cq.Query, t db.Tuple) error {
-	witnesses := eval.Witnesses(q, c.d, t, c.evalOpts()...)
+	witnesses := eval.Witnesses(q, c.d, t)
 	c.cfg.Obs.Observe(MetricWitnessSets, float64(len(witnesses)))
 	if len(witnesses) == 0 {
 		return nil
@@ -124,7 +124,7 @@ func (c *Cleaner) removeWrongAnswer(ctx context.Context, r *Report, q *cq.Query,
 // from D. The crowd verifies each candidate blocker; true ones are inserted,
 // invalidating the assignment.
 func (c *Cleaner) repairNegationBlockers(ctx context.Context, r *Report, q *cq.Query, t db.Tuple) error {
-	for guard := 0; eval.AnswerHolds(q, c.d, t, c.evalOpts()...); guard++ {
+	for guard := 0; eval.AnswerHolds(q, c.d, t); guard++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -132,7 +132,7 @@ func (c *Cleaner) repairNegationBlockers(ctx context.Context, r *Report, q *cq.Q
 			return nil // oracle inconsistency: stop rather than loop forever
 		}
 		progressed := false
-		for _, a := range eval.AssignmentsFor(q, c.d, t, c.evalOpts()...) {
+		for _, a := range eval.AssignmentsFor(q, c.d, t) {
 			for _, atom := range q.Negs {
 				f, ok := a.AtomFact(atom)
 				if !ok || c.d.Has(f) {
@@ -258,12 +258,11 @@ func (c *Cleaner) markFalse(key string) {
 
 // WrongAnswerUpperBound returns the number of distinct witness tuples of t,
 // the cost of the naive algorithm that verifies every tuple of every witness
-// (the "total" bar in Figure 3a). The options are forwarded to the witness
-// enumeration, so callers with a cache or parallel configuration (qocobench's
-// Figure-3 sweeps) no longer pay a cold serial evaluation per bound.
-func WrongAnswerUpperBound(q *cq.Query, d db.Reader, t db.Tuple, opts ...eval.Option) int {
+// (the "total" bar in Figure 3a). The witnesses come through the evaluation
+// cache, so the Figure-3 sweeps do not pay a cold evaluation per bound.
+func WrongAnswerUpperBound(q *cq.Query, d db.Reader, t db.Tuple) int {
 	seen := make(map[string]bool)
-	for _, w := range eval.Witnesses(q, d, t, opts...) {
+	for _, w := range eval.Witnesses(q, d, t) {
 		for _, f := range w {
 			seen[f.Key()] = true
 		}
@@ -274,11 +273,8 @@ func WrongAnswerUpperBound(q *cq.Query, d db.Reader, t db.Tuple, opts ...eval.Op
 // MissingAnswerUpperBound returns the number of unique variables of Q|t, the
 // worst-case number of values the crowd must provide under the naive
 // no-split insertion (the "total" bar in Figure 3b). The bound is purely
-// syntactic today; the options parameter keeps the signature symmetric with
-// WrongAnswerUpperBound so Figure-3 callers thread one option set through
-// both bounds.
-func MissingAnswerUpperBound(q *cq.Query, t db.Tuple, opts ...eval.Option) int {
-	_ = opts
+// syntactic.
+func MissingAnswerUpperBound(q *cq.Query, t db.Tuple) int {
 	qt, err := q.Embed(t)
 	if err != nil {
 		return 0

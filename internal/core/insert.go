@@ -80,7 +80,7 @@ func (c *Cleaner) addMissingAnswer(ctx context.Context, r *Report, q *cq.Query, 
 		queue = append(queue, l, rr)
 	}
 	// Lines 4-17: process subqueries until a witness materializes.
-	for len(queue) > 0 && !eval.Holds(qt, c.d, eval.Assignment{}, c.evalOpts()...) {
+	for len(queue) > 0 && !eval.Holds(qt, c.d, eval.Assignment{}) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -99,7 +99,7 @@ func (c *Cleaner) addMissingAnswer(ctx context.Context, r *Report, q *cq.Query, 
 			}
 		}
 	}
-	if eval.Holds(qt, c.d, eval.Assignment{}, c.evalOpts()...) {
+	if eval.Holds(qt, c.d, eval.Assignment{}) {
 		return nil
 	}
 	// Line 18: fall back to asking the crowd for an entire witness.
@@ -118,7 +118,7 @@ func (c *Cleaner) addMissingAnswer(ctx context.Context, r *Report, q *cq.Query, 
 // crowd, and either recognize a total valid assignment or ask the crowd to
 // complete a satisfiable partial one.
 func (c *Cleaner) trySubquery(ctx context.Context, r *Report, qt, currQ *cq.Query) (bool, error) {
-	asgs := eval.Eval(currQ, c.d, c.evalOpts()...)
+	asgs := eval.Eval(currQ, c.d)
 	// Prefer assignments that ground more of Q|t: they are closer to full
 	// witnesses and need less crowd completion work. Rank before capping so
 	// the cap keeps the most promising candidates.

@@ -3,7 +3,6 @@ package eval
 import (
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cq"
 	"repro/internal/db"
@@ -60,19 +59,6 @@ var evalCache = struct {
 	sync.Mutex
 	dbs map[uint64]map[uint64]*dbCache // store ID -> generation -> section
 }{dbs: make(map[uint64]map[uint64]*dbCache)}
-
-// cacheDisabled turns the process-wide cache off when set (see SetCache).
-var cacheDisabled atomic.Bool
-
-// SetCache enables or disables the process-wide evaluation cache. It is on
-// by default; disabling also drops every cached entry. Intended for
-// benchmarks and ablations — production callers leave it on.
-func SetCache(on bool) {
-	cacheDisabled.Store(!on)
-	evalCache.Lock()
-	evalCache.dbs = make(map[uint64]map[uint64]*dbCache)
-	evalCache.Unlock()
-}
 
 // InvalidateDB drops every cache section of the store with the given ID.
 // The generation stamp already prevents stale reads; this hook exists so a
@@ -185,9 +171,6 @@ func holdsKey(fp, seed string) string      { return "h\x00" + fp + "\x00" + seed
 // is a fresh copy of the cached spine (tuples themselves are shared and
 // treated as immutable, as everywhere in the engine).
 func lookupTuples(d db.Reader, key string) ([]db.Tuple, bool) {
-	if cacheDisabled.Load() {
-		return nil, false
-	}
 	evalCache.Lock()
 	defer evalCache.Unlock()
 	c := section(d)
@@ -209,7 +192,7 @@ func lookupTuples(d db.Reader, key string) ([]db.Tuple, bool) {
 // the evaluation — only possible for callers that broke the serialization
 // contract — must not poison the cache).
 func storeTuples(d db.Reader, gen uint64, key string, v []db.Tuple) {
-	if cacheDisabled.Load() || d.Generation() != gen {
+	if d.Generation() != gen {
 		return
 	}
 	evalCache.Lock()
@@ -224,9 +207,6 @@ func storeTuples(d db.Reader, gen uint64, key string, v []db.Tuple) {
 
 // lookupWitnesses / storeWitnesses do the same for witness-set entries.
 func lookupWitnesses(d db.Reader, key string) ([][]db.Fact, bool) {
-	if cacheDisabled.Load() {
-		return nil, false
-	}
 	evalCache.Lock()
 	defer evalCache.Unlock()
 	c := section(d)
@@ -244,7 +224,7 @@ func lookupWitnesses(d db.Reader, key string) ([][]db.Fact, bool) {
 }
 
 func storeWitnesses(d db.Reader, gen uint64, key string, v [][]db.Fact) {
-	if cacheDisabled.Load() || d.Generation() != gen {
+	if d.Generation() != gen {
 		return
 	}
 	evalCache.Lock()
@@ -259,9 +239,6 @@ func storeWitnesses(d db.Reader, gen uint64, key string, v [][]db.Fact) {
 
 // lookupHolds / storeHolds memoize boolean satisfiability checks.
 func lookupHolds(d db.Reader, key string) (bool, bool) {
-	if cacheDisabled.Load() {
-		return false, false
-	}
 	evalCache.Lock()
 	defer evalCache.Unlock()
 	c := section(d)
@@ -279,7 +256,7 @@ func lookupHolds(d db.Reader, key string) (bool, bool) {
 }
 
 func storeHolds(d db.Reader, gen uint64, key string, v bool) {
-	if cacheDisabled.Load() || d.Generation() != gen {
+	if d.Generation() != gen {
 		return
 	}
 	evalCache.Lock()

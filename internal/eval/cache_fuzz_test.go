@@ -79,21 +79,20 @@ func TestCloneEditNeverServesStaleCache(t *testing.T) {
 
 // FuzzEvalCacheInterleave interprets the fuzz input as a script of database
 // and cache operations — insert, delete, clone, switch database, switch
-// query, toggle the global cache — and after every step cross-checks the
+// query, read cold with NoCache — and after every step cross-checks the
 // cached/indexed evaluator against the naive reference on the live
 // database. Any stale cache entry (a generation not bumped, a clone sharing
-// an entry with its origin, a toggle leaving a poisoned entry behind)
-// surfaces as a divergence from NaiveResult.
+// an entry with its origin, a cold read disturbing a warm one) surfaces as
+// a divergence from NaiveResult.
 func FuzzEvalCacheInterleave(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 4, 0, 4})                     // insert, eval, insert, eval
 	f.Add([]byte{0, 4, 1, 4})                     // insert, eval, delete, eval
 	f.Add([]byte{0, 4, 2, 8, 4, 3, 4})            // warm, clone, edit clone, eval both
-	f.Add([]byte{0, 4, 5, 4, 5, 4})               // toggle cache off and on between evals
+	f.Add([]byte{0, 4, 5, 4, 5, 4})               // cold reads between warm evals
 	f.Add([]byte{0, 8, 16, 24, 4, 2, 3, 1, 4, 3}) // mixed script
 	f.Add([]byte{0, 0, 4, 4, 1, 1, 4, 4})         // duplicate no-op edits
 	f.Fuzz(func(t *testing.T, script []byte) {
-		defer SetCache(true)
 		s := schema.New(
 			schema.Relation{Name: "R", Attrs: []string{"a", "b"}},
 			schema.Relation{Name: "S", Attrs: []string{"b"}},
@@ -157,12 +156,15 @@ func FuzzEvalCacheInterleave(f *testing.F) {
 				qi = int(b>>3) % len(queries)
 				check(i, "switch-query")
 			case 5:
-				SetCache(b&0x08 != 0)
-				check(i, "toggle-cache")
+				d, q := dbs[cur], queries[qi]
+				if got, want := Result(q, d, NoCache()), NaiveResult(q, d); !tuplesEqual(got, want) {
+					t.Fatalf("step %d (cold read, db %d gen %d, query %s): Result %v, naive %v",
+						i, cur, d.Generation(), q, got, want)
+				}
+				check(i, "cold-read")
 			}
 		}
 		// Final pass: every database against every query, warm and cold.
-		SetCache(true)
 		for di, d := range dbs {
 			for qj, q := range queries {
 				want := NaiveResult(q, d)

@@ -55,6 +55,14 @@ func TestCacheHitsAndInvalidation(t *testing.T) {
 		t.Fatalf("warm evaluation: %d hits, want 1", r.Counter(MetricCacheHits))
 	}
 
+	// NoCache neither looks up nor stores, so it moves no lookup counter.
+	hits, lookups := r.Counter(MetricCacheHits), r.Counter(MetricCacheMisses)
+	Result(q, d, NoCache())
+	Witnesses(q, d, first[0], NoCache())
+	if r.Counter(MetricCacheHits) != hits || r.Counter(MetricCacheMisses) != lookups {
+		t.Error("NoCache evaluation consulted the cache")
+	}
+
 	// Edit: delete one of Germany's two final wins. Q1 asks for European
 	// teams with final wins on two distinct dates, so (GER) must drop out —
 	// serving the cached pre-edit answer would be a correctness bug, not a
@@ -153,31 +161,6 @@ func TestWitnessesAndHoldsCached(t *testing.T) {
 	}
 	if len(Witnesses(q, d, ger)) != 0 {
 		t.Error("witness sets survived the deletion of every witness fact")
-	}
-}
-
-// TestSetCacheDisables: with the cache off nothing is looked up or stored;
-// re-enabling starts from an empty cache.
-func TestSetCacheDisables(t *testing.T) {
-	SetCache(false)
-	defer SetCache(true)
-
-	r := obs.New()
-	Instrument(r)
-	defer Instrument(nil)
-
-	d, _ := dataset.Figure1()
-	q := dataset.IntroQ1()
-	a := Result(q, d)
-	b := Result(q, d)
-	if !tuplesEqual(a, b) {
-		t.Fatalf("results differ with cache disabled: %v vs %v", a, b)
-	}
-	if h := r.Counter(MetricCacheHits); h != 0 {
-		t.Errorf("cache disabled but recorded %d hits", h)
-	}
-	if m := r.Counter(MetricCacheMisses); m != 0 {
-		t.Errorf("cache disabled but recorded %d misses (lookups should be skipped entirely)", m)
 	}
 }
 

@@ -9,8 +9,10 @@ import (
 )
 
 // Eval returns all valid total assignments A(Q,D) in deterministic order.
+// Assignment enumerations (Eval, Extensions, AssignmentsFor) are never
+// cached, so options do not change what they do.
 func Eval(q *cq.Query, d db.Reader, opts ...Option) []Assignment {
-	out := collect(q, d, Assignment{}, resolve(opts))
+	out := collect(q, d, Assignment{})
 	sortAssignments(out)
 	return out
 }
@@ -36,7 +38,7 @@ func Result(q *cq.Query, d db.Reader, opts ...Option) []db.Tuple {
 		}
 	}
 	gen := d.Generation()
-	out := sortTuples(collectKeyed(q, d, Assignment{}, cfg, func(a Assignment) (string, db.Tuple, bool) {
+	out := sortTuples(collectKeyed(q, d, Assignment{}, func(a Assignment) (string, db.Tuple, bool) {
 		t, ok := a.HeadTuple(q)
 		if !ok {
 			return "", nil, false
@@ -79,7 +81,7 @@ func ResultUnion(u *cq.Union, d db.Reader, opts ...Option) []db.Tuple {
 // Extensions returns all valid total assignments extending the partial
 // assignment seed, in deterministic order.
 func Extensions(q *cq.Query, d db.Reader, seed Assignment, opts ...Option) []Assignment {
-	out := collect(q, d, seed, resolve(opts))
+	out := collect(q, d, seed)
 	sortAssignments(out)
 	return out
 }
@@ -100,7 +102,7 @@ func AssignmentsFor(q *cq.Query, d db.Reader, t db.Tuple, opts ...Option) []Assi
 	if !ok {
 		return nil
 	}
-	out := collect(q, d, seed, resolve(opts))
+	out := collect(q, d, seed)
 	sortAssignments(out)
 	return out
 }
@@ -108,10 +110,10 @@ func AssignmentsFor(q *cq.Query, d db.Reader, t db.Tuple, opts ...Option) []Assi
 // Witnesses returns the witness sets for answer t: one set of facts per valid
 // assignment in A(t,Q,D), deduplicated (distinct assignments can induce the
 // same witness, e.g. by permuting symmetric atoms) and sorted canonically by
-// witness key, so serial, parallel and cached calls produce byte-identical
-// output. Witness sets are memoized per database generation — the
-// question-selection loop of Algorithm 1 re-reads the same answer's witnesses
-// between crowd questions. A miss enumerates A(t,Q,D) seeded by t, folding
+// witness key, so cold and cached calls produce byte-identical output.
+// Witness sets are memoized per database generation — the question-selection
+// loop of Algorithm 1 re-reads the same answer's witnesses between crowd
+// questions. A miss enumerates A(t,Q,D) seeded by t, folding
 // each assignment's witness straight from the search.
 func Witnesses(q *cq.Query, d db.Reader, t db.Tuple, opts ...Option) [][]db.Fact {
 	start := time.Now()
@@ -127,7 +129,7 @@ func Witnesses(q *cq.Query, d db.Reader, t db.Tuple, opts ...Option) [][]db.Fact
 	gen := d.Generation()
 	var out [][]db.Fact
 	if seed, ok := PartialFromAnswer(q, t); ok {
-		out = sortWitnessSets(collectKeyed(q, d, seed, cfg, func(a Assignment) (string, []db.Fact, bool) {
+		out = sortWitnessSets(collectKeyed(q, d, seed, func(a Assignment) (string, []db.Fact, bool) {
 			w := a.Witness(q)
 			return witnessKey(w), w, true
 		}))
@@ -204,12 +206,6 @@ func Holds(q *cq.Query, d db.Reader, seed Assignment, opts ...Option) bool {
 		storeHolds(d, gen, key, found)
 	}
 	return found
-}
-
-// Satisfiable reports whether the partial assignment α for Q is satisfiable
-// w.r.t. D: some extension to a total assignment is valid (§2).
-func Satisfiable(q *cq.Query, d db.Reader, partial Assignment, opts ...Option) bool {
-	return Holds(q, d, partial, opts...)
 }
 
 // AnswerHolds reports whether tuple t ∈ Q(D).
@@ -303,6 +299,31 @@ func search(q *cq.Query, d db.Reader, seed Assignment, yield func(Assignment) bo
 		remaining = append(remaining, i)
 	}
 	searchRec(q, d, a, remaining, yield)
+}
+
+// collect gathers all valid total assignments extending seed. Callers sort
+// the result.
+func collect(q *cq.Query, d db.Reader, seed Assignment) []Assignment {
+	var out []Assignment
+	search(q, d, seed, func(a Assignment) bool {
+		out = append(out, a.Clone())
+		return true
+	})
+	return out
+}
+
+// collectKeyed streams the valid total assignments extending seed through
+// pick and keeps one value per distinct key pick returns (pick reports
+// ok = false to skip an assignment, which it sees borrowed).
+func collectKeyed[T any](q *cq.Query, d db.Reader, seed Assignment, pick func(Assignment) (string, T, bool)) map[string]T {
+	out := make(map[string]T)
+	search(q, d, seed, func(a Assignment) bool {
+		if k, v, ok := pick(a); ok {
+			out[k] = v
+		}
+		return true
+	})
+	return out
 }
 
 // searchRec extends a over the remaining atoms. Returns false if the caller

@@ -120,7 +120,7 @@ func TestExample54Subqueries(t *testing.T) {
 	// y=GER/ESP/BRA have no Pirlo tuples, so none are satisfiable... but
 	// α(y=ITA) is not among them. Verify none of the three extends.
 	for _, p := range asgs2 {
-		if Satisfiable(qt, d, p) {
+		if Holds(qt, d, p) {
 			// y -> GER/ESP/BRA cannot extend: Players(Pirlo, y, ...) absent.
 			t.Errorf("partial %v unexpectedly satisfiable w.r.t. D", p)
 		}
@@ -132,10 +132,10 @@ func TestExample54Subqueries(t *testing.T) {
 func TestExample22NonSatisfiable(t *testing.T) {
 	d, _ := dataset.Figure1()
 	q := dataset.IntroQ1()
-	if Satisfiable(q, d, Assignment{"x": "ITA", "y": "FRA"}) {
+	if Holds(q, d, Assignment{"x": "ITA", "y": "FRA"}) {
 		t.Errorf("β = {x->ITA, y->FRA} should be non-satisfiable w.r.t. D")
 	}
-	if !Satisfiable(q, d, Assignment{"x": "GER"}) {
+	if !Holds(q, d, Assignment{"x": "GER"}) {
 		t.Errorf("{x->GER} should be satisfiable w.r.t. D")
 	}
 }

@@ -44,11 +44,6 @@ const (
 	// maintained-mode coverage.
 	MetricMaintainedHits   = "eval.maintained.hits"
 	MetricMaintainedMisses = "eval.maintained.misses"
-	// MetricParallelRuns counts enumerations that ran on the partitioned
-	// parallel path; MetricParallelWorkers is the distribution of worker
-	// counts actually used.
-	MetricParallelRuns    = "eval.parallel.runs"
-	MetricParallelWorkers = "eval.parallel.workers"
 )
 
 // recorder holds the process recorder the evaluator reports into. The

@@ -1,33 +1,14 @@
 package eval
 
-import "runtime"
-
-// Option tunes one evaluation call. The zero configuration — serial
-// enumeration with the generation-stamped cache consulted — is what every
-// caller gets without options, and is byte-identical in output to any other
-// configuration: options only trade time for resources.
+// Option tunes one evaluation call. The zero configuration — the
+// generation-stamped cache and any registered maintainer consulted — is what
+// every caller gets without options, and is byte-identical in output to a
+// cold evaluation: options only trade time for resources.
 type Option func(*config)
 
 // config is the resolved per-call evaluation configuration.
 type config struct {
-	workers int  // effective worker count; 1 = serial
 	noCache bool // bypass the result/witness cache entirely
-}
-
-// Parallel partitions the top-level scan of the enumeration across n worker
-// goroutines (per-worker results are merged deterministically, so output
-// order is unchanged). n ≤ 0 selects GOMAXPROCS workers; n == 1 (or omitting
-// the option) evaluates serially. Parallelism pays off on databases where a
-// single evaluation takes milliseconds; on tiny instances the serial path is
-// faster and the engine falls back to it automatically when the driving scan
-// is too small to split.
-func Parallel(n int) Option {
-	return func(c *config) {
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		c.workers = n
-	}
 }
 
 // NoCache makes the call bypass the evaluation cache AND any registered
@@ -42,12 +23,9 @@ func NoCache() Option {
 
 // resolve folds the options into a config.
 func resolve(opts []Option) config {
-	c := config{workers: 1}
+	var c config
 	for _, o := range opts {
 		o(&c)
-	}
-	if c.workers < 1 {
-		c.workers = 1
 	}
 	return c
 }

@@ -12,7 +12,7 @@ import (
 // validated the seed up front but only checked seeded inequalities — atoms
 // fully grounded by the seed (or by constants) were never tested against D
 // before the enumeration started. validateSeed now prunes those immediately;
-// these tests pin the semantics for both the serial and the parallel path.
+// these tests pin the semantics.
 
 func seedTestSchema() *schema.Schema {
 	return schema.New(
@@ -51,8 +51,7 @@ func TestGroundAtomValidatedAgainstDB(t *testing.T) {
 
 // TestSeedGroundsAtomAgainstDB: a seed that fully grounds an atom to an
 // absent fact has no extensions, and one grounding it to a present fact
-// keeps its extensions — for Extensions, Satisfiable and the parallel path
-// alike.
+// keeps its extensions — for Extensions and Holds alike.
 func TestSeedGroundsAtomAgainstDB(t *testing.T) {
 	s := seedTestSchema()
 	d := db.New(s)
@@ -71,8 +70,8 @@ func TestSeedGroundsAtomAgainstDB(t *testing.T) {
 	if exts := Extensions(q, d, Assignment{"u": "C2", "v": "C2"}, NoCache()); len(exts) != 0 {
 		t.Fatalf("Extensions = %v for seed grounding an absent atom, want none", exts)
 	}
-	if Satisfiable(q, d, Assignment{"u": "C2", "v": "C2"}, NoCache()) {
-		t.Fatal("Satisfiable = true for seed grounding an absent atom")
+	if Holds(q, d, Assignment{"u": "C2", "v": "C2"}, NoCache()) {
+		t.Fatal("Holds = true for seed grounding an absent atom")
 	}
 
 	// Seed {u:C0, v:C1} grounds R(u,v) to the present R(C0,C1).
@@ -80,14 +79,8 @@ func TestSeedGroundsAtomAgainstDB(t *testing.T) {
 	if len(exts) != 2 {
 		t.Fatalf("Extensions = %v for valid seed, want 2 (x=C0 and x=C2)", exts)
 	}
-	if !Satisfiable(q, d, Assignment{"u": "C0", "v": "C1"}, NoCache()) {
-		t.Fatal("Satisfiable = false for valid seed")
-	}
-
-	// The parallel path runs the same validation before partitioning.
-	extsPar := Extensions(q, d, Assignment{"u": "C2", "v": "C2"}, NoCache(), Parallel(4))
-	if len(extsPar) != 0 {
-		t.Fatalf("parallel Extensions = %v for seed grounding an absent atom, want none", extsPar)
+	if !Holds(q, d, Assignment{"u": "C0", "v": "C1"}, NoCache()) {
+		t.Fatal("Holds = false for valid seed")
 	}
 }
 

@@ -15,9 +15,6 @@ import (
 
 // EvalBenchOpts tunes the evaluation micro-benchmark figure.
 type EvalBenchOpts struct {
-	// Workers is the parallel worker count measured against serial
-	// evaluation (default 4, the acceptance point of the bench trajectory).
-	Workers int
 	// Repeats is how many timed repetitions each measurement takes the
 	// minimum of (default 5).
 	Repeats int
@@ -31,9 +28,6 @@ type EvalBenchOpts struct {
 }
 
 func (o *EvalBenchOpts) applyDefaults() {
-	if o.Workers == 0 {
-		o.Workers = 4
-	}
 	if o.Repeats == 0 {
 		o.Repeats = 5
 	}
@@ -49,16 +43,13 @@ type EvalBenchRow struct {
 	Queries []string `json:"queries,omitempty"`
 	// Answers is |Q(D)| (summed for aggregates).
 	Answers int `json:"answers"`
-	// ColdNS is serial evaluation with the cache bypassed; WarmNS re-reads
-	// the same unchanged database through the generation-stamped cache;
-	// ParallelNS is cache-bypassed evaluation at Workers workers.
-	ColdNS     int64 `json:"cold_ns"`
-	WarmNS     int64 `json:"warm_ns"`
-	ParallelNS int64 `json:"parallel_ns"`
-	// WarmSpeedup = cold/warm, ParallelSpeedup = cold/parallel.
-	WarmSpeedup     float64 `json:"warm_speedup"`
-	ParallelSpeedup float64 `json:"parallel_speedup"`
-	// Identical reports that cold, warm and parallel evaluation produced
+	// ColdNS is evaluation with the cache bypassed; WarmNS re-reads the same
+	// unchanged database through the generation-stamped cache.
+	ColdNS int64 `json:"cold_ns"`
+	WarmNS int64 `json:"warm_ns"`
+	// WarmSpeedup = cold/warm.
+	WarmSpeedup float64 `json:"warm_speedup"`
+	// Identical reports that cold and warm evaluation produced
 	// byte-identical answer sets.
 	Identical bool `json:"identical"`
 }
@@ -67,7 +58,7 @@ type EvalBenchRow struct {
 // store against the disk-backed store holding the same facts.
 type StoreBenchRow struct {
 	Name string `json:"name"`
-	// MemColdNS and DiskColdNS are cache-bypassed serial evaluation times.
+	// MemColdNS and DiskColdNS are cache-bypassed evaluation times.
 	MemColdNS  int64 `json:"mem_cold_ns"`
 	DiskColdNS int64 `json:"disk_cold_ns"`
 	// DiskPenalty = disk/mem (interning round-trips make disk reads slower;
@@ -81,7 +72,6 @@ type StoreBenchRow struct {
 // BENCH_eval.json, the repo's evaluation-performance trajectory.
 type EvalBenchReport struct {
 	Facts      int `json:"facts"`
-	Workers    int `json:"workers"`
 	GOMAXPROCS int `json:"gomaxprocs"`
 	// NaiveAgrees reports that the indexed evaluator matched the naive
 	// reference evaluator on every query over a reduced instance (the
@@ -128,11 +118,10 @@ func timeEval(q *cq.Query, d db.Reader, repeats int, opts ...eval.Option) (time.
 }
 
 // EvalBench measures the evaluation engine on the Fig3 workloads (Soccer
-// Q1-Q5): cold serial evaluation, warm-cache re-evaluation of the unchanged
-// database, and parallel evaluation at opts.Workers workers, each
-// cross-checked for byte-identical output. Per-query rows are followed by
-// aggregates for the query sets of Figures 3a (Q1-Q3), 3b (Q3-Q5) and
-// 3c (Q1-Q3).
+// Q1-Q5): cold evaluation and warm-cache re-evaluation of the unchanged
+// database, cross-checked for byte-identical output. Per-query rows are
+// followed by aggregates for the query sets of Figures 3a (Q1-Q3), 3b (Q3-Q5)
+// and 3c (Q1-Q3).
 func EvalBench(opts EvalBenchOpts) EvalBenchReport {
 	opts.applyDefaults()
 	d := dataset.Soccer(opts.Soccer)
@@ -141,7 +130,6 @@ func EvalBench(opts EvalBenchOpts) EvalBenchReport {
 
 	rep := EvalBenchReport{
 		Facts:       d.Len(),
-		Workers:     opts.Workers,
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		NaiveAgrees: true,
 	}
@@ -162,21 +150,16 @@ func EvalBench(opts EvalBenchOpts) EvalBenchReport {
 		// Prime the cache once, then measure pure cache reads.
 		eval.Result(q, d)
 		warm, warmFP := timeEval(q, d, opts.Repeats*4)
-		par, parFP := timeEval(q, d, opts.Repeats, eval.NoCache(), eval.Parallel(opts.Workers))
 
 		row := EvalBenchRow{
-			Name:       names[i],
-			Answers:    strings.Count(coldFP, "\n"),
-			ColdNS:     cold.Nanoseconds(),
-			WarmNS:     warm.Nanoseconds(),
-			ParallelNS: par.Nanoseconds(),
-			Identical:  coldFP == warmFP && coldFP == parFP,
+			Name:      names[i],
+			Answers:   strings.Count(coldFP, "\n"),
+			ColdNS:    cold.Nanoseconds(),
+			WarmNS:    warm.Nanoseconds(),
+			Identical: coldFP == warmFP,
 		}
 		if warm > 0 {
 			row.WarmSpeedup = float64(cold) / float64(warm)
-		}
-		if par > 0 {
-			row.ParallelSpeedup = float64(cold) / float64(par)
 		}
 		byName[row.Name] = row
 		rep.Rows = append(rep.Rows, row)
@@ -196,14 +179,10 @@ func EvalBench(opts EvalBenchOpts) EvalBenchReport {
 			agg.Answers += r.Answers
 			agg.ColdNS += r.ColdNS
 			agg.WarmNS += r.WarmNS
-			agg.ParallelNS += r.ParallelNS
 			agg.Identical = agg.Identical && r.Identical
 		}
 		if agg.WarmNS > 0 {
 			agg.WarmSpeedup = float64(agg.ColdNS) / float64(agg.WarmNS)
-		}
-		if agg.ParallelNS > 0 {
-			agg.ParallelSpeedup = float64(agg.ColdNS) / float64(agg.ParallelNS)
 		}
 		rep.Rows = append(rep.Rows, agg)
 	}
@@ -288,19 +267,17 @@ func cloneBench(rep *EvalBenchReport, d *db.Database) {
 // RenderEvalBench formats the benchmark report as an aligned text table.
 func RenderEvalBench(rep EvalBenchReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Evaluation benchmark — Fig3 workloads (%d facts, %d workers, GOMAXPROCS %d, naive-agrees %v)\n",
-		rep.Facts, rep.Workers, rep.GOMAXPROCS, rep.NaiveAgrees)
-	fmt.Fprintf(&b, "%-7s %8s %12s %12s %12s %9s %9s %-3s\n",
-		"name", "answers", "cold", "warm", "parallel", "warm-x", "par-x", "ok")
+	fmt.Fprintf(&b, "Evaluation benchmark — Fig3 workloads (%d facts, GOMAXPROCS %d, naive-agrees %v)\n",
+		rep.Facts, rep.GOMAXPROCS, rep.NaiveAgrees)
+	fmt.Fprintf(&b, "%-7s %8s %12s %12s %9s %-3s\n",
+		"name", "answers", "cold", "warm", "warm-x", "ok")
 	for _, r := range rep.Rows {
 		ok := "yes"
 		if !r.Identical {
 			ok = "NO"
 		}
-		fmt.Fprintf(&b, "%-7s %8d %12s %12s %12s %8.1fx %8.2fx %-3s\n",
-			r.Name, r.Answers,
-			time.Duration(r.ColdNS), time.Duration(r.WarmNS), time.Duration(r.ParallelNS),
-			r.WarmSpeedup, r.ParallelSpeedup, ok)
+		fmt.Fprintf(&b, "%-7s %8d %12s %12s %8.1fx %-3s\n",
+			r.Name, r.Answers, time.Duration(r.ColdNS), time.Duration(r.WarmNS), r.WarmSpeedup, ok)
 	}
 	if len(rep.Store) > 0 {
 		fmt.Fprintf(&b, "\nStore backends — cold evaluation, mem vs disk\n")

@@ -11,12 +11,12 @@ import (
 // the report's structure and its correctness invariants (the timings
 // themselves are machine-dependent and recorded, not asserted).
 func TestEvalBenchSmoke(t *testing.T) {
-	rep := EvalBench(EvalBenchOpts{Workers: 2, Repeats: 1, Soccer: dataset.SoccerOpts{Tournaments: 2}})
+	rep := EvalBench(EvalBenchOpts{Repeats: 1, Soccer: dataset.SoccerOpts{Tournaments: 2}})
 	if !rep.NaiveAgrees {
 		t.Error("indexed evaluator disagreed with the naive reference")
 	}
-	if rep.Workers != 2 || rep.Facts == 0 {
-		t.Errorf("report header %+v, want workers=2 and facts>0", rep)
+	if rep.Facts == 0 || rep.GOMAXPROCS == 0 {
+		t.Errorf("report header %+v, want facts>0 and gomaxprocs>0", rep)
 	}
 	wantRows := []string{"Q1", "Q2", "Q3", "Q4", "Q5", "fig3a", "fig3b", "fig3c"}
 	if len(rep.Rows) != len(wantRows) {
@@ -27,9 +27,9 @@ func TestEvalBenchSmoke(t *testing.T) {
 			t.Errorf("row %d named %q, want %q", i, r.Name, wantRows[i])
 		}
 		if !r.Identical {
-			t.Errorf("row %s: cold/warm/parallel outputs not byte-identical", r.Name)
+			t.Errorf("row %s: cold/warm outputs not byte-identical", r.Name)
 		}
-		if r.ColdNS <= 0 || r.WarmNS <= 0 || r.ParallelNS <= 0 {
+		if r.ColdNS <= 0 || r.WarmNS <= 0 {
 			t.Errorf("row %s has non-positive timings: %+v", r.Name, r)
 		}
 	}

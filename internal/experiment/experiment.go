@@ -37,19 +37,6 @@ type Config struct {
 	// ExpertError is the per-question error rate of imperfect experts in the
 	// Figure 4 experiment (default 0.1).
 	ExpertError float64
-	// EvalWorkers parallelizes the witness enumerations behind the naive
-	// question upper bounds (0 or 1 = serial). The bounds are option-
-	// independent; this only changes how long computing them takes.
-	EvalWorkers int
-}
-
-// evalOpts returns the eval options the experiment's bound computations pass
-// through core.WrongAnswerUpperBound / core.MissingAnswerUpperBound.
-func (c Config) evalOpts() []eval.Option {
-	if c.EvalWorkers > 1 {
-		return []eval.Option{eval.Parallel(c.EvalWorkers)}
-	}
-	return nil
 }
 
 func (c *Config) applyDefaults() {
@@ -143,7 +130,7 @@ func deletionRows(figure, workload string, q *cq.Query, cfg Config, wrong int) [
 			noise.InjectWrong(d, dg, q, wrong, rng)
 
 			lower := len(eval.Result(q, d))
-			upper := lower + deletionUpperBound(q, d, dg, cfg.evalOpts()...)
+			upper := lower + deletionUpperBound(q, d, dg)
 
 			cl := core.New(d, crowd.NewPerfect(dg), core.Config{Deletion: policy, RNG: rng})
 			rep, err := cl.Clean(context.Background(), q)
@@ -164,11 +151,11 @@ func deletionRows(figure, workload string, q *cq.Query, cfg Config, wrong int) [
 
 // deletionUpperBound sums the distinct witness tuples over all wrong answers:
 // the cost of the naive algorithm that verifies every witness tuple.
-func deletionUpperBound(q *cq.Query, d, dg *db.Database, opts ...eval.Option) int {
+func deletionUpperBound(q *cq.Query, d, dg *db.Database) int {
 	total := 0
 	for _, t := range eval.Result(q, d) {
 		if !eval.AnswerHolds(q, dg, t) {
-			total += core.WrongAnswerUpperBound(q, d, t, opts...)
+			total += core.WrongAnswerUpperBound(q, d, t)
 		}
 	}
 	return total
@@ -216,7 +203,7 @@ func insertionRows(figure, workload string, q *cq.Query, cfg Config, missing int
 			missingAnswers := missingAnswersOf(q, d, dg)
 			upper := len(missingAnswers)
 			for _, t := range missingAnswers {
-				upper += core.MissingAnswerUpperBound(q, t, cfg.evalOpts()...)
+				upper += core.MissingAnswerUpperBound(q, t)
 			}
 
 			cl := core.New(d, crowd.NewPerfect(dg), core.Config{Split: strategy, RNG: rng})
@@ -274,9 +261,9 @@ func mixedRows(figure, workload string, q *cq.Query, cfg Config, wrong, missing 
 
 			missingAnswers := missingAnswersOf(q, d, dg)
 			lower := len(eval.Result(q, d)) + len(missingAnswers)
-			upper := lower + deletionUpperBound(q, d, dg, cfg.evalOpts()...)
+			upper := lower + deletionUpperBound(q, d, dg)
 			for _, t := range missingAnswers {
-				upper += core.MissingAnswerUpperBound(q, t, cfg.evalOpts()...)
+				upper += core.MissingAnswerUpperBound(q, t)
 			}
 
 			cl := core.New(d, crowd.NewPerfect(dg), core.Config{

@@ -35,7 +35,7 @@ func HeuristicsAblation(cfg Config) []Row {
 			noise.InjectWrong(d, dg, q, cfg.WrongAnswers, rng)
 
 			lower := len(eval.Result(q, d))
-			upper := lower + deletionUpperBound(q, d, dg, cfg.evalOpts()...)
+			upper := lower + deletionUpperBound(q, d, dg)
 
 			coreCfg := core.Config{Deletion: policy, RNG: rng}
 			if policy == core.PolicyTrust || policy == core.PolicyInfluence {

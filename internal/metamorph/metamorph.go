@@ -6,7 +6,6 @@
 // each workload through a battery of equivalence-preserving rewrites:
 //
 //   - cache on/off (eval.NoCache) and cold-vs-warm cache
-//   - parallel on/off (eval.Parallel(n))
 //   - IVM maintained vs cold (view.Engine registered vs unregistered)
 //   - mem vs disk store
 //   - union disjunct permutation (CQ-level and SQL-text-level)

@@ -6,16 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/eval"
 	"repro/internal/obs"
 )
-
-// Keep the eval cache in its default (enabled) state: the cache oracle
-// compares against NoCache explicitly and needs the cached leg to be real.
-func TestMain(m *testing.M) {
-	eval.SetCache(true)
-	m.Run()
-}
 
 // sweepWidth mirrors internal/check's trials: full width normally, a fast
 // slice under -short so tier-1 stays quick.
@@ -148,7 +140,7 @@ func runOracleErr(check func(*Workload) error, w *Workload) error {
 // aggregates (docs/oracles/ivm.md): the IVM oracle must skip them — agg.Eval
 // enumerates assignments, which the maintainer does not serve, so a
 // maintained leg would compare cold against cold and assert nothing — while
-// the cache, parallel, and store oracles must still cover them.
+// the cache and store oracles must still cover them.
 func TestAggregateIVMBoundary(t *testing.T) {
 	covered := 0
 	for seed := int64(1); seed <= 300 && covered < 5; seed++ {
@@ -161,7 +153,7 @@ func TestAggregateIVMBoundary(t *testing.T) {
 			t.Errorf("seed %d: ivm oracle did not skip an aggregate workload: %v", seed, err)
 		}
 		for name, check := range map[string]func(*Workload) error{
-			"cache": checkCache, "parallel": checkParallel, "store": checkStore,
+			"cache": checkCache, "store": checkStore,
 		} {
 			if err := check(w); err != nil && errors.Is(err, ErrSkip) {
 				t.Errorf("seed %d: %s oracle skipped an aggregate workload it must cover: %v", seed, name, err)

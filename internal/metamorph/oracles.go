@@ -21,7 +21,6 @@ func Oracles() []Oracle {
 		{Name: "parse", Doc: "generated SQL parses deterministically; rejections are typed", Check: checkParse},
 		{Name: "roundtrip", Doc: "SQL → CQ → Datalog text → CQ is the identity", Check: checkRoundTrip},
 		{Name: "cache", Doc: "cache on (cold and warm) vs eval.NoCache", Check: checkCache},
-		{Name: "parallel", Doc: "serial vs eval.Parallel(4) enumeration", Check: checkParallel},
 		{Name: "ivm", Doc: "view.Engine-maintained serving vs cold evaluation", Check: checkIVM},
 		{Name: "store", Doc: "in-memory store vs disk-backed sharded store", Check: checkStore},
 		{Name: "permute-union", Doc: "union disjunct order (CQ-level and SQL-text-level)", Check: checkPermuteUnion},
@@ -252,26 +251,6 @@ func checkCache(w *Workload) error {
 		}
 	}
 	return nil
-}
-
-// ---- parallel --------------------------------------------------------------
-
-// checkParallel compares serial cold enumeration against eval.Parallel(4)
-// cold enumeration. NoCache on both legs forces the actual parallel scan to
-// run (a cache hit would compare the cache against itself).
-func checkParallel(w *Workload) error {
-	if err := skipIfRejected(w); err != nil {
-		return err
-	}
-	serial, err := plainLeg(w, eval.NoCache())
-	if err != nil {
-		return err
-	}
-	par, err := plainLeg(w, eval.NoCache(), eval.Parallel(4))
-	if err != nil {
-		return err
-	}
-	return compareLegs(serial, par, "serial", "parallel(4)")
 }
 
 // ---- ivm -------------------------------------------------------------------

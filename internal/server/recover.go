@@ -38,8 +38,10 @@ func (s *Server) SetJobLog(l *wal.JobLog) {
 // replaying its recorded answers so the run resumes at the first unanswered
 // question instead of re-asking the crowd. Finished jobs are re-registered in
 // their terminal state so /api/v1/jobs stays continuous across restarts.
-// It returns the number of jobs resumed; a job whose spec no longer validates
-// against the schema is registered as failed rather than aborting the rest.
+// Only cleaning jobs are resumed: an unfinished view-repair job is registered
+// and journaled as failed. It returns the number of jobs resumed; a job whose
+// spec no longer validates against the schema is registered as failed rather
+// than aborting the rest.
 //
 // Call after SetJobLog and before serving traffic, with the records returned
 // by wal.OpenJobLog.
@@ -56,6 +58,19 @@ func (s *Server) Recover(records []wal.JobRecord) (resumed int, err error) {
 			s.mu.Lock()
 			s.jobs[r.ID] = &Job{ID: r.ID, Query: r.Query, State: JobState(r.State), Recovered: true}
 			s.mu.Unlock()
+			continue
+		}
+
+		if isRepairSpec(r.Query) {
+			s.mu.Lock()
+			s.jobs[r.ID] = &Job{ID: r.ID, Query: r.Query, State: JobFailed, Error: "interrupted view-repair job: repair jobs are not resumed", Recovered: true}
+			jl := s.jobLog
+			s.mu.Unlock()
+			if jl != nil {
+				// Closed, the record never comes back; a failed append
+				// leaves it open and the next boot fails it again.
+				_ = jl.End(r.ID, string(JobFailed))
+			}
 			continue
 		}
 

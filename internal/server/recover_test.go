@@ -576,3 +576,108 @@ func TestStoreSyncFailureLeavesJobOpen(t *testing.T) {
 		t.Fatalf("journal records = %+v, want job %d open for recovery", recs, job.ID)
 	}
 }
+
+// TestRepairJobJournal: a view-repair job (POST /views/{name}/wrong|missing)
+// journals its start, so the job journal reopens after it. Recover brings a
+// finished repair job back in its terminal state, registers an interrupted
+// one as failed (repair jobs are not resumed), and still resumes the
+// unfinished cleaning job each row journals next to it. The stride row pins
+// that repair jobs draw their IDs from the server's residue class.
+func TestRepairJobJournal(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		action      string
+		tuple       string
+		interrupted bool // srv.Close() before the first answer
+		stride      bool // SetJobIDSpace(1, 3), one cleaning job first
+	}{
+		{"wrong-finished", "wrong", "ESP", false, false},
+		{"wrong-interrupted", "wrong", "ESP", true, false},
+		{"missing-finished", "missing", "ITA", false, false},
+		{"missing-interrupted", "missing", "ITA", true, false},
+		{"stride", "wrong", "ESP", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "jobs.log")
+			jl, _, err := wal.OpenJobLog(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, dg := dataset.Figure1()
+			oracle := crowd.NewPerfect(dg)
+			srv := New(d, core.Config{})
+			srv.SetJobLog(jl)
+			if tc.stride {
+				srv.SetJobIDSpace(1, 3)
+				clean := srv.startJob(dataset.IntroQ1(), nil)
+				answerUntilDone(t, srv, clean.ID, oracle, nil)
+			}
+			if tc.interrupted {
+				// Holding the store lock keeps the job from asking anything.
+				srv.dbMu.Lock()
+			}
+			repair := srv.startRepairJob(dataset.IntroQ1(), db.Tuple{tc.tuple}, tc.action, nil)
+			if tc.stride && repair.ID != 4 {
+				t.Fatalf("repair job ID = %d after job 1 under SetJobIDSpace(1, 3), want 4", repair.ID)
+			}
+			want := JobFailed
+			if !tc.interrupted {
+				answerUntilDone(t, srv, repair.ID, oracle, nil)
+				if want = jobView(srv, repair.ID).State; want != JobDone {
+					t.Fatalf("repair job ended %s, want done", want)
+				}
+			}
+			srv.Close()
+			cleanID := repair.ID + 1
+			if err := jl.Start(cleanID, dataset.IntroQ1().String()); err != nil {
+				t.Fatal(err)
+			}
+			jl.Close()
+			if tc.interrupted {
+				srv.dbMu.Unlock()
+				waitTerminal(t, srv, repair.ID)
+			}
+
+			jl2, recs, err := wal.OpenJobLog(path)
+			if err != nil {
+				t.Fatalf("reopening the job journal: %v", err)
+			}
+			d2, _ := dataset.Figure1()
+			srv2 := New(d2, core.Config{})
+			srv2.SetJobLog(jl2)
+			resumed, err := srv2.Recover(recs)
+			if err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+			if resumed != 1 {
+				t.Errorf("Recover resumed %d jobs, want 1 (the cleaning job)", resumed)
+			}
+			got := jobView(srv2, repair.ID)
+			if got.State != want {
+				t.Errorf("repair job %d after Recover = %+v, want state %s", repair.ID, got, want)
+			}
+			if tc.interrupted && !strings.Contains(got.Error, "not resumed") {
+				t.Errorf("interrupted repair job error %q does not say repair jobs are not resumed", got.Error)
+			}
+			answerUntilDone(t, srv2, cleanID, oracle, nil)
+			if st := jobView(srv2, cleanID).State; st != JobDone {
+				t.Errorf("resumed cleaning job ended %s, want done", st)
+			}
+			srv2.Close()
+			jl2.Close()
+
+			// Recover closed the repair job's record, so no later boot
+			// meets it open again.
+			jl3, recs, err := wal.OpenJobLog(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jl3.Close()
+			for _, r := range recs {
+				if r.ID == repair.ID && (!r.Done || JobState(r.State) != want) {
+					t.Errorf("repair job record after the second boot = %+v, want ended %s", r, want)
+				}
+			}
+		})
+	}
+}

@@ -207,15 +207,6 @@ func (s *Server) Queue() *Queue { return s.queue }
 // Obs returns the server's metrics recorder (the one behind /api/v1/metrics).
 func (s *Server) Obs() *obs.Recorder { return s.obs }
 
-// evalOpts returns the evaluation options for the server's own ad-hoc query
-// endpoints, mirroring the cleaner's Config.EvalWorkers setting.
-func (s *Server) evalOpts() []eval.Option {
-	if s.cfg.EvalWorkers == 0 || s.cfg.EvalWorkers == 1 {
-		return nil
-	}
-	return []eval.Option{eval.Parallel(s.cfg.EvalWorkers)}
-}
-
 // Close unblocks pending questions so background jobs can exit. Jobs still
 // running are NOT journaled as finished: their journal records stay open so a
 // later Recover resumes them where they stopped.
@@ -423,7 +414,7 @@ func (s *Server) v1Query(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.dbMu.RLock()
-	rows := eval.Result(q, s.d, s.evalOpts()...)
+	rows := eval.Result(q, s.d)
 	s.dbMu.RUnlock()
 	out := make([][]string, len(rows))
 	for i, t := range rows {
@@ -831,7 +822,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.dbMu.RLock()
-	rows := eval.Result(q, s.d, s.evalOpts()...)
+	rows := eval.Result(q, s.d)
 	s.dbMu.RUnlock()
 	out := make([][]string, len(rows))
 	for i, t := range rows {

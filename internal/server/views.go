@@ -225,18 +225,26 @@ func (s *Server) v1ViewAction(w http.ResponseWriter, r *http.Request) {
 // insertion for a reported view error — the paper's §1 workflow: "whenever an
 // error is reported in a view, QOCO can take over to clean the underlying
 // database". Like full cleaning jobs it is cancellable via the v1 API, passes
-// admission first, and holds its grant until the run is terminal.
+// admission first, holds its grant until the run is terminal, and journals
+// its spec before the first question. Recover does not resume it (see
+// isRepairSpec).
 func (s *Server) startRepairJob(q *cq.Query, t db.Tuple, action string, grant *admission.Grant) Job {
 	ctx, cancel := context.WithCancel(context.Background())
 
 	s.mu.Lock()
-	s.nextJob++
 	// ast stays nil: repair reports (reportOfEdits) carry no crowd stats, so
 	// there is no real question count to feed back into the cost model.
-	job := &Job{ID: s.nextJob, Query: fmt.Sprintf("%s %s %s", action, t, q), State: JobRunning, cancel: cancel, grant: grant}
+	job := &Job{ID: s.nextJobIDLocked(), Query: fmt.Sprintf("%s %s %s", action, t, q), State: JobRunning, cancel: cancel, grant: grant}
 	s.jobs[job.ID] = job
 	s.active++
+	jl := s.jobLog
 	s.mu.Unlock()
+	if jl != nil {
+		// finishJob journals an end record and the queue journals every
+		// answer, so the job needs its start record too. As in startJob, an
+		// append failure stays sticky in the log and the job still runs.
+		_ = jl.Start(job.ID, job.Query)
+	}
 	s.obs.Inc(MetricJobsStarted)
 
 	ctx = withJob(ctx, job.ID)
@@ -255,4 +263,11 @@ func (s *Server) startRepairJob(q *cq.Query, t db.Tuple, action string, grant *a
 	view := *job
 	s.mu.Unlock()
 	return view
+}
+
+// isRepairSpec reports whether a journaled spec is a repair job's
+// ("wrong (…) Q" or "missing (…) Q"). A rendered query never starts with a
+// word and a space: its head is "(…)" or "name(…)".
+func isRepairSpec(spec string) bool {
+	return strings.HasPrefix(spec, "wrong ") || strings.HasPrefix(spec, "missing ")
 }
