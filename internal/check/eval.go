@@ -2,7 +2,10 @@ package check
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 
+	"repro/internal/cq"
 	"repro/internal/db"
 	"repro/internal/eval"
 )
@@ -19,9 +22,27 @@ import (
 //   - ResultUnion vs the deduplicated union of per-disjunct NaiveResult
 //   - AnswerHolds membership parity against the naive result set
 //   - every witness of every answer is a subset of D
+//   - seeded enumeration on D and on a db.Overlay of it: for every answer
+//     and a perturbed probe, Witnesses (eval.NoCache) and AssignmentsFor
+//     equal NaiveEval filtered by the answer, and Extensions of random
+//     partial seeds equal NaiveEval filtered by the seed (see
+//     checkEnumeration)
 func CheckEvalParity(ins *Instance) error {
 	q, d := ins.Query, ins.D
 	if err := checkResultModes(ins, "D"); err != nil {
+		return err
+	}
+	rng := rand.New(rand.NewSource(ins.Seed))
+	if err := checkEnumeration(q, d, "D", rng); err != nil {
+		return err
+	}
+	overlay := db.Reader(d)
+	if len(ins.Edits) > 0 {
+		overlay = db.Overlay(d, ins.Edits[0])
+	} else if facts := d.Facts(); len(facts) > 0 {
+		overlay = db.Overlay(d, db.Deletion(facts[0]))
+	}
+	if err := checkEnumeration(q, overlay, "overlay", rng); err != nil {
 		return err
 	}
 
@@ -119,4 +140,129 @@ func checkResultModes(ins *Instance, label string) error {
 		}
 	}
 	return nil
+}
+
+// checkEnumeration compares the seeded enumerations of the join search with
+// NaiveEval filtered to the same seed:
+//
+//   - for every naive answer and one perturbed non-answer, Witnesses (cold)
+//     and AssignmentsFor;
+//   - Extensions of random partial seeds drawn from naive assignments, plus
+//     three edge seeds: a binding of a variable the query lacks (it must
+//     appear in every extension), a seed violating an inequality, and a seed
+//     grounding an atom to a fact absent from d.
+func checkEnumeration(q *cq.Query, d db.Reader, label string, rng *rand.Rand) error {
+	all := eval.NaiveEval(q, d)
+	witnesses := naiveWitnessKeys(q, d)
+	answers := eval.NaiveResult(q, d)
+	probes := append([]db.Tuple(nil), answers...)
+	if len(answers) > 0 && len(answers[0]) > 0 {
+		probe := append(db.Tuple(nil), answers[0]...)
+		probe[0] += "\x00not-a-value"
+		probes = append(probes, probe)
+	}
+	for _, t := range probes {
+		if got, want := witnessSetsKey(eval.Witnesses(q, d, t, eval.NoCache())), witnesses[t.Key()]; got != want {
+			return fmt.Errorf("eval parity (%s): Witnesses(%v, NoCache) = %q, naive %q", label, t, got, want)
+		}
+		seed, ok := eval.PartialFromAnswer(q, t)
+		if !ok {
+			continue
+		}
+		if got, want := assignmentsKey(eval.AssignmentsFor(q, d, t)), assignmentsKey(filterAssignments(all, seed)); got != want {
+			return fmt.Errorf("eval parity (%s): AssignmentsFor(%v) = %s, naive %s", label, t, got, want)
+		}
+	}
+	for _, seed := range enumerationSeeds(q, all, rng) {
+		if got, want := assignmentsKey(eval.Extensions(q, d, seed)), assignmentsKey(filterAssignments(all, seed)); got != want {
+			return fmt.Errorf("eval parity (%s): Extensions(%v) = %s, naive %s", label, seed, got, want)
+		}
+	}
+	return nil
+}
+
+// enumerationSeeds draws partial seeds for checkEnumeration: restrictions of
+// random naive assignments (or fresh values when there are none) to random
+// variable subsets, then the three edge seeds it lists.
+func enumerationSeeds(q *cq.Query, all []eval.Assignment, rng *rand.Rand) []eval.Assignment {
+	vars := q.Vars()
+	pick := func() eval.Assignment {
+		seed := eval.Assignment{}
+		var from eval.Assignment
+		if len(all) > 0 {
+			from = all[rng.Intn(len(all))]
+		}
+		for _, v := range vars {
+			if rng.Intn(3) == 0 {
+				if val, ok := from[v]; ok {
+					seed[v] = val
+				} else {
+					seed[v] = fmt.Sprintf("v%d", rng.Intn(3))
+				}
+			}
+		}
+		return seed
+	}
+	var seeds []eval.Assignment
+	for i := 0; i < 4; i++ {
+		seeds = append(seeds, pick())
+	}
+	absent := pick()
+	absent["\x00not-a-variable"] = "kept"
+	seeds = append(seeds, absent)
+	for _, e := range q.Ineqs {
+		if !e.Left.IsVar {
+			continue
+		}
+		violate := pick()
+		val := "same"
+		if !e.Right.IsVar {
+			val = e.Right.Name
+		} else {
+			violate[e.Right.Name] = val
+		}
+		violate[e.Left.Name] = val
+		seeds = append(seeds, violate)
+		break
+	}
+	if len(q.Atoms) > 0 {
+		ground := pick()
+		atom := q.Atoms[rng.Intn(len(q.Atoms))]
+		for _, t := range atom.Args {
+			if t.IsVar {
+				ground[t.Name] = "\x00absent"
+			}
+		}
+		seeds = append(seeds, ground)
+	}
+	return seeds
+}
+
+// filterAssignments returns the assignments agreeing with every binding of
+// seed on the query's variables, extended by the seed's bindings of other
+// variables — what an enumeration seeded by seed must yield.
+func filterAssignments(all []eval.Assignment, seed eval.Assignment) []eval.Assignment {
+	var out []eval.Assignment
+next:
+	for _, a := range all {
+		ext := a.Clone()
+		for v, val := range seed {
+			if got, ok := a[v]; ok && got != val {
+				continue next
+			}
+			ext[v] = val
+		}
+		out = append(out, ext)
+	}
+	return out
+}
+
+// assignmentsKey renders assignments as a sorted list of canonical keys.
+func assignmentsKey(as []eval.Assignment) string {
+	keys := make([]string, len(as))
+	for i, a := range as {
+		keys[i] = a.Key()
+	}
+	sort.Strings(keys)
+	return fmt.Sprintf("%q", keys)
 }

@@ -68,7 +68,8 @@ func (d *Database) Has(f Fact) bool {
 }
 
 // InsertFact adds the fact, returning true if it was newly inserted.
-// It returns an error for unknown relations or arity mismatches.
+// It returns an error for unknown relations, arity mismatches and values
+// holding a reserved byte (ErrReservedByte).
 func (d *Database) InsertFact(f Fact) (bool, error) {
 	r := d.rels[f.Rel]
 	if r == nil {
@@ -76,6 +77,9 @@ func (d *Database) InsertFact(f Fact) (bool, error) {
 	}
 	if len(f.Args) != r.Arity() {
 		return false, fmt.Errorf("db: arity mismatch for %s: got %d, want %d", f.Rel, len(f.Args), r.Arity())
+	}
+	if err := ValidateValues(f.Args); err != nil {
+		return false, err
 	}
 	inserted := r.Insert(f.Args)
 	if inserted {

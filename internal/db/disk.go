@@ -682,6 +682,9 @@ func (s *DiskStore) InsertFact(f Fact) (bool, error) {
 	if len(f.Args) != r.arity {
 		return false, fmt.Errorf("db: arity mismatch for %s: got %d, want %d", f.Rel, len(f.Args), r.arity)
 	}
+	if err := ValidateValues(f.Args); err != nil {
+		return false, err
+	}
 	if s.err != nil {
 		return false, s.err
 	}

@@ -137,46 +137,69 @@ func (r *Relation) Scan(bindings []Binding) []Tuple {
 		}
 		return out
 	}
-	// Pick the most selective binding to drive the scan.
-	best := -1
-	bestSize := 0
-	for i, b := range bindings {
-		if b.Col < 0 || b.Col >= r.arity {
-			return nil
-		}
-		m := r.index[b.Col][b.Value]
-		if m == nil {
-			return nil
-		}
-		if best == -1 || len(m) < bestSize {
-			best, bestSize = i, len(m)
-		}
+	drive, best := r.mostSelective(bindings)
+	if drive == nil {
+		return nil
 	}
-	drive := r.index[bindings[best].Col][bindings[best].Value]
 	out := make([]Tuple, 0, len(drive))
-outer:
 	for k := range drive {
-		t := r.tuples[k]
-		for i, b := range bindings {
-			if i == best {
-				continue
-			}
-			if t[b.Col] != b.Value {
-				continue outer
-			}
+		if t := r.tuples[k]; matchesExcept(t, bindings, best) {
+			out = append(out, t)
 		}
-		out = append(out, t)
 	}
 	return out
 }
 
-// MatchCount returns the number of tuples matching all bindings, without
-// materializing them (used for join-order selectivity estimates).
+// MatchCount returns the number of tuples matching all bindings, counting
+// them in place (used for join-order selectivity estimates at every search
+// node, so it allocates nothing).
 func (r *Relation) MatchCount(bindings []Binding) int {
 	if len(bindings) == 0 {
 		return len(r.tuples)
 	}
-	return len(r.Scan(bindings))
+	drive, best := r.mostSelective(bindings)
+	if len(bindings) == 1 {
+		return len(drive) // the index entry holds exactly the matches
+	}
+	n := 0
+	for k := range drive {
+		if matchesExcept(r.tuples[k], bindings, best) {
+			n++
+		}
+	}
+	return n
+}
+
+// mostSelective returns the index entry of the most selective binding and
+// that binding's position, or a nil entry when no tuple can match (a binding
+// names an out-of-range column or a value absent from its column).
+func (r *Relation) mostSelective(bindings []Binding) (map[string]int, int) {
+	var drive map[string]int
+	best := -1
+	for i, b := range bindings {
+		if b.Col < 0 || b.Col >= r.arity {
+			return nil, -1
+		}
+		m := r.index[b.Col][b.Value]
+		if m == nil {
+			return nil, -1
+		}
+		if best == -1 || len(m) < len(drive) {
+			drive, best = m, i
+		}
+	}
+	return drive, best
+}
+
+// matchesExcept reports whether the tuple satisfies every binding but the
+// one at position skip (which the index lookup already guaranteed).
+func matchesExcept(t Tuple, bindings []Binding, skip int) bool {
+	for i, b := range bindings {
+		if i != skip && t[b.Col] != b.Value {
+			return false
+		}
+	}
+	return true
 }
 
 // Clone returns an independent copy of the relation in O(1) by sharing the

@@ -84,7 +84,8 @@ type Snapshot interface {
 type Store interface {
 	Reader
 	// InsertFact adds the fact, returning true if it was newly inserted.
-	// It returns an error for unknown relations or arity mismatches.
+	// It returns an error for unknown relations, arity mismatches and values
+	// holding a reserved byte (ErrReservedByte).
 	InsertFact(f Fact) (bool, error)
 	// DeleteFact removes the fact, returning true if it was present.
 	DeleteFact(f Fact) (bool, error)

@@ -27,8 +27,10 @@ func openTestDisk(t *testing.T, shards int) (*DiskStore, string) {
 func seedFacts(t *testing.T, s Store, seed int64, n int) []Fact {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	// Include awkward values: empty strings, separators, quotes, unicode.
-	vals := []string{"", "a;b", "a\\", "v w", "'", "日本", "x\x1fy"}
+	// Include awkward values: empty strings, separators, control bytes,
+	// quotes, unicode. The key separators 0x1e and 0x1f are reserved
+	// (ErrReservedByte), so the control byte is 0x1d.
+	vals := []string{"", "a;b", "a\\", "v w", "'", "日本", "x\x1dy"}
 	var out []Fact
 	for i := 0; i < n; i++ {
 		var f Fact

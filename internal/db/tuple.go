@@ -9,14 +9,33 @@
 package db
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
 
-// keySep separates tuple components in the internal map key. Constant values
-// must not contain this byte; it is the ASCII unit separator, which never
-// occurs in realistic data values.
+// keySep separates tuple components in the internal map key. It is the ASCII
+// unit separator, one of the two reserved bytes that stored values may not
+// contain (see ErrReservedByte).
 const keySep = "\x1f"
+
+// ErrReservedByte reports a value containing 0x1f (the separator of tuple and
+// fact keys) or 0x1e (the separator of assignment and witness keys). Both
+// stores refuse to insert such a value: two distinct tuples would otherwise
+// share a key, and the in-memory store would report a never-stored fact as
+// present.
+var ErrReservedByte = errors.New("db: value contains a reserved separator byte (0x1e or 0x1f)")
+
+// ValidateValues returns an error wrapping ErrReservedByte when a value
+// contains a reserved byte.
+func ValidateValues(vals []string) error {
+	for _, v := range vals {
+		if strings.ContainsAny(v, "\x1e\x1f") {
+			return fmt.Errorf("%w: %q", ErrReservedByte, v)
+		}
+	}
+	return nil
+}
 
 // Tuple is an ordered list of constant values.
 type Tuple []string

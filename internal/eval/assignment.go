@@ -135,21 +135,26 @@ func (a Assignment) Witness(q *cq.Query) []db.Fact {
 			out = append(out, f)
 		}
 	}
-	// Insertion sort: a body has a handful of atoms, and Witnesses calls this
-	// once per assignment, where sort.Slice's allocations would dominate.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Less(out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	return sortFacts(out)
+}
+
+// sortFacts sorts the facts in place and drops duplicates. It uses insertion
+// sort: a body has a handful of atoms, and Witnesses sorts once per
+// assignment, where sort.Slice's allocations would dominate.
+func sortFacts(w []db.Fact) []db.Fact {
+	for i := 1; i < len(w); i++ {
+		for j := i; j > 0 && w[j].Less(w[j-1]); j-- {
+			w[j], w[j-1] = w[j-1], w[j]
 		}
 	}
 	n := 0
-	for _, f := range out {
-		if n == 0 || !f.Equal(out[n-1]) {
-			out[n] = f
+	for _, f := range w {
+		if n == 0 || !f.Equal(w[n-1]) {
+			w[n] = f
 			n++
 		}
 	}
-	return out[:n]
+	return w[:n]
 }
 
 // PartialFromAnswer builds the partial assignment induced by an answer tuple

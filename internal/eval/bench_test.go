@@ -26,6 +26,36 @@ func BenchmarkWitnessesCold(b *testing.B) {
 	}
 }
 
+// BenchmarkResultCold guards the join search itself: Q(D) of Soccer Q1–Q5
+// with the cache and any maintainer bypassed, on the in-memory store and on a
+// 4-shard DiskStore (which resolves interned values on every scan).
+func BenchmarkResultCold(b *testing.B) {
+	mem := dataset.Soccer(dataset.SoccerOpts{})
+	disk, err := db.OpenDisk(b.TempDir(), mem.Schema(), 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer disk.Close()
+	if _, err := db.Copy(disk, mem); err != nil {
+		b.Fatal(err)
+	}
+	for _, store := range []struct {
+		name string
+		d    db.Reader
+	}{{"mem", mem}, {"disk", disk}} {
+		for i, q := range dataset.SoccerQueries() {
+			b.Run(fmt.Sprintf("%s/Q%d", store.name, i+1), func(b *testing.B) {
+				b.ReportAllocs()
+				for n := 0; n < b.N; n++ {
+					if len(Result(q, store.d, NoCache())) == 0 {
+						b.Fatal("empty result")
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkWitnessKey guards the dedup-key construction of Witnesses: the
 // fact keys are appended into one pre-sized buffer, where string
 // concatenation allocated a growing copy per fact — quadratic bytes in the

@@ -38,13 +38,20 @@ func Result(q *cq.Query, d db.Reader, opts ...Option) []db.Tuple {
 		}
 	}
 	gen := d.Generation()
-	out := sortTuples(collectKeyed(q, d, Assignment{}, func(a Assignment) (string, db.Tuple, bool) {
-		t, ok := a.HeadTuple(q)
-		if !ok {
-			return "", nil, false
+	seen := make(map[string]db.Tuple)
+	head := make(db.Tuple, len(q.Head))
+	var buf []byte
+	search(q, d, nil, func(r *Row) bool {
+		if !r.fill(r.p.head, head) {
+			return true
 		}
-		return t.Key(), t, true
-	}))
+		buf = head.AppendKey(buf[:0])
+		if _, ok := seen[string(buf)]; !ok {
+			seen[string(buf)] = head.Clone()
+		}
+		return true
+	})
+	out := sortTuples(seen)
 	if !cfg.noCache {
 		storeTuples(d, gen, key, out)
 	}
@@ -88,10 +95,11 @@ func Extensions(q *cq.Query, d db.Reader, seed Assignment, opts ...Option) []Ass
 
 // Each streams the valid total assignments extending seed to yield, in
 // enumeration order rather than the canonical order of Eval, until yield
-// returns false. It consults neither the cache nor a maintainer. The
-// assignment is borrowed: the enumeration rebinds it after yield returns, so
-// yield must not keep it (Clone what must outlive the call).
-func Each(q *cq.Query, d db.Reader, seed Assignment, yield func(Assignment) bool) {
+// returns false. It consults neither the cache nor a maintainer. The row is
+// borrowed and read-only: the enumeration rebinds it after yield returns, so
+// yield must copy out what must outlive the call. Seed bindings of variables
+// the query lacks resolve in every row.
+func Each(q *cq.Query, d db.Reader, seed Assignment, yield func(*Row) bool) {
 	search(q, d, seed, yield)
 }
 
@@ -113,8 +121,10 @@ func AssignmentsFor(q *cq.Query, d db.Reader, t db.Tuple, opts ...Option) []Assi
 // witness key, so cold and cached calls produce byte-identical output.
 // Witness sets are memoized per database generation — the question-selection
 // loop of Algorithm 1 re-reads the same answer's witnesses between crowd
-// questions. A miss enumerates A(t,Q,D) seeded by t, folding
-// each assignment's witness straight from the search.
+// questions. A miss enumerates A(t,Q,D) seeded by t, folding each
+// assignment's witness straight from the search: the facts are grounded into
+// reused tuples and keyed in a reused buffer, and only a new witness set is
+// copied out.
 func Witnesses(q *cq.Query, d db.Reader, t db.Tuple, opts ...Option) [][]db.Fact {
 	start := time.Now()
 	cfg := resolve(opts)
@@ -129,10 +139,7 @@ func Witnesses(q *cq.Query, d db.Reader, t db.Tuple, opts ...Option) [][]db.Fact
 	gen := d.Generation()
 	var out [][]db.Fact
 	if seed, ok := PartialFromAnswer(q, t); ok {
-		out = sortWitnessSets(collectKeyed(q, d, seed, func(a Assignment) (string, []db.Fact, bool) {
-			w := a.Witness(q)
-			return witnessKey(w), w, true
-		}))
+		out = sortWitnessSets(witnessSets(q, d, seed))
 	}
 	if !cfg.noCache {
 		storeWitnesses(d, gen, key, out)
@@ -159,6 +166,42 @@ func sortWitnessSets(byKey map[string][]db.Fact) [][]db.Fact {
 	return out
 }
 
+// witnessSets folds the witness sets of the assignments extending seed, keyed
+// by witnessKey.
+func witnessSets(q *cq.Query, d db.Reader, seed Assignment) map[string][]db.Fact {
+	out := make(map[string][]db.Fact)
+	n := 0
+	for _, a := range q.Atoms {
+		n += len(a.Args)
+	}
+	vals := make([]string, n)
+	args := make([]db.Tuple, len(q.Atoms)) // atom i grounds into args[i]
+	for i, a := range q.Atoms {
+		args[i], vals = vals[:len(a.Args):len(a.Args)], vals[len(a.Args):]
+	}
+	w := make([]db.Fact, 0, len(q.Atoms))
+	var key []byte
+	search(q, d, seed, func(r *Row) bool {
+		w = w[:0]
+		for i := range r.p.atoms {
+			if r.fill(r.p.atoms[i].args, args[i]) {
+				w = append(w, db.Fact{Rel: r.p.atoms[i].name, Args: args[i]})
+			}
+		}
+		w = sortFacts(w)
+		key = appendWitnessKey(key[:0], w)
+		if _, ok := out[string(key)]; !ok {
+			set := make([]db.Fact, len(w))
+			for i, f := range w {
+				set[i] = f.Clone()
+			}
+			out[string(key)] = set
+		}
+		return true
+	})
+	return out
+}
+
 // WitnessSetKey returns the canonical identity of one witness set — the
 // dedup and sort key Witnesses uses. Differential checks compare witness
 // lists by it.
@@ -171,12 +214,16 @@ func witnessKey(w []db.Fact) string {
 	for _, f := range w {
 		n += len(f.Rel) + len(f.Args)*8 + 2
 	}
-	b := make([]byte, 0, n)
+	return string(appendWitnessKey(make([]byte, 0, n), w))
+}
+
+// appendWitnessKey appends the witness key of a sorted set to b.
+func appendWitnessKey(b []byte, w []db.Fact) []byte {
 	for _, f := range w {
 		b = f.AppendKey(b)
 		b = append(b, '\x1e')
 	}
-	return string(b)
+	return b
 }
 
 // Holds reports whether the boolean query (or the body of q under the given
@@ -198,7 +245,7 @@ func Holds(q *cq.Query, d db.Reader, seed Assignment, opts ...Option) bool {
 	}
 	gen := d.Generation()
 	found := false
-	search(q, d, seed, func(Assignment) bool {
+	search(q, d, seed, func(*Row) bool {
 		found = true
 		return false // stop at first
 	})
@@ -262,141 +309,15 @@ func (s *assignmentsByKey) Swap(i, j int) {
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
-// validateSeed checks the seeded inequalities and ground atoms of q under a:
-// an inequality already violated, or an atom fully grounded by the seed whose
-// fact is absent from D, prunes the whole enumeration. It reports false when
-// the seed is contradictory.
-func validateSeed(q *cq.Query, d db.Reader, a Assignment) bool {
-	for _, e := range q.Ineqs {
-		if !a.IneqHolds(e) {
-			return false
-		}
-	}
-	for _, atom := range q.Atoms {
-		f, ok := a.AtomFact(atom)
-		if !ok {
-			continue // not ground under the seed; recursion binds it
-		}
-		if !d.Has(f) {
-			return false
-		}
-	}
-	return true
-}
-
-// search enumerates all valid total assignments extending seed, invoking
-// yield for each; yield returns false to stop the enumeration. It uses
-// index-nested-loop joins with a greedy "fewest matching tuples first" atom
-// order, re-planned at every step against the current bindings.
-func search(q *cq.Query, d db.Reader, seed Assignment, yield func(Assignment) bool) {
-	// Validate seeded inequalities and ground atoms up front.
-	a := seed.Clone()
-	if !validateSeed(q, d, a) {
-		return
-	}
-	remaining := make([]int, 0, len(q.Atoms))
-	for i := range q.Atoms {
-		remaining = append(remaining, i)
-	}
-	searchRec(q, d, a, remaining, yield)
-}
-
-// collect gathers all valid total assignments extending seed. Callers sort
-// the result.
+// collect gathers all valid total assignments extending seed, one cloned
+// Assignment per row. Callers sort the result.
 func collect(q *cq.Query, d db.Reader, seed Assignment) []Assignment {
 	var out []Assignment
-	search(q, d, seed, func(a Assignment) bool {
-		out = append(out, a.Clone())
+	search(q, d, seed, func(r *Row) bool {
+		out = append(out, r.assignment())
 		return true
 	})
 	return out
-}
-
-// collectKeyed streams the valid total assignments extending seed through
-// pick and keeps one value per distinct key pick returns (pick reports
-// ok = false to skip an assignment, which it sees borrowed).
-func collectKeyed[T any](q *cq.Query, d db.Reader, seed Assignment, pick func(Assignment) (string, T, bool)) map[string]T {
-	out := make(map[string]T)
-	search(q, d, seed, func(a Assignment) bool {
-		if k, v, ok := pick(a); ok {
-			out[k] = v
-		}
-		return true
-	})
-	return out
-}
-
-// searchRec extends a over the remaining atoms. Returns false if the caller
-// should stop enumerating.
-func searchRec(q *cq.Query, d db.Reader, a Assignment, remaining []int, yield func(Assignment) bool) bool {
-	if len(remaining) == 0 {
-		if !negsHold(q, d, a) {
-			return true // blocked by a negated atom; keep enumerating
-		}
-		return yield(a)
-	}
-	// Pick the most selective remaining atom under current bindings.
-	bestPos := -1
-	bestCount := -1
-	var bestBindings []db.Binding
-	for pos, ai := range remaining {
-		atom := q.Atoms[ai]
-		rel := d.Rel(atom.Rel)
-		if rel == nil {
-			return true // unknown relation: no matches, prune this branch
-		}
-		bindings := bindingsFor(atom, a)
-		n := rel.MatchCount(bindings)
-		if bestPos == -1 || n < bestCount {
-			bestPos, bestCount, bestBindings = pos, n, bindings
-		}
-		if n == 0 {
-			break // cannot do better than an empty atom
-		}
-	}
-	ai := remaining[bestPos]
-	atom := q.Atoms[ai]
-	rel := d.Rel(atom.Rel)
-	rest := make([]int, 0, len(remaining)-1)
-	rest = append(rest, remaining[:bestPos]...)
-	rest = append(rest, remaining[bestPos+1:]...)
-
-	for _, tuple := range rel.Scan(bestBindings) {
-		bound, ok := bind(a, atom, tuple)
-		if !ok {
-			continue // bind rolled back already
-		}
-		okIneq := true
-		for _, e := range q.Ineqs {
-			if !a.IneqHolds(e) {
-				okIneq = false
-				break
-			}
-		}
-		if okIneq && !searchRec(q, d, a, rest, yield) {
-			rollback(a, bound)
-			return false
-		}
-		rollback(a, bound)
-	}
-	return true
-}
-
-// negsHold checks the query's negated atoms under a total assignment: none
-// may resolve to a fact present in D. Unbound variables in a negated atom
-// (possible only for unsafe queries) make the check vacuously true for that
-// atom.
-func negsHold(q *cq.Query, d db.Reader, a Assignment) bool {
-	for _, atom := range q.Negs {
-		f, ok := a.AtomFact(atom)
-		if !ok {
-			continue
-		}
-		if d.Has(f) {
-			return false
-		}
-	}
-	return true
 }
 
 // BlockingFacts returns the facts of D that ground the query's negated atoms
@@ -415,50 +336,4 @@ func BlockingFacts(q *cq.Query, d db.Reader, a Assignment) []db.Fact {
 		}
 	}
 	return out
-}
-
-// bindingsFor computes the index bindings an atom imposes given current
-// variable bindings and its constants. Repeated variables are checked during
-// extend; only the first occurrence produces a binding here (subsequent ones
-// are equal-by-construction when bound).
-func bindingsFor(atom cq.Atom, a Assignment) []db.Binding {
-	var out []db.Binding
-	for col, t := range atom.Args {
-		if v, ok := a.Resolve(t); ok {
-			out = append(out, db.Binding{Col: col, Value: v})
-		}
-	}
-	return out
-}
-
-// bind unifies the atom with the tuple, mutating a in place. On success it
-// returns the names of the variables it newly bound (to be rolled back by the
-// caller after recursion); on conflict it rolls back itself and reports
-// ok = false.
-func bind(a Assignment, atom cq.Atom, tuple db.Tuple) (bound []string, ok bool) {
-	for col, t := range atom.Args {
-		if !t.IsVar {
-			if t.Name != tuple[col] {
-				rollback(a, bound)
-				return nil, false
-			}
-			continue
-		}
-		if v, exists := a[t.Name]; exists {
-			if v != tuple[col] {
-				rollback(a, bound)
-				return nil, false
-			}
-			continue
-		}
-		a[t.Name] = tuple[col]
-		bound = append(bound, t.Name)
-	}
-	return bound, true
-}
-
-func rollback(a Assignment, bound []string) {
-	for _, v := range bound {
-		delete(a, v)
-	}
 }

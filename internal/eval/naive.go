@@ -67,3 +67,52 @@ func NaiveResult(q *cq.Query, d db.Reader) []db.Tuple {
 	}
 	return sortTuples(seen)
 }
+
+// negsHold checks the query's negated atoms under a total assignment: none
+// may resolve to a fact present in D. Unbound variables in a negated atom
+// (possible only for unsafe queries) make the check vacuously true for that
+// atom.
+func negsHold(q *cq.Query, d db.Reader, a Assignment) bool {
+	for _, atom := range q.Negs {
+		f, ok := a.AtomFact(atom)
+		if !ok {
+			continue
+		}
+		if d.Has(f) {
+			return false
+		}
+	}
+	return true
+}
+
+// bind unifies the atom with the tuple, mutating a in place. On success it
+// returns the names of the variables it newly bound (to be rolled back by the
+// caller after recursion); on conflict it rolls back itself and reports
+// ok = false.
+func bind(a Assignment, atom cq.Atom, tuple db.Tuple) (bound []string, ok bool) {
+	for col, t := range atom.Args {
+		if !t.IsVar {
+			if t.Name != tuple[col] {
+				rollback(a, bound)
+				return nil, false
+			}
+			continue
+		}
+		if v, exists := a[t.Name]; exists {
+			if v != tuple[col] {
+				rollback(a, bound)
+				return nil, false
+			}
+			continue
+		}
+		a[t.Name] = tuple[col]
+		bound = append(bound, t.Name)
+	}
+	return bound, true
+}
+
+func rollback(a Assignment, bound []string) {
+	for _, v := range bound {
+		delete(a, v)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cq"
+	"repro/internal/dataset"
 	"repro/internal/db"
 	"repro/internal/schema"
 )
@@ -11,8 +12,10 @@ import (
 // Regression tests for the seed-validation bug: search documented that it
 // validated the seed up front but only checked seeded inequalities — atoms
 // fully grounded by the seed (or by constants) were never tested against D
-// before the enumeration started. validateSeed now prunes those immediately;
-// these tests pin the semantics.
+// before the enumeration started. The join search now prunes those at its
+// first node (a ground atom whose fact is absent matches no tuple, so it is
+// joined first and empties the branch) and checks seeded inequalities before
+// it; these tests pin the semantics.
 
 func seedTestSchema() *schema.Schema {
 	return schema.New(
@@ -95,5 +98,69 @@ func TestSeedViolatedInequalityStillPruned(t *testing.T) {
 	q := cq.MustParse("(x, y) :- R(x, y), x != y.")
 	if exts := Extensions(q, d, Assignment{"x": "C0", "y": "C0"}, NoCache()); len(exts) != 0 {
 		t.Fatalf("Extensions = %v for seed violating x != y, want none", exts)
+	}
+}
+
+// TestSeedOnlyVariableKept: a seed may bind a variable the query lacks. Every
+// enumerated assignment keeps that binding, and a Row resolves it.
+func TestSeedOnlyVariableKept(t *testing.T) {
+	d := db.New(seedTestSchema())
+	for _, f := range []db.Fact{db.NewFact("R", "C0", "C1"), db.NewFact("R", "C2", "C1")} {
+		if _, err := d.InsertFact(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := cq.MustParse("(x) :- R(x, y).")
+	seed := Assignment{"zz": "kept", "y": "C1"}
+	exts := Extensions(q, d, seed)
+	if len(exts) != 2 {
+		t.Fatalf("Extensions = %v, want 2", exts)
+	}
+	for _, a := range exts {
+		if a["zz"] != "kept" || a["y"] != "C1" {
+			t.Errorf("extension %v lost a seed binding", a)
+		}
+	}
+	rows := 0
+	Each(q, d, seed, func(r *Row) bool {
+		rows++
+		if v, ok := r.Resolve(cq.Var("zz")); !ok || v != "kept" {
+			t.Errorf("Row.Resolve(zz) = %q, %v; want kept, true", v, ok)
+		}
+		if v, ok := r.Resolve(cq.Const("K")); !ok || v != "K" {
+			t.Errorf("Row.Resolve(K) = %q, %v; want K, true", v, ok)
+		}
+		if _, ok := r.Resolve(cq.Var("nope")); ok {
+			t.Error("Row.Resolve(nope) resolved a variable neither the query nor the seed has")
+		}
+		return true
+	})
+	if rows != 2 {
+		t.Errorf("Each yielded %d rows, want 2", rows)
+	}
+}
+
+// TestUnknownRelationYieldsNothing: an atom over a relation the reader lacks
+// empties the enumeration instead of failing.
+func TestUnknownRelationYieldsNothing(t *testing.T) {
+	d := db.New(seedTestSchema())
+	if _, err := d.InsertFact(db.NewFact("R", "C0", "C1")); err != nil {
+		t.Fatal(err)
+	}
+	q := cq.MustParse("(x) :- R(x, y), T(y).")
+	if got := Result(q, d, NoCache()); len(got) != 0 {
+		t.Fatalf("Result = %v over an unknown relation, want empty", got)
+	}
+}
+
+// TestCompileAllocs: compiling a query into its slot plan allocates a fixed
+// handful of slices, whatever the database size, and builds no map; the
+// evaluator compiles at every search call.
+func TestCompileAllocs(t *testing.T) {
+	d := dataset.Soccer(dataset.SoccerOpts{Tournaments: 2})
+	q := dataset.SoccerQueries()[2]
+	seed := Assignment{"x": "GER"}
+	if n := testing.AllocsPerRun(50, func() { newSearcher(q, d, seed) }); n > 7 {
+		t.Errorf("compiling %s allocates %.0f times, want at most 7", q, n)
 	}
 }

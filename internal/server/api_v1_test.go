@@ -353,6 +353,8 @@ func TestV1ErrorEnvelope(t *testing.T) {
 		{"GET", "/api/v1/jobs/abc", nil, http.StatusBadRequest, "bad_request"},
 		{"DELETE", "/api/v1/jobs/999", nil, http.StatusNotFound, "not_found"},
 		{"POST", "/api/v1/questions/999/answer", Answer{None: true}, http.StatusNotFound, "not_found"},
+		{"POST", "/api/v1/questions/999/answer", Answer{Tuple: []string{"a\x1fb"}}, http.StatusBadRequest, "bad_request"},
+		{"POST", "/api/v1/questions/999/answer", Answer{Bindings: map[string]string{"x": "\x1e"}}, http.StatusBadRequest, "bad_request"},
 		{"GET", "/api/v1/query", nil, http.StatusBadRequest, "bad_request"},
 		{"GET", "/api/v1/views/nope", nil, http.StatusNotFound, "not_found"},
 		{"GET", "/api/v1/nope", nil, http.StatusNotFound, "not_found"},

@@ -520,6 +520,21 @@ func (q *Queue) Answer(id int, a Answer) error {
 	return nil
 }
 
+// validate rejects an answer carrying a value the stores refuse: a tuple
+// value, or a binding's variable or value, holding a reserved separator byte
+// (db.ErrReservedByte).
+func (a Answer) validate() error {
+	if err := db.ValidateValues(a.Tuple); err != nil {
+		return fmt.Errorf("bad answer tuple: %w", err)
+	}
+	for v, val := range a.Bindings {
+		if err := db.ValidateValues([]string{v, val}); err != nil {
+			return fmt.Errorf("bad answer binding: %w", err)
+		}
+	}
+	return nil
+}
+
 // closedAnswer is the shutdown/cancellation reply: it causes no database
 // edits — boolean questions read "true" (nothing gets deleted or inserted on
 // its account), completion questions read "nothing to complete".

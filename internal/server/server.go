@@ -284,6 +284,10 @@ func (s *Server) v1Answer(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("bad answer body: %v", err))
 		return
 	}
+	if err := a.validate(); err != nil {
+		writeAPIError(w, http.StatusBadRequest, "bad_request", err.Error())
+		return
+	}
 	if err := s.queue.Answer(id, a); err != nil {
 		writeAPIError(w, http.StatusNotFound, "not_found", err.Error())
 		return
@@ -471,6 +475,10 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	var a Answer
 	if err := json.NewDecoder(r.Body).Decode(&a); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad answer body: %w", err))
+		return
+	}
+	if err := a.validate(); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := s.queue.Answer(id, a); err != nil {

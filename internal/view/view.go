@@ -52,8 +52,8 @@ func New(name string, q *cq.Query, d db.Reader) *View {
 // over the query's assignments.
 func (v *View) Refresh(d db.Reader) {
 	v.answers = make(map[string]*answer)
-	eval.Each(v.Query, d, nil, func(a eval.Assignment) bool {
-		if ans := v.answerOf(a); ans != nil {
+	eval.Each(v.Query, d, nil, func(r *eval.Row) bool {
+		if ans := v.answerOf(r); ans != nil {
 			ans.n++
 		}
 		return true
@@ -61,11 +61,11 @@ func (v *View) Refresh(d db.Reader) {
 }
 
 // answerOf returns the entry of the answer α(head(Q)), creating it with zero
-// support if absent, or nil when the assignment leaves a head variable
-// unbound. Counting another assignment of a known answer allocates nothing.
-func (v *View) answerOf(a eval.Assignment) *answer {
+// support if absent, or nil when the row leaves a head variable unbound.
+// Counting another assignment of a known answer allocates nothing.
+func (v *View) answerOf(r *eval.Row) *answer {
 	for i, term := range v.Query.Head {
-		val, ok := a.Resolve(term)
+		val, ok := r.Resolve(term)
 		if !ok {
 			return nil
 		}
@@ -159,13 +159,13 @@ func (v *View) matchAtoms(d db.Reader, atoms []cq.Atom, f db.Fact, by int, befor
 		if !ok {
 			continue
 		}
-		eval.Each(v.Query, d, seed, func(a eval.Assignment) bool {
+		eval.Each(v.Query, d, seed, func(r *eval.Row) bool {
 			for _, prev := range atoms[:i] {
-				if prev.Rel == f.Rel && grounds(prev, a, f.Args) {
+				if prev.Rel == f.Rel && grounds(prev, r, f.Args) {
 					return true // counted at prev
 				}
 			}
-			ans := v.answerOf(a)
+			ans := v.answerOf(r)
 			if ans == nil {
 				return true
 			}
@@ -178,13 +178,13 @@ func (v *View) matchAtoms(d db.Reader, atoms []cq.Atom, f db.Fact, by int, befor
 	}
 }
 
-// grounds reports whether the assignment maps the atom to the tuple args.
-func grounds(atom cq.Atom, a eval.Assignment, args db.Tuple) bool {
+// grounds reports whether the row maps the atom to the tuple args.
+func grounds(atom cq.Atom, r *eval.Row, args db.Tuple) bool {
 	if len(atom.Args) != len(args) {
 		return false
 	}
 	for i, term := range atom.Args {
-		if val, ok := a.Resolve(term); !ok || val != args[i] {
+		if val, ok := r.Resolve(term); !ok || val != args[i] {
 			return false
 		}
 	}
