@@ -9,10 +9,9 @@ import (
 )
 
 // Health is a readiness-probe registry: named checks that each report nil
-// (ready) or the error making the process unready. The standard checks a
-// server registers are drain state, journal writability, and admission-queue
-// backpressure; embedders add their own (e.g. circuit-breaker state from
-// internal/resilience).
+// (ready) or the error making the process unready. The checks a server
+// registers are drain state, journal writability, store health, and
+// admission-queue backpressure.
 type Health struct {
 	mu     sync.Mutex
 	names  []string

@@ -95,13 +95,11 @@ type Group struct {
 
 // Eval computes the aggregate over the database. Groups are ordered by key.
 // SUM/MIN/MAX require numeric values of the aggregated variable; non-numeric
-// values are an error. Options are forwarded to the body enumeration
-// (eval.Eval) and must not change the result — the metamorphic harness
-// (internal/metamorph) compares aggregate output across option legs.
-func Eval(q *Query, d db.Reader, opts ...eval.Option) ([]Group, error) {
+// values are an error.
+func Eval(q *Query, d db.Reader) ([]Group, error) {
 	values := make(map[string]map[string]bool) // group key -> distinct of-values
 	keys := make(map[string]db.Tuple)
-	for _, a := range eval.Eval(q.Body, d, opts...) {
+	for _, a := range eval.Eval(q.Body, d) {
 		g, ok := a.HeadTuple(q.Body)
 		if !ok {
 			continue
@@ -162,8 +160,8 @@ func Eval(q *Query, d db.Reader, opts ...eval.Option) ([]Group, error) {
 
 // GroupValue returns the aggregate for one group (0, false if the group is
 // empty/absent).
-func GroupValue(q *Query, d db.Reader, group db.Tuple, opts ...eval.Option) (float64, bool, error) {
-	gs, err := Eval(q, d, opts...)
+func GroupValue(q *Query, d db.Reader, group db.Tuple) (float64, bool, error) {
+	gs, err := Eval(q, d)
 	if err != nil {
 		return 0, false, err
 	}
@@ -178,12 +176,12 @@ func GroupValue(q *Query, d db.Reader, group db.Tuple, opts ...eval.Option) (flo
 // Diff compares the aggregate over two databases and returns the group keys
 // whose values differ (including groups present in only one side), ordered.
 // Experiment harnesses use it with the ground truth to locate wrong groups.
-func Diff(q *Query, d, dg db.Reader, opts ...eval.Option) ([]db.Tuple, error) {
-	a, err := Eval(q, d, opts...)
+func Diff(q *Query, d, dg db.Reader) ([]db.Tuple, error) {
+	a, err := Eval(q, d)
 	if err != nil {
 		return nil, err
 	}
-	b, err := Eval(q, dg, opts...)
+	b, err := Eval(q, dg)
 	if err != nil {
 		return nil, err
 	}

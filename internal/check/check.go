@@ -3,10 +3,9 @@
 // edit scripts), replays them through every optimized path and its naive
 // reference — the indexed/cached evaluator vs NaiveResult, the
 // incrementally maintained views and the IVM engine vs refresh-from-scratch
-// and cold evaluation after every edit, the
-// greedy hitting-set heuristics vs exact branch-and-bound vs brute-force
-// subset enumeration, the end-to-end cleaner vs the ground truth it is
-// supposed to converge to, and the disk-backed store vs the in-memory one —
+// and cold evaluation after every edit, the greedy hitting-set heuristics vs
+// brute-force subset enumeration, the end-to-end cleaner vs the ground truth
+// it is supposed to converge to, and the disk-backed store vs the in-memory one —
 // and, when a property fails, shrinks the instance to a
 // minimal counterexample with a re-runnable seed and Datalog rendering.
 //

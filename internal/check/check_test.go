@@ -77,9 +77,9 @@ func TestCleanerConvergence(t *testing.T) {
 	sweep(t, trials(t, 500), CheckCleaner)
 }
 
-// TestHittingDifferential: greedy, exact, and Theorem 4.5 unique-minimal
-// detection agree with brute-force subset enumeration on seeded random set
-// systems.
+// TestHittingDifferential: greedy, most-frequent and Theorem 4.5
+// unique-minimal detection agree with brute-force subset enumeration on
+// seeded random set systems.
 func TestHittingDifferential(t *testing.T) {
 	n := trials(t, 800)
 	for seed := int64(1); seed <= int64(n); seed++ {

@@ -9,8 +9,8 @@ import (
 
 // faultSeeds returns the fault-injection seed matrix: QOCO_FAULT_SEED (a
 // comma-separated list) when set — the CI disk-torture job runs one leg per
-// seed list — otherwise a fixed default matrix (the same convention as
-// internal/resilience).
+// seed list — otherwise a fixed default matrix (the same convention as the
+// server soak in internal/server).
 func faultSeeds(t *testing.T) []int64 {
 	env := os.Getenv("QOCO_FAULT_SEED")
 	if env == "" {

@@ -37,9 +37,9 @@ func GenerateSetSystem(seed int64) [][]string {
 // CheckHittingSets cross-checks every hitting-set path on one set system
 // against brute-force subset enumeration:
 //
-//   - Greedy returns a valid hitting set
-//   - ExactMinimum returns a valid, minimal hitting set no larger than
-//     Greedy's and exactly as small as the brute-force minimum
+//   - Greedy returns a valid hitting set; its size is also compared with
+//     the brute-force minimum, which no hitting set can undercut, so that
+//     comparison sanity-checks the reference rather than Greedy
 //   - UniqueMinimal agrees with brute-force enumeration of all minimal
 //     hitting sets (Theorem 4.5's singleton criterion vs ground truth)
 //   - MostFrequent returns a maximally frequent element
@@ -54,20 +54,9 @@ func CheckHittingSets(sets [][]string) error {
 	if !ss.IsHittingSet(greedy) {
 		return fmt.Errorf("hitting: Greedy() = %v is not a hitting set of %v", greedy, sets)
 	}
-	exact := ss.ExactMinimum()
-	if !ss.IsHittingSet(exact) {
-		return fmt.Errorf("hitting: ExactMinimum() = %v is not a hitting set of %v", exact, sets)
-	}
-	if !ss.IsMinimalHittingSet(exact) && !(len(exact) == 0 && ss.Empty()) {
-		return fmt.Errorf("hitting: ExactMinimum() = %v is not minimal for %v", exact, sets)
-	}
-	if len(exact) > len(greedy) {
-		return fmt.Errorf("hitting: exact %v larger than greedy %v for %v", exact, greedy, sets)
-	}
-
 	best, minimal := bruteForceHitting(ss, universe)
-	if len(exact) != best {
-		return fmt.Errorf("hitting: ExactMinimum size %d, brute force %d for %v", len(exact), best, sets)
+	if len(greedy) < best { // only a broken reference can trip this
+		return fmt.Errorf("hitting: brute-force minimum %d exceeds the hitting set Greedy() = %v for %v", best, greedy, sets)
 	}
 	um, unique := ss.UniqueMinimal()
 	if unique != (len(minimal) == 1) {

@@ -15,9 +15,9 @@ import (
 // maintained views and compares, after every edit, against references
 // computed from scratch over the same store:
 //
-//   - flat (support-counting) views registered on a Monitor, one per
-//     distinct query among ins.Query and the union's disjuncts — rows and
-//     per-answer support counts must match a fresh view.New
+//   - flat (support-counting) views, one per distinct query among
+//     ins.Query and the union's disjuncts, each kept current by View.Apply —
+//     rows and per-answer support counts must match a fresh view.New
 //   - the same queries maintained by a view.Engine registered as the store's
 //     eval.Maintainer — eval.Witnesses of every answer and of an absent
 //     probe, read twice (the second read is a cache hit), must be
@@ -32,18 +32,13 @@ func CheckViewParity(ins *Instance) error {
 	d := ins.D.Clone()
 	queries := distinctQueries(ins)
 
-	m := view.NewMonitor(d)
 	flat := make([]*view.View, len(queries))
 	engine := view.NewEngine(d)
 	for i, q := range queries {
-		v, err := m.Register(fmt.Sprintf("v%d", i), q)
-		if err != nil {
-			return fmt.Errorf("view parity: Register(%s): %w", q, err)
-		}
-		flat[i] = v
 		if err := engine.Ensure(q); err != nil {
 			return fmt.Errorf("view parity: Ensure(%s): %w", q, err)
 		}
+		flat[i] = view.New(fmt.Sprintf("v%d", i), q, d)
 	}
 	eval.SetMaintainer(d.ID(), engine)
 	defer func() {
@@ -68,13 +63,15 @@ func CheckViewParity(ins *Instance) error {
 
 	for ei, e := range ins.Edits {
 		// A no-op edit (inserting a present fact, deleting an absent one) must
-		// not be propagated into the engine; the Monitor makes the same call
-		// internally from the store's changed flag.
-		changed := (e.Op == db.Insert) != d.Has(e.Fact)
-		if _, _, err := m.Apply(e); err != nil {
+		// not be propagated into the views or the engine.
+		changed, err := d.Apply(e)
+		if err != nil {
 			return fmt.Errorf("view parity: edit %d (%v): %w", ei, e, err)
 		}
 		if changed {
+			for _, v := range flat {
+				v.Apply(d, e)
+			}
 			engine.Apply(e)
 		}
 		if err := check(fmt.Sprintf("after edit %d (%v)", ei, e)); err != nil {

@@ -8,9 +8,9 @@
 //     which is what triggers takeover.
 //
 //   - Routing: a consistent-hash ring over the peer list. Each job
-//     submission (POST /api/v1/clean and the legacy /clean alias) is routed
-//     to the replica owning its key — the query text plus the client's API
-//     key — by transparent proxy or 307 redirect. Ownership concentrates a
+//     submission (POST /api/v1/clean) is routed to the replica owning its
+//     key — the query text plus the client's API key — by transparent
+//     proxy or 307 redirect. Ownership concentrates a
 //     client's repeated submissions of one query on one replica, which keeps
 //     that replica's journal the single authority for the job.
 //

@@ -127,7 +127,6 @@ func NewNode(srv *server.Server, jl *wal.JobLog, boot []wal.JobRecord, cfg Confi
 	n.mux.HandleFunc("/api/v1/cluster/fence", n.handleFence)
 	n.mux.HandleFunc("/api/v1/cluster", n.handleStatus)
 	n.mux.HandleFunc("/api/v1/clean", n.routeClean)
-	n.mux.HandleFunc("/clean", n.routeClean)
 	n.mux.Handle("/", srv.Handler())
 	return n, nil
 }
@@ -200,13 +199,12 @@ func routeKey(body []byte, r *http.Request) string {
 	return req.Query + "\x00" + req.SQL + "\x00" + r.Header.Get("X-API-Key")
 }
 
-// routeClean intercepts POST /api/v1/clean (and the legacy /clean): a
-// submission owned by a ready peer is proxied (or redirected) there;
-// everything else — owned locally, already forwarded, no body, owner down —
-// is served by the local server. A forward that fails at the transport layer
-// falls back to local execution: accepting the job on the wrong replica
-// beats shedding it, and the journal that matters is the executing
-// replica's own.
+// routeClean intercepts POST /api/v1/clean: a submission owned by a ready
+// peer is proxied (or redirected) there; everything else — owned locally,
+// already forwarded, no body, owner down — is served by the local server.
+// A forward that fails at the transport layer falls back to local execution:
+// accepting the job on the wrong replica beats shedding it, and the journal
+// that matters is the executing replica's own.
 func (n *Node) routeClean(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost || r.Header.Get(forwardedHeader) != "" {
 		n.serveLocal(w, r, nil)

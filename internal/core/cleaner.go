@@ -163,15 +163,15 @@ type Config struct {
 	// maintained: Algorithm 1 enumerates them once per wrong answer. Output
 	// is byte-identical to non-incremental runs (the differential harness
 	// enforces it); only the evaluation cost changes. Requires that OnEdit
-	// hooks never edit the store themselves (the existing monitor contract).
+	// hooks never edit the store themselves (View.Apply only reads it).
 	// The zero Config leaves it off, but note that the qoco CLI and
 	// qocoserver wire it to their -ivm flag, which defaults to on — operators
 	// assessing the maintained code path's blast radius should assume it is
 	// active unless -ivm=false was passed. See docs/EVAL.md.
 	Incremental bool
 	// OnEdit, when non-nil, is invoked after every edit the cleaner applies
-	// to the database. The view monitor uses it to maintain materialized
-	// views incrementally while QOCO repairs the underlying data.
+	// to the database. Calling view.View.Apply from it keeps a materialized
+	// view current while QOCO repairs the underlying data.
 	OnEdit func(db.Edit)
 	// TrustScores maps fact keys (db.Fact.Key()) to trust in [0, 1], used by
 	// PolicyTrust: less trustworthy tuples are verified first. Facts without
@@ -233,10 +233,10 @@ func (t *Timings) Add(o Timings) {
 }
 
 // Degrader is implemented by oracles that may substitute the edit-free
-// default for a real crowd answer — the resilience middleware stack when its
-// whole fallback chain fails, or the server's question queue when a question
-// exhausts its deadline re-asks. DegradedAnswers returns the substitutions so
-// far; the cleaner samples it around each run to surface Report.Degraded.
+// default for a real crowd answer — the server's question queue when a
+// question exhausts its deadline re-asks. DegradedAnswers returns the
+// substitutions so far; the cleaner samples it around each run to surface
+// Report.Degraded.
 type Degrader interface {
 	DegradedAnswers() int
 }

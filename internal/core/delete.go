@@ -40,7 +40,6 @@ func (c *Cleaner) removeWrongAnswer(ctx context.Context, r *Report, q *cq.Query,
 	// Build the set system over fact keys, remembering key -> fact.
 	facts := make(map[string]db.Fact)
 	ss := hitting.NewSetSystem()
-	ss.Obs = c.cfg.Obs
 	for _, w := range witnesses {
 		keys := make([]string, 0, len(w))
 		for _, f := range w {

@@ -102,8 +102,8 @@ type Counting struct {
 func NewCounting(o Oracle) *Counting { return &Counting{Oracle: o} }
 
 // DegradedAnswers forwards the wrapped oracle's degraded-answer count, so
-// wrapping a degradation-aware oracle (a resilience stack, the server's
-// question queue) in Counting does not hide it from core.Degrader detection.
+// wrapping a degradation-aware oracle (the server's question queue) in
+// Counting does not hide it from core.Degrader detection.
 // It reports 0 for oracles that cannot degrade.
 func (c *Counting) DegradedAnswers() int {
 	if d, ok := c.Oracle.(interface{ DegradedAnswers() int }); ok {

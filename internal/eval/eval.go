@@ -10,8 +10,8 @@ import (
 
 // Eval returns all valid total assignments A(Q,D) in deterministic order.
 // Assignment enumerations (Eval, Extensions, AssignmentsFor) are never
-// cached, so options do not change what they do.
-func Eval(q *cq.Query, d db.Reader, opts ...Option) []Assignment {
+// cached.
+func Eval(q *cq.Query, d db.Reader) []Assignment {
 	out := collect(q, d, Assignment{})
 	sortAssignments(out)
 	return out
@@ -87,7 +87,7 @@ func ResultUnion(u *cq.Union, d db.Reader, opts ...Option) []db.Tuple {
 
 // Extensions returns all valid total assignments extending the partial
 // assignment seed, in deterministic order.
-func Extensions(q *cq.Query, d db.Reader, seed Assignment, opts ...Option) []Assignment {
+func Extensions(q *cq.Query, d db.Reader, seed Assignment) []Assignment {
 	out := collect(q, d, seed)
 	sortAssignments(out)
 	return out
@@ -105,7 +105,7 @@ func Each(q *cq.Query, d db.Reader, seed Assignment, yield func(*Row) bool) {
 
 // AssignmentsFor returns A(t,Q,D): the valid assignments of Q w.r.t. D that
 // yield answer t. It returns nil when t conflicts with the head shape.
-func AssignmentsFor(q *cq.Query, d db.Reader, t db.Tuple, opts ...Option) []Assignment {
+func AssignmentsFor(q *cq.Query, d db.Reader, t db.Tuple) []Assignment {
 	seed, ok := PartialFromAnswer(q, t)
 	if !ok {
 		return nil

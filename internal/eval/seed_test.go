@@ -70,7 +70,7 @@ func TestSeedGroundsAtomAgainstDB(t *testing.T) {
 	q := cq.MustParse("(x) :- R(u, v), S(v, x).")
 
 	// Seed {u:C2, v:C2} grounds R(u,v) to the absent R(C2,C2).
-	if exts := Extensions(q, d, Assignment{"u": "C2", "v": "C2"}, NoCache()); len(exts) != 0 {
+	if exts := Extensions(q, d, Assignment{"u": "C2", "v": "C2"}); len(exts) != 0 {
 		t.Fatalf("Extensions = %v for seed grounding an absent atom, want none", exts)
 	}
 	if Holds(q, d, Assignment{"u": "C2", "v": "C2"}, NoCache()) {
@@ -78,7 +78,7 @@ func TestSeedGroundsAtomAgainstDB(t *testing.T) {
 	}
 
 	// Seed {u:C0, v:C1} grounds R(u,v) to the present R(C0,C1).
-	exts := Extensions(q, d, Assignment{"u": "C0", "v": "C1"}, NoCache())
+	exts := Extensions(q, d, Assignment{"u": "C0", "v": "C1"})
 	if len(exts) != 2 {
 		t.Fatalf("Extensions = %v for valid seed, want 2 (x=C0 and x=C2)", exts)
 	}
@@ -96,7 +96,7 @@ func TestSeedViolatedInequalityStillPruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := cq.MustParse("(x, y) :- R(x, y), x != y.")
-	if exts := Extensions(q, d, Assignment{"x": "C0", "y": "C0"}, NoCache()); len(exts) != 0 {
+	if exts := Extensions(q, d, Assignment{"x": "C0", "y": "C0"}); len(exts) != 0 {
 		t.Fatalf("Extensions = %v for seed violating x != y, want none", exts)
 	}
 }

@@ -1,8 +1,8 @@
-// Package graph provides small weighted undirected graphs and the two cut
-// algorithms the paper's query-directed split relies on (§5.2, citing
-// Edmonds–Karp [20]): a Stoer–Wagner global minimum cut and an Edmonds–Karp
-// maximum flow / s-t minimum cut. Graphs here are tiny (one vertex per query
-// atom), so simple adjacency-matrix implementations are appropriate.
+// Package graph provides small weighted undirected graphs and the
+// Stoer–Wagner global minimum cut behind the query-directed split of the
+// paper's §5.2 (which cites Edmonds–Karp [20] for the min cut). Graphs here
+// are tiny (one vertex per query atom), so a simple adjacency-matrix
+// implementation is appropriate.
 package graph
 
 import "fmt"
@@ -127,116 +127,4 @@ func (g *Graph) GlobalMinCut() (int64, []bool) {
 		side[v] = true
 	}
 	return bestWeight, side
-}
-
-// MaxFlow computes the maximum s-t flow with the Edmonds–Karp algorithm,
-// treating each undirected edge {u,v} of weight w as capacity w in both
-// directions.
-func (g *Graph) MaxFlow(s, t int) int64 {
-	if s == t {
-		return 0
-	}
-	cap := make([][]int64, g.n)
-	for i := range cap {
-		cap[i] = append([]int64(nil), g.w[i]...)
-	}
-	var flow int64
-	for {
-		// BFS for a shortest augmenting path.
-		parent := make([]int, g.n)
-		for i := range parent {
-			parent[i] = -1
-		}
-		parent[s] = s
-		queue := []int{s}
-		for len(queue) > 0 && parent[t] == -1 {
-			u := queue[0]
-			queue = queue[1:]
-			for v := 0; v < g.n; v++ {
-				if parent[v] == -1 && cap[u][v] > 0 {
-					parent[v] = u
-					queue = append(queue, v)
-				}
-			}
-		}
-		if parent[t] == -1 {
-			return flow
-		}
-		// Find bottleneck.
-		aug := int64(1<<62 - 1)
-		for v := t; v != s; v = parent[v] {
-			u := parent[v]
-			if cap[u][v] < aug {
-				aug = cap[u][v]
-			}
-		}
-		for v := t; v != s; v = parent[v] {
-			u := parent[v]
-			cap[u][v] -= aug
-			cap[v][u] += aug
-		}
-		flow += aug
-	}
-}
-
-// MinCutST returns the weight and side assignment of a minimum s-t cut
-// (side[v] true for the s-side), computed via Edmonds–Karp max flow and a
-// final residual-reachability pass.
-func (g *Graph) MinCutST(s, t int) (int64, []bool) {
-	if s == t {
-		panic("graph: MinCutST with s == t")
-	}
-	cap := make([][]int64, g.n)
-	for i := range cap {
-		cap[i] = append([]int64(nil), g.w[i]...)
-	}
-	var flow int64
-	for {
-		parent := make([]int, g.n)
-		for i := range parent {
-			parent[i] = -1
-		}
-		parent[s] = s
-		queue := []int{s}
-		for len(queue) > 0 && parent[t] == -1 {
-			u := queue[0]
-			queue = queue[1:]
-			for v := 0; v < g.n; v++ {
-				if parent[v] == -1 && cap[u][v] > 0 {
-					parent[v] = u
-					queue = append(queue, v)
-				}
-			}
-		}
-		if parent[t] == -1 {
-			break
-		}
-		aug := int64(1<<62 - 1)
-		for v := t; v != s; v = parent[v] {
-			u := parent[v]
-			if cap[u][v] < aug {
-				aug = cap[u][v]
-			}
-		}
-		for v := t; v != s; v = parent[v] {
-			u := parent[v]
-			cap[u][v] -= aug
-			cap[v][u] += aug
-		}
-		flow += aug
-	}
-	side := make([]bool, g.n)
-	side[s] = true
-	queue := []int{s}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for v := 0; v < g.n; v++ {
-			if !side[v] && cap[u][v] > 0 {
-				side[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
-	return flow, side
 }

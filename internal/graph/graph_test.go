@@ -114,66 +114,6 @@ func TestGlobalMinCutAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestMaxFlowSimple(t *testing.T) {
-	// Path 0 -1- 2 with capacities 5 and 3: flow 3.
-	g := New(3)
-	g.AddEdge(0, 1, 5)
-	g.AddEdge(1, 2, 3)
-	if got := g.MaxFlow(0, 2); got != 3 {
-		t.Errorf("MaxFlow = %d, want 3", got)
-	}
-	if got := g.MaxFlow(0, 0); got != 0 {
-		t.Errorf("MaxFlow(s,s) = %d, want 0", got)
-	}
-}
-
-func TestMaxFlowParallelPaths(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 2)
-	g.AddEdge(1, 3, 2)
-	g.AddEdge(0, 2, 3)
-	g.AddEdge(2, 3, 1)
-	if got := g.MaxFlow(0, 3); got != 3 {
-		t.Errorf("MaxFlow = %d, want 3", got)
-	}
-}
-
-func TestMinCutSTMatchesMaxFlow(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 80; trial++ {
-		n := 2 + rng.Intn(6)
-		g := New(n)
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if rng.Intn(3) > 0 {
-					g.AddEdge(u, v, int64(1+rng.Intn(9)))
-				}
-			}
-		}
-		s, tt := 0, n-1
-		flow := g.MaxFlow(s, tt)
-		cut, side := g.MinCutST(s, tt)
-		if flow != cut {
-			t.Fatalf("trial %d: max flow %d != min cut %d", trial, flow, cut)
-		}
-		if !side[s] || side[tt] {
-			t.Fatalf("trial %d: side %v does not separate s and t", trial, side)
-		}
-		if cutWeight(g, side) != cut {
-			t.Fatalf("trial %d: cut side weight %d != %d", trial, cutWeight(g, side), cut)
-		}
-	}
-}
-
-func TestMinCutSTPanicsOnSameVertex(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("MinCutST(s, s) did not panic")
-		}
-	}()
-	New(2).MinCutST(1, 1)
-}
-
 func TestAddEdgeValidation(t *testing.T) {
 	g := New(2)
 	g.AddEdge(0, 0, 5) // self-loop ignored

@@ -1,36 +1,27 @@
 // Package hitting implements the hitting-set machinery behind the deletion
 // algorithm (§4 of the paper): set systems over string element IDs,
 // the singleton rule and unique-minimal-hitting-set detection (Theorem 4.5),
-// most-frequent-element selection (the greedy heuristic of Algorithm 1),
-// a classic greedy cover, and an exact branch-and-bound minimum hitting set
-// used by tests and ablation benchmarks (the problem is NP-hard, Theorem 4.2).
+// most-frequent-element selection (the greedy heuristic of Algorithm 1) and
+// a classic greedy cover. Algorithm 1 never solves the NP-hard minimum
+// hitting set (Theorem 4.2) exactly; tests check against brute force.
 package hitting
 
 import (
 	"math/rand"
 	"sort"
-
-	"repro/internal/obs"
 )
 
-// Metric names the solver records under when a SetSystem carries a recorder.
-const (
-	// MetricBnBNodes counts branch-and-bound nodes across all ExactMinimum
-	// solves (the search cost of the NP-hard exact solver, Theorem 4.2).
-	MetricBnBNodes = "hitting.bnb.nodes"
-	// MetricBnBNodesPerSolve is the per-solve node-count distribution.
-	MetricBnBNodesPerSolve = "hitting.bnb.nodes_per_solve"
-)
+// MetricBnBNodes was the branch-and-bound node count of the exact solver.
+//
+// Deprecated: nothing records it since the exact solver was removed; it
+// reads 0.
+const MetricBnBNodes = "hitting.bnb.nodes"
 
 // SetSystem is the pair (U, S) of Definition 4.3 with the universe left
 // implicit (the union of the sets). Elements are string IDs; in the cleaner
 // they are fact keys of witness tuples.
 type SetSystem struct {
 	sets []map[string]bool
-
-	// Obs, when non-nil, receives solver metrics (branch-and-bound node
-	// counts). Clones share the recorder.
-	Obs *obs.Recorder
 }
 
 // NewSetSystem builds a set system from element-ID slices. Empty sets are
@@ -81,9 +72,9 @@ func (ss *SetSystem) Elements() []string {
 	return sortedKeys(set)
 }
 
-// Clone returns an independent copy (sharing the Obs recorder).
+// Clone returns an independent copy.
 func (ss *SetSystem) Clone() *SetSystem {
-	out := &SetSystem{sets: make([]map[string]bool, len(ss.sets)), Obs: ss.Obs}
+	out := &SetSystem{sets: make([]map[string]bool, len(ss.sets))}
 	for i, m := range ss.sets {
 		c := make(map[string]bool, len(m))
 		for e := range m {
@@ -246,58 +237,6 @@ func (ss *SetSystem) Greedy() []string {
 	}
 	sort.Strings(h)
 	return h
-}
-
-// ExactMinimum returns a minimum-cardinality hitting set by branch and bound.
-// Exponential in the worst case (the problem is NP-hard); intended for the
-// small systems in tests and ablations.
-func (ss *SetSystem) ExactMinimum() []string {
-	h, _ := ss.ExactMinimumNodes()
-	return h
-}
-
-// ExactMinimumNodes is ExactMinimum reporting the number of branch-and-bound
-// nodes explored. When the system carries a recorder the count also lands in
-// MetricBnBNodes / MetricBnBNodesPerSolve.
-func (ss *SetSystem) ExactMinimumNodes() ([]string, int) {
-	if ss.Empty() {
-		return nil, 0
-	}
-	nodes := 0
-	defer func() {
-		ss.Obs.Add(MetricBnBNodes, int64(nodes))
-		ss.Obs.Observe(MetricBnBNodesPerSolve, float64(nodes))
-	}()
-	best := ss.Greedy() // upper bound
-	var rec func(work *SetSystem, chosen []string)
-	rec = func(work *SetSystem, chosen []string) {
-		nodes++
-		if work.Empty() {
-			if len(chosen) < len(best) {
-				best = append([]string(nil), chosen...)
-			}
-			return
-		}
-		if len(chosen)+1 >= len(best) {
-			return // even one more element cannot beat best
-		}
-		// Branch on the elements of the smallest set: one of them must be in
-		// any hitting set.
-		smallest := work.sets[0]
-		for _, m := range work.sets[1:] {
-			if len(m) < len(smallest) {
-				smallest = m
-			}
-		}
-		for _, e := range sortedKeys(smallest) {
-			next := work.Clone()
-			next.RemoveSetsContaining(e)
-			rec(next, append(chosen, e))
-		}
-	}
-	rec(ss.Clone(), nil)
-	sort.Strings(best)
-	return best, nodes
 }
 
 func sortedKeys(m map[string]bool) []string {

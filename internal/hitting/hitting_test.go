@@ -131,51 +131,6 @@ func TestGreedyIsHittingSet(t *testing.T) {
 	}
 }
 
-func TestExactMinimum(t *testing.T) {
-	// Classic case where greedy can overshoot but exact finds 2:
-	// sets {a,x1},{a,x2},{b,x1},{b,x2} have minimum hitting set {a,b} or {x1,x2}.
-	ss := NewSetSystem([]string{"a", "x1"}, []string{"a", "x2"}, []string{"b", "x1"}, []string{"b", "x2"})
-	h := ss.ExactMinimum()
-	if len(h) != 2 || !ss.IsHittingSet(h) {
-		t.Errorf("ExactMinimum = %v, want a 2-element hitting set", h)
-	}
-	if got := NewSetSystem().ExactMinimum(); got != nil {
-		t.Errorf("ExactMinimum on empty = %v, want nil", got)
-	}
-}
-
-// TestExactVsGreedyProperty: on random systems the exact minimum is a hitting
-// set no larger than greedy's.
-func TestExactVsGreedyProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 60; trial++ {
-		nSets := 1 + rng.Intn(6)
-		elems := []string{"a", "b", "c", "d", "e", "f"}
-		var sets [][]string
-		for i := 0; i < nSets; i++ {
-			sz := 1 + rng.Intn(3)
-			s := make([]string, 0, sz)
-			perm := rng.Perm(len(elems))
-			for _, j := range perm[:sz] {
-				s = append(s, elems[j])
-			}
-			sets = append(sets, s)
-		}
-		ss := NewSetSystem(sets...)
-		exact := ss.ExactMinimum()
-		greedy := ss.Greedy()
-		if !ss.IsHittingSet(exact) {
-			t.Fatalf("trial %d: exact %v not hitting %v", trial, exact, ss.Sets())
-		}
-		if len(exact) > len(greedy) {
-			t.Fatalf("trial %d: exact %v larger than greedy %v", trial, exact, greedy)
-		}
-		if !ss.IsMinimalHittingSet(exact) {
-			t.Fatalf("trial %d: exact %v not minimal for %v", trial, exact, ss.Sets())
-		}
-	}
-}
-
 // TestUniqueMinimalTheorem45 checks both directions of Theorem 4.5 on random
 // systems by brute-force enumeration of minimal hitting sets.
 func TestUniqueMinimalTheorem45(t *testing.T) {

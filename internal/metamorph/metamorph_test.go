@@ -140,7 +140,10 @@ func runOracleErr(check func(*Workload) error, w *Workload) error {
 // aggregates (docs/oracles/ivm.md): the IVM oracle must skip them — agg.Eval
 // enumerates assignments, which the maintainer does not serve, so a
 // maintained leg would compare cold against cold and assert nothing — while
-// the cache and store oracles must still cover them.
+// the cache and store oracles must still run on them. Assignment
+// enumerations are never cached, so on an aggregate the cache oracle
+// compares cold enumerations and checks that agg.Eval is deterministic, not
+// the cache.
 func TestAggregateIVMBoundary(t *testing.T) {
 	covered := 0
 	for seed := int64(1); seed <= 300 && covered < 5; seed++ {

@@ -37,7 +37,7 @@ func Oracles() []Oracle {
 // (order included) is the correct comparison and also catches ordering bugs.
 func evalText(w *Workload, d db.Reader, opts ...eval.Option) (string, error) {
 	if w.Agg != nil {
-		gs, err := agg.Eval(w.Agg, d, opts...)
+		gs, err := agg.Eval(w.Agg, d)
 		if err != nil {
 			return "", fmt.Errorf("agg.Eval: %w", err)
 		}

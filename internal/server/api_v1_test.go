@@ -11,15 +11,15 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cq"
 	"repro/internal/crowd"
 	"repro/internal/dataset"
 	"repro/internal/db"
 	"repro/internal/eval"
 )
 
-// v1Crowd polls the versioned question API and answers from the ground
-// truth, like httpCrowd does for the legacy routes.
+// v1Crowd is a simulated crowd member that polls the question API and
+// answers from the ground truth — the full HTTP round trip a human takes
+// through the crowd console.
 type v1Crowd struct {
 	base   string
 	oracle *crowd.Perfect
@@ -27,7 +27,6 @@ type v1Crowd struct {
 }
 
 func (c *v1Crowd) run() {
-	bg := context.Background()
 	for {
 		select {
 		case <-c.stop:
@@ -50,40 +49,7 @@ func (c *v1Crowd) run() {
 		}
 		for i := range qs {
 			q := &qs[i]
-			var a Answer
-			switch q.Kind {
-			case KindVerifyFact:
-				v := c.oracle.VerifyFact(bg, db.NewFact(q.Fact[0], q.Fact[1:]...))
-				a.Bool = &v
-			case KindVerifyAnswer:
-				v := c.oracle.VerifyAnswer(bg, cq.MustParse(q.Query), db.Tuple(q.Tuple))
-				a.Bool = &v
-			case KindComplete:
-				partial := eval.Assignment{}
-				for k, v := range q.Partial {
-					partial[k] = v
-				}
-				full, ok := c.oracle.Complete(bg, cq.MustParse(q.Query), partial)
-				if !ok {
-					a.None = true
-				} else {
-					a.Bindings = map[string]string{}
-					for _, v := range q.Unbound {
-						a.Bindings[v] = full[v]
-					}
-				}
-			case KindCompleteResult:
-				cur := make([]db.Tuple, len(q.Current))
-				for i, r := range q.Current {
-					cur[i] = db.Tuple(r)
-				}
-				t, ok := c.oracle.CompleteResult(bg, cq.MustParse(q.Query), cur)
-				if !ok {
-					a.None = true
-				} else {
-					a.Tuple = t
-				}
-			}
+			a := perfectAnswer(q, c.oracle)
 			body, _ := json.Marshal(a)
 			res, err := http.Post(fmt.Sprintf("%s/api/v1/questions/%d/answer", c.base, q.ID), "application/json", bytes.NewReader(body))
 			if err == nil {

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/cq"
-	"repro/internal/crowd"
 )
 
 // defaultRetryAfter is the Retry-After hint served when no admission
@@ -20,11 +19,11 @@ import (
 const defaultRetryAfter = 5 * time.Second
 
 // SetAdmission installs the overload-protection layer: every job submission
-// (POST /api/v1/clean, view repairs, and the deprecated aliases) passes
-// through ctrl, which rate-limits per client and globally, bounds concurrent
-// jobs with an AIMD limit, queues briefly under contention, and sheds the
-// rest with 429/503 + Retry-After. Shed submissions never become jobs and
-// never touch the job journal.
+// (POST /api/v1/clean and view repairs) passes through ctrl, which
+// rate-limits per client and globally, bounds concurrent jobs with an AIMD
+// limit, queues briefly under contention, and sheds the rest with 429/503 +
+// Retry-After. Shed submissions never become jobs and never touch the job
+// journal.
 //
 // Job cost estimates come from a CostModel seeded with the cleaner's
 // enumeration stopping rule and refined by every finished job's actual crowd
@@ -44,18 +43,6 @@ func (s *Server) Admission() *admission.Controller {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.admit
-}
-
-// SetOracleWrapper installs middleware between cleaning jobs and the
-// server's question queue: every new cleaner asks wrap(queue) instead of the
-// queue itself. Use it to harden the crowd path with internal/resilience
-// (timeouts, retries, circuit breakers, fallbacks) or to inject faults in
-// tests. The queue's own degraded-answer accounting stays visible to the
-// cleaner even when the wrapper hides it. Call before submitting jobs.
-func (s *Server) SetOracleWrapper(wrap func(crowd.Oracle) crowd.Oracle) {
-	s.mu.Lock()
-	s.wrapOracle = wrap
-	s.mu.Unlock()
 }
 
 // Drain puts the server into drain mode for a graceful rollout: new job
@@ -115,13 +102,6 @@ func (s *Server) DrainWait(ctx context.Context) error {
 		case <-tick.C:
 		}
 	}
-}
-
-// AddReadyCheck registers an extra named probe on /readyz — e.g. the breaker
-// state of a resilience stack guarding an external crowd backend. The probe
-// returns nil when ready.
-func (s *Server) AddReadyCheck(name string, probe func() error) {
-	s.health.Add(name, probe)
 }
 
 // registerHealth mounts /healthz (liveness) and /readyz (readiness) and the
@@ -191,9 +171,9 @@ func setRetryAfter(w http.ResponseWriter, d time.Duration) {
 
 // admitJob passes one submission through the admission layer. It returns the
 // grant to hold for the job's lifetime (nil when no controller is installed)
-// and whether the submission was admitted; on rejection the response has
-// already been written — the v1 envelope or the legacy shape per v1.
-func (s *Server) admitJob(w http.ResponseWriter, r *http.Request, cost float64, v1 bool) (*admission.Grant, bool) {
+// and whether the submission was admitted; on rejection the error response
+// has already been written.
+func (s *Server) admitJob(w http.ResponseWriter, r *http.Request, cost float64) (*admission.Grant, bool) {
 	s.mu.Lock()
 	ctrl, draining := s.admit, s.draining
 	s.mu.Unlock()
@@ -201,11 +181,7 @@ func (s *Server) admitJob(w http.ResponseWriter, r *http.Request, cost float64, 
 		// No controller: only drain mode is enforced.
 		if draining {
 			setRetryAfter(w, defaultRetryAfter)
-			if v1 {
-				writeAPIError(w, http.StatusServiceUnavailable, admission.CodeDraining, "server is draining")
-			} else {
-				writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
-			}
+			writeAPIError(w, http.StatusServiceUnavailable, admission.CodeDraining, "server is draining")
 			return nil, false
 		}
 		return nil, true
@@ -217,11 +193,7 @@ func (s *Server) admitJob(w http.ResponseWriter, r *http.Request, cost float64, 
 			return nil, false
 		}
 		setRetryAfter(w, rej.RetryAfter)
-		if v1 {
-			writeAPIError(w, rej.Status, rej.Code, rej.Message)
-		} else {
-			writeError(w, rej.Status, errors.New(rej.Message))
-		}
+		writeAPIError(w, rej.Status, rej.Code, rej.Message)
 		return nil, false
 	}
 	return grant, true
@@ -237,20 +209,4 @@ func (s *Server) jobCost(q *cq.Query) float64 {
 		return 0
 	}
 	return costs.Estimate(q)
-}
-
-// degraderSum keeps the question queue's degraded-answer count visible when
-// an oracle wrapper hides it: the cleaner samples DegradedAnswers through
-// this sum of every layer that reports one.
-type degraderSum struct {
-	crowd.Oracle
-	sources []interface{ DegradedAnswers() int }
-}
-
-func (d degraderSum) DegradedAnswers() int {
-	total := 0
-	for _, s := range d.sources {
-		total += s.DegradedAnswers()
-	}
-	return total
 }

@@ -66,10 +66,9 @@ func waitJobsIdle(t *testing.T, srv *Server) {
 	}
 }
 
-// TestRateLimitRejection drives the global rate limit over both API surfaces:
-// the second submission must get 429 with the v1 envelope (or the legacy
-// error shape on the deprecated route) and a Retry-After hint, and the
-// rejections must show up in /api/v1/metrics.
+// TestRateLimitRejection drives the global rate limit: the second submission
+// must get 429 with the v1 envelope and a Retry-After hint, and the rejection
+// must show up in /api/v1/metrics.
 func TestRateLimitRejection(t *testing.T) {
 	srv, ts := overloadServer(t, admission.Options{Rate: 0.0001, Burst: 1})
 
@@ -99,20 +98,6 @@ func TestRateLimitRejection(t *testing.T) {
 		t.Errorf("envelope has no message")
 	}
 
-	// Deprecated route: same protection, legacy error shape.
-	res = postJSON(t, ts.URL+"/clean", body)
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("legacy submission status = %d, want 429", res.StatusCode)
-	}
-	retryAfterSeconds(t, res)
-	var legacy struct {
-		Error string `json:"error"`
-	}
-	if err := json.NewDecoder(res.Body).Decode(&legacy); err != nil || legacy.Error == "" {
-		t.Fatalf("legacy error shape: %v (err %v)", legacy, err)
-	}
-
 	// The rejections are observable.
 	mres, err := http.Get(ts.URL + "/api/v1/metrics")
 	if err != nil {
@@ -130,8 +115,8 @@ func TestRateLimitRejection(t *testing.T) {
 	if counter(admission.MetricAdmitted) < 1 {
 		t.Errorf("metric %s = %v, want >= 1", admission.MetricAdmitted, metrics[admission.MetricAdmitted])
 	}
-	if counter(admission.MetricRejectedRate) < 2 {
-		t.Errorf("metric %s = %v, want >= 2", admission.MetricRejectedRate, metrics[admission.MetricRejectedRate])
+	if counter(admission.MetricRejectedRate) < 1 {
+		t.Errorf("metric %s = %v, want >= 1", admission.MetricRejectedRate, metrics[admission.MetricRejectedRate])
 	}
 	waitJobsIdle(t, srv)
 }

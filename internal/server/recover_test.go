@@ -577,7 +577,7 @@ func TestStoreSyncFailureLeavesJobOpen(t *testing.T) {
 	}
 }
 
-// TestRepairJobJournal: a view-repair job (POST /views/{name}/wrong|missing)
+// TestRepairJobJournal: a view-repair job (POST /api/v1/views/{name}/wrong|missing)
 // journals its start, so the job journal reopens after it. Recover brings a
 // finished repair job back in its terminal state, registers an interrupted
 // one as failed (repair jobs are not resumed), and still resumes the

@@ -14,12 +14,10 @@ import (
 	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/cq"
-	"repro/internal/crowd"
 	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/sqlfe"
-	"repro/internal/view"
 	"repro/internal/wal"
 )
 
@@ -94,23 +92,23 @@ type jobStatus struct {
 //	GET    /api/v1/metrics                   process metrics (flat JSON)
 //	GET    /api/v1/views, /api/v1/views/{name}, POST .../wrong, .../missing
 //
-// Error responses under /api/v1/ use the envelope
-// {"error": {"code": "...", "message": "..."}}. The unversioned routes
-// (/questions, /clean, /jobs/{id}, /query, /views) predate the versioned
-// surface and are kept as deprecated aliases with their original
-// {"error": "..."} shape; the crowd console is served at /.
+// Error responses use the envelope
+// {"error": {"code": "...", "message": "..."}}. The crowd console is served
+// at /.
 type Server struct {
-	queue   *Queue
-	d       db.Store
-	cfg     core.Config
-	mux     *http.ServeMux
-	monitor *view.Monitor
-	obs     *obs.Recorder
+	queue *Queue
+	d     db.Store
+	cfg   core.Config
+	mux   *http.ServeMux
+	obs   *obs.Recorder
 
 	// dbMu serializes database access: cleaning jobs hold the write lock for
 	// their full duration (crowd answers arrive through the lock-free
-	// question queue), while query/view reads take the read lock.
-	dbMu sync.RWMutex
+	// question queue), while query/view reads take the read lock. It also
+	// guards the registered views.
+	dbMu      sync.RWMutex
+	views     map[string]*cq.Query // registered view name -> defining query
+	viewOrder []string             // view names in registration order
 
 	mu       sync.Mutex
 	nextJob  int
@@ -123,13 +121,12 @@ type Server struct {
 
 	// Overload protection (see overload.go). All nil-safe: a server without
 	// an admission controller admits everything, as before.
-	admit      *admission.Controller
-	costs      *admission.CostModel
-	health     *admission.Health
-	start      time.Time
-	draining   bool
-	active     int // jobs launched and not yet terminal
-	wrapOracle func(crowd.Oracle) crowd.Oracle
+	admit    *admission.Controller
+	costs    *admission.CostModel
+	health   *admission.Health
+	start    time.Time
+	draining bool
+	active   int // jobs launched and not yet terminal
 }
 
 // New builds a server over any db.Store backend (callers passing the
@@ -143,30 +140,20 @@ func New(d db.Store, cfg core.Config) *Server {
 		cfg.Obs = obs.New()
 	}
 	s := &Server{
-		queue:   NewQueue(),
-		d:       d,
-		cfg:     cfg,
-		mux:     http.NewServeMux(),
-		monitor: view.NewMonitor(d),
-		obs:     cfg.Obs,
-		jobs:    make(map[int]*Job),
-		health:  admission.NewHealth(),
-		start:   time.Now(),
+		queue:  NewQueue(),
+		d:      d,
+		cfg:    cfg,
+		mux:    http.NewServeMux(),
+		obs:    cfg.Obs,
+		views:  make(map[string]*cq.Query),
+		jobs:   make(map[int]*Job),
+		health: admission.NewHealth(),
+		start:  time.Now(),
 	}
 	s.queue.Obs = s.obs
-	// Keep registered views fresh through every cleaning edit, preserving any
-	// caller-provided hook.
-	userHook := s.cfg.OnEdit
-	monitorHook := s.monitor.EditHook()
-	s.cfg.OnEdit = func(e db.Edit) {
-		monitorHook(e)
-		if userHook != nil {
-			userHook(e)
-		}
-	}
 
-	// Versioned API. Handlers check methods themselves so that every error,
-	// including 405s, wears the v1 envelope.
+	// Handlers check methods themselves so that every error, including 405s,
+	// wears the v1 envelope.
 	s.mux.HandleFunc("/api/v1/questions", s.v1Questions)
 	s.mux.HandleFunc("/api/v1/questions/log", s.v1QuestionLog)
 	s.mux.HandleFunc("/api/v1/questions/{id}/answer", s.v1Answer)
@@ -182,15 +169,6 @@ func New(d db.Store, cfg core.Config) *Server {
 	s.mux.HandleFunc("/api/v1/", func(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusNotFound, "not_found", fmt.Sprintf("no such endpoint %s", r.URL.Path))
 	})
-
-	// Deprecated unversioned aliases, kept for existing clients.
-	s.mux.HandleFunc("/questions", s.handleQuestions)
-	s.mux.HandleFunc("/questions/", s.handleAnswer)
-	s.mux.HandleFunc("/clean", s.handleClean)
-	s.mux.HandleFunc("/jobs/", s.handleJob)
-	s.mux.HandleFunc("/query", s.handleQuery)
-	s.mux.HandleFunc("/views", s.handleViews)
-	s.mux.HandleFunc("/views/", s.handleView)
 	s.mux.HandleFunc("/", s.handleIndex)
 
 	// Liveness/readiness probes (see overload.go).
@@ -221,12 +199,6 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeError emits the legacy {"error": "..."} shape of the unversioned
-// routes.
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // writeAPIError emits the versioned error envelope.
@@ -300,7 +272,7 @@ func (s *Server) v1Clean(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w, http.MethodPost)
 		return
 	}
-	if s.storageUnavailable(w, true) {
+	if s.storageUnavailable(w) {
 		return
 	}
 	var req cleanRequest
@@ -313,7 +285,7 @@ func (s *Server) v1Clean(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	grant, ok := s.admitJob(w, r, s.jobCost(q), true)
+	grant, ok := s.admitJob(w, r, s.jobCost(q))
 	if !ok {
 		return
 	}
@@ -408,7 +380,7 @@ func (s *Server) v1Query(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w, http.MethodGet)
 		return
 	}
-	if s.storageUnavailable(w, true) {
+	if s.storageUnavailable(w) {
 		return
 	}
 	req := cleanRequest{Query: r.URL.Query().Get("q"), SQL: r.URL.Query().Get("sql")}
@@ -442,50 +414,13 @@ func (s *Server) v1DB(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w, http.MethodGet)
 		return
 	}
-	if s.storageUnavailable(w, true) {
+	if s.storageUnavailable(w) {
 		return
 	}
 	s.dbMu.RLock()
 	st := s.d.Stats()
 	s.dbMu.RUnlock()
 	writeJSON(w, http.StatusOK, st)
-}
-
-// --- deprecated unversioned handlers ---
-
-func (s *Server) handleQuestions(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
-	writeJSON(w, http.StatusOK, s.queue.Pending())
-}
-
-func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
-		return
-	}
-	idText := strings.TrimPrefix(r.URL.Path, "/questions/")
-	id, err := strconv.Atoi(idText)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad question id %q", idText))
-		return
-	}
-	var a Answer
-	if err := json.NewDecoder(r.Body).Decode(&a); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad answer body: %w", err))
-		return
-	}
-	if err := a.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.queue.Answer(id, a); err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
 type cleanRequest struct {
@@ -508,32 +443,6 @@ func (s *Server) parseQuery(req cleanRequest) (*cq.Query, error) {
 	default:
 		return nil, fmt.Errorf("missing query")
 	}
-}
-
-func (s *Server) handleClean(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
-		return
-	}
-	if s.storageUnavailable(w, false) {
-		return
-	}
-	var req cleanRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	q, err := s.parseQuery(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	grant, ok := s.admitJob(w, r, s.jobCost(q), false)
-	if !ok {
-		return
-	}
-	job := s.startJob(q, grant)
-	writeJSON(w, http.StatusAccepted, job)
 }
 
 // startJob launches a fresh cleaning run against the crowd queue, journaling
@@ -683,7 +592,7 @@ func (s *Server) launchJob(id int, q *cq.Query, recovered bool, grant *admission
 // them while the next boot's Recover skips the job as finished.
 func (s *Server) runJob(job *Job, run func(*core.Cleaner) (*core.Report, error)) {
 	s.dbMu.Lock()
-	cleaner := s.newCleaner()
+	cleaner := core.New(s.d, s.queue, s.cfg)
 	s.mu.Lock()
 	job.cleaner = cleaner
 	s.mu.Unlock()
@@ -753,30 +662,6 @@ func (s *Server) finishJob(job *Job, report *core.Report, err, syncErr error) {
 	eval.InvalidateDB(s.d.ID())
 }
 
-// newCleaner builds a cleaner over the server's database, question queue and
-// configuration, applying the installed oracle wrapper (resilience stack,
-// fault injection) when one is set. Callers hold dbMu.
-func (s *Server) newCleaner() *core.Cleaner {
-	var oracle crowd.Oracle = s.queue
-	s.mu.Lock()
-	wrap := s.wrapOracle
-	s.mu.Unlock()
-	if wrap != nil {
-		if wrapped := wrap(oracle); wrapped != oracle {
-			// The queue's deadline-degradation count must stay visible to the
-			// cleaner's degraded-run detection even when the wrapper hides it;
-			// sum it with whatever the wrapper itself reports (e.g. a
-			// resilience Adapter's fallback count).
-			sources := []interface{ DegradedAnswers() int }{s.queue}
-			if d, ok := wrapped.(interface{ DegradedAnswers() int }); ok {
-				sources = append(sources, d)
-			}
-			oracle = degraderSum{Oracle: wrapped, sources: sources}
-		}
-	}
-	return core.New(s.d, oracle, s.cfg)
-}
-
 // reportOfEdits summarizes a targeted repair as a Report.
 func reportOfEdits(edits []db.Edit) *core.Report {
 	r := &core.Report{Edits: edits}
@@ -788,55 +673,6 @@ func reportOfEdits(edits []db.Edit) *core.Report {
 		}
 	}
 	return r
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
-	idText := strings.TrimPrefix(r.URL.Path, "/jobs/")
-	id, err := strconv.Atoi(idText)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad job id %q", idText))
-		return
-	}
-	s.mu.Lock()
-	job, ok := s.jobs[id]
-	var view Job
-	if ok {
-		view = *job
-	}
-	s.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %d", id))
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
-	if s.storageUnavailable(w, false) {
-		return
-	}
-	req := cleanRequest{Query: r.URL.Query().Get("q"), SQL: r.URL.Query().Get("sql")}
-	q, err := s.parseQuery(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.dbMu.RLock()
-	rows := eval.Result(q, s.d)
-	s.dbMu.RUnlock()
-	out := make([][]string, len(rows))
-	for i, t := range rows {
-		out[i] = t
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"query": q.String(), "rows": out})
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {

@@ -7,99 +7,18 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cq"
 	"repro/internal/crowd"
 	"repro/internal/dataset"
 	"repro/internal/db"
 	"repro/internal/eval"
 )
-
-// httpCrowd is a simulated crowd member that polls the question API and
-// answers from the ground truth — exercising the full HTTP round trip a
-// human would take through the web console.
-type httpCrowd struct {
-	base   string
-	oracle *crowd.Perfect
-	t      *testing.T
-	stop   chan struct{}
-}
-
-func (c *httpCrowd) run() {
-	for {
-		select {
-		case <-c.stop:
-			return
-		default:
-		}
-		res, err := http.Get(c.base + "/questions")
-		if err != nil {
-			return
-		}
-		var qs []Question
-		if err := json.NewDecoder(res.Body).Decode(&qs); err != nil {
-			res.Body.Close()
-			return
-		}
-		res.Body.Close()
-		if len(qs) == 0 {
-			time.Sleep(2 * time.Millisecond)
-			continue
-		}
-		for i := range qs {
-			c.answer(&qs[i])
-		}
-	}
-}
-
-func (c *httpCrowd) answer(q *Question) {
-	var a Answer
-	switch q.Kind {
-	case KindVerifyFact:
-		v := c.oracle.VerifyFact(context.Background(), db.NewFact(q.Fact[0], q.Fact[1:]...))
-		a.Bool = &v
-	case KindVerifyAnswer:
-		query := cq.MustParse(q.Query)
-		v := c.oracle.VerifyAnswer(context.Background(), query, db.Tuple(q.Tuple))
-		a.Bool = &v
-	case KindComplete:
-		query := cq.MustParse(q.Query)
-		partial := eval.Assignment{}
-		for k, v := range q.Partial {
-			partial[k] = v
-		}
-		full, ok := c.oracle.Complete(context.Background(), query, partial)
-		if !ok {
-			a.None = true
-		} else {
-			a.Bindings = map[string]string{}
-			for _, v := range q.Unbound {
-				a.Bindings[v] = full[v]
-			}
-		}
-	case KindCompleteResult:
-		query := cq.MustParse(q.Query)
-		cur := make([]db.Tuple, len(q.Current))
-		for i, r := range q.Current {
-			cur[i] = db.Tuple(r)
-		}
-		t, ok := c.oracle.CompleteResult(context.Background(), query, cur)
-		if !ok {
-			a.None = true
-		} else {
-			a.Tuple = t
-		}
-	}
-	body, _ := json.Marshal(a)
-	res, err := http.Post(fmt.Sprintf("%s/questions/%d", c.base, q.ID), "application/json", bytes.NewReader(body))
-	if err == nil {
-		res.Body.Close()
-	}
-}
 
 func postJSON(t *testing.T, url string, body interface{}) *http.Response {
 	t.Helper()
@@ -121,13 +40,13 @@ func TestServerEndToEnd(t *testing.T) {
 	defer ts.Close()
 	defer srv.Close()
 
-	member := &httpCrowd{base: ts.URL, oracle: crowd.NewPerfect(dg), t: t, stop: make(chan struct{})}
+	member := &v1Crowd{base: ts.URL, oracle: crowd.NewPerfect(dg), stop: make(chan struct{})}
 	go member.run()
 	defer close(member.stop)
 
-	res := postJSON(t, ts.URL+"/clean", map[string]string{"query": dataset.IntroQ1().String()})
+	res := postJSON(t, ts.URL+"/api/v1/clean", map[string]string{"query": dataset.IntroQ1().String()})
 	if res.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST /clean status = %d", res.StatusCode)
+		t.Fatalf("POST /api/v1/clean status = %d", res.StatusCode)
 	}
 	var job Job
 	json.NewDecoder(res.Body).Decode(&job)
@@ -138,7 +57,7 @@ func TestServerEndToEnd(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("job %d did not finish", job.ID)
 		}
-		r, err := http.Get(fmt.Sprintf("%s/jobs/%d", ts.URL, job.ID))
+		r, err := http.Get(fmt.Sprintf("%s/api/v1/jobs/%d", ts.URL, job.ID))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +110,7 @@ func TestServerQueryEndpoint(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	res, err := http.Get(ts.URL + "/query?q=" + strings.ReplaceAll("(x) :- Teams(x, EU)", " ", "%20"))
+	res, err := http.Get(ts.URL + "/api/v1/query?q=" + strings.ReplaceAll("(x) :- Teams(x, EU)", " ", "%20"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +124,7 @@ func TestServerQueryEndpoint(t *testing.T) {
 	}
 
 	// SQL flavor of the same endpoint.
-	res2, err := http.Get(ts.URL + "/query?sql=" + strings.ReplaceAll("SELECT name FROM Teams WHERE continent = 'EU'", " ", "%20"))
+	res2, err := http.Get(ts.URL + "/api/v1/query?sql=" + strings.ReplaceAll("SELECT name FROM Teams WHERE continent = 'EU'", " ", "%20"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,14 +149,14 @@ func TestServerBadRequests(t *testing.T) {
 		body         interface{}
 		wantStatus   int
 	}{
-		{"POST", "/clean", map[string]string{}, http.StatusBadRequest},
-		{"POST", "/clean", map[string]string{"query": "not a query"}, http.StatusBadRequest},
-		{"POST", "/clean", map[string]string{"query": "(x) :- Teams(x, EU)", "sql": "SELECT 1"}, http.StatusBadRequest},
-		{"POST", "/questions/999", Answer{None: true}, http.StatusNotFound},
-		{"POST", "/questions/abc", Answer{}, http.StatusBadRequest},
-		{"GET", "/jobs/999", nil, http.StatusNotFound},
-		{"GET", "/jobs/abc", nil, http.StatusBadRequest},
-		{"GET", "/query", nil, http.StatusBadRequest},
+		{"POST", "/api/v1/clean", map[string]string{}, http.StatusBadRequest},
+		{"POST", "/api/v1/clean", map[string]string{"query": "not a query"}, http.StatusBadRequest},
+		{"POST", "/api/v1/clean", map[string]string{"query": "(x) :- Teams(x, EU)", "sql": "SELECT 1"}, http.StatusBadRequest},
+		{"POST", "/api/v1/questions/999/answer", Answer{None: true}, http.StatusNotFound},
+		{"POST", "/api/v1/questions/abc/answer", Answer{}, http.StatusBadRequest},
+		{"GET", "/api/v1/jobs/999", nil, http.StatusNotFound},
+		{"GET", "/api/v1/jobs/abc", nil, http.StatusBadRequest},
+		{"GET", "/api/v1/query", nil, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		var res *http.Response
@@ -263,14 +182,14 @@ func TestServerMethodChecks(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	res := postJSON(t, ts.URL+"/questions", nil)
+	res := postJSON(t, ts.URL+"/api/v1/questions", nil)
 	if res.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST /questions status = %d", res.StatusCode)
+		t.Errorf("POST /api/v1/questions status = %d", res.StatusCode)
 	}
 	res.Body.Close()
-	res2, _ := http.Get(ts.URL + "/clean")
+	res2, _ := http.Get(ts.URL + "/api/v1/clean")
 	if res2.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /clean status = %d", res2.StatusCode)
+		t.Errorf("GET /api/v1/clean status = %d", res2.StatusCode)
 	}
 	res2.Body.Close()
 }
@@ -296,6 +215,82 @@ func TestServerIndexPage(t *testing.T) {
 		t.Errorf("unknown path status = %d", res404.StatusCode)
 	}
 	res404.Body.Close()
+}
+
+// consoleFetch matches a fetch call in the crowd console's script: its URL
+// expression and, when given, its method.
+var consoleFetch = regexp.MustCompile(`fetch\(([^,)]*)(?:,\s*\{method:\s*'(\w+)')?`)
+
+// consoleURL builds a fetch URL as the console script does: it joins the
+// expression's string literals, with the question ID in place of id.
+func consoleURL(t *testing.T, expr string, id int) string {
+	t.Helper()
+	var b strings.Builder
+	for _, term := range strings.Split(expr, "+") {
+		term = strings.TrimSpace(term)
+		switch {
+		case term == "id":
+			b.WriteString(strconv.Itoa(id))
+		case len(term) >= 2 && term[0] == '\'' && term[len(term)-1] == '\'':
+			b.WriteString(term[1 : len(term)-1])
+		default:
+			t.Fatalf("console fetch URL term %q is neither a literal nor id", term)
+		}
+	}
+	return b.String()
+}
+
+// TestConsoleUsesV1Routes sends the crowd console's two requests, built as
+// its script builds them, to a server with one pending question: the list
+// request returns the question and the answer request resolves it. The
+// script fetches only versioned paths.
+func TestConsoleUsesV1Routes(t *testing.T) {
+	d, _ := dataset.Figure1()
+	srv := New(d, core.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+	got := make(chan bool, 1)
+	go func() { got <- srv.Queue().VerifyFact(context.Background(), db.NewFact("Teams", "GER", "EU")) }()
+	qu := waitQuestion(t, srv.Queue(), 0)
+
+	urls := make(map[string]string) // method -> URL
+	for _, call := range consoleFetch.FindAllStringSubmatch(indexHTML, -1) {
+		method := call[2]
+		if method == "" {
+			method = http.MethodGet
+		}
+		urls[method] = consoleURL(t, call[1], qu.ID)
+		if !strings.HasPrefix(urls[method], "/api/v1/") {
+			t.Errorf("console fetches %s %s outside /api/v1/", method, urls[method])
+		}
+	}
+	if len(urls) != 2 || urls[http.MethodGet] == "" || urls[http.MethodPost] == "" {
+		t.Fatalf("console fetches %v, want one GET and one POST", urls)
+	}
+
+	res, err := http.Get(ts.URL + urls[http.MethodGet])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var qs []Question
+	decodeBody(t, res, &qs)
+	if len(qs) != 1 || qs[0].ID != qu.ID {
+		t.Fatalf("console list = %+v, want question %d", qs, qu.ID)
+	}
+	res = postJSON(t, ts.URL+urls[http.MethodPost], map[string]bool{"bool": false})
+	res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("console answer status = %d", res.StatusCode)
+	}
+	select {
+	case v := <-got:
+		if v {
+			t.Errorf("asker got true; the console answered false")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("console answer left the question pending")
+	}
 }
 
 func TestQueueCloseUnblocks(t *testing.T) {

@@ -20,11 +20,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/crowd"
 	"repro/internal/dataset"
-	"repro/internal/resilience"
 	"repro/internal/wal"
 )
 
-// faultSeeds mirrors the resilience package's seed matrix: QOCO_FAULT_SEED (a
+// faultSeeds returns the soak's seed matrix: QOCO_FAULT_SEED (a
 // comma-separated list) when set — CI runs one soak per seed — otherwise a
 // fixed default matrix.
 func faultSeeds(t *testing.T) []int64 {
@@ -280,13 +279,78 @@ func TestSoakOverload(t *testing.T) {
 	}
 }
 
+// soakCrowd answers srv's questions as a 30%-faulty crowd seeded by seed,
+// until the returned stop function is called. Each attempt of a question is
+// dropped with probability 0.2 (the queue's deadline re-asks it, then
+// degrades it once the re-asks run out), answered wrong with probability
+// 0.05, delayed by a millisecond with probability 0.05, and otherwise
+// answered by the perfect oracle.
+func soakCrowd(srv *Server, oracle *crowd.Perfect, seed int64) (stop func()) {
+	rng := rand.New(rand.NewSource(seed))
+	done := make(chan struct{})
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		var delayed sync.WaitGroup
+		defer delayed.Wait()
+		tick := time.NewTicker(500 * time.Microsecond)
+		defer tick.Stop()
+		decided := make(map[[2]int]bool) // pending (question ID, attempt) pairs already handled
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+			}
+			next := make(map[[2]int]bool)
+			for _, qu := range srv.Queue().Pending() {
+				k := [2]int{qu.ID, qu.Attempt}
+				next[k] = true
+				if decided[k] {
+					continue
+				}
+				switch u := rng.Float64(); {
+				case u < 0.2: // dropped
+				case u < 0.25:
+					_ = srv.Queue().Answer(qu.ID, wrongAnswer(qu, oracle))
+				case u < 0.3:
+					id, a := qu.ID, perfectAnswer(qu, oracle)
+					delayed.Add(1)
+					time.AfterFunc(time.Millisecond, func() {
+						defer delayed.Done()
+						_ = srv.Queue().Answer(id, a)
+					})
+				default:
+					_ = srv.Queue().Answer(qu.ID, perfectAnswer(qu, oracle))
+				}
+			}
+			decided = next
+		}
+	}()
+	return func() {
+		close(done)
+		<-exited
+	}
+}
+
+// wrongAnswer is a faulty crowd member's reply: the opposite boolean for a
+// verification, "none" for a completion. It never invents a value, so the
+// cleaning loops it feeds stay bounded.
+func wrongAnswer(qu *Question, oracle *crowd.Perfect) Answer {
+	if a := perfectAnswer(qu, oracle); a.Bool != nil {
+		v := !*a.Bool
+		return Answer{Bool: &v}
+	}
+	return Answer{None: true}
+}
+
 func soakOverload(t *testing.T, seed int64) {
 	const (
 		submissions   = 5000
 		maxConcurrent = 64
 		queueCap      = 64
 	)
-	d, _ := dataset.Figure1()
+	d, dg := dataset.Figure1()
 	srv := New(d, core.Config{})
 	defer srv.Close()
 	ctrl := admission.NewController(admission.Options{
@@ -299,24 +363,7 @@ func soakOverload(t *testing.T, seed int64) {
 	})
 	srv.SetAdmission(ctrl)
 	srv.Queue().SetDeadline(2*time.Millisecond, 1)
-
-	// 30% faulty oracle: drops hang until the stack's timeout, wrong answers
-	// corrupt, delays stall. Retry and breaker are disabled so each question
-	// resolves within one timeout and the fault schedule stays seed-driven.
-	var wrapSeq atomic.Int64
-	srv.SetOracleWrapper(func(o crowd.Oracle) crowd.Oracle {
-		inj := resilience.NewInjector(o, seed+wrapSeq.Add(1))
-		inj.DropRate = 0.2
-		inj.WrongRate = 0.05
-		inj.DelayRate = 0.05
-		inj.Delay = time.Millisecond
-		return resilience.NewStack(inj, resilience.Config{
-			Timeout: 4 * time.Millisecond,
-			Retry:   resilience.RetryOptions{Max: -1},
-			Breaker: resilience.BreakerOptions{Threshold: -1},
-			Obs:     srv.Obs(),
-		})
-	})
+	defer soakCrowd(srv, crowd.NewPerfect(dg), seed)()
 	h := srv.Handler()
 
 	// Queue-depth sampler: the admission queue must never exceed its cap.
@@ -406,11 +453,15 @@ func soakOverload(t *testing.T, seed int64) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	states := make(map[JobState]int)
 	for _, id := range acceptedIDs {
-		if st := jobView(srv, id).State; st == JobRunning || st == "" {
+		st := jobView(srv, id).State
+		if st == JobRunning || st == "" {
 			t.Errorf("admitted job %d state = %q, want terminal", id, st)
 		}
+		states[st]++
 	}
+	t.Logf("seed %d: job states %v, %d answers degraded", seed, states, srv.Queue().DegradedAnswers())
 	if got := ctrl.Inflight(); got != 0 {
 		t.Errorf("admission inflight = %d after all jobs finished, want 0", got)
 	}

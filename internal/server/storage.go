@@ -42,20 +42,16 @@ func (s *Server) StoreError() error {
 }
 
 // storageUnavailable guards a data endpoint: when the store is failing it
-// writes a 503 (the v1 envelope or the legacy shape) and returns true. The
-// 503 carries Retry-After like the admission shed paths, so clients back off
-// the same way whether the server is overloaded or its storage is down.
-func (s *Server) storageUnavailable(w http.ResponseWriter, v1 bool) bool {
+// writes a 503 and returns true. The 503 carries Retry-After like the
+// admission shed paths, so clients back off the same way whether the server
+// is overloaded or its storage is down.
+func (s *Server) storageUnavailable(w http.ResponseWriter) bool {
 	err := s.StoreError()
 	if err == nil {
 		return false
 	}
 	setRetryAfter(w, defaultRetryAfter)
-	if v1 {
-		writeAPIError(w, http.StatusServiceUnavailable, "storage_unavailable", err.Error())
-	} else {
-		writeError(w, http.StatusServiceUnavailable, err)
-	}
+	writeAPIError(w, http.StatusServiceUnavailable, "storage_unavailable", err.Error())
 	return true
 }
 

@@ -23,7 +23,7 @@ const indexHTML = `<!DOCTYPE html>
 <div id="questions"><em>loading…</em></div>
 <script>
 async function post(id, body) {
-  await fetch('/questions/' + id, {method: 'POST', body: JSON.stringify(body)});
+  await fetch('/api/v1/questions/' + id + '/answer', {method: 'POST', body: JSON.stringify(body)});
   refresh();
 }
 function boolButtons(q) {
@@ -58,7 +58,7 @@ function submitMissing(id) {
   post(id, {tuple: tuple});
 }
 async function refresh() {
-  var res = await fetch('/questions');
+  var res = await fetch('/api/v1/questions');
   var qs = await res.json();
   var html = qs.length ? '' : '<em>no pending questions</em>';
   for (var i = 0; i < qs.length; i++) {

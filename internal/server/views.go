@@ -11,9 +11,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/db"
+	"repro/internal/eval"
 )
 
-// viewRequest registers a materialized view.
+// viewRequest registers a named view: a query whose rows are evaluated when
+// the view is read.
 type viewRequest struct {
 	Name  string `json:"name"`
 	Query string `json:"query"`
@@ -25,36 +27,16 @@ type reportRequest struct {
 	Tuple []string `json:"tuple"`
 }
 
-func (s *Server) handleViews(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		writeJSON(w, http.StatusOK, s.listViews())
-	case http.MethodPost:
-		var req viewRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad view body: %w", err))
-			return
-		}
-		q, status, err := s.registerView(req)
-		if err != nil {
-			writeError(w, status, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, map[string]string{"name": req.Name, "query": q.String()})
-	default:
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET or POST"))
-	}
-}
-
-// listViews snapshots the registered views for the list endpoints.
+// listViews snapshots the registered views for the list endpoint: each
+// view's name, query and current row count, in registration order.
 func (s *Server) listViews() []map[string]interface{} {
 	s.dbMu.RLock()
 	defer s.dbMu.RUnlock()
-	out := make([]map[string]interface{}, 0)
-	for _, name := range s.monitor.Names() {
-		v := s.monitor.View(name)
+	out := make([]map[string]interface{}, 0, len(s.viewOrder))
+	for _, name := range s.viewOrder {
+		q := s.views[name]
 		out = append(out, map[string]interface{}{
-			"name": name, "query": v.Query.String(), "rows": v.Len(),
+			"name": name, "query": q.String(), "rows": len(eval.Result(q, s.d)),
 		})
 	}
 	return out
@@ -71,69 +53,14 @@ func (s *Server) registerView(req viewRequest) (*cq.Query, int, error) {
 		return nil, http.StatusBadRequest, err
 	}
 	s.dbMu.Lock()
-	_, err = s.monitor.Register(req.Name, q)
-	s.dbMu.Unlock()
-	if err != nil {
-		return nil, http.StatusConflict, err
+	defer s.dbMu.Unlock()
+	if _, dup := s.views[req.Name]; dup {
+		return nil, http.StatusConflict, fmt.Errorf("duplicate view %q", req.Name)
 	}
+	s.views[req.Name] = q
+	s.viewOrder = append(s.viewOrder, req.Name)
 	return q, http.StatusCreated, nil
 }
-
-// handleView serves one view's rows and the wrong/missing report actions:
-//
-//	GET  /views/{name}           materialized rows
-//	POST /views/{name}/wrong     {"tuple": [...]} — remove a wrong answer
-//	POST /views/{name}/missing   {"tuple": [...]} — add a missing answer
-func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/views/")
-	parts := strings.SplitN(rest, "/", 2)
-	name := parts[0]
-	s.dbMu.RLock()
-	v := s.monitor.View(name)
-	s.dbMu.RUnlock()
-	if v == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no view %q", name))
-		return
-	}
-	action := ""
-	if len(parts) == 2 {
-		action = parts[1]
-	}
-	switch {
-	case action == "" && r.Method == http.MethodGet:
-		s.dbMu.RLock()
-		rows := v.Rows()
-		s.dbMu.RUnlock()
-		out := make([][]string, len(rows))
-		for i, t := range rows {
-			out[i] = t
-		}
-		writeJSON(w, http.StatusOK, map[string]interface{}{
-			"name": name, "query": v.Query.String(), "rows": out,
-		})
-	case (action == "wrong" || action == "missing") && r.Method == http.MethodPost:
-		var req reportRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad report body: %w", err))
-			return
-		}
-		if len(req.Tuple) != v.Query.Arity() {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("tuple arity %d, view has arity %d", len(req.Tuple), v.Query.Arity()))
-			return
-		}
-		grant, ok := s.admitJob(w, r, s.jobCost(v.Query), false)
-		if !ok {
-			return
-		}
-		job := s.startRepairJob(v.Query, db.Tuple(req.Tuple), action, grant)
-		writeJSON(w, http.StatusAccepted, job)
-	default:
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("unsupported view action %q", action))
-	}
-}
-
-// --- versioned view handlers ---
 
 func (s *Server) v1Views(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
@@ -167,13 +94,13 @@ func (s *Server) v1View(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("name")
 	s.dbMu.RLock()
-	v := s.monitor.View(name)
+	q := s.views[name]
 	var rows []db.Tuple
-	if v != nil {
-		rows = v.Rows()
+	if q != nil {
+		rows = eval.Result(q, s.d)
 	}
 	s.dbMu.RUnlock()
-	if v == nil {
+	if q == nil {
 		writeAPIError(w, http.StatusNotFound, "not_found", fmt.Sprintf("no view %q", name))
 		return
 	}
@@ -182,7 +109,7 @@ func (s *Server) v1View(w http.ResponseWriter, r *http.Request) {
 		out[i] = t
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"name": name, "query": v.Query.String(), "rows": out,
+		"name": name, "query": q.String(), "rows": out,
 	})
 }
 
@@ -197,9 +124,9 @@ func (s *Server) v1ViewAction(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.dbMu.RLock()
-	v := s.monitor.View(name)
+	q := s.views[name]
 	s.dbMu.RUnlock()
-	if v == nil {
+	if q == nil {
 		writeAPIError(w, http.StatusNotFound, "not_found", fmt.Sprintf("no view %q", name))
 		return
 	}
@@ -208,16 +135,20 @@ func (s *Server) v1ViewAction(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("bad report body: %v", err))
 		return
 	}
-	if len(req.Tuple) != v.Query.Arity() {
+	if len(req.Tuple) != q.Arity() {
 		writeAPIError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("tuple arity %d, view has arity %d", len(req.Tuple), v.Query.Arity()))
+			fmt.Sprintf("tuple arity %d, view has arity %d", len(req.Tuple), q.Arity()))
 		return
 	}
-	grant, ok := s.admitJob(w, r, s.jobCost(v.Query), true)
+	if err := db.ValidateValues(req.Tuple); err != nil {
+		writeAPIError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("bad report tuple: %v", err))
+		return
+	}
+	grant, ok := s.admitJob(w, r, s.jobCost(q))
 	if !ok {
 		return
 	}
-	job := s.startRepairJob(v.Query, db.Tuple(req.Tuple), action, grant)
+	job := s.startRepairJob(q, db.Tuple(req.Tuple), action, grant)
 	writeJSON(w, http.StatusAccepted, job)
 }
 

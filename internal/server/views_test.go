@@ -5,12 +5,16 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/cq"
 	"repro/internal/crowd"
 	"repro/internal/dataset"
+	"repro/internal/eval"
+	"repro/internal/wal"
 )
 
 // newViewServer builds a test server over Figure 1 with a simulated HTTP
@@ -20,7 +24,7 @@ func newViewServer(t *testing.T) (*httptest.Server, func()) {
 	d, dg := dataset.Figure1()
 	srv := New(d, core.Config{})
 	ts := httptest.NewServer(srv.Handler())
-	member := &httpCrowd{base: ts.URL, oracle: crowd.NewPerfect(dg), t: t, stop: make(chan struct{})}
+	member := &v1Crowd{base: ts.URL, oracle: crowd.NewPerfect(dg), stop: make(chan struct{})}
 	go member.run()
 	return ts, func() {
 		close(member.stop)
@@ -33,21 +37,21 @@ func TestViewRegisterAndFetch(t *testing.T) {
 	ts, done := newViewServer(t)
 	defer done()
 
-	res := postJSON(t, ts.URL+"/views", viewRequest{Name: "winners", Query: dataset.IntroQ1().String()})
+	res := postJSON(t, ts.URL+"/api/v1/views", viewRequest{Name: "winners", Query: dataset.IntroQ1().String()})
 	if res.StatusCode != http.StatusCreated {
-		t.Fatalf("POST /views status = %d", res.StatusCode)
+		t.Fatalf("POST /api/v1/views status = %d", res.StatusCode)
 	}
 	res.Body.Close()
 
 	// Duplicate registration conflicts.
-	res2 := postJSON(t, ts.URL+"/views", viewRequest{Name: "winners", Query: dataset.IntroQ1().String()})
+	res2 := postJSON(t, ts.URL+"/api/v1/views", viewRequest{Name: "winners", Query: dataset.IntroQ1().String()})
 	if res2.StatusCode != http.StatusConflict {
 		t.Errorf("duplicate view status = %d, want 409", res2.StatusCode)
 	}
 	res2.Body.Close()
 
 	// Listing includes the view.
-	lres, err := http.Get(ts.URL + "/views")
+	lres, err := http.Get(ts.URL + "/api/v1/views")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +63,7 @@ func TestViewRegisterAndFetch(t *testing.T) {
 	}
 
 	// Rows of the dirty view: (ESP) and (GER).
-	rres, err := http.Get(ts.URL + "/views/winners")
+	rres, err := http.Get(ts.URL + "/api/v1/views/winners")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +84,7 @@ func waitJob(t *testing.T, base string, id int) Job {
 		if time.Now().After(deadline) {
 			t.Fatalf("job %d did not finish", id)
 		}
-		r, err := http.Get(fmt.Sprintf("%s/jobs/%d", base, id))
+		r, err := http.Get(fmt.Sprintf("%s/api/v1/jobs/%d", base, id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,15 +99,15 @@ func waitJob(t *testing.T, base string, id int) Job {
 }
 
 // TestViewReportWrongAnswer drives the §1 workflow over HTTP: a user reports
-// (ESP) as wrong in the winners view; QOCO removes it and the materialized
-// view updates incrementally.
+// (ESP) as wrong in the winners view; QOCO removes it and the view no longer
+// lists it.
 func TestViewReportWrongAnswer(t *testing.T) {
 	ts, done := newViewServer(t)
 	defer done()
 
-	postJSON(t, ts.URL+"/views", viewRequest{Name: "winners", Query: dataset.IntroQ1().String()}).Body.Close()
+	postJSON(t, ts.URL+"/api/v1/views", viewRequest{Name: "winners", Query: dataset.IntroQ1().String()}).Body.Close()
 
-	res := postJSON(t, ts.URL+"/views/winners/wrong", reportRequest{Tuple: []string{"ESP"}})
+	res := postJSON(t, ts.URL+"/api/v1/views/winners/wrong", reportRequest{Tuple: []string{"ESP"}})
 	if res.StatusCode != http.StatusAccepted {
 		t.Fatalf("report status = %d", res.StatusCode)
 	}
@@ -119,8 +123,8 @@ func TestViewReportWrongAnswer(t *testing.T) {
 		t.Errorf("report = %+v, want deletions", final.Report)
 	}
 
-	// The view no longer contains (ESP) — updated through the edit hook.
-	rres, _ := http.Get(ts.URL + "/views/winners")
+	// The view, evaluated when read, no longer contains (ESP).
+	rres, _ := http.Get(ts.URL + "/api/v1/views/winners")
 	var out struct {
 		Rows [][]string `json:"rows"`
 	}
@@ -139,8 +143,8 @@ func TestViewReportMissingAnswer(t *testing.T) {
 	ts, done := newViewServer(t)
 	defer done()
 
-	postJSON(t, ts.URL+"/views", viewRequest{Name: "winners", Query: dataset.IntroQ1().String()}).Body.Close()
-	res := postJSON(t, ts.URL+"/views/winners/missing", reportRequest{Tuple: []string{"ITA"}})
+	postJSON(t, ts.URL+"/api/v1/views", viewRequest{Name: "winners", Query: dataset.IntroQ1().String()}).Body.Close()
+	res := postJSON(t, ts.URL+"/api/v1/views/winners/missing", reportRequest{Tuple: []string{"ITA"}})
 	if res.StatusCode != http.StatusAccepted {
 		t.Fatalf("report status = %d", res.StatusCode)
 	}
@@ -152,7 +156,7 @@ func TestViewReportMissingAnswer(t *testing.T) {
 	if final.State != JobDone {
 		t.Fatalf("job = %+v", final)
 	}
-	rres, _ := http.Get(ts.URL + "/views/winners")
+	rres, _ := http.Get(ts.URL + "/api/v1/views/winners")
 	var out struct {
 		Rows [][]string `json:"rows"`
 	}
@@ -178,10 +182,10 @@ func TestViewEndpointErrors(t *testing.T) {
 		body         interface{}
 		want         int
 	}{
-		{"POST", "/views", viewRequest{Query: "(x) :- Teams(x, EU)"}, http.StatusBadRequest}, // no name
-		{"POST", "/views", viewRequest{Name: "v", Query: "garbage"}, http.StatusBadRequest},  // bad query
-		{"GET", "/views/nope", nil, http.StatusNotFound},                                     // unknown view
-		{"POST", "/views/nope/wrong", reportRequest{Tuple: []string{"x"}}, http.StatusNotFound},
+		{"POST", "/api/v1/views", viewRequest{Query: "(x) :- Teams(x, EU)"}, http.StatusBadRequest}, // no name
+		{"POST", "/api/v1/views", viewRequest{Name: "v", Query: "garbage"}, http.StatusBadRequest},  // bad query
+		{"GET", "/api/v1/views/nope", nil, http.StatusNotFound},                                     // unknown view
+		{"POST", "/api/v1/views/nope/wrong", reportRequest{Tuple: []string{"x"}}, http.StatusNotFound},
 	}
 	for _, c := range cases {
 		var res *http.Response
@@ -201,16 +205,123 @@ func TestViewEndpointErrors(t *testing.T) {
 	}
 
 	// Arity mismatch on a real view.
-	postJSON(t, ts.URL+"/views", viewRequest{Name: "w", Query: dataset.IntroQ1().String()}).Body.Close()
-	res := postJSON(t, ts.URL+"/views/w/wrong", reportRequest{Tuple: []string{"a", "b"}})
+	postJSON(t, ts.URL+"/api/v1/views", viewRequest{Name: "w", Query: dataset.IntroQ1().String()}).Body.Close()
+	res := postJSON(t, ts.URL+"/api/v1/views/w/wrong", reportRequest{Tuple: []string{"a", "b"}})
 	if res.StatusCode != http.StatusBadRequest {
 		t.Errorf("arity mismatch status = %d", res.StatusCode)
 	}
 	res.Body.Close()
 	// Unsupported action.
-	res2 := postJSON(t, ts.URL+"/views/w/zap", reportRequest{Tuple: []string{"a"}})
-	if res2.StatusCode != http.StatusMethodNotAllowed {
+	res2 := postJSON(t, ts.URL+"/api/v1/views/w/zap", reportRequest{Tuple: []string{"a"}})
+	if res2.StatusCode != http.StatusNotFound {
 		t.Errorf("bad action status = %d", res2.StatusCode)
 	}
 	res2.Body.Close()
+}
+
+// viewRows reads a registered view's rows over HTTP.
+func viewRows(t *testing.T, base, name string) [][]string {
+	t.Helper()
+	res, err := http.Get(base + "/api/v1/views/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		Rows [][]string `json:"rows"`
+	}
+	decodeBody(t, res, &out)
+	return out.Rows
+}
+
+// TestViewTracksCleaningJob: a registered view is evaluated when it is read,
+// so a view that is not the query being cleaned still reflects the job's
+// edits. Cleaning Q1 inserts Teams(ITA, EU), which adds Pirlo and Totti to
+// the scorers view.
+func TestViewTracksCleaningJob(t *testing.T) {
+	for _, incremental := range []bool{false, true} {
+		d, dg := dataset.Figure1()
+		srv := New(d, core.Config{Incremental: incremental})
+		ts := httptest.NewServer(srv.Handler())
+		member := &v1Crowd{base: ts.URL, oracle: crowd.NewPerfect(dg), stop: make(chan struct{})}
+		go member.run()
+
+		views := map[string]*cq.Query{"winners": dataset.IntroQ1(), "scorers": dataset.IntroQ2()}
+		for name, q := range views {
+			res := postJSON(t, ts.URL+"/api/v1/views", viewRequest{Name: name, Query: q.String()})
+			res.Body.Close()
+			if res.StatusCode != http.StatusCreated {
+				t.Fatalf("registering %s: status %d", name, res.StatusCode)
+			}
+		}
+		before := fmt.Sprint(viewRows(t, ts.URL, "scorers"))
+
+		res := postJSON(t, ts.URL+"/api/v1/clean", map[string]string{"query": dataset.IntroQ1().String()})
+		var job Job
+		decodeBody(t, res, &job)
+		if final := waitJob(t, ts.URL, job.ID); final.State != JobDone {
+			t.Fatalf("incremental=%v: job = %+v", incremental, final)
+		}
+		for name, q := range views {
+			var want [][]string
+			for _, row := range eval.Result(q, d, eval.NoCache()) {
+				want = append(want, row)
+			}
+			if got := viewRows(t, ts.URL, name); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("incremental=%v: view %s = %v, want %v", incremental, name, got, want)
+			}
+		}
+		if after := fmt.Sprint(viewRows(t, ts.URL, "scorers")); after == before {
+			t.Errorf("incremental=%v: scorers view unchanged by the job: %s", incremental, after)
+		}
+		close(member.stop)
+		srv.Close()
+		ts.Close()
+	}
+}
+
+// TestViewReportRejectsReservedBytes: a wrong or missing report whose tuple
+// holds a reserved separator byte is refused with 400 before admission, so it
+// creates no job and writes no journal record.
+func TestViewReportRejectsReservedBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.log")
+	jl, _, err := wal.OpenJobLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := dataset.Figure1()
+	srv := New(d, core.Config{})
+	srv.SetJobLog(jl)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+
+	postJSON(t, ts.URL+"/api/v1/views", viewRequest{Name: "winners", Query: dataset.IntroQ1().String()}).Body.Close()
+	for _, action := range []string{"wrong", "missing"} {
+		res := postJSON(t, ts.URL+"/api/v1/views/winners/"+action, reportRequest{Tuple: []string{"IT\x1fA"}})
+		var env envelope
+		decodeBody(t, res, &env)
+		if res.StatusCode != http.StatusBadRequest || env.Error.Code != "bad_request" {
+			t.Errorf("%s report: got %d %q, want 400 bad_request", action, res.StatusCode, env.Error.Code)
+		}
+	}
+	res, err := http.Get(ts.URL + "/api/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []Job
+	decodeBody(t, res, &jobs)
+	if len(jobs) != 0 {
+		t.Errorf("refused reports created jobs: %+v", jobs)
+	}
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, recs, err := wal.OpenJobLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if len(recs) != 0 {
+		t.Errorf("refused reports left %d journal records", len(recs))
+	}
 }

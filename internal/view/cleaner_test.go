@@ -25,24 +25,21 @@ func rowsKeyExt(ts []db.Tuple) string {
 	return out
 }
 
-// TestMonitorWithCleaner wires the monitor's EditHook into a cleaning run:
-// the views stay exactly in sync with the database as QOCO repairs it.
-func TestMonitorWithCleaner(t *testing.T) {
+// TestViewApplyFromOnEdit keeps two views current through a cleaning run by
+// calling View.Apply from the cleaner's OnEdit hook: both stay exactly in
+// sync with the database as QOCO repairs it.
+func TestViewApplyFromOnEdit(t *testing.T) {
 	for _, incremental := range []bool{false, true} {
 		d, dg := dataset.Figure1()
-		m := view.NewMonitor(d)
-		vQ1, err := m.Register("winners", dataset.IntroQ1())
-		if err != nil {
-			t.Fatal(err)
-		}
-		vQ2, err := m.Register("scorers", dataset.IntroQ2())
-		if err != nil {
-			t.Fatal(err)
-		}
+		vQ1 := view.New("winners", dataset.IntroQ1(), d)
+		vQ2 := view.New("scorers", dataset.IntroQ2(), d)
 
 		cl := core.New(d, crowd.NewPerfect(dg), core.Config{
-			RNG:         rand.New(rand.NewSource(3)),
-			OnEdit:      m.EditHook(),
+			RNG: rand.New(rand.NewSource(3)),
+			OnEdit: func(e db.Edit) {
+				vQ1.Apply(d, e)
+				vQ2.Apply(d, e)
+			},
 			Incremental: incremental,
 		})
 		if _, err := cl.Clean(context.Background(), dataset.IntroQ1()); err != nil {

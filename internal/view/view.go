@@ -1,21 +1,23 @@
-// Package view implements materialized views with incremental maintenance
-// and the view-monitoring workflow of the paper's introduction: "materialized
-// views (views which are defined through user queries) are used as a trigger
-// for identifying incorrect or missing information ... QOCO can be activated
-// to monitor the views that are served to users/applications. Whenever an
-// error is reported in a view, QOCO can take over to clean the underlying
-// database."
+// Package view implements materialized CQ≠ views with counting-based
+// incremental maintenance.
 //
 // A View materializes the answers of a CQ≠ over a database and keeps, per
-// answer, the number of valid assignments supporting it; edits flowing
-// through the Monitor update that support incrementally (delta evaluation)
-// instead of recomputing the view. The Engine aggregates views into an
-// eval.Maintainer that serves the cleaner's Result/AnswerHolds/Holds calls in
-// place of cold re-evaluation (counting-based incremental view maintenance).
+// answer, the number of valid assignments supporting it; View.Apply updates
+// that support incrementally for each edit (delta evaluation) instead of
+// recomputing the view. The Engine aggregates views into an eval.Maintainer
+// that serves the cleaner's Result/AnswerHolds/Holds calls in place of cold
+// re-evaluation.
+//
+// The view-monitoring workflow of the paper's introduction — "QOCO can be
+// activated to monitor the views that are served to users/applications.
+// Whenever an error is reported in a view, QOCO can take over to clean the
+// underlying database." — is served over HTTP by internal/server, which
+// evaluates a registered view when it is read. A library caller keeps a View
+// current through a cleaning run by calling View.Apply from
+// core.Config.OnEdit.
 package view
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/cq"
@@ -215,80 +217,4 @@ func unifyAtom(atom cq.Atom, args db.Tuple) (eval.Assignment, bool) {
 
 func sortTuples(ts []db.Tuple) {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].Less(ts[j]) })
-}
-
-// Monitor owns a database and a set of materialized views and keeps them
-// consistent: every edit must flow through Apply. It is the "QOCO monitors
-// the views served to users" deployment mode of §1.
-type Monitor struct {
-	d     db.Store
-	views map[string]*View
-	order []string
-}
-
-// NewMonitor creates a monitor over the store.
-func NewMonitor(d db.Store) *Monitor {
-	return &Monitor{d: d, views: make(map[string]*View)}
-}
-
-// Store returns the monitored store.
-func (m *Monitor) Store() db.Store { return m.d }
-
-// Register materializes a query as a named view.
-func (m *Monitor) Register(name string, q *cq.Query) (*View, error) {
-	if _, dup := m.views[name]; dup {
-		return nil, fmt.Errorf("view: duplicate view %q", name)
-	}
-	if err := q.Validate(m.d.Schema()); err != nil {
-		return nil, err
-	}
-	v := New(name, q, m.d)
-	m.views[name] = v
-	m.order = append(m.order, name)
-	return v, nil
-}
-
-// View returns the named view, or nil.
-func (m *Monitor) View(name string) *View { return m.views[name] }
-
-// Names returns the registered view names in registration order.
-func (m *Monitor) Names() []string {
-	out := make([]string, len(m.order))
-	copy(out, m.order)
-	return out
-}
-
-// Apply applies an edit to the database and incrementally updates every
-// view. It reports, per view, the answers that appeared or disappeared.
-func (m *Monitor) Apply(e db.Edit) (map[string][]db.Tuple, map[string][]db.Tuple, error) {
-	changed, err := m.d.Apply(e)
-	if err != nil {
-		return nil, nil, err
-	}
-	appeared := make(map[string][]db.Tuple)
-	disappeared := make(map[string][]db.Tuple)
-	if !changed {
-		return appeared, disappeared, nil
-	}
-	for _, name := range m.order {
-		a, dis := m.views[name].Apply(m.d, e)
-		if len(a) > 0 {
-			appeared[name] = a
-		}
-		if len(dis) > 0 {
-			disappeared[name] = dis
-		}
-	}
-	return appeared, disappeared, nil
-}
-
-// EditHook returns a function suitable for core.Config.OnEdit: the cleaner
-// applies edits to the monitor's database itself, so the hook only refreshes
-// the views incrementally.
-func (m *Monitor) EditHook() func(db.Edit) {
-	return func(e db.Edit) {
-		for _, name := range m.order {
-			m.views[name].Apply(m.d, e)
-		}
-	}
 }

@@ -141,40 +141,22 @@ func TestViewIncrementalMatchesRefresh(t *testing.T) {
 	}
 }
 
-func TestMonitorRegisterAndApply(t *testing.T) {
+// TestViewApplyAcrossViews: one edit flips answers in every view it touches.
+// Inserting Teams(ITA, EU) makes (ITA) appear among the winners, and Pirlo
+// (and, wrongly, Totti) among the scorers.
+func TestViewApplyAcrossViews(t *testing.T) {
 	d, _ := dataset.Figure1()
-	m := NewMonitor(d)
-	if _, err := m.Register("winners", dataset.IntroQ1()); err != nil {
-		t.Fatal(err)
+	winners := New("winners", dataset.IntroQ1(), d)
+	scorers := New("scorers", dataset.IntroQ2(), d)
+	e := db.Insertion(db.NewFact("Teams", "ITA", "EU"))
+	if changed, err := d.Apply(e); err != nil || !changed {
+		t.Fatalf("Apply(%v) = %v, %v", e, changed, err)
 	}
-	if _, err := m.Register("scorers", dataset.IntroQ2()); err != nil {
-		t.Fatal(err)
+	if appeared, disappeared := winners.Apply(d, e); len(appeared) != 1 || len(disappeared) != 0 {
+		t.Errorf("winners: appeared %v, disappeared %v; want (ITA) only", appeared, disappeared)
 	}
-	if _, err := m.Register("winners", dataset.IntroQ1()); err == nil {
-		t.Errorf("duplicate Register: want error")
-	}
-	if _, err := m.Register("bad", cq.MustParse("(x) :- Nope(x)")); err == nil {
-		t.Errorf("invalid query Register: want error")
-	}
-	if got := m.Names(); len(got) != 2 || got[0] != "winners" {
-		t.Errorf("Names = %v", got)
-	}
-
-	appeared, _, err := m.Apply(db.Insertion(db.NewFact("Teams", "ITA", "EU")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// (ITA) appears in winners; Pirlo (and wrongly Totti) appear in scorers.
-	if len(appeared["winners"]) != 1 {
-		t.Errorf("winners appeared = %v", appeared["winners"])
-	}
-	if len(appeared["scorers"]) != 2 {
-		t.Errorf("scorers appeared = %v, want Pirlo and Totti", appeared["scorers"])
-	}
-	// No-op edit: no view changes.
-	a2, d2, err := m.Apply(db.Insertion(db.NewFact("Teams", "ITA", "EU")))
-	if err != nil || len(a2) != 0 || len(d2) != 0 {
-		t.Errorf("idempotent edit changed views: %v %v %v", a2, d2, err)
+	if appeared, disappeared := scorers.Apply(d, e); len(appeared) != 2 || len(disappeared) != 0 {
+		t.Errorf("scorers: appeared %v, disappeared %v; want Pirlo and Totti", appeared, disappeared)
 	}
 }
 
