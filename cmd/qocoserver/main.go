@@ -340,8 +340,9 @@ func run() error {
 	}
 	log.Printf("releasing pending crowd questions")
 	if node != nil {
-		// Stop probing and seal journal shipping only after the drain window:
-		// events journaled by draining jobs still reach the successor.
+		// Stop probing only after the drain window. Journal shipping goes on
+		// until the journal closes, so the end record of a job that finishes
+		// during shutdown still reaches the successor.
 		node.Stop()
 	}
 	// Unblock oracle calls so any remaining cleaning jobs finish with

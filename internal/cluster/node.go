@@ -51,7 +51,6 @@ type Node struct {
 	seq    uint64
 	target string
 	synced bool
-	sealed bool // Stop called: keep folding, stop shipping
 
 	// Receiver-side and lifecycle state.
 	mu       sync.Mutex
@@ -143,7 +142,11 @@ func (n *Node) Start() {
 }
 
 // Stop halts probing and closes the replica logs. In-flight jobs keep
-// running on the server; their journal events stop shipping.
+// running on the server, and every event their journal still makes durable
+// keeps shipping to the successor until the caller closes the journal: an
+// end record written after Stop but never shipped would leave the successor
+// holding the job as unfinished, and it would adopt and run the job again
+// once this replica is gone.
 func (n *Node) Stop() {
 	n.mu.Lock()
 	if n.stopped {
@@ -156,9 +159,6 @@ func (n *Node) Stop() {
 		logs = append(logs, rl)
 	}
 	n.mu.Unlock()
-	n.repMu.Lock()
-	n.sealed = true
-	n.repMu.Unlock()
 	n.mem.Stop()
 	for _, rl := range logs {
 		_ = rl.Close()

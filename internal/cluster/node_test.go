@@ -276,6 +276,113 @@ func TestClusterFailover(t *testing.T) {
 	}
 }
 
+// TestStoppedNodeShipsLateEnd forces the shutdown interleaving behind the
+// soak's double end: a job finishes after its replica's node has stopped,
+// and the replica then dies. The end record journaled after Stop must still
+// reach the successor, which must then leave the finished job alone instead
+// of adopting and running it a second time.
+func TestStoppedNodeShipsLateEnd(t *testing.T) {
+	slots := []*slot{newSlot(t), newSlot(t), newSlot(t)}
+	ids := []string{"r0", "r1", "r2"}
+	peers := make([]Peer, 3)
+	for i, id := range ids {
+		peers[i] = Peer{ID: id, URL: slots[i].ts.URL}
+	}
+	base := t.TempDir()
+	reps := make([]*replica, 3)
+	for i, id := range ids {
+		reps[i] = startReplica(t, id, peers, slots[i],
+			filepath.Join(base, id+"-jobs.log"), filepath.Join(base, id+"-replica"), 20*time.Millisecond)
+	}
+	owner, succ := reps[0], reps[1]
+	t.Cleanup(func() {
+		for i := 1; i < 3; i++ {
+			reps[i].kill(slots[i])
+		}
+	})
+
+	// Park the owner's crowd, so the job waits on its first question until
+	// this test answers it.
+	close(owner.donech)
+	raw, _ := json.Marshal(map[string]string{"query": dataset.IntroQ1().String()})
+	req, err := http.NewRequest(http.MethodPost, slots[0].ts.URL+"/api/v1/clean", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(forwardedHeader, "test") // run it on r0, whose successor is r1
+	res, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job struct {
+		ID int `json:"id"`
+	}
+	if err := json.NewDecoder(res.Body).Decode(&job); err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusAccepted || !owner.srv.HasJob(job.ID) {
+		t.Fatalf("submit = %d, job %d on r0 = %v; want 202 and a job on r0", res.StatusCode, job.ID, owner.srv.HasJob(job.ID))
+	}
+	replicated := func() (wal.JobRecord, bool) {
+		for _, r := range succ.node.replicaLog("r0").Jobs() {
+			if r.ID == job.ID {
+				return r, true
+			}
+		}
+		return wal.JobRecord{}, false
+	}
+	waitFor(t, "job start replicated to r1", 5*time.Second, func() bool {
+		_, ok := replicated()
+		return ok
+	})
+
+	// Stop the node, then let the job run to its end.
+	owner.node.Stop()
+	oracle := crowd.NewPerfect(owner.dg)
+	waitFor(t, "job end journaled on r0", 10*time.Second, func() bool {
+		for _, qu := range owner.srv.Queue().Pending() {
+			if a, err := AnswerQuestion(context.Background(), qu, oracle); err == nil {
+				_ = owner.srv.Queue().Answer(qu.ID, a)
+			}
+		}
+		owner.node.repMu.Lock()
+		defer owner.node.repMu.Unlock()
+		for _, r := range owner.node.fold.Records() {
+			if r.ID == job.ID {
+				return r.Done
+			}
+		}
+		return false
+	})
+	rec, _ := replicated()
+
+	// Crash r0, then wait until r1 has declared it down and finished the
+	// takeover pass that follows: probe failures counted after the one that
+	// flipped r0 down come from a later round, which starts only once the
+	// takeover callback has returned.
+	slots[0].set(nil)
+	owner.srv.Close()
+	_ = owner.jl.Close()
+	waitFor(t, "r1 to declare r0 down", 10*time.Second, func() bool {
+		return !succ.node.Membership().Reachable("r0")
+	})
+	failures := succ.srv.Obs().Counter(MetricProbeFailures)
+	waitFor(t, "r1's takeover pass over r0", 10*time.Second, func() bool {
+		return succ.srv.Obs().Counter(MetricProbeFailures) > failures
+	})
+
+	if !rec.Done || rec.State != string(server.JobDone) {
+		t.Errorf("r1's replica of job %d: done=%v state=%q, want the end record r0 journaled after Stop (done)", job.ID, rec.Done, rec.State)
+	}
+	if succ.srv.HasJob(job.ID) {
+		t.Errorf("r1 adopted job %d, which r0 had already finished: it runs twice", job.ID)
+	}
+	if got := succ.srv.Obs().Counter(MetricTakeoverJobs); got != 0 {
+		t.Errorf("r1 took over %d job(s) from r0, want 0", got)
+	}
+}
+
 // TestClusterRoutingConcentrates: identical submissions from one client land
 // on one replica; the status endpoint reflects membership.
 func TestClusterRoutingConcentrates(t *testing.T) {

@@ -44,7 +44,8 @@ type shipResponse struct {
 // ship is the JobLog shipper hook. It runs synchronously inside the journal
 // append, after the event is durable locally, so the successor's copy is
 // always a prefix of (or equal to) this node's own journal. It must not
-// append to the journal itself.
+// append to the journal itself. It keeps shipping after Stop: the journal's
+// Close, not the node's, ends the stream.
 func (n *Node) ship(ev wal.JobEvent) {
 	n.repMu.Lock()
 	defer n.repMu.Unlock()
@@ -53,9 +54,6 @@ func (n *Node) ship(ev wal.JobEvent) {
 		return
 	}
 	n.seq++
-	if n.sealed {
-		return
-	}
 	n.shipLocked(&ev)
 }
 
@@ -68,9 +66,6 @@ func (n *Node) resync() {
 	}
 	n.repMu.Lock()
 	defer n.repMu.Unlock()
-	if n.sealed {
-		return
-	}
 	n.shipLocked(nil)
 }
 

@@ -174,22 +174,39 @@ type soakHarness struct {
 
 // slotServer is the soak's swappable HTTP front for one replica identity:
 // the URL outlives kill/restart cycles; a dead replica aborts connections.
+// A kill also aborts the requests in flight: each response is held until its
+// handler returns and is sent only if the incarnation that served it is
+// still the live one. A crashed process answers nothing, so it cannot ack a
+// submission whose start record it never journaled.
 type slotServer struct {
-	mu sync.Mutex
-	h  http.Handler
-	ts *httptest.Server
+	mu  sync.Mutex
+	h   http.Handler
+	gen int // bumped by every set, so a response can tell its incarnation died
+	ts  *httptest.Server
 }
 
 func newSlotServer() *slotServer {
 	s := &slotServer{}
 	s.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
-		h := s.h
+		h, gen := s.h, s.gen
 		s.mu.Unlock()
 		if h == nil {
 			panic(http.ErrAbortHandler)
 		}
-		h.ServeHTTP(w, r)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		s.mu.Lock()
+		live := s.gen == gen
+		s.mu.Unlock()
+		if !live {
+			panic(http.ErrAbortHandler)
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(rec.Body.Bytes())
 	}))
 	return s
 }
@@ -197,6 +214,7 @@ func newSlotServer() *slotServer {
 func (s *slotServer) set(h http.Handler) {
 	s.mu.Lock()
 	s.h = h
+	s.gen++
 	s.mu.Unlock()
 }
 

@@ -38,13 +38,13 @@ func (c *Cleaner) removeWrongAnswer(ctx context.Context, r *Report, q *cq.Query,
 		return nil
 	}
 	// Build the set system over fact keys, remembering key -> fact.
-	facts := make(map[string]db.Fact)
+	facts := newWitnessFacts()
 	ss := hitting.NewSetSystem()
+	var keys []string
 	for _, w := range witnesses {
-		keys := make([]string, 0, len(w))
+		keys = keys[:0]
 		for _, f := range w {
-			facts[f.Key()] = f
-			keys = append(keys, f.Key())
+			keys = append(keys, facts.key(f))
 		}
 		ss.Add(keys)
 	}
@@ -56,12 +56,13 @@ func (c *Cleaner) removeWrongAnswer(ctx context.Context, r *Report, q *cq.Query,
 	// Resolve tuples whose truth is already cached: false ones destroy their
 	// witnesses immediately, true ones are removed from every set. This keeps
 	// the "questions are never repeated" invariant across answers that share
-	// witness tuples.
+	// witness tuples. Facts are resolved in key order, so the edits come out
+	// in the same order on every run.
 	if useSingleton {
 		c.mu.Lock()
-		for k := range facts {
+		for _, k := range ss.Elements() {
 			if c.knownFalse[k] {
-				if err := c.apply(r, db.Deletion(facts[k])); err != nil {
+				if err := c.apply(r, db.Deletion(facts.fact(k))); err != nil {
 					c.mu.Unlock()
 					return err
 				}
@@ -81,7 +82,7 @@ func (c *Cleaner) removeWrongAnswer(ctx context.Context, r *Report, q *cq.Query,
 			// Lines 2-4: singleton tuples must be false; delete without asking.
 			for _, k := range ss.Singletons() {
 				c.markFalse(k)
-				if err := c.apply(r, db.Deletion(facts[k])); err != nil {
+				if err := c.apply(r, db.Deletion(facts.fact(k))); err != nil {
 					return err
 				}
 				ss.RemoveSetsContaining(k)
@@ -98,13 +99,13 @@ func (c *Cleaner) removeWrongAnswer(ctx context.Context, r *Report, q *cq.Query,
 			if ss.Empty() {
 				break
 			}
-			if c.verifyFact(ctx, facts[k]) {
+			if c.verifyFact(ctx, facts.fact(k)) {
 				ss.RemoveElement(k)
 			} else {
 				if err := ctx.Err(); err != nil {
 					return err // the "true" default above kept this branch edit-free
 				}
-				if err := c.apply(r, db.Deletion(facts[k])); err != nil {
+				if err := c.apply(r, db.Deletion(facts.fact(k))); err != nil {
 					return err
 				}
 				ss.RemoveSetsContaining(k)
@@ -260,14 +261,44 @@ func (c *Cleaner) markFalse(key string) {
 // (the "total" bar in Figure 3a). The witnesses come through the evaluation
 // cache, so the Figure-3 sweeps do not pay a cold evaluation per bound.
 func WrongAnswerUpperBound(q *cq.Query, d db.Reader, t db.Tuple) int {
-	seen := make(map[string]bool)
+	facts := newWitnessFacts()
 	for _, w := range eval.Witnesses(q, d, t) {
 		for _, f := range w {
-			seen[f.Key()] = true
+			facts.key(f)
 		}
 	}
-	return len(seen)
+	return len(facts.keys)
 }
+
+// witnessFacts indexes the distinct facts of an answer's witnesses by key.
+// Each fact is keyed on a reused buffer, so a fact seen before costs a map
+// lookup and no allocation; only a new fact allocates its key.
+type witnessFacts struct {
+	buf   []byte
+	index map[string]int // fact key -> position in keys and facts
+	keys  []string
+	facts []db.Fact
+}
+
+func newWitnessFacts() *witnessFacts {
+	return &witnessFacts{index: make(map[string]int)}
+}
+
+// key returns f's key, allocating it only the first time f is seen.
+func (w *witnessFacts) key(f db.Fact) string {
+	w.buf = f.AppendKey(w.buf[:0])
+	if i, ok := w.index[string(w.buf)]; ok {
+		return w.keys[i]
+	}
+	k := string(w.buf)
+	w.index[k] = len(w.keys)
+	w.keys = append(w.keys, k)
+	w.facts = append(w.facts, f)
+	return k
+}
+
+// fact returns the fact whose key is k.
+func (w *witnessFacts) fact(k string) db.Fact { return w.facts[w.index[k]] }
 
 // MissingAnswerUpperBound returns the number of unique variables of Q|t, the
 // worst-case number of values the crowd must provide under the naive

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/crowd"
@@ -234,6 +236,59 @@ func TestNeverRepeatAcrossAnswers(t *testing.T) {
 	}
 	if c.Stats().VerifyFactQs != q1 {
 		t.Errorf("second removal asked %d extra questions, want 0", c.Stats().VerifyFactQs-q1)
+	}
+}
+
+// TestCachedTruthEditOrder: facts already known false that are back in D are
+// deleted by the cached-truth pass in key order, so a seed yields one edit
+// script. Removing (a1) deletes the false S(b1)..S(b4); all four are then
+// re-inserted out of band, and removing (a2), whose witnesses contain them,
+// deletes them again without a question.
+func TestCachedTruthEditOrder(t *testing.T) {
+	s := schema.New(
+		schema.Relation{Name: "R", Attrs: []string{"a", "b"}},
+		schema.Relation{Name: "S", Attrs: []string{"b"}},
+	)
+	q := mustQuery(t, "(x) :- R(x, y), S(y)")
+	var want string
+	for run := 0; run < 20; run++ {
+		d, dg := db.New(s), db.New(s)
+		for _, b := range []string{"b1", "b2", "b3", "b4"} {
+			for _, a := range []string{"a1", "a2"} {
+				d.InsertFact(db.NewFact("R", a, b))
+				dg.InsertFact(db.NewFact("R", a, b))
+			}
+			d.InsertFact(db.NewFact("S", b))
+		}
+		c := New(d, crowd.NewPerfect(dg), Config{RNG: rand.New(rand.NewSource(1))})
+		first, err := c.RemoveWrongAnswer(context.Background(), q, db.Tuple{"a1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(first) != 4 {
+			t.Fatalf("first removal edits = %v, want every S fact deleted", first)
+		}
+		for _, e := range first {
+			d.InsertFact(e.Fact)
+		}
+		asked := c.Stats().VerifyFactQs
+		second, err := c.RemoveWrongAnswer(context.Background(), q, db.Tuple{"a2"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sorted := sort.SliceIsSorted(second, func(i, j int) bool { return second[i].Fact.Key() < second[j].Fact.Key() })
+		if len(second) != 4 || !sorted {
+			t.Fatalf("second removal edits = %v, want every S fact deleted in key order", second)
+		}
+		if c.Stats().VerifyFactQs != asked {
+			t.Errorf("second removal asked %d questions, want 0", c.Stats().VerifyFactQs-asked)
+		}
+		got := fmt.Sprint(first, second)
+		if run == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("run %d: edit script %s, run 0 gave %s", run, got, want)
+		}
 	}
 }
 

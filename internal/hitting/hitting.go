@@ -7,8 +7,11 @@
 package hitting
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // MetricBnBNodes was the branch-and-bound node count of the exact solver.
@@ -20,8 +23,19 @@ const MetricBnBNodes = "hitting.bnb.nodes"
 // SetSystem is the pair (U, S) of Definition 4.3 with the universe left
 // implicit (the union of the sets). Elements are string IDs; in the cleaner
 // they are fact keys of witness tuples.
+//
+// Each element string is interned once to a dense ID, each set is held as
+// its distinct IDs, and the number of sets holding each ID is kept current,
+// so the queries Algorithm 1 repeats per question touch no strings. Results
+// that list elements are in element-name order, and MostFrequent orders its
+// ties the same way. A SetSystem is not safe for concurrent use, reads
+// included: a read may rebuild the name order.
 type SetSystem struct {
-	sets []map[string]bool
+	ids   map[string]int32 // element name -> ID
+	names []string         // ID -> element name
+	count []int            // ID -> number of sets holding it
+	order []int32          // IDs in name order; stale while shorter than names
+	sets  [][]int32        // each set's distinct IDs, ascending
 }
 
 // NewSetSystem builds a set system from element-ID slices. Empty sets are
@@ -34,16 +48,49 @@ func NewSetSystem(sets ...[]string) *SetSystem {
 	return ss
 }
 
-// Add appends a set (ignored if empty).
+// Add appends a set (ignored if empty). It does not retain elems.
 func (ss *SetSystem) Add(elems []string) {
 	if len(elems) == 0 {
 		return
 	}
-	m := make(map[string]bool, len(elems))
+	set := make([]int32, 0, len(elems))
 	for _, e := range elems {
-		m[e] = true
+		set = append(set, ss.intern(e))
 	}
-	ss.sets = append(ss.sets, m)
+	slices.Sort(set)
+	set = slices.Compact(set)
+	for _, id := range set {
+		ss.count[id]++
+	}
+	ss.sets = append(ss.sets, set)
+}
+
+// intern returns e's ID, assigning the next one when e is new.
+func (ss *SetSystem) intern(e string) int32 {
+	if id, ok := ss.ids[e]; ok {
+		return id
+	}
+	if ss.ids == nil {
+		ss.ids = make(map[string]int32)
+	}
+	id := int32(len(ss.names))
+	ss.ids[e] = id
+	ss.names = append(ss.names, e)
+	ss.count = append(ss.count, 0)
+	return id
+}
+
+// byName returns every interned ID in element-name order. The order is
+// rebuilt only after new elements were interned.
+func (ss *SetSystem) byName() []int32 {
+	if len(ss.order) != len(ss.names) {
+		ss.order = make([]int32, len(ss.names))
+		for i := range ss.order {
+			ss.order[i] = int32(i)
+		}
+		slices.SortFunc(ss.order, func(a, b int32) int { return strings.Compare(ss.names[a], ss.names[b]) })
+	}
+	return ss.order
 }
 
 // Len returns the number of sets.
@@ -55,64 +102,65 @@ func (ss *SetSystem) Empty() bool { return len(ss.sets) == 0 }
 // Sets returns the sets as sorted slices, in insertion order.
 func (ss *SetSystem) Sets() [][]string {
 	out := make([][]string, len(ss.sets))
-	for i, m := range ss.sets {
-		out[i] = sortedKeys(m)
+	for i, s := range ss.sets {
+		names := make([]string, len(s))
+		for j, id := range s {
+			names[j] = ss.names[id]
+		}
+		sort.Strings(names)
+		out[i] = names
 	}
 	return out
 }
 
 // Elements returns the sorted universe: every element of every set.
 func (ss *SetSystem) Elements() []string {
-	set := make(map[string]bool)
-	for _, m := range ss.sets {
-		for e := range m {
-			set[e] = true
+	out := make([]string, 0, len(ss.names))
+	for _, id := range ss.byName() {
+		if ss.count[id] > 0 {
+			out = append(out, ss.names[id])
 		}
 	}
-	return sortedKeys(set)
+	return out
 }
 
 // Clone returns an independent copy.
 func (ss *SetSystem) Clone() *SetSystem {
-	out := &SetSystem{sets: make([]map[string]bool, len(ss.sets))}
-	for i, m := range ss.sets {
-		c := make(map[string]bool, len(m))
-		for e := range m {
-			c[e] = true
-		}
-		out.sets[i] = c
+	out := &SetSystem{
+		ids:   maps.Clone(ss.ids),
+		names: slices.Clone(ss.names),
+		count: slices.Clone(ss.count),
+		order: slices.Clone(ss.order),
+		sets:  make([][]int32, len(ss.sets)),
+	}
+	for i, s := range ss.sets {
+		out.sets[i] = slices.Clone(s)
 	}
 	return out
 }
 
 // Singletons returns the sorted distinct elements of the singleton sets.
 func (ss *SetSystem) Singletons() []string {
-	set := make(map[string]bool)
-	for _, m := range ss.sets {
-		if len(m) == 1 {
-			for e := range m {
-				set[e] = true
-			}
+	out := []string{}
+	for _, s := range ss.sets {
+		if len(s) == 1 {
+			out = append(out, ss.names[s[0]])
 		}
 	}
-	return sortedKeys(set)
+	sort.Strings(out)
+	return slices.Compact(out)
 }
 
 // IsHittingSet reports whether H intersects every set (Definition 4.3).
 func (ss *SetSystem) IsHittingSet(h []string) bool {
-	hm := make(map[string]bool, len(h))
+	inH := make([]bool, len(ss.names))
 	for _, e := range h {
-		hm[e] = true
-	}
-	for _, m := range ss.sets {
-		hit := false
-		for e := range m {
-			if hm[e] {
-				hit = true
-				break
-			}
+		if id, ok := ss.ids[e]; ok {
+			inH[id] = true
 		}
-		if !hit {
+	}
+	for _, s := range ss.sets {
+		if !slices.ContainsFunc(s, func(id int32) bool { return inH[id] }) {
 			return false
 		}
 	}
@@ -157,9 +205,9 @@ func (ss *SetSystem) UniqueMinimal() ([]string, bool) {
 // Frequencies returns how many sets each element occurs in.
 func (ss *SetSystem) Frequencies() map[string]int {
 	out := make(map[string]int)
-	for _, m := range ss.sets {
-		for e := range m {
-			out[e]++
+	for id, n := range ss.count {
+		if n > 0 {
+			out[ss.names[id]] = n
 		}
 	}
 	return out
@@ -167,38 +215,53 @@ func (ss *SetSystem) Frequencies() map[string]int {
 
 // MostFrequent returns the element occurring in the largest number of sets,
 // breaking ties uniformly at random with rng (the paper: "QOCO will choose
-// randomly between them"). A nil rng breaks ties deterministically by taking
-// the lexicographically smallest. It returns "" on an empty system.
+// randomly between them"): one rng.Intn draw indexes the tied elements in
+// name order. A nil rng breaks ties deterministically by taking the
+// lexicographically smallest. It returns "" on an empty system.
 func (ss *SetSystem) MostFrequent(rng *rand.Rand) string {
-	freq := ss.Frequencies()
-	if len(freq) == 0 {
-		return ""
-	}
-	best := -1
-	var ties []string
-	for _, e := range sortedKeys(toSet(freq)) { // deterministic iteration
-		n := freq[e]
-		if n > best {
-			best = n
-			ties = ties[:0]
-		}
-		if n == best {
-			ties = append(ties, e)
+	best, ties := 0, 0
+	for _, n := range ss.count {
+		switch {
+		case n > best:
+			best, ties = n, 1
+		case n == best:
+			ties++
 		}
 	}
-	if rng == nil || len(ties) == 1 {
-		return ties[0]
+	if best == 0 {
+		return "" // every live set holds an element, so no sets remain
 	}
-	return ties[rng.Intn(len(ties))]
+	pick := 0
+	if rng != nil && ties > 1 {
+		pick = rng.Intn(ties)
+	}
+	for _, id := range ss.byName() {
+		if ss.count[id] != best {
+			continue
+		}
+		if pick == 0 {
+			return ss.names[id]
+		}
+		pick--
+	}
+	panic("hitting: element counts out of step with the name order")
 }
 
 // RemoveSetsContaining drops every set that contains e (the element was
 // resolved false: all witnesses through it are destroyed).
 func (ss *SetSystem) RemoveSetsContaining(e string) {
+	id, ok := ss.ids[e]
+	if !ok || ss.count[id] == 0 {
+		return
+	}
 	out := ss.sets[:0]
-	for _, m := range ss.sets {
-		if !m[e] {
-			out = append(out, m)
+	for _, s := range ss.sets {
+		if !slices.Contains(s, id) {
+			out = append(out, s)
+			continue
+		}
+		for _, x := range s {
+			ss.count[x]--
 		}
 	}
 	ss.sets = out
@@ -209,18 +272,23 @@ func (ss *SetSystem) RemoveSetsContaining(e string) {
 // an emptied set means the witness consists solely of verified-true facts,
 // which cannot happen for a genuinely wrong answer with a correct oracle.
 func (ss *SetSystem) RemoveElement(e string) (emptied int) {
+	id, ok := ss.ids[e]
+	if !ok || ss.count[id] == 0 {
+		return 0
+	}
 	out := ss.sets[:0]
-	for _, m := range ss.sets {
-		if m[e] {
-			delete(m, e)
-			if len(m) == 0 {
+	for _, s := range ss.sets {
+		if i := slices.Index(s, id); i >= 0 {
+			s = slices.Delete(s, i, i+1)
+			if len(s) == 0 {
 				emptied++
 				continue
 			}
 		}
-		out = append(out, m)
+		out = append(out, s)
 	}
 	ss.sets = out
+	ss.count[id] = 0
 	return emptied
 }
 
@@ -237,21 +305,4 @@ func (ss *SetSystem) Greedy() []string {
 	}
 	sort.Strings(h)
 	return h
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func toSet(m map[string]int) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k := range m {
-		out[k] = true
-	}
-	return out
 }

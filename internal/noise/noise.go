@@ -131,8 +131,12 @@ func perturb(f db.Fact, domain map[string][][]string, rng *rand.Rand) db.Fact {
 // the controlled noise of Figures 3d/3f ("the number of wrong answers among
 // the answers in the result Q(D)"). It works by taking a witness of a true
 // answer and renaming its head bindings to a team/value that is not a true
-// answer. It returns the number of wrong answers actually created.
+// answer. It returns the number of wrong answers actually created. With
+// k ≤ 0 it does nothing: it evaluates nothing and draws nothing from rng.
 func InjectWrong(d, dg *db.Database, q *cq.Query, k int, rng *rand.Rand) int {
+	if k <= 0 {
+		return 0
+	}
 	created := 0
 	truth := answerSet(q, dg)
 	asgs := eval.Eval(q, dg)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/eval"
+	"repro/internal/obs"
 )
 
 func TestCorruptHitsCleanlinessTargets(t *testing.T) {
@@ -96,6 +97,31 @@ func TestInjectWrongCreatesWrongAnswers(t *testing.T) {
 		if !d.Has(f) {
 			t.Fatalf("InjectWrong removed true fact %v", f)
 		}
+	}
+}
+
+// TestInjectWrongZeroDoesNothing: asking for no wrong answers leaves d alone,
+// draws nothing from rng (a cleaner sharing rng sees the same stream) and
+// evaluates nothing.
+func TestInjectWrongZeroDoesNothing(t *testing.T) {
+	dg := dataset.Soccer(dataset.SoccerOpts{Tournaments: 4})
+	d := dg.Clone()
+	gen := d.Generation()
+	rec := obs.New()
+	eval.Instrument(rec)
+	defer eval.Instrument(nil)
+	rng := rand.New(rand.NewSource(5))
+	if n := InjectWrong(d, dg, dataset.SoccerQ3(), 0, rng); n != 0 {
+		t.Errorf("InjectWrong(k=0) = %d, want 0", n)
+	}
+	if got := d.Generation(); got != gen {
+		t.Errorf("generation moved from %d to %d", gen, got)
+	}
+	if got, want := rng.Int63(), rand.New(rand.NewSource(5)).Int63(); got != want {
+		t.Errorf("rng advanced: next draw %d, want %d", got, want)
+	}
+	if names := rec.Snapshot().Names(); len(names) != 0 {
+		t.Errorf("InjectWrong(k=0) evaluated queries: recorded %v", names)
 	}
 }
 
