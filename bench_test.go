@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/crowd"
@@ -322,30 +321,4 @@ func BenchmarkViewIncrementalVsRefresh(b *testing.B) {
 			v.Refresh(d)
 		}
 	})
-}
-
-// BenchmarkParallelVsSerialVerification measures the wall-clock effect of the
-// §6.2 parallel mode under simulated crowd latency: answer verifications of a
-// round are posed concurrently, so a round costs one crowd latency instead of
-// one per answer.
-func BenchmarkParallelVsSerialVerification(b *testing.B) {
-	const latency = 2 * time.Millisecond
-	for _, parallel := range []bool{false, true} {
-		name := "serial"
-		if parallel {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				d, dg := dataset.Figure1()
-				oracle := crowd.Delayed{Oracle: crowd.NewPerfect(dg), Delay: latency}
-				cl := core.New(d, oracle, core.Config{
-					Parallel: parallel, RNG: rand.New(rand.NewSource(1)),
-				})
-				if _, err := cl.Clean(context.Background(), dataset.IntroQ1()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"sort"
-	"sync"
 
 	"repro/internal/cq"
 	"repro/internal/db"
@@ -24,196 +22,22 @@ import (
 // Cancelling ctx stops the run between questions: Clean returns ctx.Err()
 // (with the partial report) without waiting for outstanding crowd answers.
 func (c *Cleaner) Clean(ctx context.Context, q *cq.Query) (*Report, error) {
-	r := &Report{}
-	degStart := degradedCount(c.raw)
-	c.beginMaintained(q)
-	finish := func(err error) (*Report, error) {
-		c.finishEval()
-		r.Crowd = c.oracle.Snapshot()
-		if n := degradedCount(c.raw) - degStart; n > 0 {
-			r.Degraded = true
-			r.DegradedQuestions = n
-		}
-		return r, err
-	}
-	defer c.phase(MetricCleanSeconds, &r.Timings.Total)()
-	verified := make(map[string]bool)
-	failedInsert := make(map[string]bool)
-	est := enumest.New()
-
-	for iter := 0; ; iter++ {
-		if err := ctx.Err(); err != nil {
-			return finish(err)
-		}
-		if iter >= c.cfg.MaxIterations {
-			return finish(ErrNoConvergence)
-		}
-		r.Iterations = iter + 1
-		c.setIteration(iter + 1)
-
-		// Deletion part (Algorithm 3 lines 2-6).
-		unverified := c.unverifiedAnswers(q, verified)
-		if iter > 0 && len(unverified) == 0 {
-			break // while-condition: Q(D) ∖ VerifiedResults = ∅
-		}
-		stopVerify := c.phase(MetricVerifySeconds, &r.Timings.Verify)
-		wrong := c.verifyAnswers(ctx, q, unverified, verified)
-		stopVerify()
-		if err := ctx.Err(); err != nil {
-			return finish(err)
-		}
-		stopDelete := c.phase(MetricDeleteSeconds, &r.Timings.Delete)
-		for _, t := range wrong {
-			r.WrongAnswers++
-			if err := c.removeWrongAnswer(ctx, r, q, t); err != nil {
-				stopDelete()
-				return finish(err)
-			}
-		}
-		stopDelete()
-
-		// Insertion part (Algorithm 3 lines 7-9).
-		stopInsert := c.phase(MetricInsertSeconds, &r.Timings.Insert)
-		for {
-			if err := ctx.Err(); err != nil {
-				stopInsert()
-				return finish(err)
-			}
-			cur := eval.Result(q, c.d)
-			proposals := c.completeResults(ctx, q, cur)
-			if err := ctx.Err(); err != nil {
-				stopInsert()
-				return finish(err)
-			}
-			if len(proposals) == 0 {
-				est.ObserveNull()
-				if est.ConsecutiveNulls() >= c.cfg.MinNulls {
-					break
-				}
-				continue
-			}
-			stuck := false
-			for _, t := range proposals {
-				if failedInsert[t.Key()] {
-					// The crowd keeps proposing an answer it cannot witness;
-					// don't loop on it forever.
-					stuck = true
-					continue
-				}
-				if eval.AnswerHolds(q, c.d, t) {
-					continue // an earlier proposal of this round added it
-				}
-				est.Observe(t.Key())
-				r.MissingAnswers++
-				err := c.addMissingAnswer(ctx, r, q, t)
-				switch {
-				case err == nil:
-					verified[t.Key()] = true
-				case errors.Is(err, ErrCannotComplete):
-					failedInsert[t.Key()] = true
-				default:
-					stopInsert()
-					return finish(err)
-				}
-			}
-			if stuck || est.Complete(c.cfg.MinSamples, c.cfg.MinNulls) {
-				break
-			}
-		}
-		stopInsert()
-	}
-	return finish(nil)
-}
-
-// completeResults poses COMPL(Q(D)) to the crowd — in Parallel mode several
-// copies are posted together (§6.2: "post together multiple completion
-// questions"), and the distinct proposals are returned in deterministic
-// order. Serial mode asks once.
-func (c *Cleaner) completeResults(ctx context.Context, q *cq.Query, cur []db.Tuple) []db.Tuple {
-	if !c.cfg.Parallel {
-		if t, ok := c.oracle.CompleteResult(ctx, q, cur); ok {
-			return []db.Tuple{t}
-		}
-		return nil
-	}
-	fanout := 3
-	results := make([]db.Tuple, fanout)
-	oks := make([]bool, fanout)
-	var wg sync.WaitGroup
-	for i := 0; i < fanout; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], oks[i] = c.oracle.CompleteResult(ctx, q, cur)
-		}(i)
-	}
-	wg.Wait()
-	seen := make(map[string]bool)
-	var out []db.Tuple
-	for i, t := range results {
-		if oks[i] && !seen[t.Key()] {
-			seen[t.Key()] = true
-			out = append(out, t)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
-// unverifiedAnswers returns Q(D) ∖ VerifiedResults in deterministic order.
-func (c *Cleaner) unverifiedAnswers(q *cq.Query, verified map[string]bool) []db.Tuple {
-	var out []db.Tuple
-	for _, t := range eval.Result(q, c.d) {
-		if !verified[t.Key()] {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// verifyAnswers poses TRUE(Q, t)? for every unverified answer — concurrently
-// in Parallel mode (§6.2) — marking the true ones verified and returning the
-// wrong ones in deterministic order. On a cancelled context the edit-free
-// default answers mark nothing wrong.
-func (c *Cleaner) verifyAnswers(ctx context.Context, q *cq.Query, tuples []db.Tuple, verified map[string]bool) []db.Tuple {
-	if len(tuples) == 0 {
-		return nil
-	}
-	answers := make([]bool, len(tuples))
-	if c.cfg.Parallel {
-		var wg sync.WaitGroup
-		for i, t := range tuples {
-			wg.Add(1)
-			go func(i int, t db.Tuple) {
-				defer wg.Done()
-				answers[i] = c.oracle.VerifyAnswer(ctx, q, t)
-			}(i, t)
-		}
-		wg.Wait()
-	} else {
-		for i, t := range tuples {
-			answers[i] = c.oracle.VerifyAnswer(ctx, q, t)
-		}
-	}
-	if ctx.Err() != nil {
-		return nil // cancelled mid-round: don't trust or record the defaults
-	}
-	var wrong []db.Tuple
-	for i, t := range tuples {
-		if answers[i] {
-			verified[t.Key()] = true
-		} else {
-			wrong = append(wrong, t)
-		}
-	}
-	return wrong
+	return c.clean(ctx, &cq.Union{Disjuncts: []*cq.Query{q}})
 }
 
 // CleanUnion extends Clean to unions of conjunctive queries (the paper notes
-// in §2 that its results extend to UCQs). Wrong answers collect witnesses
-// from every disjunct that produces them; missing answers are inserted via
-// the first disjunct the crowd can witness.
+// in §2 that its results extend to UCQs). An answer is true when some
+// disjunct yields it over DG; a wrong answer is removed from every disjunct
+// that yields it over D; a missing answer is inserted through the disjunct
+// that proposed it.
 func (c *Cleaner) CleanUnion(ctx context.Context, u *cq.Union) (*Report, error) {
+	return c.clean(ctx, u)
+}
+
+// clean runs Algorithm 3 over the disjuncts of u; Clean passes a CQ≠ as a
+// union of one. Each round verifies Q(D) ∖ VerifiedResults, then removes the
+// wrong answers, then asks COMPL(Q(D)) until the §6.1 estimator stops.
+func (c *Cleaner) clean(ctx context.Context, u *cq.Union) (*Report, error) {
 	r := &Report{}
 	degStart := degradedCount(c.raw)
 	c.beginMaintained(u.Disjuncts...)
@@ -241,130 +65,183 @@ func (c *Cleaner) CleanUnion(ctx context.Context, u *cq.Union) (*Report, error) 
 		r.Iterations = iter + 1
 		c.setIteration(iter + 1)
 
+		// Deletion part (Algorithm 3 lines 2-6).
 		var unverified []db.Tuple
-		for _, t := range eval.ResultUnion(u, c.d) {
+		for _, t := range c.result(u) {
 			if !verified[t.Key()] {
 				unverified = append(unverified, t)
 			}
 		}
 		if iter > 0 && len(unverified) == 0 {
-			break
+			break // while-condition: Q(D) ∖ VerifiedResults = ∅
 		}
-		for _, t := range unverified {
-			if err := ctx.Err(); err != nil {
-				return finish(err)
-			}
-			// TRUE(U, t)? decomposes into per-disjunct membership: t is a
-			// true answer iff some disjunct yields it over DG.
-			stopVerify := c.phase(MetricVerifySeconds, &r.Timings.Verify)
-			isTrue := false
-			for _, q := range u.Disjuncts {
-				if c.oracle.VerifyAnswer(ctx, q, t) {
-					isTrue = true
-					break
-				}
-			}
-			stopVerify()
-			if err := ctx.Err(); err != nil {
-				return finish(err)
-			}
-			if isTrue {
-				verified[t.Key()] = true
-				continue
-			}
+		stopVerify := c.phase(MetricVerifySeconds, &r.Timings.Verify)
+		wrong := c.verifyAnswers(ctx, u, unverified, verified)
+		stopVerify()
+		if err := ctx.Err(); err != nil {
+			return finish(err)
+		}
+		stopDelete := c.phase(MetricDeleteSeconds, &r.Timings.Delete)
+		for _, t := range wrong {
 			r.WrongAnswers++
-			// Remove the answer from every disjunct that currently yields it.
-			stopDelete := c.phase(MetricDeleteSeconds, &r.Timings.Delete)
 			for _, q := range u.Disjuncts {
-				if eval.AnswerHolds(q, c.d, t) {
-					if err := c.removeWrongAnswer(ctx, r, q, t); err != nil {
-						stopDelete()
-						return finish(err)
-					}
+				// A union runs Algorithm 1 only on the disjuncts that still
+				// yield t. A CQ≠ skips the probe: Algorithm 1 finds no
+				// witness when an earlier removal already took t out.
+				if len(u.Disjuncts) > 1 && !eval.AnswerHolds(q, c.d, t) {
+					continue
+				}
+				if err := c.removeWrongAnswer(ctx, r, q, t); err != nil {
+					stopDelete()
+					return finish(err)
 				}
 			}
-			stopDelete()
 		}
+		stopDelete()
 
+		// Insertion part (Algorithm 3 lines 7-9).
 		stopInsert := c.phase(MetricInsertSeconds, &r.Timings.Insert)
-		for {
-			if err := ctx.Err(); err != nil {
-				stopInsert()
-				return finish(err)
-			}
-			cur := eval.ResultUnion(u, c.d)
-			t, proposer, ok := c.completeResultUnion(ctx, u, cur)
-			if err := ctx.Err(); err != nil {
-				stopInsert()
-				return finish(err)
-			}
-			if !ok {
-				est.ObserveNull()
-				if est.ConsecutiveNulls() >= c.cfg.MinNulls {
-					break
-				}
-				continue
-			}
-			if failedInsert[t.Key()] {
-				break
-			}
-			est.Observe(t.Key())
-			r.MissingAnswers++
-			// Insert t through the disjunct that proposed it first:
-			// CompleteResult guarantees t ∈ q(DG) for the proposer, which is
-			// the precondition for Algorithm 2's unasked ground-atom inserts.
-			// Any other disjunct must be confirmed with TRUE(Q, t)? before
-			// addMissingAnswer runs, or the shortcut would insert facts
-			// outside DG when t is an answer of the union but not of q
-			// (corrupting D instead of converging it).
-			inserted := false
-			for off := 0; off < len(u.Disjuncts); off++ {
-				i := (proposer + off) % len(u.Disjuncts)
-				q := u.Disjuncts[i]
-				if len(t) != q.Arity() {
-					continue
-				}
-				if i != proposer && !c.oracle.VerifyAnswer(ctx, q, t) {
-					continue
-				}
-				if err := ctx.Err(); err != nil {
-					stopInsert()
-					return finish(err)
-				}
-				err := c.addMissingAnswer(ctx, r, q, t)
-				if err == nil {
-					inserted = true
-					break
-				}
-				if !errors.Is(err, ErrCannotComplete) {
-					stopInsert()
-					return finish(err)
-				}
-			}
-			if inserted {
-				verified[t.Key()] = true
-			} else {
-				failedInsert[t.Key()] = true
-			}
-			if est.Complete(c.cfg.MinSamples, c.cfg.MinNulls) {
-				break
-			}
-		}
+		err := c.insertMissing(ctx, r, u, est, verified, failedInsert)
 		stopInsert()
+		if err != nil {
+			return finish(err)
+		}
 	}
 	return finish(nil)
 }
 
-// completeResultUnion asks COMPL over the union: each disjunct is probed for
-// a missing answer against the union's current result. The index of the
-// proposing disjunct is returned with the tuple — CompleteResult's contract
-// puts t in that disjunct's ground-truth result, which the insertion path
-// relies on.
-func (c *Cleaner) completeResultUnion(ctx context.Context, u *cq.Union, current []db.Tuple) (db.Tuple, int, bool) {
+// result evaluates Q(D). A union of one evaluates as its query, so Clean
+// makes the evaluation calls of a plain CQ≠ run.
+func (c *Cleaner) result(u *cq.Union) []db.Tuple {
+	if len(u.Disjuncts) == 1 {
+		return eval.Result(u.Disjuncts[0], c.d)
+	}
+	return eval.ResultUnion(u, c.d)
+}
+
+// verifyAnswers poses TRUE(Q, t)? for every unverified answer, asking each
+// disjunct in turn until one says yes. It marks the true answers verified
+// and returns the wrong ones in order. The context is checked before every
+// ask: a cancelled round stops asking and marks nothing wrong, because the
+// edit-free defaults it got are not answers.
+func (c *Cleaner) verifyAnswers(ctx context.Context, u *cq.Union, tuples []db.Tuple, verified map[string]bool) []db.Tuple {
+	var wrong []db.Tuple
+	for _, t := range tuples {
+		isTrue := false
+		for _, q := range u.Disjuncts {
+			if ctx.Err() != nil {
+				return nil
+			}
+			if isTrue = c.oracle.VerifyAnswer(ctx, q, t); isTrue {
+				break
+			}
+		}
+		if isTrue {
+			verified[t.Key()] = true
+		} else {
+			wrong = append(wrong, t)
+		}
+	}
+	if ctx.Err() != nil {
+		return nil
+	}
+	return wrong
+}
+
+// insertMissing is the insertion part of a round: it asks COMPL(Q(D)) and
+// inserts each proposed answer until the §6.1 estimator declares Q(D)
+// complete. Answers it inserts are marked verified; answers the crowd cannot
+// witness are marked failed, and a failed answer proposed again ends the
+// part.
+func (c *Cleaner) insertMissing(ctx context.Context, r *Report, u *cq.Union, est *enumest.Estimator, verified, failed map[string]bool) error {
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		t, proposer, ok := c.completeResult(ctx, u, c.result(u))
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if !ok {
+			est.ObserveNull()
+			if est.ConsecutiveNulls() >= c.cfg.MinNulls {
+				return nil
+			}
+			continue
+		}
+		if failed[t.Key()] {
+			// The crowd keeps proposing an answer it cannot witness; don't
+			// loop on it forever.
+			return nil
+		}
+		// A crowd member may propose an answer Q(D) already yields; it needs
+		// no insertion.
+		if !c.yields(u, t) {
+			est.Observe(t.Key())
+			r.MissingAnswers++
+			inserted, err := c.insertAnswer(ctx, r, u, proposer, t)
+			if err != nil {
+				return err
+			}
+			if inserted {
+				verified[t.Key()] = true
+			} else {
+				failed[t.Key()] = true
+			}
+		}
+		if est.Complete(c.cfg.MinSamples, c.cfg.MinNulls) {
+			return nil
+		}
+	}
+}
+
+// completeResult poses COMPL(Q(D)) to each disjunct in turn, against the
+// current result cur, and returns the first proposal with the index of the
+// disjunct that proposed it.
+func (c *Cleaner) completeResult(ctx context.Context, u *cq.Union, cur []db.Tuple) (db.Tuple, int, bool) {
 	for i, q := range u.Disjuncts {
-		if t, ok := c.oracle.CompleteResult(ctx, q, current); ok {
+		if ctx.Err() != nil {
+			break
+		}
+		if t, ok := c.oracle.CompleteResult(ctx, q, cur); ok {
 			return t, i, true
 		}
 	}
 	return nil, 0, false
+}
+
+// yields reports whether t ∈ Q(D), probing a union of one as its query, as
+// result does.
+func (c *Cleaner) yields(u *cq.Union, t db.Tuple) bool {
+	if len(u.Disjuncts) == 1 {
+		return eval.AnswerHolds(u.Disjuncts[0], c.d, t)
+	}
+	return eval.AnswerHoldsUnion(u, c.d, t)
+}
+
+// insertAnswer runs Algorithm 2 for a proposed missing answer t, first
+// through the disjunct that proposed it: CompleteResult's contract puts t in
+// that disjunct's ground-truth result, the precondition for Algorithm 2's
+// unasked ground-atom inserts. Any other disjunct is tried only after the
+// crowd confirms t for it with TRUE(Q, t)?; otherwise the shortcut would
+// insert facts outside DG when t answers the union but not that disjunct. It
+// reports whether some disjunct completed a witness.
+func (c *Cleaner) insertAnswer(ctx context.Context, r *Report, u *cq.Union, proposer int, t db.Tuple) (bool, error) {
+	for off := range u.Disjuncts {
+		i := (proposer + off) % len(u.Disjuncts)
+		q := u.Disjuncts[i]
+		if len(t) != q.Arity() {
+			continue
+		}
+		if i != proposer && !c.oracle.VerifyAnswer(ctx, q, t) {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
+		if err := c.addMissingAnswer(ctx, r, q, t); !errors.Is(err, ErrCannotComplete) {
+			return err == nil, err
+		}
+	}
+	return false, nil
 }

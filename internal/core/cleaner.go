@@ -1,9 +1,11 @@
 // Package core implements QOCO's cleaning algorithms: CrowdRemoveWrongAnswer
 // (Algorithm 1, §4), CrowdAddMissingAnswer (Algorithm 2, §5), and the main
-// iterative cleaner (Algorithm 3, §6) with its parallel, multi-expert
-// extension (§6.2). A Cleaner owns a dirty database and an oracle crowd and
+// iterative cleaner (Algorithm 3, §6), one round loop for CQ≠ queries and
+// their unions. A Cleaner owns a dirty database and an oracle crowd and
 // drives question-answer-edit rounds until the query result over the database
-// matches the result over the (unknown) ground truth.
+// matches the result over the (unknown) ground truth. It asks one question at
+// a time; several experts (§6.2) answer through one oracle, such as
+// crowd.Panel or the server's question queue.
 package core
 
 import (
@@ -136,10 +138,6 @@ type Config struct {
 	// CompositeSize batches this many tuple verifications into one composite
 	// crowd question in Algorithm 1 (the §9 extension). Default 1 (off).
 	CompositeSize int
-	// Parallel enables the §6.2 parallel mode: answer verifications of a
-	// round are posed to the crowd concurrently. The oracle must be safe for
-	// concurrent use (Perfect is; wrap others appropriately).
-	Parallel bool
 	// Deprecated: ignored; evaluation is serial.
 	EvalWorkers int
 	// MinSamples and MinNulls configure the enumeration stopping rule for
@@ -284,32 +282,27 @@ type Progress struct {
 }
 
 // Cleaner drives QOCO over one database instance.
+//
+// Every crowd question of a run is asked from the goroutine running it, one
+// at a time. verifyFact and complete rely on this: they ask outside c.mu, and
+// no second ask of the same question can start while one waits on the crowd.
 type Cleaner struct {
 	cfg    Config
 	d      db.Store
 	oracle *crowd.Counting
 	raw    crowd.Oracle // the unwrapped oracle, for Degrader sampling
 
-	mu         sync.Mutex // guards caches and oracle during parallel phases
+	mu         sync.Mutex // guards the caches and iteration (Progress reads it from other goroutines)
 	knownTrue  map[string]bool
 	knownFalse map[string]bool
-	unsat      map[string]bool      // partial-assignment keys known non-satisfiable
-	factAsks   map[string]*factWait // verify-fact questions currently at the oracle
-	iteration  int                  // current Algorithm 3 round, for Progress
+	unsat      map[string]bool // partial-assignment keys known non-satisfiable
+	iteration  int             // current Algorithm 3 round, for Progress
 
 	// engine is the maintained-evaluation engine of the current Incremental
 	// run; nil outside Clean/CleanUnion or when Incremental is off. It is
 	// only touched from the cleaning goroutine (edits are serialized), so it
 	// needs no lock of its own.
 	engine *view.Engine
-}
-
-// factWait tracks one in-flight TRUE(R(ā))? question so concurrent callers
-// wait for the answer instead of re-asking (§3.2 never repeats a question).
-type factWait struct {
-	done chan struct{} // closed when the ask resolves
-	ans  bool
-	ok   bool // false when the asker was cancelled: the answer is a default
 }
 
 // New builds a Cleaner over the store with the given oracle and config.
@@ -328,7 +321,6 @@ func New(d db.Store, oracle crowd.Oracle, cfg Config) *Cleaner {
 		knownTrue:  make(map[string]bool),
 		knownFalse: make(map[string]bool),
 		unsat:      make(map[string]bool),
-		factAsks:   make(map[string]*factWait),
 	}
 }
 
@@ -370,60 +362,32 @@ func (c *Cleaner) phase(metric string, acc *time.Duration) func() {
 
 // verifyFact answers TRUE(R(ā))? consulting the known-answer caches first, so
 // the same question is never posed to the crowd twice (§3.2 assumes questions
-// are never repeated). The crowd call happens outside c.mu — a crowd answer
-// can be minutes away and holding the lock would freeze Progress (and with
-// it the server's job-status endpoint) for the duration; concurrent asks of
-// the same fact instead wait on the in-flight question's result.
+// are never repeated). The crowd call happens outside c.mu: a crowd answer can
+// be minutes away, and holding the lock would freeze Progress (and with it the
+// server's job-status endpoint) for the duration.
 func (c *Cleaner) verifyFact(ctx context.Context, f db.Fact) bool {
 	k := f.Key()
-	for {
-		c.mu.Lock()
-		if c.knownTrue[k] {
-			c.mu.Unlock()
-			return true
-		}
-		if c.knownFalse[k] {
-			c.mu.Unlock()
-			return false
-		}
-		if w, inflight := c.factAsks[k]; inflight {
-			c.mu.Unlock()
-			select {
-			case <-w.done:
-				if w.ok {
-					return w.ans
-				}
-				// The asker was cancelled; its answer was a default. Loop and
-				// ask for real (or return, if this ctx is dead too).
-				continue
-			case <-ctx.Done():
-				return true // the edit-free default for VerifyFact
-			}
-		}
-		w := &factWait{done: make(chan struct{})}
-		c.factAsks[k] = w
-		c.mu.Unlock()
-
-		ans := c.oracle.VerifyFact(ctx, f)
-
-		c.mu.Lock()
-		delete(c.factAsks, k)
-		if ctx.Err() == nil {
-			// Record for ourselves and every waiter. A cancelled question
-			// yields the edit-free default; don't let it poison the
-			// never-repeat caches.
-			w.ans, w.ok = ans, true
-			if ans {
-				c.knownTrue[k] = true
-				c.inferKeyConflictsLocked(f)
-			} else {
-				c.knownFalse[k] = true
-			}
-		}
-		c.mu.Unlock()
-		close(w.done)
+	c.mu.Lock()
+	ans, known := c.knownTrue[k], c.knownTrue[k] || c.knownFalse[k]
+	c.mu.Unlock()
+	if known {
 		return ans
 	}
+	ans = c.oracle.VerifyFact(ctx, f)
+	if ctx.Err() != nil {
+		// A cancelled question yields the edit-free default; don't let it
+		// poison the never-repeat caches.
+		return ans
+	}
+	c.mu.Lock()
+	if ans {
+		c.knownTrue[k] = true
+		c.inferKeyConflictsLocked(f)
+	} else {
+		c.knownFalse[k] = true
+	}
+	c.mu.Unlock()
+	return ans
 }
 
 // inferKeyConflictsLocked marks every database fact that shares a true

@@ -13,6 +13,7 @@ import (
 	"repro/internal/cq"
 	"repro/internal/crowd"
 	"repro/internal/dataset"
+	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/noise"
 )
@@ -20,19 +21,34 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/questions.golden from the current cleaner")
 
 // goldenJob is one seeded in-process cleaning job of the question-count
-// golden: the end-to-end benchmark's fig3d-delete and fig3b-insert shapes.
+// golden: the end-to-end benchmark's fig3d-delete and fig3b-insert shapes,
+// run by Clean, and two unions run by CleanUnion.
 type goldenJob struct {
-	name           string
-	q              *cq.Query
+	name string
+	u    *cq.Union // one disjunct: Clean runs it; more: CleanUnion does
+	// load returns D, before noise injection, and DG.
+	load func() (d, dg *db.Database)
+	// wrong and missing answers are injected into D against disjunct 0.
 	wrong, missing int
 }
 
 func goldenJobs() []goldenJob {
+	soccer := dataset.Soccer(dataset.SoccerOpts{})
+	fromSoccer := func() (*db.Database, *db.Database) { return soccer.Clone(), soccer }
+	dbgroup := dataset.DBGroup(dataset.DBGroupOpts{})
+	fromDBGroup := func() (*db.Database, *db.Database) { return dbgroup.Clone(), dbgroup }
+	one := func(q *cq.Query) *cq.Union { return &cq.Union{Disjuncts: []*cq.Query{q}} }
 	return []goldenJob{
-		{"Q3-wrong5", dataset.SoccerQ3(), 5, 0},
-		{"Q3-missing5", dataset.SoccerQ3(), 0, 5},
-		{"Q4-missing5", dataset.SoccerQ4(), 0, 5},
-		{"Q5-missing5", dataset.SoccerQ5(), 0, 5},
+		{"Q3-wrong5", one(dataset.SoccerQ3()), fromSoccer, 5, 0},
+		{"Q3-missing5", one(dataset.SoccerQ3()), fromSoccer, 0, 5},
+		{"Q4-missing5", one(dataset.SoccerQ4()), fromSoccer, 0, 5},
+		{"Q5-missing5", one(dataset.SoccerQ5()), fromSoccer, 0, 5},
+		// The DBGroup showcase's Q1 noise: 1 wrong and 1 missing keynote.
+		{"DBGroupQ1-union-wrong1-missing1", dataset.DBGroupQ1(), fromDBGroup, 1, 1},
+		// TestCleanUnion's union over Figure 1, whose D is dirty already.
+		{"Fig1-EU-SA-union", cq.MustParseUnion(
+			"(x) :- Games(d1, x, y, Final, u1), Teams(x, EU) ; (x) :- Games(d1, x, y, Final, u1), Teams(x, SA)"),
+			dataset.Figure1, 0, 0},
 	}
 }
 
@@ -40,7 +56,7 @@ func goldenJobs() []goldenJob {
 var goldenSeeds = []int64{1, 2, 3, 4, 5}
 
 // TestQuestionCountGolden pins the crowd questions, by kind, that seeded
-// cleaning jobs on full Soccer ask with a perfect oracle. One rand.Rand feeds
+// cleaning jobs ask with a perfect oracle. One rand.Rand feeds
 // InjectMissing, then InjectWrong, then the cleaner's tie-breaks, as the
 // end-to-end benchmark seeds its jobs. Any change to the paper's primary
 // metric — from the evaluator, the hitting-set choice, the split or the
@@ -51,24 +67,31 @@ func TestQuestionCountGolden(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
-	dg := dataset.Soccer(dataset.SoccerOpts{})
 	var got strings.Builder
 	for _, job := range goldenJobs() {
-		truth := eval.Result(job.q, dg, eval.NoCache())
+		q := job.u.Disjuncts[0]
 		for _, seed := range seeds {
-			d := dg.Clone()
+			d, dg := job.load()
+			truth := eval.ResultUnion(job.u, dg, eval.NoCache())
 			rng := rand.New(rand.NewSource(seed))
-			if n := noise.InjectMissing(d, dg, job.q, job.missing, rng); n < job.missing {
+			if n := noise.InjectMissing(d, dg, q, job.missing, rng); n < job.missing {
 				t.Fatalf("%s seed %d: injected %d of %d missing answers", job.name, seed, n, job.missing)
 			}
-			if n := noise.InjectWrong(d, dg, job.q, job.wrong, rng); n < job.wrong {
+			if n := noise.InjectWrong(d, dg, q, job.wrong, rng); n < job.wrong {
 				t.Fatalf("%s seed %d: injected %d of %d wrong answers", job.name, seed, n, job.wrong)
 			}
-			rep, err := New(d, crowd.NewPerfect(dg), Config{Incremental: true, RNG: rng}).Clean(context.Background(), job.q)
-			if err != nil {
-				t.Fatalf("%s seed %d: Clean: %v", job.name, seed, err)
+			c := New(d, crowd.NewPerfect(dg), Config{Incremental: true, RNG: rng})
+			var rep *Report
+			var err error
+			if len(job.u.Disjuncts) == 1 {
+				rep, err = c.Clean(context.Background(), q)
+			} else {
+				rep, err = c.CleanUnion(context.Background(), job.u)
 			}
-			if res := eval.Result(job.q, d, eval.NoCache()); fmt.Sprint(res) != fmt.Sprint(truth) {
+			if err != nil {
+				t.Fatalf("%s seed %d: clean: %v", job.name, seed, err)
+			}
+			if res := eval.ResultUnion(job.u, d, eval.NoCache()); fmt.Sprint(res) != fmt.Sprint(truth) {
 				t.Fatalf("%s seed %d: Q(D') = %v, want Q(DG) = %v", job.name, seed, res, truth)
 			}
 			s := rep.Crowd

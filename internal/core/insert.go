@@ -186,9 +186,7 @@ func (c *Cleaner) verifyGrounded(ctx context.Context, qt *cq.Query, a eval.Assig
 // complete poses COMPL(α, Q|t), consulting the non-satisfiable cache so the
 // same hopeless partial assignment is never sent to the crowd twice. The
 // crowd call happens outside c.mu, as in verifyFact, so Progress stays
-// responsive while the question waits. Completions are asked only from the
-// cleaning goroutine (Algorithm 2 runs one insertion at a time), so no two
-// asks of the same key overlap and no in-flight wait is needed.
+// responsive while the question waits.
 func (c *Cleaner) complete(ctx context.Context, qt *cq.Query, a eval.Assignment) (eval.Assignment, bool) {
 	key := qt.String() + "\x1d" + a.Key()
 	c.mu.Lock()

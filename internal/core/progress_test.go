@@ -2,12 +2,13 @@ package core
 
 import (
 	"context"
-	"sync"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cq"
+	"repro/internal/crowd"
 	"repro/internal/dataset"
 	"repro/internal/db"
 	"repro/internal/eval"
@@ -76,30 +77,13 @@ func testProgressDuringVerifyFact(t *testing.T) {
 	<-oracle.asked // the question is now at the (stalled) crowd
 	progressResponds(t, c)
 
-	// A concurrent ask of the same fact must wait on the in-flight question,
-	// not repeat it (§3.2), and must see the same answer.
-	var second bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		second = c.verifyFact(context.Background(), fact)
-	}()
-	time.Sleep(10 * time.Millisecond) // let it reach the in-flight wait
 	close(oracle.release)
 	if ans := <-done; !ans {
-		t.Errorf("first verifyFact = false, want true")
+		t.Errorf("verifyFact = false, want true")
 	}
-	wg.Wait()
-	if !second {
-		t.Errorf("waiting verifyFact = false, want the in-flight answer true")
-	}
-	if n := oracle.calls.Load(); n != 1 {
-		t.Errorf("oracle asked %d times for one fact, want 1", n)
-	}
-	// And the answer is cached: no further oracle calls.
+	// The answer is cached: the same fact is never asked again (§3.2).
 	if !c.verifyFact(context.Background(), fact) || oracle.calls.Load() != 1 {
-		t.Errorf("cached fact re-asked")
+		t.Errorf("cached fact re-asked (%d oracle calls)", oracle.calls.Load())
 	}
 }
 
@@ -128,32 +112,64 @@ func testProgressDuringComplete(t *testing.T) {
 	}
 }
 
-// TestVerifyFactCancelledAskerDoesNotPoisonWaiter: a waiter behind a
-// cancelled asker must re-ask for real rather than adopt the cancelled
-// default answer.
-func TestVerifyFactCancelledAskerDoesNotPoisonWaiter(t *testing.T) {
+// TestVerifyFactCancelledAskNotCached: a cancelled ask yields the edit-free
+// default, which must stay out of the never-repeat caches, so a later ask of
+// the same fact under a live context reaches the crowd.
+func TestVerifyFactCancelledAskNotCached(t *testing.T) {
 	d, _ := dataset.Figure1()
 	oracle := &stallOracle{asked: make(chan struct{}, 8), release: make(chan struct{})}
+	close(oracle.release)
 	c := New(d, oracle, Config{})
 	fact := db.NewFact("Teams", "ESP", "EU")
 
-	ctx1, cancel1 := context.WithCancel(context.Background())
-	done1 := make(chan bool, 1)
-	go func() { done1 <- c.verifyFact(ctx1, fact) }()
-	<-oracle.asked
-
-	done2 := make(chan bool, 1)
-	go func() { done2 <- c.verifyFact(context.Background(), fact) }()
-	time.Sleep(10 * time.Millisecond) // waiter parks on the in-flight ask
-	cancel1()
-	<-done1
-	// The waiter retries with its own live context: a second real question.
-	<-oracle.asked
-	close(oracle.release)
-	if ans := <-done2; !ans {
-		t.Errorf("retried verifyFact = false, want true")
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	c.verifyFact(cancelled, fact)
+	if !c.verifyFact(context.Background(), fact) {
+		t.Errorf("live verifyFact = false, want true")
 	}
 	if n := oracle.calls.Load(); n != 2 {
-		t.Errorf("oracle asked %d times, want 2 (cancelled ask + real retry)", n)
+		t.Errorf("oracle asked %d times, want 2 (cancelled ask + live ask)", n)
+	}
+}
+
+// stallFirstAnswer stalls the first TRUE(Q, t)? until the run is cancelled,
+// as a crowd member who never answers before the job is cancelled, and
+// counts the TRUE(Q, t)? calls. Other questions go to the embedded oracle.
+type stallFirstAnswer struct {
+	crowd.Oracle
+	cancel context.CancelFunc
+	calls  int
+}
+
+func (o *stallFirstAnswer) VerifyAnswer(ctx context.Context, q *cq.Query, t db.Tuple) bool {
+	o.calls++
+	if o.calls == 1 {
+		o.cancel()
+		<-ctx.Done()
+		return true // the edit-free default
+	}
+	return o.Oracle.VerifyAnswer(ctx, q, t)
+}
+
+// TestCancelledVerificationRoundStopsAsking: once the run's context is
+// cancelled during a verification round, no further TRUE(Q, t)? is asked,
+// so neither the oracle nor Report.Crowd sees a question the crowd never
+// got. Figure 1's Q1 opens with two unverified answers, (ESP) and (GER).
+func TestCancelledVerificationRoundStopsAsking(t *testing.T) {
+	d, dg := dataset.Figure1()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	oracle := &stallFirstAnswer{Oracle: crowd.NewPerfect(dg), cancel: cancel}
+	rep, err := New(d, oracle, Config{}).Clean(ctx, dataset.IntroQ1())
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Clean err = %v, want context.Canceled", err)
+	}
+	if oracle.calls != 1 || rep.Crowd.VerifyAnswerQs != 1 {
+		t.Errorf("cancelled round: %d oracle calls, VerifyAnswerQs = %d; want 1 and 1",
+			oracle.calls, rep.Crowd.VerifyAnswerQs)
+	}
+	if len(rep.Edits) != 0 {
+		t.Errorf("cancelled round applied edits: %v", rep.Edits)
 	}
 }

@@ -85,11 +85,12 @@ const (
 )
 
 // Counting wraps an Oracle and records interaction statistics. The wrapped
-// oracle sees exactly the same questions. Counting is safe for concurrent use
-// when the wrapped oracle is (the paper's §6.2 parallel mode poses questions
-// concurrently). When Obs is set, every question also lands in the recorder:
-// a counter per question kind, the filled-variable total, and an answer
-// latency histogram — the live view of the paper's §7 cost metric.
+// oracle sees exactly the same questions. Snapshot may be called while
+// another goroutine asks (the server reads a running job's progress), and
+// Counting is safe for concurrent asks when the wrapped oracle is. When Obs
+// is set, every question also lands in the recorder: a counter per question
+// kind, the filled-variable total, and an answer latency histogram — the
+// live view of the paper's §7 cost metric.
 type Counting struct {
 	Oracle Oracle
 	Obs    *obs.Recorder

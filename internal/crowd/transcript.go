@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"repro/internal/cq"
 	"repro/internal/db"
@@ -137,61 +136,4 @@ func (t *Transcript) CompleteResult(ctx context.Context, q *cq.Query, current []
 		t.log("COMPL(Q(D)) over %d rows -> complete", len(current))
 	}
 	return tp, ok
-}
-
-// Delayed wraps an oracle and sleeps before every answer, simulating human
-// crowd latency. The §6.2 parallel mode exists exactly because real crowd
-// answers take time; benchmarks use Delayed to show the wall-clock effect.
-type Delayed struct {
-	Oracle Oracle
-	Delay  time.Duration
-}
-
-// sleep waits the configured delay but returns early (false) when the
-// context is cancelled first — a cancelled job must not wait out a simulated
-// crowd member.
-func (d Delayed) sleep(ctx context.Context) bool {
-	if d.Delay <= 0 {
-		return ctx.Err() == nil
-	}
-	timer := time.NewTimer(d.Delay)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// VerifyFact implements Oracle.
-func (d Delayed) VerifyFact(ctx context.Context, f db.Fact) bool {
-	if !d.sleep(ctx) {
-		return true // edit-free default: nothing gets deleted on its account
-	}
-	return d.Oracle.VerifyFact(ctx, f)
-}
-
-// VerifyAnswer implements Oracle.
-func (d Delayed) VerifyAnswer(ctx context.Context, q *cq.Query, t db.Tuple) bool {
-	if !d.sleep(ctx) {
-		return true
-	}
-	return d.Oracle.VerifyAnswer(ctx, q, t)
-}
-
-// Complete implements Oracle.
-func (d Delayed) Complete(ctx context.Context, q *cq.Query, partial eval.Assignment) (eval.Assignment, bool) {
-	if !d.sleep(ctx) {
-		return nil, false
-	}
-	return d.Oracle.Complete(ctx, q, partial)
-}
-
-// CompleteResult implements Oracle.
-func (d Delayed) CompleteResult(ctx context.Context, q *cq.Query, current []db.Tuple) (db.Tuple, bool) {
-	if !d.sleep(ctx) {
-		return nil, false
-	}
-	return d.Oracle.CompleteResult(ctx, q, current)
 }

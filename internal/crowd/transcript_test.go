@@ -3,7 +3,6 @@ package crowd
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/db"
@@ -55,29 +54,5 @@ func TestTranscriptLogsAllQuestionTypes(t *testing.T) {
 	// Lines are numbered sequentially.
 	if !strings.HasPrefix(out, "[001]") || !strings.Contains(out, "[006]") {
 		t.Errorf("transcript numbering wrong:\n%s", out)
-	}
-}
-
-func TestDelayedSleepsAndPassesThrough(t *testing.T) {
-	_, dg := dataset.Figure1()
-	d := Delayed{Oracle: NewPerfect(dg), Delay: 20 * time.Millisecond}
-	start := time.Now()
-	ans := d.VerifyFact(bg, db.NewFact("Teams", "ESP", "EU"))
-	if !ans {
-		t.Errorf("passthrough wrong")
-	}
-	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
-		t.Errorf("no delay observed: %v", elapsed)
-	}
-	q := dataset.IntroQ1()
-	if d.VerifyAnswer(bg, q, db.Tuple{"ESP"}) {
-		t.Errorf("VerifyAnswer passthrough wrong")
-	}
-	if _, ok := d.CompleteResult(bg, q, nil); !ok {
-		t.Errorf("CompleteResult passthrough wrong")
-	}
-	qt, _ := dataset.IntroQ2().Embed(db.Tuple{"Andrea Pirlo"})
-	if _, ok := d.Complete(bg, qt, eval.Assignment{"y": "ITA"}); !ok {
-		t.Errorf("Complete passthrough wrong")
 	}
 }

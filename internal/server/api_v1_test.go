@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/cq"
 	"repro/internal/crowd"
 	"repro/internal/dataset"
 	"repro/internal/db"
@@ -379,5 +381,119 @@ func TestQueueAskHonorsContext(t *testing.T) {
 			t.Fatalf("cancelled question still pending: %v", q.Pending())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestV1AnswerWithoutPayloadRefused: an answer that lacks the payload its
+// question reads is refused with 400 and the question stays pending. Before,
+// {"none": true} to TRUE(Q1,(GER))? read as "false": the cleaner marked the
+// true answer wrong and the Thm 4.5 singleton rule deleted the true fact
+// Games(08.07.90, GER, ARG, Final, 1:0) without asking, an edit away from DG.
+func TestV1AnswerWithoutPayloadRefused(t *testing.T) {
+	d, dg := dataset.Figure1()
+	srv := New(d, core.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+	oracle := crowd.NewPerfect(dg)
+	q := dataset.IntroQ1()
+
+	res := postJSON(t, ts.URL+"/api/v1/clean", map[string]string{"query": q.String()})
+	var job Job
+	decodeBody(t, res, &job)
+	refused := false
+	deadline := time.Now().Add(20 * time.Second)
+	for jobView(srv, job.ID).State == JobRunning {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %d did not finish", job.ID)
+		}
+		for _, qu := range srv.Queue().Pending() {
+			answer := perfectAnswer(qu, oracle)
+			if !refused && qu.Kind == KindVerifyAnswer && fmt.Sprint(qu.Tuple) == "[GER]" {
+				res := postJSON(t, fmt.Sprintf("%s/api/v1/questions/%d/answer", ts.URL, qu.ID), map[string]bool{"none": true})
+				var env envelope
+				decodeBody(t, res, &env)
+				if res.StatusCode != http.StatusBadRequest || env.Error.Code != "bad_request" {
+					t.Fatalf("none to TRUE(Q1,(GER))?: got %d %q, want 400 bad_request", res.StatusCode, env.Error.Code)
+				}
+				var pending []Question
+				r, err := http.Get(ts.URL + "/api/v1/questions")
+				if err != nil {
+					t.Fatal(err)
+				}
+				decodeBody(t, r, &pending)
+				if len(pending) != 1 || pending[0].ID != qu.ID {
+					t.Fatalf("after the refused answer, pending = %v, want question %d alone", pending, qu.ID)
+				}
+				refused = true
+			}
+			raw, _ := json.Marshal(answer)
+			res := postJSON(t, fmt.Sprintf("%s/api/v1/questions/%d/answer", ts.URL, qu.ID), json.RawMessage(raw))
+			res.Body.Close()
+			if res.StatusCode != http.StatusOK {
+				t.Fatalf("perfect answer to %q: status %d", qu.Text, res.StatusCode)
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !refused {
+		t.Fatal("the job never asked TRUE(Q1,(GER))?")
+	}
+	final := jobView(srv, job.ID)
+	if final.State != JobDone {
+		t.Fatalf("job state = %q (%s), want done", final.State, final.Error)
+	}
+	for _, e := range final.Report.Edits {
+		if (e.Op == db.Insert) != dg.Has(e.Fact) {
+			t.Errorf("edit %v %v moves D away from DG", e.Op, e.Fact)
+		}
+	}
+	if got, want := eval.Result(q, d), eval.Result(q, dg); !sameTuples(got, want) {
+		t.Errorf("Q1(D') = %v, want %v", got, want)
+	}
+}
+
+// TestQueueAnswerRefusesMissingPayload: Queue.Answer refuses, per question
+// kind, an answer without the payload docs/API.md specifies, and a
+// client-set degraded flag; the question stays pending and a proper answer
+// then resolves it.
+func TestQueueAnswerRefusesMissingPayload(t *testing.T) {
+	yes := true
+	q1 := dataset.IntroQ1()
+	cases := []struct {
+		name string
+		ask  func(*Queue)
+		bad  []Answer
+		good Answer
+	}{
+		{"verify-fact", func(q *Queue) { q.VerifyFact(context.Background(), db.NewFact("Teams", "GER", "EU")) },
+			[]Answer{{}, {None: true}, {Bool: &yes, Degraded: true}}, Answer{Bool: &yes}},
+		{"verify-answer", func(q *Queue) { q.VerifyAnswer(context.Background(), q1, db.Tuple{"GER"}) },
+			[]Answer{{Tuple: []string{"GER"}}}, Answer{Bool: &yes}},
+		{"complete", func(q *Queue) {
+			q.Complete(context.Background(), cq.MustParse("(x, y) :- Teams(x, y)"), eval.Assignment{})
+		},
+			[]Answer{{}, {Bindings: map[string]string{"x": "GER"}}, {Bindings: map[string]string{"x": "GER", "y": ""}}},
+			Answer{Bindings: map[string]string{"x": "GER", "y": "EU"}}},
+		{"complete-result", func(q *Queue) { q.CompleteResult(context.Background(), q1, nil) },
+			[]Answer{{}, {Tuple: []string{"ITA", "EU"}}, {None: true, Degraded: true}}, Answer{Tuple: []string{"ITA"}}},
+	}
+	for _, c := range cases {
+		q := NewQueue()
+		done := make(chan struct{})
+		go func() { c.ask(q); close(done) }()
+		qu := waitQuestion(t, q, 0)
+		for _, a := range c.bad {
+			if err := q.Answer(qu.ID, a); !errors.Is(err, ErrBadAnswer) {
+				t.Errorf("%s: Answer(%+v) = %v, want ErrBadAnswer", c.name, a, err)
+			}
+		}
+		if ids := q.PendingFor(0); len(ids) != 1 || ids[0] != qu.ID {
+			t.Errorf("%s: pending after refusals = %v, want [%d]", c.name, ids, qu.ID)
+		}
+		if err := q.Answer(qu.ID, c.good); err != nil {
+			t.Errorf("%s: Answer(%+v) = %v, want nil", c.name, c.good, err)
+		}
+		<-done
 	}
 }

@@ -2,12 +2,13 @@
 // architecture of the paper's Figure 5: a QOCO Manager drives the cleaning
 // algorithms while crowd members answer questions through a web interface.
 // Questions are queued as JSON resources; each Oracle call blocks until some
-// crowd member posts an answer, so many members can work in parallel
-// (the §6.2 deployment).
+// crowd member posts an answer, and any member may answer any pending
+// question (the §6.2 deployment with several experts).
 package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -71,6 +72,7 @@ type Question struct {
 	Current [][]string        `json:"current,omitempty"` // current result rows
 
 	reply chan Answer
+	arity int // complete-result: the head's arity, which a proposed tuple must match
 }
 
 // Answer is a crowd member's reply to a question.
@@ -501,12 +503,26 @@ func (q *Queue) PendingFor(jobID int) []int {
 	return out
 }
 
+// ErrBadAnswer is returned by Queue.Answer for an answer it refuses, leaving
+// the question pending: one that lacks the payload the question's kind reads
+// (docs/API.md), sets the server-only degraded flag, or holds a reserved
+// store byte.
+var ErrBadAnswer = errors.New("server: bad answer")
+
 // Answer resolves a pending question. It fails for unknown IDs (including
-// already-answered questions).
+// already-answered questions), and with ErrBadAnswer for an answer that the
+// question cannot read.
 func (q *Queue) Answer(id int, a Answer) error {
+	if err := a.validate(); err != nil {
+		return err
+	}
 	q.mu.Lock()
 	qu, ok := q.pending[id]
 	if ok {
+		if err := a.answers(qu); err != nil {
+			q.mu.Unlock()
+			return err
+		}
 		delete(q.pending, id)
 		q.recordHistoryLocked(qu, "answered")
 		q.Obs.SetGauge(MetricPendingQuestions, float64(len(q.pending)))
@@ -520,16 +536,51 @@ func (q *Queue) Answer(id int, a Answer) error {
 	return nil
 }
 
-// validate rejects an answer carrying a value the stores refuse: a tuple
-// value, or a binding's variable or value, holding a reserved separator byte
-// (db.ErrReservedByte).
+// validate rejects an answer whatever its question: one carrying the
+// server-only degraded flag, which the journal would replay as a degraded
+// answer, or a value the stores refuse: a tuple value, or a binding's
+// variable or value, holding a reserved separator byte (db.ErrReservedByte).
 func (a Answer) validate() error {
+	if a.Degraded {
+		return fmt.Errorf("%w: degraded is set by the server only", ErrBadAnswer)
+	}
 	if err := db.ValidateValues(a.Tuple); err != nil {
-		return fmt.Errorf("bad answer tuple: %w", err)
+		return fmt.Errorf("%w: tuple: %w", ErrBadAnswer, err)
 	}
 	for v, val := range a.Bindings {
 		if err := db.ValidateValues([]string{v, val}); err != nil {
-			return fmt.Errorf("bad answer binding: %w", err)
+			return fmt.Errorf("%w: binding: %w", ErrBadAnswer, err)
+		}
+	}
+	return nil
+}
+
+// answers rejects an answer that lacks the payload qu's kind reads: bool for
+// verify-fact and verify-answer; none, or a non-empty binding for every
+// unbound variable, for complete; none, or a tuple of the head's arity, for
+// complete-result. The oracle methods would read a missing payload as an
+// answer ("false", "nothing to complete") that nobody gave.
+func (a Answer) answers(qu *Question) error {
+	switch qu.Kind {
+	case KindVerifyFact, KindVerifyAnswer:
+		if a.Bool == nil {
+			return fmt.Errorf("%w: a %s answer needs bool", ErrBadAnswer, qu.Kind)
+		}
+	case KindComplete:
+		if a.None {
+			return nil
+		}
+		if a.Bindings == nil {
+			return fmt.Errorf("%w: a complete answer needs none or bindings", ErrBadAnswer)
+		}
+		for _, v := range qu.Unbound {
+			if a.Bindings[v] == "" {
+				return fmt.Errorf("%w: a complete answer needs a value for %s", ErrBadAnswer, v)
+			}
+		}
+	case KindCompleteResult:
+		if !a.None && len(a.Tuple) != qu.arity {
+			return fmt.Errorf("%w: a complete-result answer needs none or a tuple of %d values", ErrBadAnswer, qu.arity)
 		}
 	}
 	return nil
@@ -758,6 +809,7 @@ func (q *Queue) CompleteResult(ctx context.Context, query *cq.Query, current []d
 		Text:    fmt.Sprintf("Name an answer missing from the result of %s (or declare it complete)", query),
 		Query:   query.String(),
 		Current: rows,
+		arity:   len(query.Head),
 	})
 	if a.None || len(a.Tuple) != len(query.Head) {
 		return nil, false

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -131,10 +132,9 @@ type Server struct {
 
 // New builds a server over any db.Store backend (callers passing the
 // historical *db.Database keep compiling unchanged). cfg configures the
-// cleaner; its Oracle is the server's own question queue. cfg.Parallel is
-// honored. When cfg.Obs is nil the server creates its own recorder; either
-// way the recorder is shared by the queue and every cleaner and served at
-// /api/v1/metrics.
+// cleaner; its Oracle is the server's own question queue. When cfg.Obs is
+// nil the server creates its own recorder; either way the recorder is shared
+// by the queue and every cleaner and served at /api/v1/metrics.
 func New(d db.Store, cfg core.Config) *Server {
 	if cfg.Obs == nil {
 		cfg.Obs = obs.New()
@@ -256,15 +256,14 @@ func (s *Server) v1Answer(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("bad answer body: %v", err))
 		return
 	}
-	if err := a.validate(); err != nil {
+	switch err := s.queue.Answer(id, a); {
+	case errors.Is(err, ErrBadAnswer):
 		writeAPIError(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	if err := s.queue.Answer(id, a); err != nil {
+	case err != nil:
 		writeAPIError(w, http.StatusNotFound, "not_found", err.Error())
-		return
+	default:
+		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
 func (s *Server) v1Clean(w http.ResponseWriter, r *http.Request) {
