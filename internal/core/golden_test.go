@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -56,12 +58,14 @@ func goldenJobs() []goldenJob {
 var goldenSeeds = []int64{1, 2, 3, 4, 5}
 
 // TestQuestionCountGolden pins the crowd questions, by kind, that seeded
-// cleaning jobs ask with a perfect oracle. One rand.Rand feeds
-// InjectMissing, then InjectWrong, then the cleaner's tie-breaks, as the
-// end-to-end benchmark seeds its jobs. Any change to the paper's primary
-// metric — from the evaluator, the hitting-set choice, the split or the
-// cleaning loop — shows up as a diff against testdata/questions.golden; run
-// with -update to accept an intended one.
+// cleaning jobs ask with a perfect oracle, and a digest of the edit script
+// each job applies, in order. One rand.Rand feeds InjectMissing, then
+// InjectWrong, then the cleaner's tie-breaks, as the end-to-end benchmark
+// seeds its jobs. Any change to the paper's primary metric — from the
+// evaluator, the hitting-set choice, the split or the cleaning loop — shows
+// up as a diff against testdata/questions.golden, and so does a change that
+// keeps the counts but asks or edits in another order; run with -update to
+// accept an intended one.
 func TestQuestionCountGolden(t *testing.T) {
 	seeds := goldenSeeds
 	if testing.Short() {
@@ -95,8 +99,9 @@ func TestQuestionCountGolden(t *testing.T) {
 				t.Fatalf("%s seed %d: Q(D') = %v, want Q(DG) = %v", job.name, seed, res, truth)
 			}
 			s := rep.Crowd
-			fmt.Fprintf(&got, "%s seed=%d verify_fact=%d verify_answer=%d complete=%d complete_result=%d vars_filled=%d\n",
-				job.name, seed, s.VerifyFactQs, s.VerifyAnswerQs, s.CompleteQs, s.CompleteResultQs, s.VariablesFilled)
+			fmt.Fprintf(&got, "%s seed=%d verify_fact=%d verify_answer=%d complete=%d complete_result=%d vars_filled=%d edits=%s\n",
+				job.name, seed, s.VerifyFactQs, s.VerifyAnswerQs, s.CompleteQs, s.CompleteResultQs, s.VariablesFilled,
+				editDigest(rep.Edits))
 		}
 	}
 	path := filepath.Join("testdata", "questions.golden")
@@ -123,7 +128,20 @@ func TestQuestionCountGolden(t *testing.T) {
 		if w, ok := want[name]; !ok {
 			t.Errorf("no golden line for %q", name)
 		} else if w != line {
-			t.Errorf("question counts changed:\n got  %s\n want %s", line, w)
+			t.Errorf("question counts or edit script changed:\n got  %s\n want %s", line, w)
 		}
 	}
+}
+
+// editDigest returns the number of edits and a SHA-256 prefix of the script,
+// in order. Fact keys hold no 0x1e, so the encoding is unambiguous.
+func editDigest(edits []db.Edit) string {
+	h := sha256.New()
+	var b []byte
+	for _, e := range edits {
+		b = append(b[:0], e.Op.String()...)
+		b = e.Fact.AppendKey(b)
+		h.Write(append(b, '\x1e'))
+	}
+	return fmt.Sprintf("%d:%s", len(edits), hex.EncodeToString(h.Sum(nil))[:16])
 }
