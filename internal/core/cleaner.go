@@ -131,10 +131,6 @@ type Config struct {
 	RNG *rand.Rand
 	// MaxIterations bounds the outer loop of Algorithm 3. Default 50.
 	MaxIterations int
-	// AssignmentCap bounds how many subquery assignments Algorithm 2 examines
-	// per subquery before splitting further (an engineering guard keeping
-	// crowd work bounded on weakly constrained subqueries). Default 64.
-	AssignmentCap int
 	// CompositeSize batches this many tuple verifications into one composite
 	// crowd question in Algorithm 1 (the §9 extension). Default 1 (off).
 	CompositeSize int
@@ -196,9 +192,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.MaxIterations == 0 {
 		c.MaxIterations = 50
-	}
-	if c.AssignmentCap == 0 {
-		c.AssignmentCap = 64
 	}
 	if c.CompositeSize == 0 {
 		c.CompositeSize = 1

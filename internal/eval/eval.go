@@ -9,8 +9,7 @@ import (
 )
 
 // Eval returns all valid total assignments A(Q,D) in deterministic order.
-// Assignment enumerations (Eval, Extensions, AssignmentsFor) are never
-// cached.
+// Assignment enumerations (Eval, Best, AssignmentsFor) are never cached.
 func Eval(q *cq.Query, d db.Reader) []Assignment {
 	out := collect(q, d, Assignment{})
 	sortAssignments(out)
@@ -82,14 +81,6 @@ func ResultUnion(u *cq.Union, d db.Reader, opts ...Option) []db.Tuple {
 	if !cfg.noCache {
 		storeTuples(d, gen, key, out)
 	}
-	return out
-}
-
-// Extensions returns all valid total assignments extending the partial
-// assignment seed, in deterministic order.
-func Extensions(q *cq.Query, d db.Reader, seed Assignment) []Assignment {
-	out := collect(q, d, seed)
-	sortAssignments(out)
 	return out
 }
 

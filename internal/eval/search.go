@@ -87,12 +87,17 @@ func (r *Row) fill(terms []slotTerm, dst db.Tuple) bool {
 // new Assignment.
 func (r *Row) assignment() Assignment {
 	a := make(Assignment, len(r.cells))
+	r.copyTo(a)
+	return a
+}
+
+// copyTo adds the row's bindings to a.
+func (r *Row) copyTo(a Assignment) {
 	for i, c := range r.cells {
 		if c.ok {
 			a[r.p.names[i]] = c.val
 		}
 	}
-	return a
 }
 
 // searcher is the state of one join search: the compiled query, its frame,
