@@ -108,7 +108,7 @@ func main() {
 	// The overload sweep measures wall-clock admission behaviour under live
 	// load, so it only runs when asked for by name, never under -fig all.
 	if *fig == "overload" {
-		rows := experiment.OverloadSweep(experiment.OverloadOpts{Duration: *overloadDur})
+		rows := experiment.OverloadSweep(*overloadDur)
 		if *jsonOut {
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")

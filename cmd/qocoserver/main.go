@@ -88,6 +88,27 @@ func loadDataset(name string) (d, dg *db.Database, err error) {
 	}
 }
 
+// checkNotNegative refuses a negative value of any of the named int, float64
+// or duration flags, naming the flag. Zero keeps its documented meaning.
+func checkNotNegative(fs *flag.FlagSet, names ...string) error {
+	for _, name := range names {
+		f := fs.Lookup(name)
+		var negative bool
+		switch v := f.Value.(flag.Getter).Get().(type) {
+		case int:
+			negative = v < 0
+		case float64:
+			negative = v < 0
+		case time.Duration:
+			negative = v < 0
+		}
+		if negative {
+			return fmt.Errorf("-%s %s: must not be negative", name, f.Value)
+		}
+	}
+	return nil
+}
+
 func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
 	ds := flag.String("dataset", "figure1", "built-in dataset: figure1, soccer, dbgroup")
@@ -129,6 +150,9 @@ func run() error {
 		"how submissions reach their ring owner: proxy (transparent) or redirect (307)")
 	scfg := storecfg.Register(flag.CommandLine)
 	flag.Parse()
+	if err := checkNotNegative(flag.CommandLine, "max-jobs", "queue", "rate", "burst", "queue-timeout"); err != nil {
+		return err
+	}
 
 	seed, dg, err := loadDataset(*ds)
 	if err != nil {

@@ -35,58 +35,3 @@ func (b *bucket) take(now time.Time) (ok bool, retryAfter time.Duration) {
 	need := (1 - b.tokens) / b.rate
 	return false, time.Duration(need * float64(time.Second))
 }
-
-// clientBuckets keys token buckets by client identity (API key or remote
-// address), bounding the tracked set: past maxClients the stalest bucket is
-// evicted, so an address-spoofing flood cannot grow memory without bound.
-type clientBuckets struct {
-	rate, burst float64
-	maxClients  int
-	buckets     map[string]*clientBucket
-}
-
-type clientBucket struct {
-	bucket
-	lastSeen time.Time
-}
-
-func newClientBuckets(rate, burst float64, maxClients int) *clientBuckets {
-	return &clientBuckets{rate: rate, burst: burst, maxClients: maxClients, buckets: make(map[string]*clientBucket)}
-}
-
-// take draws one token from client's bucket, creating (and bounding) it as
-// needed. Not self-locking; the Controller serializes access.
-func (cb *clientBuckets) take(client string, now time.Time) (bool, time.Duration) {
-	if cb.rate <= 0 {
-		return true, 0
-	}
-	b, ok := cb.buckets[client]
-	if !ok {
-		if len(cb.buckets) >= cb.maxClients {
-			cb.evictStalest()
-		}
-		b = &clientBucket{bucket: *newBucket(cb.rate, cb.burst, now)}
-		cb.buckets[client] = b
-	}
-	b.lastSeen = now
-	return b.take(now)
-}
-
-// evictStalest drops the least-recently-seen bucket. Linear scan: eviction
-// only happens past maxClients, and the map is bounded by it.
-func (cb *clientBuckets) evictStalest() {
-	var stalest string
-	var when time.Time
-	first := true
-	for k, b := range cb.buckets {
-		if first || b.lastSeen.Before(when) {
-			stalest, when, first = k, b.lastSeen, false
-		}
-	}
-	if !first {
-		delete(cb.buckets, stalest)
-	}
-}
-
-// len returns the number of tracked client buckets.
-func (cb *clientBuckets) len() int { return len(cb.buckets) }

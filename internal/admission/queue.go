@@ -7,12 +7,7 @@ import "container/heap"
 // oldest-deadline submission first. Not self-locking; the Controller
 // serializes access.
 type waitQueue struct {
-	cap   int
 	items waiterHeap
-}
-
-func newWaitQueue(capacity int) *waitQueue {
-	return &waitQueue{cap: capacity}
 }
 
 func (q *waitQueue) len() int { return len(q.items) }

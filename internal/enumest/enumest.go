@@ -101,27 +101,6 @@ func (e *Estimator) EstimatedRemaining() float64 {
 	return e.Chao92() - float64(len(e.counts))
 }
 
-// ExpectedSamples estimates how many COMPL(Q(D)) crowd draws a cleaning run
-// will spend before the stopping rule (Complete) fires, for a result set with
-// `distinct` true answers under uniform answer sampling: the coupon-collector
-// expectation n·(ln n + γ) to have seen every answer (at which point the
-// Chao92 remainder drops below half an answer), floored at minSamples — the
-// rule never concludes on fewer draws — plus the minNulls confirming "nothing
-// missing" replies. It is the admission layer's per-job question budget for
-// the enumeration phase.
-func ExpectedSamples(distinct, minSamples, minNulls int) float64 {
-	if distinct < 1 {
-		distinct = 1
-	}
-	const eulerGamma = 0.5772156649015329
-	n := float64(distinct)
-	draws := n*(math.Log(n)+eulerGamma) + 0.5
-	if draws < float64(minSamples) {
-		draws = float64(minSamples)
-	}
-	return draws + float64(minNulls)
-}
-
 // Complete reports whether the result is complete with high probability:
 // either the Chao92 estimate says fewer than half an answer remains (and at
 // least minSamples answers support the estimate), or minNulls consecutive

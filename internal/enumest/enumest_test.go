@@ -145,29 +145,3 @@ func TestSkewedPopulationUnderestimatesWithoutCV(t *testing.T) {
 		t.Errorf("CV-corrected Chao92 (%v) below plain estimate (%v)", e.Chao92(), plain)
 	}
 }
-
-func TestExpectedSamples(t *testing.T) {
-	// Floors: the stopping rule never concludes before minSamples draws plus
-	// the confirming nulls.
-	if got := ExpectedSamples(1, 3, 1); got != 4 {
-		t.Errorf("ExpectedSamples(1,3,1) = %v, want 4 (minSamples+minNulls)", got)
-	}
-	// Monotone in richness: more distinct answers cost more draws.
-	prev := 0.0
-	for _, n := range []int{1, 5, 20, 100} {
-		got := ExpectedSamples(n, 3, 1)
-		if got <= prev {
-			t.Errorf("ExpectedSamples(%d) = %v, not increasing (prev %v)", n, got, prev)
-		}
-		prev = got
-	}
-	// The coupon-collector expectation dominates for rich sets: for n=100 it
-	// is about n(ln n + gamma) ~ 518.
-	if got := ExpectedSamples(100, 3, 1); got < 400 || got > 700 {
-		t.Errorf("ExpectedSamples(100,3,1) = %v, want ~518", got)
-	}
-	// Degenerate input is clamped.
-	if got := ExpectedSamples(0, 2, 2); got != 4 {
-		t.Errorf("ExpectedSamples(0,2,2) = %v, want 4", got)
-	}
-}

@@ -32,68 +32,41 @@ type OverloadRow struct {
 	P99Wait     time.Duration `json:"p99_admission_wait_ns"`
 }
 
-// OverloadOpts tunes the sweep. Zero fields take the documented defaults.
-type OverloadOpts struct {
-	// Rates are the offered submission rates (jobs/second) to sweep.
-	// Default 4, 16, 64, 256.
-	Rates []float64
-	// Duration is how long each rate point offers load. Default 2s.
-	Duration time.Duration
-	// MaxConcurrent caps simultaneously-admitted jobs. Default 8.
-	MaxConcurrent int
-	// QueueCap / QueueTimeout bound the admission queue. Defaults 16 / 100ms.
-	QueueCap     int
-	QueueTimeout time.Duration
-	// ServerRate is the controller's own token-bucket rate (jobs/second), the
-	// layer that sheds with 429 before queueing even starts. Default 32.
-	ServerRate float64
-}
+// The sweep's fixed server: at most 8 admitted jobs, a queue of 16 that sheds
+// after 100ms, and a 32 jobs/s token bucket that sheds with 429 before
+// queueing starts. The offered rates span under, at and past that capacity.
+var overloadRates = []float64{4, 16, 64, 256}
 
-func (o *OverloadOpts) applyDefaults() {
-	if len(o.Rates) == 0 {
-		o.Rates = []float64{4, 16, 64, 256}
-	}
-	if o.Duration == 0 {
-		o.Duration = 2 * time.Second
-	}
-	if o.MaxConcurrent == 0 {
-		o.MaxConcurrent = 8
-	}
-	if o.QueueCap == 0 {
-		o.QueueCap = 16
-	}
-	if o.QueueTimeout == 0 {
-		o.QueueTimeout = 100 * time.Millisecond
-	}
-	if o.ServerRate == 0 {
-		o.ServerRate = 32
-	}
-}
+const (
+	overloadMaxConcurrent = 8
+	overloadQueueCap      = 16
+	overloadQueueTimeout  = 100 * time.Millisecond
+	overloadServerRate    = 32
+)
 
 // OverloadSweep offers IntroQ1 cleaning jobs to a fresh Figure-1 server at
-// each rate and measures the admission control's response. The crowd is
-// simulated by a short question deadline, so admitted jobs finish degraded in
-// milliseconds — the sweep isolates the serving path, not crowd latency.
-// Arrivals are open-loop (a fixed interval per rate): slow admission does not
-// slow the offered load, exactly like independent clients.
-func OverloadSweep(opts OverloadOpts) []OverloadRow {
-	opts.applyDefaults()
+// each rate for the given duration and measures the admission control's
+// response. The crowd is simulated by a short question deadline, so admitted
+// jobs finish degraded in milliseconds — the sweep isolates the serving path,
+// not crowd latency. Arrivals are open-loop (a fixed interval per rate): slow
+// admission does not slow the offered load, exactly like independent clients.
+func OverloadSweep(duration time.Duration) []OverloadRow {
 	var rows []OverloadRow
-	for _, rate := range opts.Rates {
-		rows = append(rows, overloadPoint(rate, opts))
+	for _, rate := range overloadRates {
+		rows = append(rows, overloadPoint(rate, duration))
 	}
 	return rows
 }
 
-func overloadPoint(rate float64, opts OverloadOpts) OverloadRow {
+func overloadPoint(rate float64, duration time.Duration) OverloadRow {
 	d, _ := dataset.Figure1()
 	srv := server.New(d, core.Config{})
 	defer srv.Close()
 	srv.SetAdmission(admission.NewController(admission.Options{
-		MaxConcurrent: opts.MaxConcurrent,
-		QueueCap:      opts.QueueCap,
-		QueueTimeout:  opts.QueueTimeout,
-		Rate:          opts.ServerRate,
+		MaxConcurrent: overloadMaxConcurrent,
+		QueueCap:      overloadQueueCap,
+		QueueTimeout:  overloadQueueTimeout,
+		Rate:          overloadServerRate,
 		Obs:           srv.Obs(),
 	}))
 	srv.Queue().SetDeadline(2*time.Millisecond, 0)
@@ -101,7 +74,7 @@ func overloadPoint(rate float64, opts OverloadOpts) OverloadRow {
 
 	body, _ := json.Marshal(map[string]string{"query": dataset.IntroQ1().String()})
 	interval := time.Duration(float64(time.Second) / rate)
-	total := int(opts.Duration / interval)
+	total := int(duration / interval)
 	if total < 1 {
 		total = 1
 	}

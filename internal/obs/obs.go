@@ -63,6 +63,19 @@ func (h *histogram) observe(v float64) {
 	h.buckets[bucketOf(v)]++
 }
 
+// quantile returns the upper bound of the bucket holding the ⌈q·count⌉-th
+// smallest observation, clamped to [min, max]; callers check count > 0.
+func (h *histogram) quantile(q float64) float64 {
+	rank := int64(math.Ceil(q * float64(h.count)))
+	var seen int64
+	for i, n := range h.buckets {
+		if seen += n; seen >= rank {
+			return math.Min(h.max, math.Max(h.min, math.Ldexp(1, i-bucketBias)))
+		}
+	}
+	return h.max
+}
+
 // Recorder collects named metrics. The zero value is not usable; use New.
 // A nil *Recorder is valid and ignores every operation.
 type Recorder struct {
@@ -157,13 +170,19 @@ func (r *Recorder) Timer(name string) func() {
 	return func() { r.ObserveDuration(name, time.Since(start)) }
 }
 
-// HistogramSnapshot is one histogram's summary at snapshot time.
+// HistogramSnapshot is one histogram's summary at snapshot time. P50, P90
+// and P99 come from the log2 buckets (see histogram.quantile): for positive
+// observations inside the buckets' range, each is at least the true quantile
+// and less than twice it.
 type HistogramSnapshot struct {
 	Count int64   `json:"count"`
 	Sum   float64 `json:"sum"`
 	Min   float64 `json:"min"`
 	Max   float64 `json:"max"`
 	Mean  float64 `json:"mean"`
+	P50   float64 `json:"p50"`
+	P90   float64 `json:"p90"`
+	P99   float64 `json:"p99"`
 }
 
 // Snapshot is a consistent copy of every metric in a recorder.
@@ -196,6 +215,7 @@ func (r *Recorder) Snapshot() Snapshot {
 		hs := HistogramSnapshot{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
 		if h.count > 0 {
 			hs.Mean = h.sum / float64(h.count)
+			hs.P50, hs.P90, hs.P99 = h.quantile(0.50), h.quantile(0.90), h.quantile(0.99)
 		}
 		s.Histograms[k] = hs
 	}

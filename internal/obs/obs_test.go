@@ -40,6 +40,27 @@ func TestHistogramSummary(t *testing.T) {
 	}
 }
 
+func TestHistogramQuantiles(t *testing.T) {
+	r := New()
+	for i := 0; i < 10; i++ {
+		r.Observe("constant", 0.003)
+	}
+	for v := 1; v <= 100; v++ {
+		r.Observe("ramp", float64(v))
+	}
+	snap := r.Snapshot().Histograms
+	// A constant series reads its value back: its bucket's upper bound,
+	// 2^-8, is clamped to the max.
+	if s := snap["constant"]; s.P50 != 0.003 || s.P90 != 0.003 || s.P99 != 0.003 {
+		t.Errorf("constant quantiles = %v/%v/%v, want 0.003 each", s.P50, s.P90, s.P99)
+	}
+	// 1..100: the 50th value lies in (32, 64]; the 90th and 99th lie in
+	// (64, 128], whose bound is clamped to the max, 100.
+	if s := snap["ramp"]; s.P50 != 64 || s.P90 != 100 || s.P99 != 100 {
+		t.Errorf("1..100 quantiles = %v/%v/%v, want 64/100/100", s.P50, s.P90, s.P99)
+	}
+}
+
 func TestObserveDurationAndTimer(t *testing.T) {
 	r := New()
 	r.ObserveDuration("lat.seconds", 250*time.Millisecond)
@@ -114,7 +135,7 @@ func TestHandlerServesFlatJSON(t *testing.T) {
 		t.Errorf("gauge in JSON = %v", flat["server.questions.pending"])
 	}
 	h, ok := flat["phase.delete.seconds"].(map[string]interface{})
-	if !ok || h["count"] != float64(1) {
+	if !ok || h["count"] != float64(1) || h["p99"] != 0.01 {
 		t.Errorf("histogram in JSON = %v", flat["phase.delete.seconds"])
 	}
 }

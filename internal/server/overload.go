@@ -5,13 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net"
 	"net/http"
 	"strconv"
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/cq"
 )
 
 // defaultRetryAfter is the Retry-After hint served when no admission
@@ -19,22 +17,15 @@ import (
 const defaultRetryAfter = 5 * time.Second
 
 // SetAdmission installs the overload-protection layer: every job submission
-// (POST /api/v1/clean and view repairs) passes through ctrl, which
-// rate-limits per client and globally, bounds concurrent jobs with an AIMD
-// limit, queues briefly under contention, and sheds the rest with 429/503 +
-// Retry-After. Shed submissions never become jobs and never touch the job
-// journal.
-//
-// Job cost estimates come from a CostModel seeded with the cleaner's
-// enumeration stopping rule and refined by every finished job's actual crowd
-// cost. Call before the handler serves traffic; a nil ctrl removes the layer
-// (every submission is admitted, the pre-admission behavior).
+// (POST /api/v1/clean and view repairs) passes through ctrl, which applies the
+// global rate limit, caps concurrent jobs, queues briefly under contention,
+// and sheds the rest with 429/503 + Retry-After. Shed submissions never
+// become jobs and never touch the job journal. Call before the handler
+// serves traffic; a nil ctrl removes the layer (every submission is
+// admitted, the pre-admission behavior).
 func (s *Server) SetAdmission(ctrl *admission.Controller) {
 	s.mu.Lock()
 	s.admit = ctrl
-	if s.costs == nil {
-		s.costs = admission.NewCostModel(s.cfg.MinSamples, s.cfg.MinNulls)
-	}
 	s.mu.Unlock()
 }
 
@@ -146,20 +137,6 @@ func (s *Server) registerHealth() {
 	s.mux.Handle("/readyz", s.health.Handler())
 }
 
-// clientKey identifies the submitting client for per-client rate limiting:
-// the X-API-Key header when present, else the remote address without the
-// ephemeral port.
-func clientKey(r *http.Request) string {
-	if k := r.Header.Get("X-API-Key"); k != "" {
-		return "key:" + k
-	}
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		return r.RemoteAddr
-	}
-	return host
-}
-
 // setRetryAfter writes the Retry-After header (whole seconds, at least 1).
 func setRetryAfter(w http.ResponseWriter, d time.Duration) {
 	secs := int(math.Ceil(d.Seconds()))
@@ -173,7 +150,7 @@ func setRetryAfter(w http.ResponseWriter, d time.Duration) {
 // grant to hold for the job's lifetime (nil when no controller is installed)
 // and whether the submission was admitted; on rejection the error response
 // has already been written.
-func (s *Server) admitJob(w http.ResponseWriter, r *http.Request, cost float64) (*admission.Grant, bool) {
+func (s *Server) admitJob(w http.ResponseWriter, r *http.Request) (*admission.Grant, bool) {
 	s.mu.Lock()
 	ctrl, draining := s.admit, s.draining
 	s.mu.Unlock()
@@ -186,7 +163,7 @@ func (s *Server) admitJob(w http.ResponseWriter, r *http.Request, cost float64) 
 		}
 		return nil, true
 	}
-	grant, rej := ctrl.Admit(r.Context(), clientKey(r), cost)
+	grant, rej := ctrl.Admit(r.Context())
 	if rej != nil {
 		if rej.Status == 499 {
 			// Client went away while queued; nobody is reading the response.
@@ -197,16 +174,4 @@ func (s *Server) admitJob(w http.ResponseWriter, r *http.Request, cost float64) 
 		return nil, false
 	}
 	return grant, true
-}
-
-// jobCost estimates a submission's crowd-question budget (0 without a cost
-// model, which disables cost-aware admission).
-func (s *Server) jobCost(q *cq.Query) float64 {
-	s.mu.Lock()
-	costs, ctrl := s.costs, s.admit
-	s.mu.Unlock()
-	if costs == nil || ctrl == nil {
-		return 0
-	}
-	return costs.Estimate(q)
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -117,42 +116,6 @@ func TestRateLimitRejection(t *testing.T) {
 	}
 	if counter(admission.MetricRejectedRate) < 1 {
 		t.Errorf("metric %s = %v, want >= 1", admission.MetricRejectedRate, metrics[admission.MetricRejectedRate])
-	}
-	waitJobsIdle(t, srv)
-}
-
-// TestPerClientRateLimit throttles one API key without touching another.
-func TestPerClientRateLimit(t *testing.T) {
-	srv, ts := overloadServer(t, admission.Options{ClientRate: 0.0001, ClientBurst: 1})
-
-	submit := func(key string) *http.Response {
-		raw, _ := json.Marshal(map[string]string{"query": dataset.IntroQ1().String()})
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/api/v1/clean", bytes.NewReader(raw))
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-API-Key", key)
-		res, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	res := submit("alice")
-	res.Body.Close()
-	if res.StatusCode != http.StatusAccepted {
-		t.Fatalf("alice #1 = %d, want 202", res.StatusCode)
-	}
-	res = submit("alice")
-	var env v1Envelope
-	json.NewDecoder(res.Body).Decode(&env)
-	res.Body.Close()
-	if res.StatusCode != http.StatusTooManyRequests || env.Error.Code != admission.CodeClientLimited {
-		t.Fatalf("alice #2 = %d/%q, want 429/%q", res.StatusCode, env.Error.Code, admission.CodeClientLimited)
-	}
-	res = submit("bob")
-	res.Body.Close()
-	if res.StatusCode != http.StatusAccepted {
-		t.Fatalf("bob = %d, want 202 (alice's limit must not spill over)", res.StatusCode)
 	}
 	waitJobsIdle(t, srv)
 }

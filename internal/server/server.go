@@ -66,7 +66,6 @@ type Job struct {
 	cancel  context.CancelFunc // stops the run; nil once observed
 	cleaner *core.Cleaner      // live progress source while running
 	grant   *admission.Grant   // admission slot held for the run; nil when unprotected
-	ast     *cq.Query          // parsed query, for post-run cost-model feedback
 }
 
 // jobStatus is the versioned job view: the job plus, while it runs, live
@@ -123,7 +122,6 @@ type Server struct {
 	// Overload protection (see overload.go). All nil-safe: a server without
 	// an admission controller admits everything, as before.
 	admit    *admission.Controller
-	costs    *admission.CostModel
 	health   *admission.Health
 	start    time.Time
 	draining bool
@@ -284,7 +282,7 @@ func (s *Server) v1Clean(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	grant, ok := s.admitJob(w, r, s.jobCost(q))
+	grant, ok := s.admitJob(w, r)
 	if !ok {
 		return
 	}
@@ -563,7 +561,7 @@ func (s *Server) Abandon(ids []int) (abandoned []int, states map[int]JobState) {
 func (s *Server) launchJob(id int, q *cq.Query, recovered bool, grant *admission.Grant) Job {
 	ctx, cancel := context.WithCancel(context.Background())
 
-	job := &Job{ID: id, Query: q.String(), State: JobRunning, Recovered: recovered, cancel: cancel, grant: grant, ast: q}
+	job := &Job{ID: id, Query: q.String(), State: JobRunning, Recovered: recovered, cancel: cancel, grant: grant}
 	s.mu.Lock()
 	s.jobs[job.ID] = job
 	s.active++
@@ -636,19 +634,9 @@ func (s *Server) finishJob(job *Job, report *core.Report, err, syncErr error) {
 	closing := s.closing
 	grant := job.grant
 	job.grant = nil
-	ast := job.ast
-	costs := s.costs
 	s.active--
 	s.mu.Unlock()
-	// Free the admission slot; a failed run is a congestion signal to the
-	// adaptive concurrency limit, a completed (even degraded) one is not.
-	grant.Release(state == JobFailed)
-	// Feed the run's real crowd cost back into the admission cost model, so
-	// future estimates for this query shape come from evidence. Cancelled and
-	// failed runs stop early and would bias the estimate low.
-	if costs != nil && ast != nil && report != nil && (state == JobDone || state == JobDegraded) {
-		costs.Observe(ast, report.Crowd.Total())
-	}
+	grant.Release()
 	// A cancelled job is finished by user decision even when the cancel races
 	// a shutdown: journal its end so it is not resurrected.
 	if jl != nil && syncErr == nil && (!closing || state == JobCancelled || state == JobHandoff) {

@@ -401,12 +401,10 @@ func soakOverload(t *testing.T, seed int64) {
 	samplerDone.Wait()
 
 	knownCodes := map[string]bool{
-		admission.CodeRateLimited:   true,
-		admission.CodeClientLimited: true,
-		admission.CodeCostExceeded:  true,
-		admission.CodeQueueFull:     true,
-		admission.CodeQueueTimeout:  true,
-		admission.CodeDraining:      true,
+		admission.CodeRateLimited:  true,
+		admission.CodeQueueFull:    true,
+		admission.CodeQueueTimeout: true,
+		admission.CodeDraining:     true,
 	}
 	var acceptedIDs []int
 	rejected, badRejections := 0, 0

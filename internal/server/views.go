@@ -144,7 +144,7 @@ func (s *Server) v1ViewAction(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("bad report tuple: %v", err))
 		return
 	}
-	grant, ok := s.admitJob(w, r, s.jobCost(q))
+	grant, ok := s.admitJob(w, r)
 	if !ok {
 		return
 	}
@@ -163,8 +163,6 @@ func (s *Server) startRepairJob(q *cq.Query, t db.Tuple, action string, grant *a
 	ctx, cancel := context.WithCancel(context.Background())
 
 	s.mu.Lock()
-	// ast stays nil: repair reports (reportOfEdits) carry no crowd stats, so
-	// there is no real question count to feed back into the cost model.
 	job := &Job{ID: s.nextJobIDLocked(), Query: fmt.Sprintf("%s %s %s", action, t, q), State: JobRunning, cancel: cancel, grant: grant}
 	s.jobs[job.ID] = job
 	s.active++
