@@ -230,28 +230,6 @@ func BenchmarkSplitStrategies(b *testing.B) {
 	}
 }
 
-// BenchmarkCompositeAblation compares Algorithm 1 with single-tuple questions
-// against the §9 composite-question extension (3 tuples per question).
-func BenchmarkCompositeAblation(b *testing.B) {
-	for _, size := range []int{1, 3} {
-		name := "single"
-		if size > 1 {
-			name = "composite3"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				d, dg := dataset.Figure1()
-				cl := core.New(d, crowd.NewPerfect(dg), core.Config{
-					CompositeSize: size, RNG: rand.New(rand.NewSource(int64(i))),
-				})
-				if _, err := cl.RemoveWrongAnswer(context.Background(), dataset.IntroQ1(), db.Tuple{"ESP"}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkCleanFigure1 times a full Algorithm 3 run on the paper's running
 // example, reporting the Report.Timings phase breakdown as custom metrics.
 func BenchmarkCleanFigure1(b *testing.B) {

@@ -183,7 +183,7 @@ func loadDatabase(ds, dataFile, schemaSpec string) (d, dg *db.Database, defQuery
 		dg := dataset.Soccer(dataset.SoccerOpts{})
 		return dg.Clone(), dg, dataset.SoccerQ1().String(), nil
 	case "dbgroup":
-		dg := dataset.DBGroup(dataset.DBGroupOpts{})
+		dg := dataset.DBGroup()
 		return dg.Clone(), dg, dataset.DBGroupQ2().String(), nil
 	default:
 		return nil, nil, "", fmt.Errorf("unknown dataset %q", ds)

@@ -48,6 +48,10 @@ func main() {
 	clusterKills := flag.Int("cluster-kills", 12, "kill/restart chaos rounds in the cluster soak (-fig cluster)")
 	scfg := storecfg.Register(flag.CommandLine)
 	flag.Parse()
+	if *tournaments < 0 {
+		fmt.Fprintf(os.Stderr, "qocobench: -tournaments %d: must not be negative\n", *tournaments)
+		os.Exit(2)
+	}
 
 	cfg := experiment.Config{
 		WrongAnswers:   *wrong,

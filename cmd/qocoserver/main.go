@@ -82,7 +82,7 @@ func loadDataset(name string) (d, dg *db.Database, err error) {
 	case "soccer":
 		return dataset.Soccer(dataset.SoccerOpts{}), nil, nil
 	case "dbgroup":
-		return dataset.DBGroup(dataset.DBGroupOpts{}), nil, nil
+		return dataset.DBGroup(), nil, nil
 	default:
 		return nil, nil, fmt.Errorf("unknown dataset %q (want figure1, soccer, or dbgroup)", name)
 	}

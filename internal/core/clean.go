@@ -148,6 +148,10 @@ func (c *Cleaner) verifyAnswers(ctx context.Context, u *cq.Union, tuples []db.Tu
 	return wrong
 }
 
+// minSamples is how many proposed answers the §6.1 estimator must observe
+// before its Chao92 estimate can declare Q(D) complete.
+const minSamples = 3
+
 // insertMissing is the insertion part of a round: it asks COMPL(Q(D)) and
 // inserts each proposed answer until the §6.1 estimator declares Q(D)
 // complete. Answers it inserts are marked verified; answers the crowd cannot
@@ -189,7 +193,7 @@ func (c *Cleaner) insertMissing(ctx context.Context, r *Report, u *cq.Union, est
 				failed[t.Key()] = true
 			}
 		}
-		if est.Complete(c.cfg.MinSamples, c.cfg.MinNulls) {
+		if est.Complete(minSamples, c.cfg.MinNulls) {
 			return nil
 		}
 	}

@@ -131,23 +131,13 @@ type Config struct {
 	RNG *rand.Rand
 	// MaxIterations bounds the outer loop of Algorithm 3. Default 50.
 	MaxIterations int
-	// CompositeSize batches this many tuple verifications into one composite
-	// crowd question in Algorithm 1 (the §9 extension). Default 1 (off).
-	CompositeSize int
 	// Deprecated: ignored; evaluation is serial.
 	EvalWorkers int
-	// MinSamples and MinNulls configure the enumeration stopping rule for
-	// COMPL(Q(D)) questions (§6.1, the Chao92 black box): stop once the
-	// estimator believes the result complete, or after MinNulls consecutive
-	// "nothing missing" replies. Defaults 3 and 1.
-	MinSamples int
-	MinNulls   int
-	// UseKeys enables key-constraint inference (the §9 extension): when a
-	// fact is established true and its relation declares a key
-	// (schema.Relation.Key), every database fact agreeing on the key but
-	// differing elsewhere must be false and is marked so without asking the
-	// crowd. Default off.
-	UseKeys bool
+	// MinNulls configures the enumeration stopping rule for COMPL(Q(D))
+	// questions (§6.1, the Chao92 black box): stop once the estimator believes
+	// the result complete, or after MinNulls consecutive "nothing missing"
+	// replies. Default 1.
+	MinNulls int
 	// Incremental enables maintained (counting-IVM) evaluation for Clean and
 	// CleanUnion: the run materializes the query (and, transiently, each
 	// embedded Q|t) as counting views — answers with support counts — in a
@@ -156,30 +146,20 @@ type Config struct {
 	// cold re-evaluation of Result, AnswerHolds and Holds. Witnesses are not
 	// maintained: Algorithm 1 enumerates them once per wrong answer. Output
 	// is byte-identical to non-incremental runs (the differential harness
-	// enforces it); only the evaluation cost changes. Requires that OnEdit
-	// hooks never edit the store themselves (View.Apply only reads it).
+	// enforces it); only the evaluation cost changes.
 	// The zero Config leaves it off, but note that the qoco CLI and
 	// qocoserver wire it to their -ivm flag, which defaults to on — operators
 	// assessing the maintained code path's blast radius should assume it is
 	// active unless -ivm=false was passed. See docs/EVAL.md.
 	Incremental bool
-	// OnEdit, when non-nil, is invoked after every edit the cleaner applies
-	// to the database. Calling view.View.Apply from it keeps a materialized
-	// view current while QOCO repairs the underlying data.
-	OnEdit func(db.Edit)
 	// TrustScores maps fact keys (db.Fact.Key()) to trust in [0, 1], used by
 	// PolicyTrust: less trustworthy tuples are verified first. Facts without
 	// an entry default to 0.5.
 	TrustScores map[string]float64
-	// MinimizeQueries folds redundant atoms out of the embedded query Q|t
-	// before Algorithm 2 runs (homomorphism minimization): fewer atoms mean
-	// fewer variables for the crowd to fill in the naive fallback. Off by
-	// default to match the paper's algorithms exactly.
-	MinimizeQueries bool
 	// Obs, when non-nil, receives live metrics from the run: question counts
-	// by kind (via the crowd.Counting wrapper), edits applied, phase
-	// latencies, witness-set sizes, and hitting-set solver node counts. Nil
-	// disables recording at zero cost.
+	// by kind (via the crowd.Counting wrapper), edits applied, iterations,
+	// phase latencies and witness-set sizes. Nil disables recording at zero
+	// cost.
 	Obs *obs.Recorder
 }
 
@@ -192,12 +172,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.MaxIterations == 0 {
 		c.MaxIterations = 50
-	}
-	if c.CompositeSize == 0 {
-		c.CompositeSize = 1
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 3
 	}
 	if c.MinNulls == 0 {
 		c.MinNulls = 1
@@ -251,9 +225,6 @@ type Report struct {
 	WrongAnswers, MissingAnswers int
 	// Iterations is the number of outer Algorithm 3 rounds.
 	Iterations int
-	// CompositeQuestions counts batched verification rounds when
-	// CompositeSize > 1.
-	CompositeQuestions int
 	// Crowd is the interaction accounting for the whole run.
 	Crowd crowd.Stats
 	// Timings is the phase breakdown of the run's wall-clock time.
@@ -375,7 +346,6 @@ func (c *Cleaner) verifyFact(ctx context.Context, f db.Fact) bool {
 	c.mu.Lock()
 	if ans {
 		c.knownTrue[k] = true
-		c.inferKeyConflictsLocked(f)
 	} else {
 		c.knownFalse[k] = true
 	}
@@ -383,45 +353,12 @@ func (c *Cleaner) verifyFact(ctx context.Context, f db.Fact) bool {
 	return ans
 }
 
-// inferKeyConflictsLocked marks every database fact that shares a true
-// fact's key (but differs elsewhere) as false — the key-constraint inference
-// of the §9 extension. Caller holds c.mu. No crowd questions are posed.
-func (c *Cleaner) inferKeyConflictsLocked(trueFact db.Fact) {
-	if !c.cfg.UseKeys {
-		return
-	}
-	relSchema, ok := c.d.Schema().Relation(trueFact.Rel)
-	if !ok {
-		return
-	}
-	keyIdx := relSchema.KeyIndexes()
-	if keyIdx == nil {
-		return
-	}
-	rel := c.d.Rel(trueFact.Rel)
-	bindings := make([]db.Binding, len(keyIdx))
-	for i, col := range keyIdx {
-		bindings[i] = db.Binding{Col: col, Value: trueFact.Args[col]}
-	}
-	for _, tuple := range rel.Scan(bindings) {
-		if tuple.Equal(trueFact.Args) {
-			continue
-		}
-		conflict := db.Fact{Rel: trueFact.Rel, Args: tuple}
-		ck := conflict.Key()
-		if !c.knownTrue[ck] {
-			c.knownFalse[ck] = true
-		}
-	}
-}
-
 // markTrueFact records a fact as true without asking (e.g. ground atoms of
-// Q|t, or facts of a crowd-completed witness) and applies key inference.
+// Q|t, or facts of a crowd-completed witness).
 func (c *Cleaner) markTrueFact(f db.Fact) {
 	c.mu.Lock()
 	c.knownTrue[f.Key()] = true
 	delete(c.knownFalse, f.Key())
-	c.inferKeyConflictsLocked(f)
 	c.mu.Unlock()
 }
 
@@ -443,18 +380,12 @@ func (c *Cleaner) apply(r *Report, e db.Edit) error {
 		c.cfg.Obs.Inc(MetricEditsDelete)
 	}
 	// The engine must see the edit immediately after the store (its delta
-	// base is the pre-edit generation). OnEdit hooks run after; view
-	// maintenance is read-only (pre-state matches evaluate through a
-	// db.Overlay), so a hook honoring the no-store-edits contract leaves the
-	// generation untouched. If a hook edits the store anyway, the next
-	// engine.Apply sees the generation mismatch and degrades to a stale
-	// engine (cold fallback until Sync) instead of serving deltas computed
-	// off the wrong base.
+	// base is the pre-edit generation). If anything else edits the store
+	// between engine.Apply calls, the next one sees the generation mismatch
+	// and degrades to a stale engine (cold fallback until Sync) instead of
+	// serving deltas computed off the wrong base.
 	if c.engine != nil {
 		c.engine.Apply(e)
-	}
-	if c.cfg.OnEdit != nil {
-		c.cfg.OnEdit(e)
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 
 	"repro/internal/cq"
 	"repro/internal/db"
@@ -91,26 +90,18 @@ func (c *Cleaner) removeWrongAnswer(ctx context.Context, r *Report, q *cq.Query,
 				break
 			}
 		}
-		batch := c.pickCandidates(ss)
-		if len(batch) > 1 {
-			r.CompositeQuestions++
+		k := c.pickCandidate(ss)
+		if c.verifyFact(ctx, facts.fact(k)) {
+			ss.RemoveElement(k)
+			continue
 		}
-		for _, k := range batch {
-			if ss.Empty() {
-				break
-			}
-			if c.verifyFact(ctx, facts.fact(k)) {
-				ss.RemoveElement(k)
-			} else {
-				if err := ctx.Err(); err != nil {
-					return err // the "true" default above kept this branch edit-free
-				}
-				if err := c.apply(r, db.Deletion(facts.fact(k))); err != nil {
-					return err
-				}
-				ss.RemoveSetsContaining(k)
-			}
+		if err := ctx.Err(); err != nil {
+			return err // the "true" default above kept this branch edit-free
 		}
+		if err := c.apply(r, db.Deletion(facts.fact(k))); err != nil {
+			return err
+		}
+		ss.RemoveSetsContaining(k)
 	}
 	if len(q.Negs) > 0 {
 		return c.repairNegationBlockers(ctx, r, q, t)
@@ -156,35 +147,24 @@ func (c *Cleaner) repairNegationBlockers(ctx context.Context, r *Report, q *cq.Q
 	return nil
 }
 
-// pickCandidates returns the next tuples to verify according to the deletion
-// policy: the single most frequent tuple (QOCO, QOCO−), a uniformly random
-// tuple (Random), the highest-responsibility tuple (Responsibility), the
-// least trustworthy tuple (Trust), or the CompositeSize most frequent tuples
-// when composite questions are enabled.
-func (c *Cleaner) pickCandidates(ss *hitting.SetSystem) []string {
+// pickCandidate returns the next tuple to verify according to the deletion
+// policy: the most frequent tuple (QOCO, QOCO−), a uniformly random tuple
+// (Random), the highest-responsibility tuple (Responsibility), the least
+// trustworthy tuple (Trust) or the most influential tuple (Influence).
+func (c *Cleaner) pickCandidate(ss *hitting.SetSystem) string {
 	switch c.cfg.Deletion {
 	case PolicyRandom:
 		elems := ss.Elements()
-		return []string{elems[c.cfg.RNG.Intn(len(elems))]}
+		return elems[c.cfg.RNG.Intn(len(elems))]
 	case PolicyResponsibility:
-		return []string{c.mostResponsible(ss)}
+		return c.mostResponsible(ss)
 	case PolicyTrust:
-		return []string{c.leastTrusted(ss)}
+		return c.leastTrusted(ss)
 	case PolicyInfluence:
 		dnf := &provenance.DNF{Terms: ss.Sets()}
-		return []string{dnf.MostInfluential(c.cfg.TrustScores)}
+		return dnf.MostInfluential(c.cfg.TrustScores)
 	}
-	if c.cfg.CompositeSize <= 1 {
-		return []string{ss.MostFrequent(c.cfg.RNG)}
-	}
-	// Composite extension: take the CompositeSize most frequent elements.
-	freq := ss.Frequencies()
-	elems := ss.Elements()
-	sort.SliceStable(elems, func(i, j int) bool { return freq[elems[i]] > freq[elems[j]] })
-	if len(elems) > c.cfg.CompositeSize {
-		elems = elems[:c.cfg.CompositeSize]
-	}
-	return elems
+	return ss.MostFrequent(c.cfg.RNG)
 }
 
 // mostResponsible picks the candidate with the highest responsibility for the

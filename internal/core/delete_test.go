@@ -292,26 +292,6 @@ func TestCachedTruthEditOrder(t *testing.T) {
 	}
 }
 
-// TestCompositeQuestions: with CompositeSize > 1 the number of verification
-// rounds shrinks, while correctness is preserved.
-func TestCompositeQuestions(t *testing.T) {
-	q := dataset.IntroQ1()
-	d, dg := dataset.Figure1()
-	c := New(d, crowd.NewPerfect(dg), Config{CompositeSize: 3, RNG: rand.New(rand.NewSource(1))})
-	edits, err := c.RemoveWrongAnswer(context.Background(), q, db.Tuple{"ESP"})
-	if err != nil {
-		t.Fatalf("RemoveWrongAnswer: %v", err)
-	}
-	if eval.AnswerHolds(q, d, db.Tuple{"ESP"}) {
-		t.Fatalf("wrong answer survives composite mode")
-	}
-	for _, e := range edits {
-		if dg.Has(e.Fact) {
-			t.Errorf("true fact deleted: %v", e.Fact)
-		}
-	}
-}
-
 func TestDeletionPolicyString(t *testing.T) {
 	if PolicyQOCO.String() != "QOCO" || PolicyQOCOMinus.String() != "QOCO-" || PolicyRandom.String() != "Random" {
 		t.Errorf("unexpected policy names")

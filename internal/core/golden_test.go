@@ -37,7 +37,7 @@ type goldenJob struct {
 func goldenJobs() []goldenJob {
 	soccer := dataset.Soccer(dataset.SoccerOpts{})
 	fromSoccer := func() (*db.Database, *db.Database) { return soccer.Clone(), soccer }
-	dbgroup := dataset.DBGroup(dataset.DBGroupOpts{})
+	dbgroup := dataset.DBGroup()
 	fromDBGroup := func() (*db.Database, *db.Database) { return dbgroup.Clone(), dbgroup }
 	one := func(q *cq.Query) *cq.Union { return &cq.Union{Disjuncts: []*cq.Query{q}} }
 	return []goldenJob{

@@ -35,26 +35,6 @@ func (c *Cleaner) addMissingAnswer(ctx context.Context, r *Report, q *cq.Query, 
 		}
 		return err
 	}
-	if c.cfg.MinimizeQueries {
-		// Q|t's head lists every variable by construction, which would pin
-		// them all and make folding impossible. For witness-finding the head
-		// is irrelevant (making any witness true makes t an answer, by
-		// homomorphic equivalence), so minimize the Boolean version and
-		// rebuild the head from the surviving variables.
-		boolQt := qt.Clone()
-		boolQt.Head = nil
-		boolQt = cq.Minimize(boolQt)
-		seen := make(map[string]bool)
-		for _, atom := range boolQt.Atoms {
-			for _, term := range atom.Args {
-				if term.IsVar && !seen[term.Name] {
-					seen[term.Name] = true
-					boolQt.Head = append(boolQt.Head, term)
-				}
-			}
-		}
-		qt = boolQt
-	}
 	// Under maintained evaluation, materialize Q|t transiently: the Holds
 	// probes below and every edit of this insertion then cost O(delta)
 	// instead of re-enumerating Q|t per round. Released on return unless the

@@ -181,39 +181,6 @@ func TestUnsatCacheAvoidsRepeatCompletions(t *testing.T) {
 	}
 }
 
-// TestMinimizeQueriesReducesNaiveCost: with a redundant atom in the query,
-// minimization shrinks the witness the crowd must complete in the naive
-// fallback.
-func TestMinimizeQueriesReducesNaiveCost(t *testing.T) {
-	s := schema.New(schema.Relation{Name: "R", Attrs: []string{"a", "b"}})
-	build := func() (*db.Database, *db.Database) {
-		d := db.New(s)
-		dg := db.New(s)
-		dg.InsertFact(db.NewFact("R", "k", "v"))
-		return d, dg
-	}
-	// R(x, y), R(x, z): the second atom is redundant.
-	q := mustQuery(t, "(x) :- R(x, y), R(x, z)")
-
-	d1, dg1 := build()
-	plain := New(d1, crowd.NewPerfect(dg1), Config{Split: split.Naive{}})
-	if _, err := plain.AddMissingAnswer(context.Background(), q, db.Tuple{"k"}); err != nil {
-		t.Fatalf("plain: %v", err)
-	}
-	d2, dg2 := build()
-	min := New(d2, crowd.NewPerfect(dg2), Config{Split: split.Naive{}, MinimizeQueries: true})
-	if _, err := min.AddMissingAnswer(context.Background(), q, db.Tuple{"k"}); err != nil {
-		t.Fatalf("minimized: %v", err)
-	}
-	if !eval.AnswerHolds(q, d2, db.Tuple{"k"}) {
-		t.Fatalf("answer still missing under minimization")
-	}
-	if min.Stats().VariablesFilled >= plain.Stats().VariablesFilled {
-		t.Errorf("minimized filled %d variables, plain %d; want a reduction",
-			min.Stats().VariablesFilled, plain.Stats().VariablesFilled)
-	}
-}
-
 // cancelOnFirstFact cancels the run on its first TRUE(R(ā))? and answers it,
 // as every later one, with the edit-free default true: a crowd whose job was
 // cancelled while the question waited. It counts the TRUE(R(ā))? calls.

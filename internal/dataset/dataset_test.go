@@ -66,6 +66,18 @@ func TestSoccerScaleAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestSoccerNegativeTournamentsMeansDefault: a negative Tournaments count is
+// taken as the default, like zero, instead of slicing the edition list out of
+// range.
+func TestSoccerNegativeTournamentsMeansDefault(t *testing.T) {
+	want := Soccer(SoccerOpts{})
+	for _, n := range []int{-1, -21} {
+		if got := Soccer(SoccerOpts{Tournaments: n}); !got.Equal(want) {
+			t.Errorf("Tournaments %d: %d facts, want the default database's %d", n, got.Len(), want.Len())
+		}
+	}
+}
+
 func TestSoccerReferentialShape(t *testing.T) {
 	d := Soccer(SoccerOpts{Tournaments: 4})
 	// Every game's winner and loser are known teams.
@@ -125,18 +137,18 @@ func TestSoccerQueriesHaveAnswers(t *testing.T) {
 }
 
 func TestDBGroupScaleAndDeterminism(t *testing.T) {
-	d1 := DBGroup(DBGroupOpts{})
+	d1 := DBGroup()
 	if n := d1.Len(); n < 1500 || n > 3000 {
 		t.Errorf("|DBGroup| = %d, want the paper's ~2000 scale", n)
 	}
-	d2 := DBGroup(DBGroupOpts{})
+	d2 := DBGroup()
 	if !d1.Equal(d2) {
 		t.Errorf("DBGroup generator is not deterministic")
 	}
 }
 
 func TestDBGroupQueriesHaveAnswers(t *testing.T) {
-	d := DBGroup(DBGroupOpts{})
+	d := DBGroup()
 	if err := DBGroupQ1().Validate(d.Schema()); err != nil {
 		t.Fatalf("Q1 invalid: %v", err)
 	}

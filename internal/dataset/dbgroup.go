@@ -16,13 +16,13 @@ import (
 // expressible as CQ≠.
 func DBGroupSchema() *schema.Schema {
 	return schema.New(
-		schema.Relation{Name: "Members", Attrs: []string{"name", "role", "startyear"}, Key: []string{"name"}},
-		schema.Relation{Name: "Publications", Attrs: []string{"title", "year", "topic", "venue"}, Key: []string{"title"}},
+		schema.Relation{Name: "Members", Attrs: []string{"name", "role", "startyear"}},
+		schema.Relation{Name: "Publications", Attrs: []string{"title", "year", "topic", "venue"}},
 		schema.Relation{Name: "AuthorOf", Attrs: []string{"member", "title"}},
-		schema.Relation{Name: "Grants", Attrs: []string{"name", "agency"}, Key: []string{"name"}},
+		schema.Relation{Name: "Grants", Attrs: []string{"name", "agency"}},
 		schema.Relation{Name: "GrantTopics", Attrs: []string{"grant", "topic"}},
 		schema.Relation{Name: "FundedBy", Attrs: []string{"member", "grant"}},
-		schema.Relation{Name: "Events", Attrs: []string{"name", "year", "type", "topic"}, Key: []string{"name"}},
+		schema.Relation{Name: "Events", Attrs: []string{"name", "year", "type", "topic"}},
 		schema.Relation{Name: "Talks", Attrs: []string{"member", "event", "kind"}},
 		schema.Relation{Name: "Travels", Attrs: []string{"member", "event", "sponsor"}},
 		schema.Relation{Name: "Recent", Attrs: []string{"year"}},
@@ -44,40 +44,19 @@ var (
 	dbgroupRecent     = []string{"2013", "2014", "2015"} // the last 30 months of the report period
 )
 
-// DBGroupOpts tunes the generated DBGroup ground truth.
-type DBGroupOpts struct {
-	// Members is the number of group members over the 10-year history
-	// (default 50).
-	Members int
-	// Publications is the number of papers (default 380).
-	Publications int
-	// Events is the number of academic events (default 90).
-	Events int
-	// Seed drives the deterministic generator (default 1).
-	Seed int64
-}
-
-func (o *DBGroupOpts) applyDefaults() {
-	if o.Members == 0 {
-		o.Members = 50
-	}
-	if o.Publications == 0 {
-		o.Publications = 380
-	}
-	if o.Events == 0 {
-		o.Events = 90
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-}
+// Generator sizes of the DBGroup ground truth.
+const (
+	dbgroupMembers      = 50  // group members over the 10-year history
+	dbgroupPublications = 380 // papers
+	dbgroupEvents       = 90  // academic events
+)
 
 // DBGroup generates the ground truth of the §7.1 DBGroup database:
 // roughly 2000 tuples of members, publications, grants, events, talks and
-// travels, "created about 10 years ago and continuously maintained".
-func DBGroup(opts DBGroupOpts) *db.Database {
-	opts.applyDefaults()
-	rng := rand.New(rand.NewSource(opts.Seed))
+// travels, "created about 10 years ago and continuously maintained". Every
+// call returns the same database.
+func DBGroup() *db.Database {
+	rng := rand.New(rand.NewSource(1))
 	d := db.New(DBGroupSchema())
 
 	for _, y := range dbgroupRecent {
@@ -93,8 +72,8 @@ func DBGroup(opts DBGroupOpts) *db.Database {
 		}
 	}
 
-	members := make([]string, 0, opts.Members)
-	for i := 0; i < opts.Members; i++ {
+	members := make([]string, 0, dbgroupMembers)
+	for i := 0; i < dbgroupMembers; i++ {
 		name := fmt.Sprintf("Member%02d", i+1)
 		// Groups are student-heavy: ~half the members are students.
 		role := "Student"
@@ -112,8 +91,8 @@ func DBGroup(opts DBGroupOpts) *db.Database {
 		}
 	}
 
-	events := make([]string, 0, opts.Events)
-	for i := 0; i < opts.Events; i++ {
+	events := make([]string, 0, dbgroupEvents)
+	for i := 0; i < dbgroupEvents; i++ {
 		name := fmt.Sprintf("Event%02d", i+1)
 		// Recent years are over-represented (the report covers them).
 		year := dbgroupYears[rng.Intn(len(dbgroupYears))]
@@ -126,7 +105,7 @@ func DBGroup(opts DBGroupOpts) *db.Database {
 		events = append(events, name)
 	}
 
-	for i := 0; i < opts.Publications; i++ {
+	for i := 0; i < dbgroupPublications; i++ {
 		title := fmt.Sprintf("Paper%03d", i+1)
 		year := dbgroupYears[rng.Intn(len(dbgroupYears))]
 		topic := dbgroupTopics[rng.Intn(len(dbgroupTopics))]
@@ -141,7 +120,7 @@ func DBGroup(opts DBGroupOpts) *db.Database {
 	}
 
 	// Talks: keynotes/tutorials/regular talks at events.
-	for i := 0; i < opts.Events*3; i++ {
+	for i := 0; i < dbgroupEvents*3; i++ {
 		m := members[rng.Intn(len(members))]
 		e := events[rng.Intn(len(events))]
 		kind := dbgroupTalkKinds[rng.Intn(len(dbgroupTalkKinds))]
@@ -150,7 +129,7 @@ func DBGroup(opts DBGroupOpts) *db.Database {
 
 	// Travels: sponsored conference attendance; ERC (the report's grant)
 	// sponsors a sizeable share.
-	for i := 0; i < opts.Events*3; i++ {
+	for i := 0; i < dbgroupEvents*3; i++ {
 		m := members[rng.Intn(len(members))]
 		e := events[rng.Intn(len(events))]
 		sponsor := dbgroupGrants[rng.Intn(len(dbgroupGrants))][0]

@@ -14,9 +14,9 @@ import (
 // WorldCupSchema returns the four-relation schema of Figure 1.
 func WorldCupSchema() *schema.Schema {
 	return schema.New(
-		schema.Relation{Name: "Games", Attrs: []string{"date", "winner", "runnerup", "stage", "result"}, Key: []string{"date"}},
-		schema.Relation{Name: "Teams", Attrs: []string{"name", "continent"}, Key: []string{"name"}},
-		schema.Relation{Name: "Players", Attrs: []string{"name", "team", "birthyear", "birthplace"}, Key: []string{"name"}},
+		schema.Relation{Name: "Games", Attrs: []string{"date", "winner", "runnerup", "stage", "result"}},
+		schema.Relation{Name: "Teams", Attrs: []string{"name", "continent"}},
+		schema.Relation{Name: "Players", Attrs: []string{"name", "team", "birthyear", "birthplace"}},
 		schema.Relation{Name: "Goals", Attrs: []string{"player", "date"}},
 	)
 }

@@ -14,11 +14,11 @@ import (
 // goals, players, teams (national), clubs, etc.").
 func SoccerSchema() *schema.Schema {
 	return schema.New(
-		schema.Relation{Name: "Games", Attrs: []string{"date", "winner", "loser", "stage", "result"}, Key: []string{"date"}},
-		schema.Relation{Name: "Teams", Attrs: []string{"name", "continent"}, Key: []string{"name"}},
-		schema.Relation{Name: "Players", Attrs: []string{"name", "team", "birthyear", "birthplace"}, Key: []string{"name"}},
+		schema.Relation{Name: "Games", Attrs: []string{"date", "winner", "loser", "stage", "result"}},
+		schema.Relation{Name: "Teams", Attrs: []string{"name", "continent"}},
+		schema.Relation{Name: "Players", Attrs: []string{"name", "team", "birthyear", "birthplace"}},
 		schema.Relation{Name: "Goals", Attrs: []string{"player", "date"}},
-		schema.Relation{Name: "Clubs", Attrs: []string{"name", "country"}, Key: []string{"name"}},
+		schema.Relation{Name: "Clubs", Attrs: []string{"name", "country"}},
 		schema.Relation{Name: "PlaysFor", Attrs: []string{"player", "club"}},
 	)
 }
@@ -59,30 +59,28 @@ var clubPool = [][2]string{
 	{"Kashima", "JPN"}, {"AlAhly", "EGY"},
 }
 
+// Generator sizes of the Soccer ground truth.
+const (
+	// teamsPerCup is the number of participating teams per edition: 4 groups
+	// of 4 plus a 16-team knockout bracket.
+	teamsPerCup = 16
+	// squadSize is the number of players generated per national team.
+	squadSize = 11
+)
+
 // SoccerOpts tunes the generated Soccer ground truth.
 type SoccerOpts struct {
-	// Tournaments is the number of World Cup editions (default 20,
-	// 1930–2014 skipping the war years, as in the real history).
+	// Tournaments is the number of World Cup editions, the latest ones kept
+	// (default and cap 20, 1930–2014 skipping the war years, as in the real
+	// history). A non-positive value means the default.
 	Tournaments int
-	// TeamsPerCup is the number of participating teams per edition
-	// (default 16: 4 groups of 4 plus a 16-team knockout bracket).
-	TeamsPerCup int
-	// SquadSize is the number of players generated per national team
-	// (default 11).
-	SquadSize int
 	// Seed drives the deterministic generator (default 1).
 	Seed int64
 }
 
 func (o *SoccerOpts) applyDefaults() {
-	if o.Tournaments == 0 {
-		o.Tournaments = 20
-	}
-	if o.TeamsPerCup == 0 {
-		o.TeamsPerCup = 16
-	}
-	if o.SquadSize == 0 {
-		o.SquadSize = 11
+	if o.Tournaments <= 0 {
+		o.Tournaments = len(worldCupYears)
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -110,11 +108,11 @@ func Soccer(opts SoccerOpts) *db.Database {
 		mustInsert(d, "Clubs", []string{c[0], c[1]})
 	}
 
-	// Squads: SquadSize players per team, each affiliated with a club.
+	// Squads: squadSize players per team, each affiliated with a club.
 	playersByTeam := make(map[string][]string)
 	for _, t := range nationalTeams {
 		team := t[0]
-		for i := 0; i < opts.SquadSize; i++ {
+		for i := 0; i < squadSize; i++ {
 			name := fmt.Sprintf("%s Player%02d", team, i+1)
 			birthyear := fmt.Sprintf("%d", 1955+rng.Intn(40))
 			birthplace := team
@@ -133,7 +131,7 @@ func Soccer(opts SoccerOpts) *db.Database {
 		years = years[len(years)-opts.Tournaments:]
 	}
 	for _, year := range years {
-		generateTournament(d, rng, year, opts.TeamsPerCup, playersByTeam)
+		generateTournament(d, rng, year, teamsPerCup, playersByTeam)
 	}
 	return d
 }

@@ -110,12 +110,12 @@ func AssignmentsFor(q *cq.Query, d db.Reader, t db.Tuple) []Assignment {
 // assignment in A(t,Q,D), deduplicated (distinct assignments can induce the
 // same witness, e.g. by permuting symmetric atoms) and sorted canonically by
 // witness key, so cold and cached calls produce byte-identical output.
-// Witness sets are memoized per database generation — the question-selection
-// loop of Algorithm 1 re-reads the same answer's witnesses between crowd
-// questions. A miss enumerates A(t,Q,D) seeded by t, folding each
-// assignment's witness straight from the search: the facts are grounded into
-// reused tuples and keyed in a reused buffer, and only a new witness set is
-// copied out.
+// Witness sets are memoized per database generation, so a repeat read at the
+// same generation enumerates nothing. Algorithm 1 reads them once per wrong
+// answer, before its first question. A miss enumerates A(t,Q,D) seeded by t,
+// folding each assignment's witness straight from the search: the facts are
+// grounded into reused tuples and keyed in a reused buffer, and only a new
+// witness set is copied out.
 func Witnesses(q *cq.Query, d db.Reader, t db.Tuple, opts ...Option) [][]db.Fact {
 	start := time.Now()
 	cfg := resolve(opts)

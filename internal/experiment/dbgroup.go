@@ -31,7 +31,7 @@ type ShowcaseRow struct {
 // insertions; the same order of magnitude must emerge here.
 func DBGroupShowcase(seed int64) []ShowcaseRow {
 	rng := rand.New(rand.NewSource(seed))
-	dg := dataset.DBGroup(dataset.DBGroupOpts{})
+	dg := dataset.DBGroup()
 	d := dg.Clone()
 
 	q1 := dataset.DBGroupQ1()

@@ -10,32 +10,10 @@ import (
 )
 
 // Relation describes one relation symbol: its name and attribute names.
-// The arity of the relation is len(Attrs). Key optionally names a subset of
-// the attributes forming a key: two distinct tuples of the relation cannot
-// agree on all key attributes. Keys are advisory metadata — instances do not
-// enforce them — consumed by the cleaner's key-aware inference (the paper's
-// §9 notes key constraints as future work).
+// The arity of the relation is len(Attrs).
 type Relation struct {
 	Name  string
 	Attrs []string
-	Key   []string
-}
-
-// KeyIndexes returns the positions of the key attributes, or nil when the
-// relation has no declared key.
-func (r Relation) KeyIndexes() []int {
-	if len(r.Key) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(r.Key))
-	for _, k := range r.Key {
-		i := r.AttrIndex(k)
-		if i < 0 {
-			return nil // Validate rejects this; be defensive for direct use
-		}
-		out = append(out, i)
-	}
-	return out
 }
 
 // Arity returns the number of attributes of the relation.
@@ -74,16 +52,6 @@ func (r Relation) Validate() error {
 			return fmt.Errorf("schema: relation %s has duplicate attribute %q", r.Name, a)
 		}
 		seen[a] = true
-	}
-	keySeen := make(map[string]bool, len(r.Key))
-	for _, k := range r.Key {
-		if !seen[k] {
-			return fmt.Errorf("schema: relation %s declares unknown key attribute %q", r.Name, k)
-		}
-		if keySeen[k] {
-			return fmt.Errorf("schema: relation %s has duplicate key attribute %q", r.Name, k)
-		}
-		keySeen[k] = true
 	}
 	return nil
 }

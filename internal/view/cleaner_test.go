@@ -25,25 +25,36 @@ func rowsKeyExt(ts []db.Tuple) string {
 	return out
 }
 
-// TestViewApplyFromOnEdit keeps two views current through a cleaning run by
-// calling View.Apply from the cleaner's OnEdit hook: both stay exactly in
-// sync with the database as QOCO repairs it.
+// TestViewApplyFromOnEdit keeps two views current through a cleaning run's
+// edits: it replays Report.Edits in order on a copy of the dirty database,
+// calling View.Apply on both views after each edit, and requires both views
+// to end exactly equal to their queries over the repaired database.
 func TestViewApplyFromOnEdit(t *testing.T) {
 	for _, incremental := range []bool{false, true} {
 		d, dg := dataset.Figure1()
-		vQ1 := view.New("winners", dataset.IntroQ1(), d)
-		vQ2 := view.New("scorers", dataset.IntroQ2(), d)
+		replay := d.Clone()
+		vQ1 := view.New("winners", dataset.IntroQ1(), replay)
+		vQ2 := view.New("scorers", dataset.IntroQ2(), replay)
 
 		cl := core.New(d, crowd.NewPerfect(dg), core.Config{
-			RNG: rand.New(rand.NewSource(3)),
-			OnEdit: func(e db.Edit) {
-				vQ1.Apply(d, e)
-				vQ2.Apply(d, e)
-			},
+			RNG:         rand.New(rand.NewSource(3)),
 			Incremental: incremental,
 		})
-		if _, err := cl.Clean(context.Background(), dataset.IntroQ1()); err != nil {
+		rep, err := cl.Clean(context.Background(), dataset.IntroQ1())
+		if err != nil {
 			t.Fatal(err)
+		}
+		if len(rep.Edits) == 0 {
+			t.Fatalf("incremental=%v: the run made no edits to replay", incremental)
+		}
+		for i, e := range rep.Edits {
+			changed, err := replay.Apply(e)
+			if err != nil || !changed {
+				t.Fatalf("incremental=%v: replaying edit %d (%v): changed=%v err=%v",
+					incremental, i, e, changed, err)
+			}
+			vQ1.Apply(replay, e)
+			vQ2.Apply(replay, e)
 		}
 
 		// winners view must now match Q1 over the repaired database (= over DG).

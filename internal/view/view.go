@@ -12,9 +12,10 @@
 // activated to monitor the views that are served to users/applications.
 // Whenever an error is reported in a view, QOCO can take over to clean the
 // underlying database." — is served over HTTP by internal/server, which
-// evaluates a registered view when it is read. A library caller keeps a View
-// current through a cleaning run by calling View.Apply from
-// core.Config.OnEdit.
+// evaluates a registered view when it is read. A library caller brings a View
+// up to date after a cleaning run with View.Refresh. A View over a copy of
+// the pre-run database stays current if the caller applies the run's
+// Report.Edits to the copy in order and calls View.Apply after each.
 package view
 
 import (
