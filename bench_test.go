@@ -12,7 +12,6 @@ import (
 	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/experiment"
-	"repro/internal/hitting"
 	"repro/internal/noise"
 	"repro/internal/split"
 	"repro/internal/sqlfe"
@@ -141,16 +140,7 @@ func BenchmarkSelectQuestionDeletion(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ws := eval.Witnesses(q, d, wrong)
-		ss := hitting.NewSetSystem()
-		for _, w := range ws {
-			keys := make([]string, len(w))
-			for j, f := range w {
-				keys[j] = f.Key()
-			}
-			ss.Add(keys)
-		}
-		if ss.MostFrequent(nil) == "" {
+		if core.NewWitnessSystem(q, d, wrong).MostFrequent(nil) == "" {
 			b.Fatal("no candidate question")
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/db"
 	"repro/internal/eval"
@@ -23,8 +24,9 @@ import (
 //   - AnswerHolds membership parity against the naive result set
 //   - every witness of every answer is a subset of D
 //   - seeded enumeration on D and on a db.Overlay of it: for every answer
-//     and a perturbed probe, Witnesses (eval.NoCache) and AssignmentsFor
-//     equal NaiveEval filtered by the answer; for random partial seeds,
+//     and a perturbed probe, Witnesses, Algorithm 1's witness sets mapped
+//     back to facts, and AssignmentsFor equal NaiveEval filtered by the
+//     answer; for random partial seeds,
 //     eval.Best with no bound equals NaiveEval filtered by the seed, and
 //     with k = 1 that set's key-minimum (see checkEnumeration)
 func CheckEvalParity(ins *Instance) error {
@@ -145,8 +147,9 @@ func checkResultModes(ins *Instance, label string) error {
 // checkEnumeration compares the seeded enumerations of the join search with
 // NaiveEval filtered to the same seed:
 //
-//   - for every naive answer and one perturbed non-answer, Witnesses (cold)
-//     and AssignmentsFor;
+//   - for every naive answer and one perturbed non-answer, Witnesses, the
+//     sets of Algorithm 1's witness system (core.NewWitnessSystem) mapped
+//     back to facts, and AssignmentsFor;
 //   - Best with no bound, and Best with k = 1 against the key-minimum, for
 //     random partial seeds drawn from naive assignments, plus three edge
 //     seeds: a binding of a variable the query lacks (it must appear in
@@ -163,8 +166,11 @@ func checkEnumeration(q *cq.Query, d db.Reader, label string, rng *rand.Rand) er
 		probes = append(probes, probe)
 	}
 	for _, t := range probes {
-		if got, want := witnessSetsKey(eval.Witnesses(q, d, t, eval.NoCache())), witnesses[t.Key()]; got != want {
-			return fmt.Errorf("eval parity (%s): Witnesses(%v, NoCache) = %q, naive %q", label, t, got, want)
+		if got, want := witnessSetsKey(eval.Witnesses(q, d, t)), witnesses[t.Key()]; got != want {
+			return fmt.Errorf("eval parity (%s): Witnesses(%v) = %q, naive %q", label, t, got, want)
+		}
+		if got, want := witnessSystemKey(core.NewWitnessSystem(q, d, t)), witnesses[t.Key()]; got != want {
+			return fmt.Errorf("eval parity (%s): Algorithm 1's witness sets for %v = %q, naive %q", label, t, got, want)
 		}
 		seed, ok := eval.PartialFromAnswer(q, t)
 		if !ok {
@@ -184,6 +190,23 @@ func checkEnumeration(q *cq.Query, d db.Reader, label string, rng *rand.Rand) er
 		}
 	}
 	return nil
+}
+
+// witnessSystemKey maps the ID sets of Algorithm 1's witness system back to
+// facts and renders them as naiveWitnessKeys does, in witness-key order. A
+// duplicate set shows up as a repeated key.
+func witnessSystemKey(ws *core.WitnessSystem) string {
+	var sets [][]db.Fact
+	for _, set := range ws.Sets() {
+		w := make([]db.Fact, len(set))
+		for i, e := range set {
+			w[i] = ws.Fact(e)
+		}
+		sort.Slice(w, func(i, j int) bool { return w[i].Less(w[j]) })
+		sets = append(sets, w)
+	}
+	sort.Slice(sets, func(i, j int) bool { return eval.WitnessSetKey(sets[i]) < eval.WitnessSetKey(sets[j]) })
+	return witnessSetsKey(sets)
 }
 
 // keyMin returns the assignment with the least Assignment.Key, or none.

@@ -20,10 +20,9 @@ import (
 //     rows and per-answer support counts must match a fresh view.New
 //   - the same queries maintained by a view.Engine registered as the store's
 //     eval.Maintainer — eval.Witnesses of every answer and of an absent
-//     probe, read twice (the second read is a cache hit), must be
-//     byte-identical to the cold eval.Witnesses(..., eval.NoCache()) and to
-//     the witness sets derived from eval.NaiveEval, so witnesses exist for
-//     exactly the answers of NaiveResult
+//     probe must be byte-identical to the witness sets derived from
+//     eval.NaiveEval, so witnesses exist for exactly the answers of
+//     NaiveResult
 //
 // Negated atoms are covered by the generator (a third of queries carry one),
 // which is exactly where delta evaluation is easiest to get wrong: an
@@ -117,9 +116,8 @@ func viewsAgree(step string, q *cq.Query, got, ref *view.View) error {
 }
 
 // witnessesAgree checks eval.Witnesses on a store with a registered engine:
-// for every answer of NaiveResult and one absent probe, the first (cold) and
-// second (cached) read and the NoCache read must all equal the witness sets
-// derived from NaiveEval.
+// for every answer of NaiveResult and one absent probe, it must equal the
+// witness sets derived from NaiveEval.
 func witnessesAgree(step string, q *cq.Query, d db.Reader) error {
 	want := naiveWitnessKeys(q, d)
 	naive := eval.NaiveResult(q, d)
@@ -136,14 +134,8 @@ func witnessesAgree(step string, q *cq.Query, d db.Reader) error {
 		probes = append(append([]db.Tuple(nil), naive...), probe)
 	}
 	for _, t := range probes {
-		w := want[t.Key()]
-		for _, read := range []struct {
-			name string
-			opts []eval.Option
-		}{{"first", nil}, {"cached", nil}, {"cold", []eval.Option{eval.NoCache()}}} {
-			if got := witnessSetsKey(eval.Witnesses(q, d, t, read.opts...)); got != w {
-				return fmt.Errorf("view parity (%s, %s): %s Witnesses(%v) = %q, naive %q", step, q, read.name, t, got, w)
-			}
+		if got, w := witnessSetsKey(eval.Witnesses(q, d, t)), want[t.Key()]; got != w {
+			return fmt.Errorf("view parity (%s, %s): Witnesses(%v) = %q, naive %q", step, q, t, got, w)
 		}
 	}
 	return nil
@@ -191,9 +183,9 @@ func rowsKey(ts []db.Tuple) string {
 	return b.String()
 }
 
-// witnessSetsKey canonicalizes a witness-set list, preserving order: the
-// maintained and cold paths promise the same canonical (witness-key) order,
-// so parity here is byte-identity, not set equality.
+// witnessSetsKey canonicalizes a witness-set list, preserving order:
+// eval.Witnesses promises the canonical (witness-key) order, so parity here
+// is byte-identity, not set equality.
 func witnessSetsKey(sets [][]db.Fact) string {
 	var b strings.Builder
 	for _, w := range sets {

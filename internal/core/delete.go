@@ -31,21 +31,11 @@ func (c *Cleaner) RemoveWrongAnswer(ctx context.Context, q *cq.Query, t db.Tuple
 }
 
 func (c *Cleaner) removeWrongAnswer(ctx context.Context, r *Report, q *cq.Query, t db.Tuple) error {
-	witnesses := eval.Witnesses(q, c.d, t)
-	c.cfg.Obs.Observe(MetricWitnessSets, float64(len(witnesses)))
-	if len(witnesses) == 0 {
+	ws := NewWitnessSystem(q, c.d, t)
+	ss := ws.SetSystem
+	c.cfg.Obs.Observe(MetricWitnessSets, float64(ss.Len()))
+	if ss.Empty() {
 		return nil
-	}
-	// Build the set system over fact keys, remembering key -> fact.
-	facts := newWitnessFacts()
-	ss := hitting.NewSetSystem()
-	var keys []string
-	for _, w := range witnesses {
-		keys = keys[:0]
-		for _, f := range w {
-			keys = append(keys, facts.key(f))
-		}
-		ss.Add(keys)
 	}
 	// The unique-minimal-hitting-set shortcut (Theorem 4.5) relies on every
 	// witness containing at least one false tuple, which holds only for
@@ -61,7 +51,7 @@ func (c *Cleaner) removeWrongAnswer(ctx context.Context, r *Report, q *cq.Query,
 		c.mu.Lock()
 		for _, k := range ss.Elements() {
 			if c.knownFalse[k] {
-				if err := c.apply(r, db.Deletion(facts.fact(k))); err != nil {
+				if err := c.apply(r, db.Deletion(ws.Fact(k))); err != nil {
 					c.mu.Unlock()
 					return err
 				}
@@ -81,7 +71,7 @@ func (c *Cleaner) removeWrongAnswer(ctx context.Context, r *Report, q *cq.Query,
 			// Lines 2-4: singleton tuples must be false; delete without asking.
 			for _, k := range ss.Singletons() {
 				c.markFalse(k)
-				if err := c.apply(r, db.Deletion(facts.fact(k))); err != nil {
+				if err := c.apply(r, db.Deletion(ws.Fact(k))); err != nil {
 					return err
 				}
 				ss.RemoveSetsContaining(k)
@@ -91,14 +81,14 @@ func (c *Cleaner) removeWrongAnswer(ctx context.Context, r *Report, q *cq.Query,
 			}
 		}
 		k := c.pickCandidate(ss)
-		if c.verifyFact(ctx, facts.fact(k)) {
+		if c.verifyFact(ctx, ws.Fact(k)) {
 			ss.RemoveElement(k)
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			return err // the "true" default above kept this branch edit-free
 		}
-		if err := c.apply(r, db.Deletion(facts.fact(k))); err != nil {
+		if err := c.apply(r, db.Deletion(ws.Fact(k))); err != nil {
 			return err
 		}
 		ss.RemoveSetsContaining(k)
@@ -238,47 +228,45 @@ func (c *Cleaner) markFalse(key string) {
 
 // WrongAnswerUpperBound returns the number of distinct witness tuples of t,
 // the cost of the naive algorithm that verifies every tuple of every witness
-// (the "total" bar in Figure 3a). The witnesses come through the evaluation
-// cache, so the Figure-3 sweeps do not pay a cold evaluation per bound.
+// (the "total" bar in Figure 3a). Each call enumerates t's witnesses.
 func WrongAnswerUpperBound(q *cq.Query, d db.Reader, t db.Tuple) int {
-	facts := newWitnessFacts()
-	for _, w := range eval.Witnesses(q, d, t) {
-		for _, f := range w {
-			facts.key(f)
-		}
-	}
-	return len(facts.keys)
+	return len(NewWitnessSystem(q, d, t).facts)
 }
 
-// witnessFacts indexes the distinct facts of an answer's witnesses by key.
-// Each fact is keyed on a reused buffer, so a fact seen before costs a map
-// lookup and no allocation; only a new fact allocates its key.
-type witnessFacts struct {
+// WitnessSystem is Algorithm 1's hitting-set system for one answer: one set
+// per witness, over fact keys, with the fact behind each element.
+type WitnessSystem struct {
+	*hitting.SetSystem
+	facts []db.Fact // element ID -> fact
 	buf   []byte
-	index map[string]int // fact key -> position in keys and facts
-	keys  []string
-	facts []db.Fact
 }
 
-func newWitnessFacts() *witnessFacts {
-	return &witnessFacts{index: make(map[string]int)}
+// NewWitnessSystem builds the witness system of answer t of q over d straight
+// from the join search: each fact is keyed in a reused buffer and interned,
+// and only a fact seen for the first time is copied.
+func NewWitnessSystem(q *cq.Query, d db.Reader, t db.Tuple) *WitnessSystem {
+	w := &WitnessSystem{SetSystem: hitting.NewSetSystem()}
+	eval.VisitWitnesses(q, d, t, w.intern, w.AddIDs)
+	return w
 }
 
-// key returns f's key, allocating it only the first time f is seen.
-func (w *witnessFacts) key(f db.Fact) string {
+// intern returns the element ID of a borrowed fact.
+func (w *WitnessSystem) intern(f db.Fact) int32 {
 	w.buf = f.AppendKey(w.buf[:0])
-	if i, ok := w.index[string(w.buf)]; ok {
-		return w.keys[i]
+	id := w.InternKey(w.buf)
+	if int(id) == len(w.facts) { // IDs are dense: a new element
+		w.facts = append(w.facts, f.Clone())
 	}
-	k := string(w.buf)
-	w.index[k] = len(w.keys)
-	w.keys = append(w.keys, k)
-	w.facts = append(w.facts, f)
-	return k
+	return id
 }
 
-// fact returns the fact whose key is k.
-func (w *witnessFacts) fact(k string) db.Fact { return w.facts[w.index[k]] }
+// Fact returns the fact of the element named e, which must be an element of
+// the system. The name is already interned, so interning it again is a
+// lookup.
+func (w *WitnessSystem) Fact(e string) db.Fact {
+	w.buf = append(w.buf[:0], e...)
+	return w.facts[w.InternKey(w.buf)]
+}
 
 // MissingAnswerUpperBound returns the number of unique variables of Q|t, the
 // worst-case number of values the crowd must provide under the naive

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/crowd"
 	"repro/internal/dataset"
 	"repro/internal/db"
 	"repro/internal/eval"
+	"repro/internal/noise"
 	"repro/internal/schema"
 )
 
@@ -166,6 +168,51 @@ func TestDeletionPoliciesAllCorrect(t *testing.T) {
 					if dg.Has(e.Fact) {
 						t.Errorf("%v seed %d: true fact deleted: %v", policy, seed, e.Fact)
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestDeletionPoliciesIgnoreSetOrder: Algorithm 1 adds a wrong answer's
+// witness sets in the join search's order, which follows map iteration and
+// so differs from run to run. No policy may depend on it: every policy,
+// cleaning Soccer Q3 with 5 wrong answers from one seed, asks the same
+// questions in the same order and applies the same edit script each time.
+// Influence runs on 3 tournaments instead of all 20: its exact Shannon
+// expansion is exponential in an answer's witness facts, and one run on the
+// full database did not finish in 35 s on a 2-vCPU machine.
+func TestDeletionPoliciesIgnoreSetOrder(t *testing.T) {
+	const seed, runs = 1, 10
+	for _, policy := range []DeletionPolicy{PolicyQOCO, PolicyQOCOMinus, PolicyRandom, PolicyResponsibility, PolicyTrust, PolicyInfluence} {
+		t.Run(policy.String(), func(t *testing.T) {
+			opts := dataset.SoccerOpts{}
+			if policy == PolicyInfluence {
+				opts.Tournaments = 3
+			}
+			dg := dataset.Soccer(opts)
+			q := dataset.SoccerQ3()
+			dirty := dg.Clone()
+			rng := rand.New(rand.NewSource(seed))
+			if n := noise.InjectWrong(dirty, dg, q, 5, rng); n < 5 {
+				t.Fatalf("injected %d of 5 wrong answers", n)
+			}
+			cleanerSeed := rng.Int63()
+			var first string
+			for run := 0; run < runs; run++ {
+				var questions strings.Builder
+				c := New(dirty.Clone(), crowd.NewTranscript(crowd.NewPerfect(dg), &questions), Config{
+					Deletion: policy, RNG: rand.New(rand.NewSource(cleanerSeed)),
+				})
+				rep, err := c.Clean(context.Background(), q)
+				if err != nil {
+					t.Fatalf("run %d: %v", run, err)
+				}
+				got := questions.String() + "edits " + editDigest(rep.Edits)
+				if run == 0 {
+					first = got
+				} else if got != first {
+					t.Fatalf("run %d asked or edited differently from run 0:\n%s\nrun 0:\n%s", run, got, first)
 				}
 			}
 		})

@@ -49,22 +49,26 @@ func TestCleanInvalidatesEvalCache(t *testing.T) {
 	}
 }
 
-// TestUpperBoundHitsWitnessCache: a second WrongAnswerUpperBound call for
-// the same answer on an unchanged database is served from the witness cache.
-func TestUpperBoundHitsWitnessCache(t *testing.T) {
+// TestUpperBoundCountsWitnessFacts: WrongAnswerUpperBound counts the
+// distinct facts over every witness set of the answer, as eval.Witnesses
+// lists them, and a repeat call on an unchanged database agrees.
+func TestUpperBoundCountsWitnessFacts(t *testing.T) {
 	d, _ := dataset.Figure1()
 	q := dataset.IntroQ1()
 	esp := db.Tuple{"ESP"}
 
-	rec := obs.New()
-	eval.Instrument(rec)
-	defer eval.Instrument(nil)
-	first := WrongAnswerUpperBound(q, d, esp) // warm the witness cache entry
-	before := rec.Counter(eval.MetricCacheHits)
-	if got := WrongAnswerUpperBound(q, d, esp); got != first {
-		t.Errorf("second WrongAnswerUpperBound = %d, want %d", got, first)
+	distinct := map[string]bool{}
+	for _, w := range eval.Witnesses(q, d, esp) {
+		for _, f := range w {
+			distinct[f.Key()] = true
+		}
 	}
-	if after := rec.Counter(eval.MetricCacheHits); after <= before {
-		t.Errorf("second call did not hit the witness cache (%d -> %d)", before, after)
+	if len(distinct) == 0 {
+		t.Fatal("(ESP) has no witness facts")
+	}
+	for i := 0; i < 2; i++ {
+		if got := WrongAnswerUpperBound(q, d, esp); got != len(distinct) {
+			t.Errorf("call %d: WrongAnswerUpperBound = %d, want %d distinct witness facts", i+1, got, len(distinct))
+		}
 	}
 }

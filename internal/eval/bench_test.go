@@ -9,10 +9,10 @@ import (
 	"repro/internal/db"
 )
 
-// BenchmarkWitnessesCold guards the streaming cold path of Witnesses: one
-// answer of Soccer Q3 (the Fig 3d query) enumerated with the cache bypassed,
-// folding witness sets straight from the search. Allocations scale with the
-// answer's assignments, not with clones of them.
+// BenchmarkWitnessesCold guards the streaming path of Witnesses, which no
+// cache serves: one answer of Soccer Q3 (the Fig 3d query), its facts
+// interned straight from the search. Allocations scale with the answer's
+// distinct facts and witness sets, not with its assignments.
 func BenchmarkWitnessesCold(b *testing.B) {
 	d := dataset.Soccer(dataset.SoccerOpts{})
 	q := dataset.SoccerQueries()[2]
@@ -20,7 +20,7 @@ func BenchmarkWitnessesCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(Witnesses(q, d, t, NoCache())) == 0 {
+		if len(Witnesses(q, d, t)) == 0 {
 			b.Fatal("answer without witnesses")
 		}
 	}

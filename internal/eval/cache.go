@@ -8,11 +8,13 @@ import (
 	"repro/internal/db"
 )
 
-// The evaluation cache memoizes Result, ResultUnion, Witnesses and Holds
-// per database generation. QOCO's cleaning loop re-evaluates Q(D) and
-// re-enumerates witnesses between crowd questions, and each oracle round
-// changes at most a handful of facts — so across a run most evaluations hit
-// an unchanged database and can be answered from the previous round's work.
+// The evaluation cache memoizes Result, ResultUnion and Holds per database
+// generation. QOCO's cleaning loop re-evaluates Q(D) and re-checks answers
+// between crowd questions, and each oracle round changes at most a handful
+// of facts — so across a run most evaluations hit an unchanged database and
+// can be answered from the previous round's work. Witness sets are not
+// cached: Algorithm 1 enumerates an answer's witnesses once, when it starts
+// removing that answer, so a job has no second read for a copy to serve.
 // Entries are stamped with (db.ID, db.Generation): any InsertFact/DeleteFact
 // bumps the generation and implicitly invalidates every entry of that
 // database, so a stale result can never be served. The cache is process-wide
@@ -34,20 +36,18 @@ const (
 // dbCache holds every memoized evaluation against one database at one
 // generation. A generation bump discards the maps wholesale.
 type dbCache struct {
-	gen       uint64
-	results   map[string][]db.Tuple  // result/union key -> Q(D)
-	witnesses map[string][][]db.Fact // witness key -> witness sets
-	holds     map[string]bool        // satisfiability key -> Holds
+	gen     uint64
+	results map[string][]db.Tuple // result/union key -> Q(D)
+	holds   map[string]bool       // satisfiability key -> Holds
 }
 
-func (c *dbCache) size() int { return len(c.results) + len(c.witnesses) + len(c.holds) }
+func (c *dbCache) size() int { return len(c.results) + len(c.holds) }
 
 func newDBCache(gen uint64) *dbCache {
 	return &dbCache{
-		gen:       gen,
-		results:   make(map[string][]db.Tuple),
-		witnesses: make(map[string][][]db.Fact),
-		holds:     make(map[string]bool),
+		gen:     gen,
+		results: make(map[string][]db.Tuple),
+		holds:   make(map[string]bool),
 	}
 }
 
@@ -162,10 +162,9 @@ func unionFingerprint(u *cq.Union) string {
 
 // Cache key namespaces. Each class of memoized call prefixes its key so a
 // boolean Holds can never alias a Result of the same query.
-func resultKey(fp string) string           { return "r\x00" + fp }
-func unionResultKey(fp string) string      { return "u\x00" + fp }
-func witnessCacheKey(fp, tk string) string { return "w\x00" + fp + "\x00" + tk }
-func holdsKey(fp, seed string) string      { return "h\x00" + fp + "\x00" + seed }
+func resultKey(fp string) string      { return "r\x00" + fp }
+func unionResultKey(fp string) string { return "u\x00" + fp }
+func holdsKey(fp, seed string) string { return "h\x00" + fp + "\x00" + seed }
 
 // lookupTuples consults the cache for a []db.Tuple entry. The returned slice
 // is a fresh copy of the cached spine (tuples themselves are shared and
@@ -203,38 +202,6 @@ func storeTuples(d db.Reader, gen uint64, key string, v []db.Tuple) {
 		evalCache.dbs[d.ID()][gen] = c
 	}
 	c.results[key] = append([]db.Tuple(nil), v...)
-}
-
-// lookupWitnesses / storeWitnesses do the same for witness-set entries.
-func lookupWitnesses(d db.Reader, key string) ([][]db.Fact, bool) {
-	evalCache.Lock()
-	defer evalCache.Unlock()
-	c := section(d)
-	if c == nil {
-		rec().Inc(MetricCacheMisses)
-		return nil, false
-	}
-	v, ok := c.witnesses[key]
-	if !ok {
-		rec().Inc(MetricCacheMisses)
-		return nil, false
-	}
-	rec().Inc(MetricCacheHits)
-	return append([][]db.Fact(nil), v...), true
-}
-
-func storeWitnesses(d db.Reader, gen uint64, key string, v [][]db.Fact) {
-	if d.Generation() != gen {
-		return
-	}
-	evalCache.Lock()
-	defer evalCache.Unlock()
-	c := forDB(d, gen)
-	if c.size() >= cacheMaxEntries {
-		c = newDBCache(gen)
-		evalCache.dbs[d.ID()][gen] = c
-	}
-	c.witnesses[key] = append([][]db.Fact(nil), v...)
 }
 
 // lookupHolds / storeHolds memoize boolean satisfiability checks.

@@ -1,7 +1,10 @@
 package eval
 
 import (
+	"encoding/binary"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/cq"
@@ -109,58 +112,65 @@ func AssignmentsFor(q *cq.Query, d db.Reader, t db.Tuple) []Assignment {
 // Witnesses returns the witness sets for answer t: one set of facts per valid
 // assignment in A(t,Q,D), deduplicated (distinct assignments can induce the
 // same witness, e.g. by permuting symmetric atoms) and sorted canonically by
-// witness key, so cold and cached calls produce byte-identical output.
-// Witness sets are memoized per database generation, so a repeat read at the
-// same generation enumerates nothing. Algorithm 1 reads them once per wrong
-// answer, before its first question. A miss enumerates A(t,Q,D) seeded by t,
-// folding each assignment's witness straight from the search: the facts are
-// grounded into reused tuples and keyed in a reused buffer, and only a new
-// witness set is copied out.
-func Witnesses(q *cq.Query, d db.Reader, t db.Tuple, opts ...Option) [][]db.Fact {
-	start := time.Now()
-	cfg := resolve(opts)
-	var key string
-	if !cfg.noCache {
-		key = witnessCacheKey(fingerprint(q), t.Key())
-		if out, ok := lookupWitnesses(d, key); ok {
-			observeWitnesses(start, out)
-			return out
+// witness key. Every call enumerates: it runs VisitWitnesses, interning each
+// fact by its key and copying it out the first time it is seen, so sets that
+// share a fact share its value.
+func Witnesses(q *cq.Query, d db.Reader, t db.Tuple) [][]db.Fact {
+	var (
+		buf   []byte
+		ids   = make(map[string]int32) // fact key -> ID
+		facts []db.Fact                // ID -> fact
+		sets  []keyedWitness
+	)
+	intern := func(f db.Fact) int32 {
+		buf = f.AppendKey(buf[:0])
+		id, ok := ids[string(buf)]
+		if !ok {
+			id = int32(len(facts))
+			ids[string(buf)] = id
+			facts = append(facts, f.Clone())
 		}
+		return id
 	}
-	gen := d.Generation()
+	VisitWitnesses(q, d, t, intern, func(set []int32) {
+		w := make([]db.Fact, len(set))
+		for i, id := range set {
+			w[i] = facts[id]
+		}
+		w = sortFacts(w)
+		sets = append(sets, keyedWitness{witnessKey(w), w})
+	})
+	slices.SortFunc(sets, func(a, b keyedWitness) int { return strings.Compare(a.key, b.key) })
 	var out [][]db.Fact
-	if seed, ok := PartialFromAnswer(q, t); ok {
-		out = sortWitnessSets(witnessSets(q, d, seed))
-	}
-	if !cfg.noCache {
-		storeWitnesses(d, gen, key, out)
-	}
-	observeWitnesses(start, out)
-	return out
-}
-
-// sortWitnessSets lists witness sets in the order of their canonical keys;
-// no sets yield nil.
-func sortWitnessSets(byKey map[string][]db.Fact) [][]db.Fact {
-	if len(byKey) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([][]db.Fact, len(keys))
-	for i, k := range keys {
-		out[i] = byKey[k]
+	for _, s := range sets {
+		out = append(out, s.facts)
 	}
 	return out
 }
 
-// witnessSets folds the witness sets of the assignments extending seed, keyed
-// by witnessKey.
-func witnessSets(q *cq.Query, d db.Reader, seed Assignment) map[string][]db.Fact {
-	out := make(map[string][]db.Fact)
+// keyedWitness is a witness set with its witness key.
+type keyedWitness struct {
+	key   string
+	facts []db.Fact
+}
+
+// VisitWitnesses enumerates the witness sets of answer t, one per valid
+// assignment in A(t,Q,D), as sets of IDs that the caller's intern gives the
+// facts. Nothing is cached: each call runs one join search seeded by t.
+//
+// intern is called with every fact of every row and must return equal IDs
+// for equal facts. The fact is borrowed: the search rebinds its Args once
+// intern returns, so intern copies a fact it keeps. set is called once per
+// distinct witness, in enumeration order, with the witness's sorted, distinct
+// IDs; a row whose IDs repeat an earlier row's is dropped. The slice is
+// borrowed too. Each call records one eval.witnesses observation.
+func VisitWitnesses(q *cq.Query, d db.Reader, t db.Tuple, intern func(db.Fact) int32, set func(ids []int32)) {
+	start := time.Now()
+	seed, ok := PartialFromAnswer(q, t)
+	if !ok {
+		observeWitnesses(start, 0, 0)
+		return
+	}
 	n := 0
 	for _, a := range q.Atoms {
 		n += len(a.Args)
@@ -170,27 +180,39 @@ func witnessSets(q *cq.Query, d db.Reader, seed Assignment) map[string][]db.Fact
 	for i, a := range q.Atoms {
 		args[i], vals = vals[:len(a.Args):len(a.Args)], vals[len(a.Args):]
 	}
-	w := make([]db.Fact, 0, len(q.Atoms))
+	ids := make([]int32, 0, len(q.Atoms))
+	seen := make(map[string]struct{}) // the IDs of every witness set so far
 	var key []byte
+	var distinct map[int32]bool // IDs in a set so far, for the tuples metric
+	if rec() != nil {
+		distinct = make(map[int32]bool)
+	}
 	search(q, d, seed, func(r *Row) bool {
-		w = w[:0]
+		ids = ids[:0]
 		for i := range r.p.atoms {
 			if r.fill(r.p.atoms[i].args, args[i]) {
-				w = append(w, db.Fact{Rel: r.p.atoms[i].name, Args: args[i]})
+				ids = append(ids, intern(db.Fact{Rel: r.p.atoms[i].name, Args: args[i]}))
 			}
 		}
-		w = sortFacts(w)
-		key = appendWitnessKey(key[:0], w)
-		if _, ok := out[string(key)]; !ok {
-			set := make([]db.Fact, len(w))
-			for i, f := range w {
-				set[i] = f.Clone()
-			}
-			out[string(key)] = set
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
+		key = key[:0]
+		for _, id := range ids {
+			key = binary.LittleEndian.AppendUint32(key, uint32(id))
 		}
+		if _, ok := seen[string(key)]; ok {
+			return true
+		}
+		seen[string(key)] = struct{}{}
+		if distinct != nil {
+			for _, id := range ids {
+				distinct[id] = true
+			}
+		}
+		set(ids)
 		return true
 	})
-	return out
+	observeWitnesses(start, len(seen), len(distinct))
 }
 
 // WitnessSetKey returns the canonical identity of one witness set — the

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/db"
 	"repro/internal/obs"
 )
 
@@ -19,8 +18,9 @@ const (
 	// MetricAnswerHoldsUnionSeconds is the latency of AnswerHoldsUnion (UCQ
 	// answer membership).
 	MetricAnswerHoldsUnionSeconds = "eval.answer_holds_union.seconds"
-	// MetricWitnessSeconds is the latency of Witnesses (witness enumeration
-	// for one answer — the question-selection hot path of Algorithm 1).
+	// MetricWitnessSeconds is the latency of one witness enumeration
+	// (VisitWitnesses, which Witnesses runs): the witness sets of one answer,
+	// which Algorithm 1 reads before its first question about it.
 	MetricWitnessSeconds = "eval.witnesses.seconds"
 	// MetricWitnessSets is the distribution of witness-set counts per answer.
 	MetricWitnessSets = "eval.witnesses.sets"
@@ -60,20 +60,14 @@ func Instrument(r *obs.Recorder) { recorder.Store(r) }
 // obs method is nil-safe.
 func rec() *obs.Recorder { return recorder.Load() }
 
-// observeWitnesses reports one Witnesses enumeration: latency, number of
-// witness sets, and number of distinct witness tuples.
-func observeWitnesses(start time.Time, sets [][]db.Fact) {
+// observeWitnesses reports one witness enumeration: latency, number of
+// distinct witness sets, and number of distinct witness tuples.
+func observeWitnesses(start time.Time, sets, tuples int) {
 	r := rec()
 	if r == nil {
 		return
 	}
 	r.ObserveDuration(MetricWitnessSeconds, time.Since(start))
-	r.Observe(MetricWitnessSets, float64(len(sets)))
-	distinct := make(map[string]bool)
-	for _, w := range sets {
-		for _, f := range w {
-			distinct[f.Key()] = true
-		}
-	}
-	r.Observe(MetricWitnessTuples, float64(len(distinct)))
+	r.Observe(MetricWitnessSets, float64(sets))
+	r.Observe(MetricWitnessTuples, float64(tuples))
 }

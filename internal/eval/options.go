@@ -8,7 +8,7 @@ type Option func(*config)
 
 // config is the resolved per-call evaluation configuration.
 type config struct {
-	noCache bool // bypass the result/witness cache entirely
+	noCache bool // bypass the result/holds cache entirely
 }
 
 // NoCache makes the call bypass the evaluation cache AND any registered

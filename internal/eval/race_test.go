@@ -13,9 +13,9 @@ import (
 // TestConcurrentEvalWithInterleavedEdits exercises the cache under the
 // engine's concurrency contract: a writer applies edits while holding an
 // RWMutex exclusively, and readers evaluate under the shared lock. Each read
-// compares cached Result and Witnesses against from-scratch recomputation of
-// the same locked snapshot — a cache entry served across a generation bump
-// would show up as a mismatch. Run under -race this also checks the cache's
+// compares cached Result and uncached Witnesses against the naive reference
+// on the same locked snapshot — a cache entry served across a generation
+// bump would show up as a mismatch. Run under -race this also checks the cache's
 // internal locking.
 func TestConcurrentEvalWithInterleavedEdits(t *testing.T) {
 	s := schema.New(
@@ -73,11 +73,10 @@ func TestConcurrentEvalWithInterleavedEdits(t *testing.T) {
 				mu.RLock()
 				got := Result(q, d)
 				want := NaiveResult(q, d)
-				var gotW, wantW [][]db.Fact
+				witnessesOK := true
 				if len(want) > 0 {
 					tp := want[rng.Intn(len(want))]
-					gotW = Witnesses(q, d, tp)
-					wantW = Witnesses(q, d, tp, NoCache())
+					witnessesOK = witnessesMatchNaive(Witnesses(q, d, tp), q, d, tp)
 				}
 				gen := d.Generation()
 				mu.RUnlock()
@@ -86,8 +85,8 @@ func TestConcurrentEvalWithInterleavedEdits(t *testing.T) {
 						w, q, gen, got, want)
 					return
 				}
-				if !witnessesEqual(gotW, wantW) {
-					t.Errorf("reader %d (%s, gen %d): cached witnesses diverge from recomputation", w, q, gen)
+				if !witnessesOK {
+					t.Errorf("reader %d (%s, gen %d): witnesses diverge from the naive ones", w, q, gen)
 					return
 				}
 			}

@@ -68,7 +68,16 @@ type Row struct {
 	Converged bool
 	// CleanTime is the average wall-clock time of the cleaning runs.
 	CleanTime time.Duration
+	// Requested is how many wrong and missing answers the workload injects
+	// per seed, and Injected the fewest the noise injector created on any
+	// seed. A row whose injection fell short measured a smaller workload than
+	// its name says; RenderRows marks it.
+	Requested, Injected int
 }
+
+// Short reports whether the noise injector created fewer answers than
+// requested on some seed.
+func (r Row) Short() bool { return r.Injected < r.Requested }
 
 // QuestionMixRow is one bar of Figures 3f and 4: the crowd work split by
 // question type.
@@ -122,12 +131,13 @@ func Fig3d(cfg Config) []Row {
 func deletionRows(figure, workload string, q *cq.Query, cfg Config, wrong int) []Row {
 	var rows []Row
 	for _, policy := range deletionAlgos {
-		agg := Row{Figure: figure, Workload: workload, Algorithm: policy.String(), Converged: true}
+		agg := Row{Figure: figure, Workload: workload, Algorithm: policy.String(), Converged: true,
+			Requested: wrong, Injected: wrong}
 		for _, seed := range cfg.Seeds {
 			rng := rand.New(rand.NewSource(seed))
 			dg := dataset.Soccer(cfg.Soccer)
 			d := dg.Clone()
-			noise.InjectWrong(d, dg, q, wrong, rng)
+			agg.Injected = min(agg.Injected, noise.InjectWrong(d, dg, q, wrong, rng))
 
 			lower := len(eval.Result(q, d))
 			upper := lower + deletionUpperBound(q, d, dg)
@@ -191,14 +201,14 @@ func insertionRows(figure, workload string, q *cq.Query, cfg Config, missing int
 	var rows []Row
 	for ai := range insertionAlgos(nil) {
 		var name string
-		agg := Row{Figure: figure, Workload: workload, Converged: true}
+		agg := Row{Figure: figure, Workload: workload, Converged: true, Requested: missing, Injected: missing}
 		for _, seed := range cfg.Seeds {
 			rng := rand.New(rand.NewSource(seed))
 			strategy := insertionAlgos(rng)[ai]
 			name = strategy.Name()
 			dg := dataset.Soccer(cfg.Soccer)
 			d := dg.Clone()
-			noise.InjectMissing(d, dg, q, missing, rng)
+			agg.Injected = min(agg.Injected, noise.InjectMissing(d, dg, q, missing, rng))
 
 			missingAnswers := missingAnswersOf(q, d, dg)
 			upper := len(missingAnswers)
@@ -251,13 +261,15 @@ func Fig3c(cfg Config) []Row {
 func mixedRows(figure, workload string, q *cq.Query, cfg Config, wrong, missing int) []Row {
 	var rows []Row
 	for _, policy := range deletionAlgos {
-		agg := Row{Figure: figure, Workload: workload, Algorithm: policy.String(), Converged: true}
+		agg := Row{Figure: figure, Workload: workload, Algorithm: policy.String(), Converged: true,
+			Requested: wrong + missing, Injected: wrong + missing}
 		for _, seed := range cfg.Seeds {
 			rng := rand.New(rand.NewSource(seed))
 			dg := dataset.Soccer(cfg.Soccer)
 			d := dg.Clone()
-			noise.InjectMissing(d, dg, q, missing, rng)
-			noise.InjectWrong(d, dg, q, wrong, rng)
+			// InjectMissing can remove more answers than asked for.
+			n := min(missing, noise.InjectMissing(d, dg, q, missing, rng))
+			agg.Injected = min(agg.Injected, n+noise.InjectWrong(d, dg, q, wrong, rng))
 
 			missingAnswers := missingAnswersOf(q, d, dg)
 			lower := len(eval.Result(q, d)) + len(missingAnswers)
@@ -401,9 +413,13 @@ func RenderRows(title string, rows []Row) string {
 		if !r.Converged {
 			ok = "NO"
 		}
-		fmt.Fprintf(&b, "%-22s %-11s %9d %10d %8d %6d %-3s %9.1f\n",
+		short := ""
+		if r.Short() {
+			short = fmt.Sprintf("  SHORT: %d of %d injected", r.Injected, r.Requested)
+		}
+		fmt.Fprintf(&b, "%-22s %-11s %9d %10d %8d %6d %-3s %9.1f%s\n",
 			r.Workload, r.Algorithm, r.Lower, r.Questions, r.Avoided, r.Upper, ok,
-			float64(r.CleanTime)/float64(time.Millisecond))
+			float64(r.CleanTime)/float64(time.Millisecond), short)
 	}
 	return b.String()
 }

@@ -131,6 +131,29 @@ func TestFig3dGrowsWithNoise(t *testing.T) {
 	}
 }
 
+// TestFig3dFlagsShortInjection: on the full Soccer database the noise
+// injector cannot create 10 wrong answers of Q3, so every 10-wrong row of
+// Figure 3d is flagged short, in the row and in its rendering, while the
+// 2-wrong and 5-wrong rows are whole.
+func TestFig3dFlagsShortInjection(t *testing.T) {
+	rows := Fig3d(Config{Seeds: []int64{1}})
+	if len(rows) != 9 {
+		t.Fatalf("rows = %d, want 9", len(rows))
+	}
+	out := RenderRows("Figure 3d", rows)
+	for i, r := range rows {
+		want := r.Workload == "Q3 (10 wrong)"
+		if r.Short() != want {
+			t.Errorf("%s %s: Short() = %v (%d of %d injected), want %v",
+				r.Workload, r.Algorithm, r.Short(), r.Injected, r.Requested, want)
+		}
+		line := strings.Split(out, "\n")[i+2]
+		if strings.Contains(line, "SHORT") != want {
+			t.Errorf("rendered row %q: short mark %v, want %v", line, !want, want)
+		}
+	}
+}
+
 func TestFig3eGrowsWithNoise(t *testing.T) {
 	rows := Fig3e(smallCfg())
 	if len(rows) != 9 {

@@ -27,12 +27,13 @@ func HeuristicsAblation(cfg Config) []Row {
 	}
 	var rows []Row
 	for _, policy := range policies {
-		agg := Row{Figure: "heuristics", Workload: "Q3", Algorithm: policy.String(), Converged: true}
+		agg := Row{Figure: "heuristics", Workload: "Q3", Algorithm: policy.String(), Converged: true,
+			Requested: cfg.WrongAnswers, Injected: cfg.WrongAnswers}
 		for _, seed := range cfg.Seeds {
 			rng := rand.New(rand.NewSource(seed))
 			dg := dataset.Soccer(cfg.Soccer)
 			d := dg.Clone()
-			noise.InjectWrong(d, dg, q, cfg.WrongAnswers, rng)
+			agg.Injected = min(agg.Injected, noise.InjectWrong(d, dg, q, cfg.WrongAnswers, rng))
 
 			lower := len(eval.Result(q, d))
 			upper := lower + deletionUpperBound(q, d, dg)

@@ -26,10 +26,12 @@ const MetricBnBNodes = "hitting.bnb.nodes"
 //
 // Each element string is interned once to a dense ID, each set is held as
 // its distinct IDs, and the number of sets holding each ID is kept current,
-// so the queries Algorithm 1 repeats per question touch no strings. Results
-// that list elements are in element-name order, and MostFrequent orders its
-// ties the same way. A SetSystem is not safe for concurrent use, reads
-// included: a read may rebuild the name order.
+// so the queries Algorithm 1 repeats per question touch no strings. A caller
+// can also build the system without a string per element occurrence: intern
+// each name from a reused buffer with InternKey, and add sets of the IDs it
+// returns with AddIDs. Results that list elements are in element-name order,
+// and MostFrequent orders its ties the same way. A SetSystem is not safe for
+// concurrent use, reads included: a read may rebuild the name order.
 type SetSystem struct {
 	ids   map[string]int32 // element name -> ID
 	names []string         // ID -> element name
@@ -57,12 +59,39 @@ func (ss *SetSystem) Add(elems []string) {
 	for _, e := range elems {
 		set = append(set, ss.intern(e))
 	}
+	ss.add(set)
+}
+
+// AddIDs appends the set of the given element IDs, each one returned by
+// InternKey (ignored if empty). It does not retain ids.
+func (ss *SetSystem) AddIDs(ids []int32) {
+	if len(ids) == 0 {
+		return
+	}
+	ss.add(slices.Clone(ids))
+}
+
+// add takes ownership of set, reduces it to its distinct IDs in ascending
+// order and appends it.
+func (ss *SetSystem) add(set []int32) {
 	slices.Sort(set)
 	set = slices.Compact(set)
 	for _, id := range set {
 		ss.count[id]++
 	}
 	ss.sets = append(ss.sets, set)
+}
+
+// InternKey returns the ID of the element named key, interning the name
+// when it is new. Only a new name allocates, so key may be a buffer the
+// caller reuses. IDs are dense and given in first-seen order: the n-th
+// distinct name gets ID n-1, so a caller can keep what it knows about each
+// element in a slice indexed by ID.
+func (ss *SetSystem) InternKey(key []byte) int32 {
+	if id, ok := ss.ids[string(key)]; ok {
+		return id
+	}
+	return ss.intern(string(key))
 }
 
 // intern returns e's ID, assigning the next one when e is new.

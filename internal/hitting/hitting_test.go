@@ -436,11 +436,38 @@ func observe(ss querier, mostFrequent func(*rand.Rand) string, seed int64, probe
 // through one seeded sequence of Add, RemoveElement, RemoveSetsContaining and
 // Clone per system, over 1,000 systems of up to 200 sets of 1-6 elements out
 // of at most 120, with duplicates inside sets, duplicate sets and
-// singletons. After every step both must answer every query alike, and
-// mutating a clone must leave its source unchanged.
+// singletons. A third of the systems add their sets with Add, a third
+// through the ID path Algorithm 1 builds with (InternKey from one reused
+// buffer, then AddIDs of one reused ID slice), and a third pick either path
+// per set. After every step both must answer every query alike, and mutating
+// a clone must leave its source unchanged.
 func TestSetSystemMatchesReference(t *testing.T) {
+	var buf []byte
+	var ids []int32
+	addByID := func(ss *SetSystem, elems []string) {
+		ids = ids[:0]
+		for _, e := range elems {
+			buf = append(buf[:0], e...)
+			ids = append(ids, ss.InternKey(buf))
+		}
+		ss.AddIDs(ids)
+	}
 	for seed := int64(0); seed < 1000; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		add := func(ss *SetSystem, elems []string) {
+			switch seed % 3 {
+			case 0:
+				ss.Add(elems)
+			case 1:
+				addByID(ss, elems)
+			default:
+				if rng.Intn(2) == 0 {
+					ss.Add(elems)
+				} else {
+					addByID(ss, elems)
+				}
+			}
+		}
 		universe := make([]string, 1+rng.Intn(120))
 		for i := range universe {
 			universe[i] = fmt.Sprintf("f%d", rng.Intn(4*len(universe)))
@@ -481,8 +508,9 @@ func TestSetSystemMatchesReference(t *testing.T) {
 		for i := rng.Intn(maxSets + 1); i > 0; i-- {
 			initial = append(initial, randomSet())
 		}
-		got, ref := NewSetSystem(initial...), &refSetSystem{}
+		got, ref := NewSetSystem(), &refSetSystem{}
 		for _, s := range initial {
+			add(got, s)
 			ref.Add(s)
 		}
 		check := func(step string, got *SetSystem, ref *refSetSystem) {
@@ -503,7 +531,7 @@ func TestSetSystemMatchesReference(t *testing.T) {
 			switch op := rng.Intn(10); {
 			case op < 3:
 				s := randomSet()
-				got.Add(s)
+				add(got, s)
 				ref.Add(s)
 				check(fmt.Sprintf("Add(%q)", s), got, ref)
 			case op < 6:
@@ -522,7 +550,7 @@ func TestSetSystemMatchesReference(t *testing.T) {
 				before := observe(got, got.MostFrequent, 0, nil)
 				// Mutate the clones, including an Add that interns a new name.
 				s := append(randomSet(), fmt.Sprintf("clone%d", step))
-				gc.Add(s)
+				add(gc, s)
 				rc.Add(s)
 				e := randomElement(rc)
 				gc.RemoveElement(e)
@@ -536,7 +564,7 @@ func TestSetSystemMatchesReference(t *testing.T) {
 				check("mutating a clone", gc, rc)
 				// Interning in the source must not leak into the clone either.
 				s = append(randomSet(), fmt.Sprintf("source%d", step))
-				got.Add(s)
+				add(got, s)
 				ref.Add(s)
 				check("growing a clone's source", gc, rc)
 				check(fmt.Sprintf("Add(%q) after Clone", s), got, ref)
