@@ -26,9 +26,9 @@ import (
 //   - seeded enumeration on D and on a db.Overlay of it: for every answer
 //     and a perturbed probe, Witnesses, Algorithm 1's witness sets mapped
 //     back to facts, and AssignmentsFor equal NaiveEval filtered by the
-//     answer; for random partial seeds,
-//     eval.Best with no bound equals NaiveEval filtered by the seed, and
-//     with k = 1 that set's key-minimum (see checkEnumeration)
+//     answer; for random partial seeds, eval.Best with no bound equals
+//     NaiveEval filtered by the seed, and with k = 1 that set's key-minimum
+//     (see checkEnumeration)
 func CheckEvalParity(ins *Instance) error {
 	q, d := ins.Query, ins.D
 	if err := checkResultModes(ins, "D"); err != nil {
