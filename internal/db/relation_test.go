@@ -1,7 +1,10 @@
 package db
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -129,37 +132,145 @@ func TestRelationCloneIndependence(t *testing.T) {
 	}
 }
 
-// TestRelationIndexConsistency fuzzes random insert/delete sequences and
-// checks that index scans always agree with a full filter.
+// TestRelationIndexConsistency fuzzes inserts and deletes over a relation and
+// its copy-on-write clones, mutating every side, and checks after each step
+// that every side's Scan and MatchCount agree with a naive filter of its
+// reference set for 0 to 3 bindings.
 func TestRelationIndexConsistency(t *testing.T) {
+	type side struct {
+		r   *Relation
+		ref map[string]Tuple
+	}
 	rng := rand.New(rand.NewSource(42))
-	r := NewRelation("R", 2)
 	vals := []string{"a", "b", "c", "d"}
-	ref := make(map[string]Tuple)
-	for step := 0; step < 2000; step++ {
-		tp := Tuple{vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))]}
-		if rng.Intn(2) == 0 {
-			r.Insert(tp)
-			ref[tp.Key()] = tp.Clone()
-		} else {
-			r.Delete(tp)
-			delete(ref, tp.Key())
+	sides := []*side{{NewRelation("R", 3), map[string]Tuple{}}}
+	for step := 0; step < 3000; step++ {
+		s := sides[rng.Intn(len(sides))]
+		tp := Tuple{vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))]}
+		switch op := rng.Intn(10); {
+		case op == 0:
+			c := &side{s.r.Clone(), maps.Clone(s.ref)}
+			if len(sides) < 3 {
+				sides = append(sides, c)
+			} else {
+				sides[rng.Intn(len(sides))] = c
+			}
+		case op < 6:
+			s.r.Insert(tp)
+			s.ref[tp.Key()] = tp
+		default:
+			s.r.Delete(tp)
+			delete(s.ref, tp.Key())
 		}
-		if r.Len() != len(ref) {
-			t.Fatalf("step %d: Len = %d, ref = %d", step, r.Len(), len(ref))
-		}
-		// Compare an indexed scan against a naive filter.
-		v := vals[rng.Intn(len(vals))]
-		col := rng.Intn(2)
-		got := r.Scan([]Binding{{Col: col, Value: v}})
-		want := 0
-		for _, tp := range ref {
-			if tp[col] == v {
-				want++
+		for n, s := range sides {
+			if s.r.Len() != len(s.ref) {
+				t.Fatalf("step %d side %d: Len = %d, ref = %d", step, n, s.r.Len(), len(s.ref))
+			}
+			var bs []Binding
+			for k := rng.Intn(4); k > 0; k-- {
+				bs = append(bs, Binding{Col: rng.Intn(3), Value: vals[rng.Intn(len(vals))]})
+			}
+			var want []string
+			for k, tp := range s.ref {
+				if tupleMatches(tp, bs) {
+					want = append(want, k)
+				}
+			}
+			got := make([]string, 0, len(want))
+			for _, tp := range s.r.Scan(bs) {
+				got = append(got, tp.Key())
+			}
+			slices.Sort(got)
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d side %d: Scan(%v) = %q, want %q", step, n, bs, got, want)
+			}
+			if c := s.r.MatchCount(bs); c != len(want) {
+				t.Fatalf("step %d side %d: MatchCount(%v) = %d, want %d", step, n, bs, c, len(want))
 			}
 		}
-		if len(got) != want {
-			t.Fatalf("step %d: Scan(col %d = %s) = %d tuples, want %d", step, col, v, len(got), want)
+	}
+}
+
+// TestRelationScanAllocs: a one-binding Scan returns the value's posting
+// itself, so the join search's most common scan allocates nothing.
+func TestRelationScanAllocs(t *testing.T) {
+	r := NewRelation("Goals", 2)
+	for i := 0; i < 50; i++ {
+		r.Insert(Tuple{fmt.Sprintf("p%d", i%5), fmt.Sprintf("d%d", i)})
+	}
+	bs := []Binding{{Col: 0, Value: "p1"}}
+	n := 0
+	if a := testing.AllocsPerRun(100, func() { n = len(r.Scan(bs)) }); a != 0 {
+		t.Errorf("Scan(%v) allocates %.0f times per call, want 0", bs, a)
+	}
+	if n != 10 {
+		t.Errorf("Scan(%v) = %d tuples, want 10", bs, n)
+	}
+}
+
+// TestRelationScanOutlivesCloneEdits: a Scan result taken from one side of a
+// copy-on-write clone keeps its contents while the other side inserts into
+// and deletes from the same postings.
+func TestRelationScanOutlivesCloneEdits(t *testing.T) {
+	keys := func(ts []Tuple) []string {
+		out := make([]string, len(ts))
+		for i, tp := range ts {
+			out[i] = tp.Key()
+		}
+		return out
+	}
+	bs := []Binding{{Col: 0, Value: "x"}}
+	for _, scanClone := range []bool{true, false} {
+		src := NewRelation("R", 2)
+		for _, v := range []string{"1", "2", "3", "4", "5"} {
+			src.Insert(Tuple{"x", v})
+		}
+		clone := src.Clone()
+		scanned, edited := clone, src
+		if !scanClone {
+			scanned, edited = src, clone
+		}
+		got := scanned.Scan(bs)
+		want := keys(got)
+		edited.Delete(Tuple{"x", "1"})
+		edited.Insert(Tuple{"x", "6"})
+		edited.Delete(Tuple{"x", "3"})
+		edited.Insert(Tuple{"x", "7"})
+		if !slices.Equal(keys(got), want) {
+			t.Errorf("scan of clone=%v changed under the other side's edits: %q, want %q", scanClone, keys(got), want)
+		}
+		if n := scanned.MatchCount(bs); n != 5 {
+			t.Errorf("scanned side (clone=%v) holds %d x-tuples, want 5", scanClone, n)
+		}
+	}
+}
+
+// TestOverlayInsertionsShareNoPosting: two overlays inserting over the same
+// base posting each see their own tuple only. The posting has spare
+// capacity, so an overlay that appended to it in place would write both
+// tuples into the same slot of the shared backing array.
+func TestOverlayInsertionsShareNoPosting(t *testing.T) {
+	d := New(testSchema())
+	for _, n := range []string{"GER", "ITA", "ESP"} {
+		d.InsertFact(NewFact("Teams", n, "EU"))
+	}
+	if p := d.Relation("Teams").index[1]["EU"]; cap(p) == len(p) {
+		t.Fatalf("posting has no spare capacity (len %d, cap %d): the test needs some", len(p), cap(p))
+	}
+	bs := []Binding{{Col: 1, Value: "EU"}}
+	a := Overlay(d, Insertion(NewFact("Teams", "A", "EU"))).Rel("Teams").Scan(bs)
+	b := Overlay(d, Insertion(NewFact("Teams", "B", "EU"))).Rel("Teams").Scan(bs)
+	for _, c := range []struct {
+		name      string
+		got       []Tuple
+		own, peer string
+	}{{"A", a, "A", "B"}, {"B", b, "B", "A"}} {
+		has := func(name string) bool {
+			return slices.ContainsFunc(c.got, func(tp Tuple) bool { return tp[0] == name })
+		}
+		if len(c.got) != 4 || !has(c.own) || has(c.peer) {
+			t.Errorf("overlay %s scans %v, want the 3 base tuples and its own", c.name, c.got)
 		}
 	}
 }

@@ -25,7 +25,9 @@ type Rel interface {
 	// false. fn must not mutate the relation.
 	Each(fn func(Tuple) bool)
 	// Scan returns the tuples matching all bindings (every tuple with no
-	// bindings), in unspecified order.
+	// bindings), in unspecified order. The result is read-only and valid
+	// until the relation's next mutation: the in-memory relation returns its
+	// index's own storage.
 	Scan(bindings []Binding) []Tuple
 	// MatchCount returns the number of tuples matching all bindings without
 	// materializing them.

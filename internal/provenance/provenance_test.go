@@ -1,8 +1,11 @@
 package provenance
 
 import (
+	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -116,6 +119,79 @@ func TestProbabilityAgainstBruteForce(t *testing.T) {
 		got := p.Probability(prob)
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d: Probability = %v, brute force = %v (terms %v)", trial, got, want, p.Terms)
+		}
+	}
+}
+
+// TestDisjointTermsClosedForm: 20 fact-disjoint two-fact terms hold 40
+// variables, past any expansion over the whole assignment space, yet split
+// into independent components with closed forms:
+// P = 1 − Π(1 − p(a_i)·p(b_i)) and
+// influence(a_i) = p(b_i) · Π_{j≠i}(1 − p(a_j)·p(b_j)).
+func TestDisjointTermsClosedForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 20
+	var p DNF
+	prob := map[string]float64{}
+	pair := make([]float64, n) // p(a_i)·p(b_i)
+	for i := 0; i < n; i++ {
+		a, b := fmt.Sprintf("a%02d", i), fmt.Sprintf("b%02d", i)
+		p.Terms = append(p.Terms, []string{a, b})
+		prob[a], prob[b] = rng.Float64(), rng.Float64()
+		pair[i] = prob[a] * prob[b]
+	}
+	none := 1.0
+	for _, q := range pair {
+		none *= 1 - q
+	}
+	if got := p.Probability(prob); math.Abs(got-(1-none)) > 1e-12 {
+		t.Errorf("Probability = %v, closed form %v", got, 1-none)
+	}
+	inf := p.Influence(prob)
+	for i := 0; i < n; i++ {
+		others := 1.0
+		for j, q := range pair {
+			if j != i {
+				others *= 1 - q
+			}
+		}
+		a, b := fmt.Sprintf("a%02d", i), fmt.Sprintf("b%02d", i)
+		if want := prob[b] * others; math.Abs(inf[a]-want) > 1e-12 {
+			t.Errorf("influence(%s) = %v, closed form %v", a, inf[a], want)
+		}
+		if want := prob[a] * others; math.Abs(inf[b]-want) > 1e-12 {
+			t.Errorf("influence(%s) = %v, closed form %v", b, inf[b], want)
+		}
+	}
+}
+
+// TestTermOrderIgnored: the cleaner builds a formula's terms in witness
+// enumeration order, so permuting them must leave every probability and
+// influence bit-for-bit equal.
+func TestTermOrderIgnored(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var p DNF
+	prob := map[string]float64{}
+	for i := 0; i < 16; i++ {
+		var term []string
+		for _, j := range rng.Perm(12)[:2+rng.Intn(2)] {
+			term = append(term, fmt.Sprintf("v%02d", j))
+		}
+		slices.Sort(term)
+		p.Terms = append(p.Terms, term)
+	}
+	for _, v := range p.Variables() {
+		prob[v] = rng.Float64()
+	}
+	want, wantInf := p.Probability(prob), p.Influence(prob)
+	for trial := 0; trial < 20; trial++ {
+		q := &DNF{Terms: slices.Clone(p.Terms)}
+		rng.Shuffle(len(q.Terms), func(i, j int) { q.Terms[i], q.Terms[j] = q.Terms[j], q.Terms[i] })
+		if got := q.Probability(prob); got != want {
+			t.Fatalf("trial %d: Probability = %v, want %v", trial, got, want)
+		}
+		if got := q.Influence(prob); !maps.Equal(got, wantInf) {
+			t.Fatalf("trial %d: Influence = %v, want %v", trial, got, wantInf)
 		}
 	}
 }
