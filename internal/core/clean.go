@@ -39,6 +39,8 @@ func (c *Cleaner) CleanUnion(ctx context.Context, u *cq.Union) (*Report, error) 
 // wrong answers, then asks COMPL(Q(D)) until the §6.1 estimator stops.
 func (c *Cleaner) clean(ctx context.Context, u *cq.Union) (*Report, error) {
 	r := &Report{}
+	// The clock starts before the view build, so Total covers it.
+	defer c.phase(MetricCleanSeconds, &r.Timings.Total)()
 	degStart := degradedCount(c.raw)
 	c.beginMaintained(u.Disjuncts...)
 	finish := func(err error) (*Report, error) {
@@ -50,7 +52,6 @@ func (c *Cleaner) clean(ctx context.Context, u *cq.Union) (*Report, error) {
 		}
 		return r, err
 	}
-	defer c.phase(MetricCleanSeconds, &r.Timings.Total)()
 	verified := make(map[string]bool)
 	failedInsert := make(map[string]bool)
 	est := enumest.New()

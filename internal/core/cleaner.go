@@ -181,7 +181,8 @@ func (c *Config) applyDefaults() {
 // Timings breaks a run's wall-clock time into the phases of Algorithm 3:
 // verifying answers, removing wrong answers (Algorithm 1), and inserting
 // missing answers (Algorithm 2 with the §6.1 enumeration loop). Total is the
-// whole run, including result evaluation between phases.
+// whole run, including the incremental view build before the first round
+// and result evaluation between phases.
 type Timings struct {
 	Verify time.Duration `json:"verify"`
 	Delete time.Duration `json:"delete"`

@@ -4,7 +4,9 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+	"time"
 
+	"repro/internal/crowd"
 	"repro/internal/dataset"
 	"repro/internal/db"
 	"repro/internal/eval"
@@ -70,5 +72,38 @@ func TestUpperBoundCountsWitnessFacts(t *testing.T) {
 		if got := WrongAnswerUpperBound(q, d, esp); got != len(distinct) {
 			t.Errorf("call %d: WrongAnswerUpperBound = %d, want %d distinct witness facts", i+1, got, len(distinct))
 		}
+	}
+}
+
+// slowFirstRel is a store whose first Rel call sleeps 50 ms.
+type slowFirstRel struct {
+	db.Store
+	slept bool
+}
+
+func (s *slowFirstRel) Rel(name string) db.Rel {
+	if !s.slept {
+		s.slept = true
+		time.Sleep(50 * time.Millisecond)
+	}
+	return s.Store.Rel(name)
+}
+
+// TestTimingsTotalCoversViewBuild: with Incremental on, Clean builds the IVM
+// views before its first round, and Report.Timings.Total must cover the
+// build. The build makes the store's first Rel call, which sleeps 50 ms.
+func TestTimingsTotalCoversViewBuild(t *testing.T) {
+	d, dg := dataset.Figure1()
+	s := &slowFirstRel{Store: d}
+	c := New(s, crowd.NewPerfect(dg), Config{RNG: rand.New(rand.NewSource(1)), Incremental: true})
+	rep, err := c.Clean(context.Background(), dataset.IntroQ1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.slept {
+		t.Fatal("Clean never called Rel")
+	}
+	if rep.Timings.Total < 50*time.Millisecond {
+		t.Errorf("Timings.Total = %v, want at least the 50 ms view build", rep.Timings.Total)
 	}
 }
