@@ -378,11 +378,13 @@ func (n *Node) adoptRecord(r wal.JobRecord) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	var answers []wal.KeyedAnswer
 	for _, k := range keys {
 		for _, a := range r.Answers[k] {
-			_ = n.jl.Answer(r.ID, k, json.RawMessage(a))
+			answers = append(answers, wal.KeyedAnswer{Key: k, Answer: json.RawMessage(a)})
 		}
 	}
+	_ = n.jl.Answers(r.ID, answers)
 }
 
 // --- boot fencing ---

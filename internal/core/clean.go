@@ -120,33 +120,36 @@ func (c *Cleaner) result(u *cq.Union) []db.Tuple {
 	return eval.ResultUnion(u, c.d)
 }
 
-// verifyAnswers poses TRUE(Q, t)? for every unverified answer, asking each
-// disjunct in turn until one says yes. It marks the true answers verified
-// and returns the wrong ones in order. The context is checked before every
-// ask: a cancelled round stops asking and marks nothing wrong, because the
-// edit-free defaults it got are not answers.
+// verifyAnswers poses TRUE(Q, t)? for every unverified answer as one batch
+// per disjunct: the first disjunct gets them all, and each later one gets
+// the answers every earlier disjunct said no to (§6.2 poses a round's
+// independent questions together). It marks the true answers verified and
+// returns the wrong ones in order. A round cancelled mid-batch marks nothing
+// wrong, because the edit-free defaults it got are not answers.
 func (c *Cleaner) verifyAnswers(ctx context.Context, u *cq.Union, tuples []db.Tuple, verified map[string]bool) []db.Tuple {
-	var wrong []db.Tuple
-	for _, t := range tuples {
-		isTrue := false
-		for _, q := range u.Disjuncts {
-			if ctx.Err() != nil {
-				return nil
-			}
-			if isTrue = c.oracle.VerifyAnswer(ctx, q, t); isTrue {
-				break
+	open := tuples
+	for _, q := range u.Disjuncts {
+		if len(open) == 0 || ctx.Err() != nil {
+			break
+		}
+		answers := c.oracle.VerifyAnswers(ctx, q, open)
+		if ctx.Err() != nil {
+			break
+		}
+		var no []db.Tuple
+		for i, t := range open {
+			if answers[i] {
+				verified[t.Key()] = true
+			} else {
+				no = append(no, t)
 			}
 		}
-		if isTrue {
-			verified[t.Key()] = true
-		} else {
-			wrong = append(wrong, t)
-		}
+		open = no
 	}
 	if ctx.Err() != nil {
 		return nil
 	}
-	return wrong
+	return open
 }
 
 // minSamples is how many proposed answers the §6.1 estimator must observe

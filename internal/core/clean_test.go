@@ -268,6 +268,70 @@ func TestCleanUnion(t *testing.T) {
 	}
 }
 
+// batchRecorder is a perfect oracle that answers TRUE(Q, t)? in batches and
+// records each batch it is given.
+type batchRecorder struct {
+	*crowd.Perfect
+	batches []recordedBatch
+}
+
+type recordedBatch struct {
+	q  *cq.Query
+	ts []db.Tuple
+}
+
+func (b *batchRecorder) VerifyAnswers(ctx context.Context, q *cq.Query, ts []db.Tuple) []bool {
+	b.batches = append(b.batches, recordedBatch{q, append([]db.Tuple(nil), ts...)})
+	out := make([]bool, len(ts))
+	for i, t := range ts {
+		out[i] = b.Perfect.VerifyAnswer(ctx, q, t)
+	}
+	return out
+}
+
+// TestVerifyRoundIsOneBatchPerDisjunct: a round's TRUE(Q, t)? questions go
+// to a batching oracle as one call per disjunct. The first disjunct gets
+// every answer of U(D); the second gets, in order, the answers the first
+// said no to.
+func TestVerifyRoundIsOneBatchPerDisjunct(t *testing.T) {
+	d, dg := dataset.Figure1()
+	u := cq.MustParseUnion(
+		"(x) :- Games(d1, x, y, Final, u1), Teams(x, EU) ; (x) :- Games(d1, x, y, Final, u1), Teams(x, SA)")
+	first := eval.ResultUnion(u, d)
+	oracle := &batchRecorder{Perfect: crowd.NewPerfect(dg)}
+	c := New(d, oracle, Config{RNG: rand.New(rand.NewSource(4))})
+	rep, err := c.CleanUnion(context.Background(), u)
+	if err != nil {
+		t.Fatalf("CleanUnion: %v", err)
+	}
+	if tuplesKey(eval.ResultUnion(u, d)) != tuplesKey(eval.ResultUnion(u, dg)) {
+		t.Errorf("U(D') = %v, want %v", eval.ResultUnion(u, d), eval.ResultUnion(u, dg))
+	}
+	if len(oracle.batches) < 2 {
+		t.Fatalf("the cleaner posed %d batches, want at least the first round's 2", len(oracle.batches))
+	}
+	b0, b1 := oracle.batches[0], oracle.batches[1]
+	if b0.q != u.Disjuncts[0] || tuplesKey(b0.ts) != tuplesKey(first) {
+		t.Errorf("first batch = %s %v, want disjunct 0 with U(D) = %v", b0.q, b0.ts, first)
+	}
+	var no []db.Tuple
+	for _, tu := range first {
+		if !oracle.Perfect.VerifyAnswer(context.Background(), u.Disjuncts[0], tu) {
+			no = append(no, tu)
+		}
+	}
+	if b1.q != u.Disjuncts[1] || tuplesKey(b1.ts) != tuplesKey(no) {
+		t.Errorf("second batch = %s %v, want disjunct 1 with %v", b1.q, b1.ts, no)
+	}
+	asked := 0
+	for _, b := range oracle.batches {
+		asked += len(b.ts)
+	}
+	if rep.Crowd.VerifyAnswerQs < asked {
+		t.Errorf("report counts %d TRUE(Q, t)? questions, the batches held %d", rep.Crowd.VerifyAnswerQs, asked)
+	}
+}
+
 // TestCleanUnionSingleDisjunctMatchesClean: a 1-disjunct union behaves like
 // the plain Clean.
 func TestCleanUnionSingleDisjunctMatchesClean(t *testing.T) {

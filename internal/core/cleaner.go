@@ -3,8 +3,10 @@
 // iterative cleaner (Algorithm 3, §6), one round loop for CQ≠ queries and
 // their unions. A Cleaner owns a dirty database and an oracle crowd and
 // drives question-answer-edit rounds until the query result over the database
-// matches the result over the (unknown) ground truth. It asks one question at
-// a time; several experts (§6.2) answer through one oracle, such as
+// matches the result over the (unknown) ground truth. It makes one oracle
+// call at a time, and a round's TRUE(Q, t)? questions are one call per
+// disjunct, which a batching oracle such as the server's question queue
+// poses together (§6.2). Several experts answer through one oracle, such as
 // crowd.Panel or the server's question queue.
 package core
 
@@ -249,8 +251,10 @@ type Progress struct {
 // Cleaner drives QOCO over one database instance.
 //
 // Every crowd question of a run is asked from the goroutine running it, one
-// at a time. verifyFact and complete rely on this: they ask outside c.mu, and
-// no second ask of the same question can start while one waits on the crowd.
+// oracle call at a time; only a round's answer verifications share a call
+// (verifyAnswers). verifyFact and complete rely on this: they ask outside
+// c.mu, and no second ask of the same question can start while one waits on
+// the crowd.
 type Cleaner struct {
 	cfg    Config
 	d      db.Store

@@ -1,7 +1,9 @@
 package crowd
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/db"
 	"repro/internal/eval"
+	"repro/internal/obs"
 )
 
 func TestPerfectVerifyFact(t *testing.T) {
@@ -99,6 +102,71 @@ func TestCountingStats(t *testing.T) {
 	}
 	if s.Closed() != 2 || s.Total() != 2+wantFilled+1 {
 		t.Errorf("Closed = %d, Total = %d", s.Closed(), s.Total())
+	}
+}
+
+// batcher answers TRUE(Q, t)? batches from a perfect oracle, counting calls.
+type batcher struct {
+	*Perfect
+	calls int
+}
+
+func (b *batcher) VerifyAnswers(ctx context.Context, q *cq.Query, ts []db.Tuple) []bool {
+	b.calls++
+	out := make([]bool, len(ts))
+	for i, t := range ts {
+		out[i] = b.Perfect.VerifyAnswer(ctx, q, t)
+	}
+	return out
+}
+
+// TestCountingVerifyAnswers: Counting hands a batching oracle the whole
+// batch in one call, and asks any other oracle one question at a time,
+// stopping at a cancelled context. Both count every question asked; the
+// latency histogram takes one sample per oracle call.
+func TestCountingVerifyAnswers(t *testing.T) {
+	_, dg := dataset.Figure1()
+	q := dataset.IntroQ1()
+	ts := []db.Tuple{{"GER"}, {"ESP"}, {"BRA"}, {"ITA"}}
+	want := []bool{true, false, false, true} // ESP won one real final; BRA is not in EU
+
+	b := &batcher{Perfect: NewPerfect(dg)}
+	c := NewCounting(b)
+	c.Obs = obs.New()
+	if got := c.VerifyAnswers(bg, q, ts); !reflect.DeepEqual(got, want) {
+		t.Errorf("batched VerifyAnswers = %v, want %v", got, want)
+	}
+	if b.calls != 1 {
+		t.Errorf("batching oracle got %d calls, want 1", b.calls)
+	}
+	if s := c.Snapshot(); s.VerifyAnswerQs != len(ts) {
+		t.Errorf("VerifyAnswerQs = %d, want %d", s.VerifyAnswerQs, len(ts))
+	}
+	if n := c.Obs.Counter(MetricVerifyAnswer); n != int64(len(ts)) {
+		t.Errorf("%s = %d, want %d", MetricVerifyAnswer, n, len(ts))
+	}
+	if n := c.Obs.Snapshot().Histograms[MetricQuestionSeconds].Count; n != 1 {
+		t.Errorf("%s took %d samples for one batch, want 1", MetricQuestionSeconds, n)
+	}
+
+	c = NewCounting(NewPerfect(dg))
+	if got := c.VerifyAnswers(bg, q, ts); !reflect.DeepEqual(got, want) {
+		t.Errorf("one-at-a-time VerifyAnswers = %v, want %v", got, want)
+	}
+	if s := c.Snapshot(); s.VerifyAnswerQs != len(ts) {
+		t.Errorf("VerifyAnswerQs = %d, want %d", s.VerifyAnswerQs, len(ts))
+	}
+
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	c = NewCounting(NewPerfect(dg))
+	for i, v := range c.VerifyAnswers(ctx, q, ts) {
+		if !v {
+			t.Errorf("cancelled batch answer %d = false, want the edit-free default true", i)
+		}
+	}
+	if s := c.Snapshot(); s.VerifyAnswerQs != 0 {
+		t.Errorf("a cancelled batch asked %d questions, want 0", s.VerifyAnswerQs)
 	}
 }
 

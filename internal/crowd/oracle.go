@@ -47,6 +47,17 @@ type Oracle interface {
 	CompleteResult(ctx context.Context, q *cq.Query, current []db.Tuple) (db.Tuple, bool)
 }
 
+// AnswerBatcher is implemented by oracles that can pose several TRUE(Q, t)?
+// questions together, as the §6.2 deployment poses a round's independent
+// answer verifications to the crowd at once. VerifyAnswers returns one
+// answer per tuple, in the order given; once ctx is done the unanswered
+// ones read as the edit-free default true. The server's question queue
+// implements it; Counting.VerifyAnswers falls back to one VerifyAnswer at a
+// time for oracles that do not.
+type AnswerBatcher interface {
+	VerifyAnswers(ctx context.Context, q *cq.Query, ts []db.Tuple) []bool
+}
+
 // Stats counts crowd interactions using the paper's cost model (§7): each
 // answer to a closed (boolean) question adds 1; each answer to an open
 // question adds the number of unique variables the expert filled in.
@@ -73,8 +84,10 @@ func (s *Stats) Add(o Stats) {
 	s.VariablesFilled += o.VariablesFilled
 }
 
-// Metric names Counting records under, by question kind. The per-question
-// latency lands in QuestionSecondsMetric with the same kind suffix.
+// Metric names Counting records under, by question kind. MetricQuestionSeconds
+// takes one wall-clock sample per oracle call: a batch of verifications is
+// one sample, so the histogram's sum is the time the cleaner waited on the
+// crowd, while the counters count questions.
 const (
 	MetricVerifyFact      = "crowd.questions.verify_fact"
 	MetricVerifyAnswer    = "crowd.questions.verify_answer"
@@ -142,6 +155,30 @@ func (c *Counting) VerifyAnswer(ctx context.Context, q *cq.Query, t db.Tuple) bo
 	ans := c.Oracle.VerifyAnswer(ctx, q, t)
 	c.Obs.ObserveDuration(MetricQuestionSeconds, time.Since(start))
 	return ans
+}
+
+// VerifyAnswers answers TRUE(Q, t)? for every t in ts, in order. An
+// AnswerBatcher oracle gets the whole batch in one call, and every question
+// in it counts as asked. Any other oracle is asked one question at a time,
+// with ctx checked before each ask; the questions a cancelled batch never
+// asked are not counted and read as the edit-free default true.
+func (c *Counting) VerifyAnswers(ctx context.Context, q *cq.Query, ts []db.Tuple) []bool {
+	b, ok := c.Oracle.(AnswerBatcher)
+	if !ok {
+		out := make([]bool, len(ts))
+		for i, t := range ts {
+			out[i] = ctx.Err() != nil || c.VerifyAnswer(ctx, q, t)
+		}
+		return out
+	}
+	c.mu.Lock()
+	c.stats.VerifyAnswerQs += len(ts)
+	c.mu.Unlock()
+	c.Obs.Add(MetricVerifyAnswer, int64(len(ts)))
+	start := time.Now()
+	out := b.VerifyAnswers(ctx, q, ts)
+	c.Obs.ObserveDuration(MetricQuestionSeconds, time.Since(start))
+	return out
 }
 
 // Complete implements Oracle. The variables newly bound by the oracle

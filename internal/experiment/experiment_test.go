@@ -304,6 +304,9 @@ func TestHeuristicsAblation(t *testing.T) {
 		if !r.Converged {
 			t.Errorf("%s did not converge", r.Algorithm)
 		}
+		if r.CleanTime <= 0 {
+			t.Errorf("%s: CleanTime = %v, want the runs' clean time", r.Algorithm, r.CleanTime)
+		}
 		byAlgo[r.Algorithm] = r
 	}
 	// An informative trust prior should beat the uninformed Random baseline.

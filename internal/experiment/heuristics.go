@@ -12,10 +12,10 @@ import (
 	"repro/internal/noise"
 )
 
-// HeuristicsAblation compares all five deletion-ordering heuristics on Q3
+// HeuristicsAblation compares all six deletion-ordering heuristics on Q3
 // with injected wrong answers: the paper's QOCO (most frequent + Thm 4.5),
 // the QOCO− and Random baselines of §7.2, and the §4 alternatives
-// (responsibility and trust ordering). The Trust policy receives an
+// (responsibility, trust and influence ordering). The Trust policy receives an
 // informative prior: injected (false) tuples score lower than true ones,
 // modeling upstream extractor confidence.
 func HeuristicsAblation(cfg Config) []Row {
@@ -43,9 +43,11 @@ func HeuristicsAblation(cfg Config) []Row {
 				coreCfg.TrustScores = trustPrior(d, dg, rng)
 			}
 			cl := core.New(d, crowd.NewPerfect(dg), coreCfg)
-			if _, err := cl.Clean(context.Background(), q); err != nil {
+			rep, err := cl.Clean(context.Background(), q)
+			if err != nil {
 				agg.Converged = false
 			}
+			agg.CleanTime += rep.Timings.Total
 			questions := cl.Stats().VerifyFactQs
 			agg.Lower += lower
 			agg.Questions += questions

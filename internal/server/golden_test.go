@@ -35,38 +35,13 @@ func TestServerQuestionCountGolden(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
-	const wrong, missing = 3, 3
 	q := dataset.SoccerQ2()
 	dg := dataset.Soccer(dataset.SoccerOpts{})
 	truth := eval.Result(q, dg, eval.NoCache())
 	oracle := crowd.NewPerfect(dg)
 	var got strings.Builder
 	for _, seed := range seeds {
-		d := dg.Clone()
-		rng := rand.New(rand.NewSource(seed))
-		if n := noise.InjectMissing(d, dg, q, missing, rng); n < missing {
-			t.Fatalf("seed %d: injected %d of %d missing answers", seed, n, missing)
-		}
-		if n := noise.InjectWrong(d, dg, q, wrong, rng); n < wrong {
-			t.Fatalf("seed %d: injected %d of %d wrong answers", seed, n, wrong)
-		}
-		dir := t.TempDir()
-		ds, err := db.OpenDisk(filepath.Join(dir, "store"), d.Schema(), 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := db.Copy(ds, d); err != nil {
-			t.Fatal(err)
-		}
-		if err := ds.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		jl, _, err := wal.OpenJobLog(filepath.Join(dir, "journal.jsonl"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := New(ds, core.Config{Incremental: true})
-		srv.SetJobLog(jl)
+		srv, ds, jl := bootDiskServer(t, soccerQ2Dirty(t, dg, seed), t.TempDir())
 		ts := httptest.NewServer(srv.Handler())
 
 		res := postJSON(t, ts.URL+"/api/v1/clean", map[string]string{"query": q.String()})
@@ -119,4 +94,44 @@ func TestServerQuestionCountGolden(t *testing.T) {
 			t.Errorf("question counts changed:\n got  %s\n want %s", line, w)
 		}
 	}
+}
+
+// soccerQ2Dirty builds the server-mixed job input for seed: Soccer Q2 with
+// 3 missing and then 3 wrong answers injected from one rand.Rand.
+func soccerQ2Dirty(tb testing.TB, dg *db.Database, seed int64) *db.Database {
+	tb.Helper()
+	const wrong, missing = 3, 3
+	q := dataset.SoccerQ2()
+	d := dg.Clone()
+	rng := rand.New(rand.NewSource(seed))
+	if n := noise.InjectMissing(d, dg, q, missing, rng); n < missing {
+		tb.Fatalf("seed %d: injected %d of %d missing answers", seed, n, missing)
+	}
+	if n := noise.InjectWrong(d, dg, q, wrong, rng); n < wrong {
+		tb.Fatalf("seed %d: injected %d of %d wrong answers", seed, n, wrong)
+	}
+	return d
+}
+
+// bootDiskServer boots the server-mixed server over d: a fresh 4-shard disk
+// store in dir holding d, synced, IVM on, and a job journal.
+func bootDiskServer(tb testing.TB, d *db.Database, dir string) (*Server, *db.DiskStore, *wal.JobLog) {
+	tb.Helper()
+	ds, err := db.OpenDisk(filepath.Join(dir, "store"), d.Schema(), 4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := db.Copy(ds, d); err != nil {
+		tb.Fatal(err)
+	}
+	if err := ds.Sync(); err != nil {
+		tb.Fatal(err)
+	}
+	jl, _, err := wal.OpenJobLog(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv := New(ds, core.Config{Incremental: true})
+	srv.SetJobLog(jl)
+	return srv, ds, jl
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/db"
+	"repro/internal/wal"
 )
 
 // countingJournal records how often each (job, key) was journaled, to catch
@@ -18,10 +19,12 @@ type countingJournal struct {
 	counts map[string]int
 }
 
-func (j *countingJournal) RecordAnswer(job int, key string, a Answer) {
+func (j *countingJournal) RecordAnswers(job int, answers []wal.KeyedAnswer) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.counts[fmt.Sprintf("%d/%s", job, key)]++
+	for _, a := range answers {
+		j.counts[fmt.Sprintf("%d/%s", job, a.Key)]++
+	}
 }
 
 // TestQueueChurnHammer batters the queue with everything at once — concurrent

@@ -20,6 +20,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/obs"
+	"repro/internal/wal"
 )
 
 // QuestionKind enumerates the paper's four crowd question types.
@@ -71,9 +72,22 @@ type Question struct {
 	Unbound []string          `json:"unbound,omitempty"` // variables to fill
 	Current [][]string        `json:"current,omitempty"` // current result rows
 
-	reply chan Answer
-	arity int // complete-result: the head's arity, which a proposed tuple must match
+	reply chan<- reply // the asking batch's reply channel
+	slot  int          // the question's index in its batch
+	arity int          // complete-result: the head's arity, which a proposed tuple must match
 }
+
+// reply is one resolved question of a batch: its index in the batch and the
+// answer that resolved it.
+type reply struct {
+	slot int
+	a    Answer
+}
+
+// resolve hands a question's answer to its asker. Callers have removed the
+// question from pending under the queue lock first, so a question resolves
+// at most once and the batch's buffered channel never blocks.
+func (qu *Question) resolve(a Answer) { qu.reply <- reply{qu.slot, a} }
 
 // Answer is a crowd member's reply to a question.
 type Answer struct {
@@ -97,11 +111,14 @@ type Answer struct {
 }
 
 // Journal records resolved questions for crash recovery. Implementations
-// must be safe for concurrent use; the queue calls RecordAnswer outside its
-// own lock, once per live or degraded answer (never for released answers or
-// cancelled askers).
+// must be safe for concurrent use and must not keep the slice. The queue
+// calls RecordAnswers outside its own lock with a group of one job's live or
+// degraded answers (never released answers, nor answers to a cancelled
+// asker), each under its question's content key, in the order they arrived.
+// A group holds the answers that arrived while the previous group was being
+// journaled, so one append can cover many answers of a batch.
 type Journal interface {
-	RecordAnswer(job int, key string, a Answer)
+	RecordAnswers(job int, answers []wal.KeyedAnswer)
 }
 
 // QuestionKey renders a question's content — kind and payload, not identity
@@ -282,7 +299,9 @@ func jobIDFrom(ctx context.Context) int {
 	return id
 }
 
-// Queue is a crowd.Oracle whose answers arrive asynchronously over HTTP.
+// Queue is a crowd.Oracle whose answers arrive asynchronously over HTTP. It
+// is also a crowd.AnswerBatcher: a round's TRUE(Q, t)? questions are pending
+// together and may be answered in any order.
 //
 // When a deadline is configured (SetDeadline) an unanswered question expires:
 // it is re-queued with a bumped attempt count up to the re-ask budget, then
@@ -532,7 +551,7 @@ func (q *Queue) Answer(id int, a Answer) error {
 		return fmt.Errorf("server: no pending question %d", id)
 	}
 	q.Obs.Inc(MetricQuestionsAnswered)
-	qu.reply <- a
+	qu.resolve(a)
 	return nil
 }
 
@@ -613,7 +632,7 @@ func (q *Queue) Close() {
 	q.Obs.SetGauge(MetricPendingQuestions, 0)
 	q.mu.Unlock()
 	for _, qu := range pend {
-		qu.reply <- closedAnswer()
+		qu.resolve(closedAnswer())
 	}
 }
 
@@ -633,115 +652,200 @@ func (q *Queue) CancelJob(jobID int) {
 	q.Obs.SetGauge(MetricPendingQuestions, float64(len(q.pending)))
 	q.mu.Unlock()
 	for _, qu := range cancelled {
-		qu.reply <- closedAnswer()
+		qu.resolve(closedAnswer())
 	}
 }
 
-// ask enqueues a question and blocks until it is answered, expires past its
-// re-ask budget, or ctx is cancelled; cancellation reads as the edit-free
-// default answer. The reply channel is buffered so a racing Answer never
-// blocks against a departed asker. Live and degraded answers are journaled
-// under the question's content key; recorded answers short-circuit the queue
-// entirely during recovery replay.
+// ask poses one question: the batch of one.
 func (q *Queue) ask(ctx context.Context, qu *Question) Answer {
-	qu.reply = make(chan Answer, 1)
-	qu.Job = jobIDFrom(ctx)
-	key := QuestionKey(qu)
+	return q.askAll(ctx, []*Question{qu})[0]
+}
+
+// askAll poses a batch of questions together, under one lock, and blocks
+// until each is answered, expires past its re-ask budget, or ctx is
+// cancelled. It returns the answers in batch order. Each question keeps its
+// own deadline, attempt count and degradation. Cancellation reads as the
+// edit-free default for every question still open; Close and CancelJob
+// release every pending question of the batch the same way. Answers are
+// taken in the order they arrive and journaled in groups under their content
+// keys: the answers that arrive while one group is journaled go into the
+// next, so no answer waits for the rest of its batch. Recorded answers
+// short-circuit the queue entirely during recovery replay.
+func (q *Queue) askAll(ctx context.Context, qs []*Question) []Answer {
+	out := make([]Answer, len(qs))
+	job := jobIDFrom(ctx)
+	replies := make(chan reply, len(qs))
+	keys := make([]string, len(qs))
+	for i, qu := range qs {
+		qu.Job, qu.reply, qu.slot = job, replies, i
+		keys[i] = QuestionKey(qu)
+	}
 
 	q.mu.Lock()
 	if q.closed || ctx.Err() != nil {
 		// Never enqueue for a dead asker: a cancelled job's follow-up
 		// questions would only flash through the pending list.
 		q.mu.Unlock()
-		return closedAnswer()
-	}
-	if a, ok := q.takeReplayLocked(qu.Job, key); ok {
-		if a.Degraded {
-			q.degraded[qu.Job]++
-			q.degTotal++
+		for i := range out {
+			out[i] = closedAnswer()
 		}
-		q.recordHistoryLocked(qu, "replayed")
-		q.mu.Unlock()
-		q.Obs.Inc(MetricQuestionsReplayed)
-		return a
+		return out
 	}
-	q.nextID++
-	qu.ID = q.nextID
-	qu.Attempt = 1
-	if q.deadline > 0 {
-		dl := time.Now().Add(q.deadline)
-		qu.Deadline = &dl
+	done := make([]bool, len(qs))
+	open, replayed := 0, 0
+	for i, qu := range qs {
+		if a, ok := q.takeReplayLocked(job, keys[i]); ok {
+			if a.Degraded {
+				q.degraded[job]++
+				q.degTotal++
+			}
+			q.recordHistoryLocked(qu, "replayed")
+			out[i], done[i] = a, true
+			replayed++
+			continue
+		}
+		q.nextID++
+		qu.ID = q.nextID
+		qu.Attempt = 1
+		if q.deadline > 0 {
+			dl := time.Now().Add(q.deadline)
+			qu.Deadline = &dl
+		}
+		q.pending[qu.ID] = qu
+		open++
 	}
-	maxReasks := q.maxReasks
-	journal := q.journal
-	q.pending[qu.ID] = qu
-	q.Obs.Inc(MetricQuestionsAsked)
-	q.Obs.SetGauge(MetricPendingQuestions, float64(len(q.pending)))
+	deadline, maxReasks, journal := q.deadline, q.maxReasks, q.journal
+	if open > 0 {
+		q.Obs.Add(MetricQuestionsAsked, int64(open))
+		q.Obs.SetGauge(MetricPendingQuestions, float64(len(q.pending)))
+	}
 	q.mu.Unlock()
+	if replayed > 0 {
+		q.Obs.Add(MetricQuestionsReplayed, int64(replayed))
+	}
 
-	record := func(a Answer) {
-		if journal != nil && !a.released && ctx.Err() == nil {
-			journal.RecordAnswer(qu.Job, key, a)
+	var group []wal.KeyedAnswer
+	take := func(r reply) {
+		out[r.slot], done[r.slot] = r.a, true
+		open--
+		if !r.a.released {
+			group = append(group, wal.KeyedAnswer{Key: keys[r.slot], Answer: r.a})
 		}
 	}
-	for {
+	for open > 0 {
 		var expiry <-chan time.Time
 		var timer *time.Timer
-		q.mu.Lock()
-		if qu.Deadline != nil {
-			timer = time.NewTimer(time.Until(*qu.Deadline))
-			expiry = timer.C
-		}
-		q.mu.Unlock()
-		select {
-		case a := <-qu.reply:
-			if timer != nil {
-				timer.Stop()
+		if deadline > 0 {
+			if next, ok := q.nextDeadline(qs, done); ok {
+				timer = time.NewTimer(time.Until(next))
+				expiry = timer.C
 			}
-			record(a)
-			return a
+		}
+		select {
+		case r := <-replies:
+			take(r)
+			// Whatever else arrived meanwhile joins the same group.
+			for drained := false; !drained && open > 0; {
+				select {
+				case r := <-replies:
+					take(r)
+				default:
+					drained = true
+				}
+			}
 		case <-ctx.Done():
 			if timer != nil {
 				timer.Stop()
 			}
 			q.mu.Lock()
-			if _, still := q.pending[qu.ID]; still {
-				delete(q.pending, qu.ID)
-				q.recordHistoryLocked(qu, "cancelled")
+			for i, qu := range qs {
+				if !done[i] && q.pending[qu.ID] == qu {
+					delete(q.pending, qu.ID)
+					q.recordHistoryLocked(qu, "cancelled")
+				}
 			}
 			q.Obs.SetGauge(MetricPendingQuestions, float64(len(q.pending)))
 			q.mu.Unlock()
-			return closedAnswer()
+			for i := range out {
+				if !done[i] {
+					out[i] = closedAnswer()
+				}
+			}
+			return out
 		case <-expiry:
-			q.mu.Lock()
-			if _, still := q.pending[qu.ID]; !still {
-				// Answered (or released) in the race with the timer: the
-				// reply is already in the buffered channel.
-				q.mu.Unlock()
-				a := <-qu.reply
-				record(a)
-				return a
+			for _, i := range q.expire(qs, done, maxReasks) {
+				take(reply{i, degradedAnswer()})
 			}
-			if qu.Attempt > maxReasks {
-				// Re-ask budget exhausted: degrade instead of waiting forever.
-				delete(q.pending, qu.ID)
-				q.degraded[qu.Job]++
-				q.degTotal++
-				q.recordHistoryLocked(qu, "degraded")
-				q.Obs.SetGauge(MetricPendingQuestions, float64(len(q.pending)))
-				q.mu.Unlock()
-				q.Obs.Inc(MetricQuestionsExpired)
-				a := degradedAnswer()
-				record(a)
-				return a
-			}
-			qu.Attempt++
-			dl := time.Now().Add(q.deadline)
-			qu.Deadline = &dl
-			q.mu.Unlock()
-			q.Obs.Inc(MetricQuestionsReasked)
+		}
+		if timer != nil {
+			timer.Stop()
+		}
+		if journal != nil && len(group) > 0 && ctx.Err() == nil {
+			journal.RecordAnswers(job, group)
+		}
+		group = nil
+	}
+	return out
+}
+
+// nextDeadline returns the earliest deadline among the batch's questions
+// that are still pending. An open question that is no longer pending was
+// answered or released, and its reply is on its way.
+func (q *Queue) nextDeadline(qs []*Question, done []bool) (time.Time, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	var next time.Time
+	found := false
+	for i, qu := range qs {
+		if done[i] || q.pending[qu.ID] != qu || qu.Deadline == nil {
+			continue
+		}
+		if !found || qu.Deadline.Before(next) {
+			next, found = *qu.Deadline, true
 		}
 	}
+	return next, found
+}
+
+// expire handles the batch's pending questions whose deadline has passed:
+// each is re-queued with a bumped attempt count, or, once its re-ask budget
+// is spent, taken off the queue and counted as degraded. It returns the
+// indices of the degraded questions, which the caller answers with the
+// edit-free default.
+func (q *Queue) expire(qs []*Question, done []bool, maxReasks int) []int {
+	var degraded []int
+	reasked := 0
+	now := time.Now()
+	q.mu.Lock()
+	for i, qu := range qs {
+		if done[i] || q.pending[qu.ID] != qu || qu.Deadline == nil || now.Before(*qu.Deadline) {
+			continue
+		}
+		if qu.Attempt > maxReasks {
+			// Re-ask budget exhausted: degrade instead of waiting forever.
+			delete(q.pending, qu.ID)
+			q.degraded[qu.Job]++
+			q.degTotal++
+			q.recordHistoryLocked(qu, "degraded")
+			degraded = append(degraded, i)
+			continue
+		}
+		qu.Attempt++
+		dl := now.Add(q.deadline)
+		qu.Deadline = &dl
+		reasked++
+	}
+	if len(degraded) > 0 {
+		q.Obs.SetGauge(MetricPendingQuestions, float64(len(q.pending)))
+	}
+	q.mu.Unlock()
+	if len(degraded) > 0 {
+		q.Obs.Add(MetricQuestionsExpired, int64(len(degraded)))
+	}
+	if reasked > 0 {
+		q.Obs.Add(MetricQuestionsReasked, int64(reasked))
+	}
+	return degraded
 }
 
 // VerifyFact implements crowd.Oracle.
@@ -757,13 +861,27 @@ func (q *Queue) VerifyFact(ctx context.Context, f db.Fact) bool {
 
 // VerifyAnswer implements crowd.Oracle.
 func (q *Queue) VerifyAnswer(ctx context.Context, query *cq.Query, t db.Tuple) bool {
-	a := q.ask(ctx, &Question{
-		Kind:  KindVerifyAnswer,
-		Text:  fmt.Sprintf("Is %s a correct answer to %s?", t, query),
-		Query: query.String(),
-		Tuple: t,
-	})
-	return a.Bool != nil && *a.Bool
+	return q.VerifyAnswers(ctx, query, []db.Tuple{t})[0]
+}
+
+// VerifyAnswers implements crowd.AnswerBatcher: a round's TRUE(Q, t)?
+// questions are pending together and may be answered in any order.
+func (q *Queue) VerifyAnswers(ctx context.Context, query *cq.Query, ts []db.Tuple) []bool {
+	text := query.String()
+	qs := make([]*Question, len(ts))
+	for i, t := range ts {
+		qs[i] = &Question{
+			Kind:  KindVerifyAnswer,
+			Text:  fmt.Sprintf("Is %s a correct answer to %s?", t, text),
+			Query: text,
+			Tuple: t,
+		}
+	}
+	out := make([]bool, len(ts))
+	for i, a := range q.askAll(ctx, qs) {
+		out[i] = a.Bool != nil && *a.Bool
+	}
+	return out
 }
 
 // Complete implements crowd.Oracle.

@@ -14,8 +14,8 @@ import (
 // failures are sticky inside the log and surface from JobLog.Err.
 type jobLogJournal struct{ log *wal.JobLog }
 
-func (j jobLogJournal) RecordAnswer(job int, key string, a Answer) {
-	_ = j.log.Answer(job, key, a)
+func (j jobLogJournal) RecordAnswers(job int, answers []wal.KeyedAnswer) {
+	_ = j.log.Answers(job, answers)
 }
 
 // SetJobLog installs the job journal: new jobs journal their spec and every

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -441,12 +444,15 @@ func openFigure1Disk(t *testing.T, dir string, opts ...db.DiskOption) *db.DiskSt
 }
 
 // TestCrashAfterAnswersOnDisk kills a Figure 1 job over a journaled disk
-// store after k answers, for every k up to and past the job's end: the
-// server stops, the store drops everything it never synced, and a second
+// store after k durable answers, for every k up to and past the job's end:
+// the server stops, the store drops everything it never synced, and a second
 // server recovers over the same directory and journal. Every row must reach
-// Q(D) = Q(DG) without re-asking a journaled question. The past-the-end row
-// pins the ordering rule: the store is synced before the end record, so a
-// job the journal calls done never loses its edits.
+// Q(D) = Q(DG) without re-asking a journaled question. The job's first round
+// poses its two TRUE(Q, t)? questions together, so k = 1 crashes inside
+// that batch after its first group's fsync. The past-the-end row pins the
+// ordering rule: the store is synced before the end record, so a job the
+// journal calls done never loses its edits. The batch rows crash inside a
+// larger batch around a held journal fsync (see crashInsideBatch).
 func TestCrashAfterAnswersOnDisk(t *testing.T) {
 	d0, dg := dataset.Figure1()
 	oracle := crowd.NewPerfect(dg)
@@ -471,6 +477,8 @@ func TestCrashAfterAnswersOnDisk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var shipped atomic.Int64
+			log1.SetShipper(countAnswers(&shipped))
 			srv1 := New(ds, core.Config{})
 			srv1.SetJobLog(log1)
 			job := srv1.startJob(dataset.IntroQ1(), nil)
@@ -485,9 +493,8 @@ func TestCrashAfterAnswersOnDisk(t *testing.T) {
 						t.Fatal(err)
 					}
 					lastID = qu.ID
+					waitShipped(t, &shipped, int64(i+1))
 				}
-				// The next question proves the k-th answer was journaled.
-				waitQuestion(t, srv1.Queue(), lastID)
 			} else {
 				answerUntilDone(t, srv1, job.ID, oracle, nil)
 			}
@@ -522,6 +529,195 @@ func TestCrashAfterAnswersOnDisk(t *testing.T) {
 			}
 		})
 	}
+
+	for _, tc := range []struct {
+		name            string
+		release, onDisk bool
+	}{
+		{"batch/group-fsynced", true, true},
+		{"batch/fsync-held-record-kept", false, true},
+		{"batch/fsync-held-record-lost", false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) { crashInsideBatch(t, tc.release, tc.onDisk) })
+	}
+}
+
+// crashInsideBatch crashes a Figure 1 job inside its first round, whose
+// query (x, y) :- Teams(x, y) poses four TRUE(Q, t)? questions together. It
+// holds the journal fsync of the first answer's group and answers two more
+// questions meanwhile. With release set, the hold lifts, the two answers
+// form one group with one fsync, and the crash lands after that fsync with
+// the fourth question still pending. Otherwise the crash lands while the
+// fsync is held, with the first answer's record on disk or not (onDisk).
+// Recovery runs over a fresh copy of the dirty store, since a job that never
+// ended synced nothing to it, and must converge without re-asking any answer
+// the crashed journal holds.
+func crashInsideBatch(t *testing.T, release, onDisk bool) {
+	q := cq.MustParse("(x, y) :- Teams(x, y).")
+	_, dg := dataset.Figure1()
+	oracle := crowd.NewPerfect(dg)
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "jobs.log")
+	hold := newHoldFS(t)
+	log1, _, err := wal.OpenJobLog(logPath, wal.WithJobLogFS(hold))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shipped atomic.Int64
+	log1.SetShipper(countAnswers(&shipped))
+	ds := openFigure1Disk(t, filepath.Join(dir, "store"))
+	srv1 := New(ds, core.Config{})
+	srv1.SetJobLog(log1)
+	job := srv1.startJob(q, nil)
+
+	var batch []*Question
+	for deadline := time.Now().Add(20 * time.Second); len(batch) < 4; batch = srv1.Queue().Pending() {
+		if time.Now().After(deadline) {
+			t.Fatalf("first round pending = %d questions, want 4", len(batch))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	answer := func(qu *Question) {
+		t.Helper()
+		if err := srv1.Queue().Answer(qu.ID, perfectAnswer(qu, oracle)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hold.arm()
+	answer(batch[0])
+	<-hold.held
+	syncsBefore := hold.syncs.Load()
+	answer(batch[1])
+	answer(batch[2])
+	want := []*Question{batch[0]}
+	if release {
+		hold.release()
+		waitShipped(t, &shipped, 3)
+		if n := hold.syncs.Load() - syncsBefore; n != 1 {
+			t.Errorf("the two answers that arrived during the held fsync took %d fsyncs, want 1", n)
+		}
+		want = batch[:3]
+	} else if !onDisk {
+		want = nil
+	}
+	crashed, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !onDisk {
+		// Drop the held group's record: the fsync never returned.
+		crashed = crashed[:bytes.LastIndexByte(crashed[:len(crashed)-1], '\n')+1]
+	}
+	hold.release()
+	srv1.Close()
+	waitTerminal(t, srv1, job.ID)
+	log1.Close()
+	ds.Close()
+
+	dir2 := t.TempDir()
+	logPath2 := filepath.Join(dir2, "jobs.log")
+	if err := os.WriteFile(logPath2, crashed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ds2 := openFigure1Disk(t, filepath.Join(dir2, "store"))
+	defer ds2.Close()
+	log2, recs, err := wal.OpenJobLog(logPath2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log2.Close()
+	journaled := make(map[string]bool)
+	for _, r := range recs {
+		for k := range r.Answers {
+			journaled[k] = true
+		}
+	}
+	if len(journaled) != len(want) {
+		t.Fatalf("crashed journal holds %d answers, want %d", len(journaled), len(want))
+	}
+	for _, qu := range want {
+		if !journaled[QuestionKey(qu)] {
+			t.Fatalf("crashed journal lacks the answer to %s", qu.Text)
+		}
+	}
+	srv2 := New(ds2, core.Config{})
+	srv2.SetJobLog(log2)
+	defer srv2.Close()
+	if _, err := srv2.Recover(recs); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	answerUntilDone(t, srv2, job.ID, oracle, journaled)
+	if st := jobView(srv2, job.ID).State; st != JobDone {
+		t.Fatalf("job ended %s, want done", st)
+	}
+	if got, want := eval.Result(q, ds2), eval.Result(q, dg); !sameTuples(got, want) {
+		t.Fatalf("Q(D) = %v after recovery, want Q(DG) = %v", got, want)
+	}
+}
+
+// countAnswers is a journal shipper that counts the answer records that
+// reached disk: the log ships an event only after its group's fsync.
+func countAnswers(n *atomic.Int64) func(wal.JobEvent) {
+	return func(ev wal.JobEvent) {
+		if ev.Ev == "answer" {
+			n.Add(1)
+		}
+	}
+}
+
+// waitShipped polls until the journal has made want answers durable.
+func waitShipped(t *testing.T, shipped *atomic.Int64, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for shipped.Load() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d answers journaled", shipped.Load(), want)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// holdFS is a job-journal file system whose fsync a test can hold: after
+// arm, the next Sync signals held and blocks until release. It counts
+// every Sync.
+type holdFS struct {
+	faultfs.FS
+	syncs   atomic.Int64
+	armed   atomic.Bool
+	held    chan struct{}
+	lift    chan struct{}
+	release func()
+}
+
+func newHoldFS(t *testing.T) *holdFS {
+	h := &holdFS{FS: faultfs.OS(), held: make(chan struct{}, 1), lift: make(chan struct{})}
+	h.release = sync.OnceFunc(func() { close(h.lift) })
+	t.Cleanup(h.release)
+	return h
+}
+
+func (h *holdFS) arm() { h.armed.Store(true) }
+
+func (h *holdFS) OpenFile(name string, flag int, perm os.FileMode) (faultfs.File, error) {
+	f, err := h.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return holdFile{File: f, h: h}, nil
+}
+
+type holdFile struct {
+	faultfs.File
+	h *holdFS
+}
+
+func (f holdFile) Sync() error {
+	f.h.syncs.Add(1)
+	if f.h.armed.CompareAndSwap(true, false) {
+		f.h.held <- struct{}{}
+		<-f.h.lift
+	}
+	return f.File.Sync()
 }
 
 // TestStoreSyncFailureLeavesJobOpen: when the store cannot sync a finished

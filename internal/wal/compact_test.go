@@ -24,10 +24,10 @@ func TestJobLogCompaction(t *testing.T) {
 		}
 	}
 	must(l.Start(1, "q1(x) :- R(x)"))
-	must(l.Answer(1, "k1", map[string]bool{"ok": true}))
+	must(l.Answers(1, []KeyedAnswer{{Key: "k1", Answer: map[string]bool{"ok": true}}}))
 	must(l.End(1, "done"))
 	must(l.Start(2, "q2(x) :- S(x)"))
-	must(l.Answer(2, "k2", map[string]bool{"ok": false}))
+	must(l.Answers(2, []KeyedAnswer{{Key: "k2", Answer: map[string]bool{"ok": false}}}))
 	must(l.Start(3, "q3(x) :- T(x)"))
 	must(l.End(3, "degraded"))
 	must(l.Close())

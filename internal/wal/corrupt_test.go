@@ -140,10 +140,10 @@ func TestCrashAtEveryPrefix(t *testing.T) {
 		}
 	}
 	must(l.Start(1, "(x) :- Teams(x, EU)"))
-	must(l.Answer(1, "k1", map[string]bool{"bool": true}))
+	must(l.Answers(1, []KeyedAnswer{{Key: "k1", Answer: map[string]bool{"bool": true}}}))
 	must(l.Start(2, "(y) :- Goals(y, d)"))
-	must(l.Answer(1, "k1", map[string]bool{"bool": false}))
-	must(l.Answer(2, "k2", map[string]bool{"none": true}))
+	must(l.Answers(1, []KeyedAnswer{{Key: "k1", Answer: map[string]bool{"bool": false}}}))
+	must(l.Answers(2, []KeyedAnswer{{Key: "k2", Answer: map[string]bool{"none": true}}}))
 	must(l.End(1, "done"))
 	must(l.Close())
 	journal, err := os.ReadFile(src)

@@ -23,10 +23,11 @@ import (
 // journals a job's terminal event, so an end record never outlives the edits
 // it vouches for.
 //
-// Every record is flushed and fsynced before the append returns: a crowd
-// answer is minutes of human work and must survive the very next crash. The
-// first write failure is sticky and surfaces from every later append and
-// Close.
+// Every append is flushed and fsynced before it returns: a crowd answer is
+// minutes of human work and must survive the very next crash. An append is
+// a group of records (Answers takes the answers that arrived together) with
+// one Write per record and one fsync for the group. The first write failure
+// is sticky and surfaces from every later append and Close.
 type JobLog struct {
 	mu      sync.Mutex
 	f       faultfs.File
@@ -200,25 +201,40 @@ func (l *JobLog) SetShipper(fn func(JobEvent)) {
 	l.mu.Unlock()
 }
 
-// append journals one event, fsyncing before returning. The first failure is
-// sticky: later appends fail fast with it.
-func (l *JobLog) append(ev JobEvent) error {
-	raw, err := json.Marshal(ev)
-	if err != nil {
-		return fmt.Errorf("wal: encoding job event: %w", err)
+// appendGroup journals a group of events with one Write per record, then one
+// fsync for the whole group, then hands each event to the shipper in order;
+// a single event is the group of one. A crash mid-group leaves a prefix of
+// it on disk (a torn final line is dropped at open), and nothing of a group
+// is shipped before all of it is durable. The first failure is sticky: later
+// appends fail fast with it.
+func (l *JobLog) appendGroup(evs []JobEvent) error {
+	if len(evs) == 0 {
+		return nil
+	}
+	raws := make([][]byte, len(evs))
+	for i, ev := range evs {
+		raw, err := json.Marshal(ev)
+		if err != nil {
+			return fmt.Errorf("wal: encoding job event: %w", err)
+		}
+		raws[i] = append(raw, '\n')
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if ev.Job > l.maxJob {
-		l.maxJob = ev.Job
+	for _, ev := range evs {
+		if ev.Job > l.maxJob {
+			l.maxJob = ev.Job
+		}
 	}
 	if l.err != nil {
 		return l.err
 	}
-	if _, err := l.f.Write(append(raw, '\n')); err != nil {
-		l.err = fmt.Errorf("wal: writing job log: %w", err)
-		rec().Inc(MetricAppendErrors)
-		return l.err
+	for _, raw := range raws {
+		if _, err := l.f.Write(raw); err != nil {
+			l.err = fmt.Errorf("wal: writing job log: %w", err)
+			rec().Inc(MetricAppendErrors)
+			return l.err
+		}
 	}
 	if err := l.f.Sync(); err != nil {
 		l.err = fmt.Errorf("wal: syncing job log: %w", err)
@@ -226,31 +242,44 @@ func (l *JobLog) append(ev JobEvent) error {
 		return l.err
 	}
 	if l.shipper != nil {
-		l.shipper(ev)
+		for _, ev := range evs {
+			l.shipper(ev)
+		}
 	}
 	return nil
 }
 
 // Start journals a job spec. Call before the job asks its first question.
 func (l *JobLog) Start(job int, query string) error {
-	return l.append(JobEvent{Ev: "start", Job: job, Query: query})
+	return l.appendGroup([]JobEvent{{Ev: "start", Job: job, Query: query}})
 }
 
-// Answer journals one consumed crowd answer under the question's content
-// key. answer must be JSON-marshalable (the server journals its wire-format
-// Answer type).
-func (l *JobLog) Answer(job int, key string, answer interface{}) error {
-	raw, err := json.Marshal(answer)
-	if err != nil {
-		return fmt.Errorf("wal: encoding answer: %w", err)
+// KeyedAnswer is one consumed crowd answer and the content key of the
+// question it answers. Answer must be JSON-marshalable (the server journals
+// its wire-format Answer type).
+type KeyedAnswer struct {
+	Key    string
+	Answer any
+}
+
+// Answers journals a group of one job's consumed crowd answers, in order, as
+// one append: one record each and a single fsync.
+func (l *JobLog) Answers(job int, answers []KeyedAnswer) error {
+	evs := make([]JobEvent, len(answers))
+	for i, ka := range answers {
+		raw, err := json.Marshal(ka.Answer)
+		if err != nil {
+			return fmt.Errorf("wal: encoding answer: %w", err)
+		}
+		evs[i] = JobEvent{Ev: "answer", Job: job, Key: ka.Key, Answer: raw}
 	}
-	return l.append(JobEvent{Ev: "answer", Job: job, Key: key, Answer: raw})
+	return l.appendGroup(evs)
 }
 
 // End journals a job's terminal state; jobs without an end event are
 // recovered at the next boot.
 func (l *JobLog) End(job int, state string) error {
-	return l.append(JobEvent{Ev: "end", Job: job, State: state})
+	return l.appendGroup([]JobEvent{{Ev: "end", Job: job, State: state}})
 }
 
 // Err returns the first append failure, nil if none.

@@ -21,13 +21,13 @@ func TestJobLogRoundTrip(t *testing.T) {
 	if err := l.Start(1, "(x) :- Teams(x, EU)"); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Answer(1, "k1", answer{Bool: true}); err != nil {
+	if err := l.Answers(1, []KeyedAnswer{{Key: "k1", Answer: answer{Bool: true}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Answer(1, "k1", answer{Bool: false}); err != nil {
+	if err := l.Answers(1, []KeyedAnswer{{Key: "k1", Answer: answer{Bool: false}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Answer(1, "k2", answer{Bool: true}); err != nil {
+	if err := l.Answers(1, []KeyedAnswer{{Key: "k2", Answer: answer{Bool: true}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Start(2, "(y) :- Goals(y, d)"); err != nil {
@@ -88,7 +88,7 @@ func TestJobLogTornTailTolerated(t *testing.T) {
 		t.Errorf("records = %+v, want job 1 with no answers", recs)
 	}
 	// The log stays appendable after recovery.
-	if err := l2.Answer(1, "k", map[string]bool{"none": true}); err != nil {
+	if err := l2.Answers(1, []KeyedAnswer{{Key: "k", Answer: map[string]bool{"none": true}}}); err != nil {
 		t.Errorf("append after torn-tail recovery: %v", err)
 	}
 }
@@ -126,7 +126,7 @@ func TestJobLogStickyError(t *testing.T) {
 	if first == nil {
 		t.Fatal("append failure not recorded")
 	}
-	if err := l.Answer(1, "k", map[string]bool{}); err != first {
+	if err := l.Answers(1, []KeyedAnswer{{Key: "k", Answer: map[string]bool{}}}); err != first {
 		t.Errorf("later append error = %v, want sticky %v", err, first)
 	}
 	if err := l.Close(); err != first {

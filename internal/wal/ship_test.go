@@ -22,7 +22,7 @@ func TestJobLogShipper(t *testing.T) {
 	if err := jl.Start(1, "(x) :- R(x)."); err != nil {
 		t.Fatal(err)
 	}
-	if err := jl.Answer(1, "k1", map[string]bool{"none": true}); err != nil {
+	if err := jl.Answers(1, []KeyedAnswer{{Key: "k1", Answer: map[string]bool{"none": true}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := jl.End(1, "done"); err != nil {
