@@ -35,19 +35,29 @@ func Var(name string) Term { return Term{IsVar: true, Name: name} }
 // Const builds a constant term.
 func Const(value string) Term { return Term{Name: value} }
 
-// String renders the term: variables as ?name, constants quoted when needed.
+// String renders the term: variables by name, constants quoted when needed.
 func (t Term) String() string {
-	if t.IsVar {
+	if t.IsVar || !needsQuote(t.Name) {
 		return t.Name
 	}
-	if needsQuote(t.Name) {
-		// Escape backslashes before quotes: a value ending in '\' must not
-		// render as `'...\'`, which would escape the closing quote.
-		escaped := strings.ReplaceAll(t.Name, `\`, `\\`)
-		escaped = strings.ReplaceAll(escaped, "'", `\'`)
-		return "'" + escaped + "'"
+	return string(t.appendText(nil))
+}
+
+// appendText appends String's rendering of the term to b. A quoted constant
+// escapes each backslash and quote with a backslash, so a value ending in
+// '\' cannot escape the closing quote.
+func (t Term) appendText(b []byte) []byte {
+	if t.IsVar || !needsQuote(t.Name) {
+		return append(b, t.Name...)
 	}
-	return t.Name
+	b = append(b, '\'')
+	for i := 0; i < len(t.Name); i++ {
+		if c := t.Name[i]; c == '\\' || c == '\'' {
+			b = append(b, '\\')
+		}
+		b = append(b, t.Name[i])
+	}
+	return append(b, '\'')
 }
 
 func needsQuote(v string) bool {
@@ -83,12 +93,19 @@ type Atom struct {
 }
 
 // String renders the atom as Rel(t1, ..., tk).
-func (a Atom) String() string {
-	parts := make([]string, len(a.Args))
+func (a Atom) String() string { return string(a.appendText(nil)) }
+
+// appendText appends String's rendering of the atom to b.
+func (a Atom) appendText(b []byte) []byte {
+	b = append(b, a.Rel...)
+	b = append(b, '(')
 	for i, t := range a.Args {
-		parts[i] = t.String()
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = t.appendText(b)
 	}
-	return fmt.Sprintf("%s(%s)", a.Rel, strings.Join(parts, ", "))
+	return append(b, ')')
 }
 
 // Equal reports structural equality of atoms.
@@ -140,7 +157,14 @@ type Ineq struct {
 }
 
 // String renders the inequality as l != r.
-func (e Ineq) String() string { return e.Left.String() + " != " + e.Right.String() }
+func (e Ineq) String() string { return string(e.appendText(nil)) }
+
+// appendText appends String's rendering of the inequality to b.
+func (e Ineq) appendText(b []byte) []byte {
+	b = e.Left.appendText(b)
+	b = append(b, " != "...)
+	return e.Right.appendText(b)
+}
 
 // Vars returns the set of variable names occurring in the inequality.
 func (e Ineq) Vars() map[string]bool {
@@ -275,41 +299,44 @@ func (q *Query) Consts() []string {
 func (q *Query) Arity() int { return len(q.Head) }
 
 // String renders the query in the parseable Datalog-style syntax.
-func (q *Query) String() string {
-	var b strings.Builder
-	if q.Name != "" {
-		b.WriteString(q.Name)
-	}
-	b.WriteByte('(')
+func (q *Query) String() string { return string(q.AppendText(nil)) }
+
+// AppendText appends String's exact bytes to b and returns the extended
+// slice, leaving b's contents untouched. Cache keys are built with it in a
+// caller's buffer, so a lookup renders the query without allocating.
+func (q *Query) AppendText(b []byte) []byte {
+	b = append(b, q.Name...)
+	b = append(b, '(')
 	for i, t := range q.Head {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		b.WriteString(t.String())
+		b = t.appendText(b)
 	}
-	b.WriteString(") :- ")
+	b = append(b, ") :- "...)
 	first := true
-	sep := func() {
-		if !first {
-			b.WriteString(", ")
-		}
-		first = false
-	}
 	for _, a := range q.Atoms {
-		sep()
-		b.WriteString(a.String())
+		b, first = comma(b, first), false
+		b = a.appendText(b)
 	}
 	for _, a := range q.Negs {
-		sep()
-		b.WriteString("not ")
-		b.WriteString(a.String())
+		b, first = comma(b, first), false
+		b = append(b, "not "...)
+		b = a.appendText(b)
 	}
 	for _, e := range q.Ineqs {
-		sep()
-		b.WriteString(e.String())
+		b, first = comma(b, first), false
+		b = e.appendText(b)
 	}
-	b.WriteByte('.')
-	return b.String()
+	return append(b, '.')
+}
+
+// comma appends the ", " between two body literals, none before the first.
+func comma(b []byte, first bool) []byte {
+	if first {
+		return b
+	}
+	return append(b, ", "...)
 }
 
 // Validate checks well-formedness against a schema (§2):

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -22,11 +21,13 @@ import (
 
 // The disk-backed store keeps facts in per-relation append-only segment
 // files, hash-sharded N ways, with constants interned to uint32 IDs through
-// a shared symbol table (symtab.go). In memory each shard holds only
-// interned tuples ([]uint32) plus per-column hash indexes over IDs — the
-// strings themselves live once in the symbol table no matter how many
-// tuples reference them, which is what lets a single instance hold tens of
-// millions of facts without RAM-resident string duplication.
+// a shared symbol table (symtab.go). Its read index is the in-memory
+// store's: each relation is one *Relation (relation.go) whose tuples hold
+// the symbol table's own strings, so every value lives once in memory no
+// matter how many tuples reference it, and Scan, MatchCount, Has, Tuples,
+// Each, Fork and Snapshot run exactly the mem store's code. A shard keeps
+// only its segment file, its writer and its record and live counts; the
+// shard a tuple belongs to follows from hashing it (shardOf).
 //
 // Durability model: every mutating edit appends one record to its shard's
 // segment through a buffered writer; new symbols are flushed to the OS
@@ -116,8 +117,8 @@ func WithReplayWorkers(n int) DiskOption {
 
 // DiskStore is the disk-backed Store implementation. Its concurrency
 // contract matches *Database: concurrent readers are safe, mutations must
-// be serialized by the caller. Forks and snapshots share shard state
-// copy-on-write and the symbol table outright.
+// be serialized by the caller. Forks and snapshots share the relations
+// copy-on-write (Relation.Clone) and the symbol table outright.
 type DiskStore struct {
 	dir      string
 	schema   *schema.Schema
@@ -141,6 +142,8 @@ type DiskStore struct {
 	compactShards    int64
 	compactReclaimed int64
 
+	rec []byte // scratch for the segment record being appended
+
 	// detached marks forks and snapshot backings: in-memory overlays that
 	// never touch the segment files (their edits are not durable — they are
 	// working copies; only the source store's edits persist).
@@ -149,38 +152,22 @@ type DiskStore struct {
 	err      error // first append/fsync failure; sticky, poisons mutations
 }
 
+// diskRel is one relation: its read index and, on a store that owns its
+// files, its segment shards.
 type diskRel struct {
-	store  *DiskStore
 	name   string
 	arity  int
-	shards []*diskShard
+	rel    *Relation    // the read index, over the symbol table's strings
+	shards []*diskShard // nil on detached stores
 }
 
+// diskShard is one segment file and its counts.
 type diskShard struct {
-	file    faultfs.File  // nil on detached stores
+	file    faultfs.File  // nil once closed
 	w       *bufio.Writer // nil iff file is nil
-	state   *shardState
-	shared  atomic.Bool // state may be shared with a fork/snapshot; copy before mutating
-	records int         // insert/delete records in the segment (file + buffer)
-	dirty   bool        // records appended since the last commit marker (v2)
-}
-
-// shardState is one shard's in-memory contents: interned tuples keyed by
-// their packed-ID bytes, plus per-column value→keys indexes.
-type shardState struct {
-	tuples map[string][]uint32
-	index  []map[uint32]map[string]int
-}
-
-func newShardState(arity int) *shardState {
-	st := &shardState{
-		tuples: make(map[string][]uint32),
-		index:  make([]map[uint32]map[string]int, arity),
-	}
-	for i := range st.index {
-		st.index[i] = make(map[uint32]map[string]int)
-	}
-	return st
+	records int           // insert/delete records in the segment (file + buffer)
+	live    int           // the relation's tuples that route to this shard
+	dirty   bool          // records appended since the last commit marker (v2)
 }
 
 // packKey renders interned IDs as a compact fixed-width map key.
@@ -192,12 +179,27 @@ func packKey(ids []uint32) string {
 	return string(b)
 }
 
-// shardOf routes a tuple to a shard by hashing its string key — stable
-// across reopens and independent of symbol-ID assignment order.
-func shardOf(tupleKey string, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(tupleKey))
-	return int(h.Sum32() % uint32(n))
+// FNV-1a parameters (hash/fnv's New32a).
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
+// shardOf routes a tuple to a shard by the 32-bit FNV-1a hash of its
+// string key (Tuple.Key) — stable across reopens and independent of
+// symbol-ID assignment order. It hashes the key's bytes in place instead
+// of building it.
+func shardOf(t Tuple, n int) int {
+	h := uint32(fnvOffset32)
+	for i, v := range t {
+		if i > 0 {
+			h = (h ^ uint32(keySep[0])) * fnvPrime32
+		}
+		for j := 0; j < len(v); j++ {
+			h = (h ^ uint32(v[j])) * fnvPrime32
+		}
+	}
+	return int(h % uint32(n))
 }
 
 // segName builds a segment file name for a relation shard, hex-escaping
@@ -309,22 +311,19 @@ func OpenDisk(dir string, s *schema.Schema, shards int, opts ...DiskOption) (*Di
 	// part of a large open — can fan out across replayWorkers goroutines
 	// while every file operation stays serial and in sorted relation order
 	// (the order deterministic fault injection counts on). Pass 1 reads all
-	// segment bytes, pass 2 parses them in parallel (replayShard is pure),
-	// pass 3 aggregates counters, surfaces the first error in segment order,
-	// and opens the append handles.
-	type pendingShard struct {
-		rel   *diskRel
-		idx   int
-		path  string
-		arity int
-		raw   []byte
-		rep   shardReplay
-	}
+	// segment bytes; pass 2 parses them in parallel (replayShard is pure),
+	// and the worker that parses a relation's last shard builds the
+	// relation's read index; pass 3 aggregates counters, surfaces the first
+	// error in segment order, and opens the append handles.
 	var pend []*pendingShard
+	var rels []*pendingRel
 	for _, name := range ds.relNames {
 		rel, _ := s.Relation(name)
-		dr := &diskRel{store: ds, name: name, arity: rel.Arity(), shards: make([]*diskShard, shards)}
+		dr := &diskRel{name: name, arity: rel.Arity(), shards: make([]*diskShard, shards)}
 		ds.rels[name] = dr
+		pr := &pendingRel{rel: dr, shards: make([]*pendingShard, shards)}
+		pr.left.Store(int32(shards))
+		rels = append(rels, pr)
 		for i := 0; i < shards; i++ {
 			path := filepath.Join(dir, segName(name, i))
 			raw, err := fsys.ReadFile(path)
@@ -332,10 +331,19 @@ func OpenDisk(dir string, s *schema.Schema, shards int, opts ...DiskOption) (*Di
 				ds.Close()
 				return nil, fmt.Errorf("db: reading segment %s: %w", path, err)
 			}
-			pend = append(pend, &pendingShard{rel: dr, idx: i, path: path, arity: rel.Arity(), raw: raw})
+			p := &pendingShard{rel: pr, path: path, raw: raw}
+			pr.shards[i] = p
+			pend = append(pend, p)
 		}
 	}
-	symCount := uint32(ds.syms.size())
+	strs := ds.syms.all()
+	replay := func(p *pendingShard) {
+		p.rep = replayShard(p.raw, version, p.rel.rel.arity, uint32(len(strs)), p.path)
+		p.raw = nil
+		if p.rel.left.Add(-1) == 0 {
+			p.rel.build(strs)
+		}
+	}
 	workers := o.replayWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -351,8 +359,7 @@ func OpenDisk(dir string, s *schema.Schema, shards int, opts ...DiskOption) (*Di
 			go func() {
 				defer wg.Done()
 				for p := range work {
-					p.rep = replayShard(p.raw, version, p.arity, symCount, p.path)
-					p.raw = nil
+					replay(p)
 				}
 			}()
 		}
@@ -363,21 +370,22 @@ func OpenDisk(dir string, s *schema.Schema, shards int, opts ...DiskOption) (*Di
 		wg.Wait()
 	} else {
 		for _, p := range pend {
-			p.rep = replayShard(p.raw, version, p.arity, symCount, p.path)
-			p.raw = nil
+			replay(p)
 		}
 	}
-	for _, p := range pend {
-		sh, err := ds.finishShard(p.path, p.rep)
-		if err != nil {
-			ds.Close()
-			var cerr *CorruptError
-			if errors.As(err, &cerr) {
-				quarantine(fsys, dir, cerr, true)
+	for _, pr := range rels {
+		for i, p := range pr.shards {
+			sh, err := ds.finishShard(p.path, p.rep)
+			if err != nil {
+				ds.Close()
+				var cerr *CorruptError
+				if errors.As(err, &cerr) {
+					quarantine(fsys, dir, cerr, true)
+				}
+				return nil, err
 			}
-			return nil, err
+			pr.rel.shards[i] = sh
 		}
-		p.rel.shards[p.idx] = sh
 	}
 	if ds.tornTails > 0 {
 		rec().Add(MetricRecoveryTornTails, ds.tornTails)
@@ -440,22 +448,76 @@ func writeMetaAtomic(fsys faultfs.FS, dir string, m diskMeta) error {
 	return nil
 }
 
-// shardReplay is the pure result of parsing one segment's bytes.
-type shardReplay struct {
-	state     *shardState
-	records   int   // insert/delete records replayed
-	good      int   // byte offset of the last intact record's end
-	tornBytes int64 // bytes truncated from a torn tail (0 if clean)
-	err       error // *CorruptError on any non-tail decode failure
+// pendingRel is one relation during replay: its shards' parses and how
+// many are still running.
+type pendingRel struct {
+	rel    *diskRel
+	shards []*pendingShard
+	left   atomic.Int32
 }
 
-// replayShard parses one segment file's bytes into a fresh shard state. A
-// torn tail (incomplete final record with nothing valid after it) is marked
-// for truncation; under the v2 format any other decode failure is
+// pendingShard is one segment during replay: its bytes until parsed, then
+// the parse.
+type pendingShard struct {
+	rel  *pendingRel
+	path string
+	raw  []byte
+	rep  shardReplay
+}
+
+// build makes the relation's read index from its shards' live tuples,
+// shard by shard and in the order of each tuple's surviving insert record,
+// so a reopen always builds the same postings. The tuples hold strs, the
+// symbol table's strings, and share one backing array. A relation with a
+// corrupt shard is left unbuilt: the open fails.
+func (pr *pendingRel) build(strs []string) {
+	n := 0
+	for _, p := range pr.shards {
+		if p.rep.err != nil {
+			return
+		}
+		n += p.rep.live
+	}
+	arity := pr.rel.arity
+	rel := newRelationSize(pr.rel.name, arity, n)
+	vals := make([]string, n*arity)
+	for _, p := range pr.shards {
+		for _, ids := range p.rep.order {
+			if ids == nil {
+				continue // deleted after this insert
+			}
+			t := Tuple(vals[:arity:arity])
+			vals = vals[arity:]
+			for i, id := range ids {
+				t[i] = strs[id]
+			}
+			rel.add(t)
+		}
+		p.rep.order = nil
+	}
+	pr.rel.rel = rel
+}
+
+// shardReplay is the pure result of parsing one segment's bytes.
+type shardReplay struct {
+	order     [][]uint32 // insert records of live tuples in segment order; nil where deleted since
+	live      int        // non-nil entries of order
+	records   int        // insert/delete records replayed
+	good      int        // byte offset of the last intact record's end
+	tornBytes int64      // bytes truncated from a torn tail (0 if clean)
+	err       error      // *CorruptError on any non-tail decode failure
+}
+
+// replayShard parses one segment file's bytes into the shard's live tuples.
+// A torn tail (incomplete final record with nothing valid after it) is
+// marked for truncation; under the v2 format any other decode failure is
 // corruption (record.go documents the classification argument). The
 // function touches no file or store state, so shards replay in parallel.
+// The set semantics of the in-memory relation apply: inserting a live tuple
+// or deleting an absent one changes nothing.
 func replayShard(raw []byte, version, arity int, symCount uint32, path string) shardReplay {
-	rep := shardReplay{state: newShardState(arity)}
+	var rep shardReplay
+	at := make(map[string]int) // packed key of a live tuple -> its index in order
 	for off := 0; off < len(raw); {
 		r, perr := parseSegRecord(raw, off, version, arity, symCount)
 		if perr != nil {
@@ -473,10 +535,20 @@ func replayShard(raw []byte, version, arity int, symCount uint32, path string) s
 		}
 		switch r.op {
 		case opInsert:
-			rep.state.insert(packKey(r.ids), r.ids)
+			k := packKey(r.ids)
+			if _, ok := at[k]; !ok {
+				at[k] = len(rep.order)
+				rep.order = append(rep.order, r.ids)
+				rep.live++
+			}
 			rep.records++
 		case opDelete:
-			rep.state.delete(packKey(r.ids))
+			k := packKey(r.ids)
+			if i, ok := at[k]; ok {
+				delete(at, k)
+				rep.order[i] = nil
+				rep.live--
+			}
 			rep.records++
 		}
 		off += r.n
@@ -509,7 +581,7 @@ func (s *DiskStore) finishShard(path string, rep shardReplay) (*diskShard, error
 		f.Close()
 		return nil, fmt.Errorf("db: seeking segment %s: %w", path, err)
 	}
-	return &diskShard{file: f, w: bufio.NewWriter(f), state: rep.state, records: rep.records}, nil
+	return &diskShard{file: f, w: bufio.NewWriter(f), records: rep.records, live: rep.live}, nil
 }
 
 // decodeRecord parses a segment payload: op byte + arity interned IDs, all
@@ -538,78 +610,11 @@ func decodeRecord(payload []byte, arity int, symCount uint32) ([]uint32, bool) {
 	return ids, true
 }
 
-// insert/delete maintain one shard state's tuple map and indexes. They are
-// idempotent, mirroring the set semantics of the in-memory relation.
-func (st *shardState) insert(key string, ids []uint32) bool {
-	if _, ok := st.tuples[key]; ok {
-		return false
-	}
-	st.tuples[key] = ids
-	for col, id := range ids {
-		m := st.index[col][id]
-		if m == nil {
-			m = make(map[string]int)
-			st.index[col][id] = m
-		}
-		m[key] = 1
-	}
-	return true
-}
-
-func (st *shardState) delete(key string) bool {
-	ids, ok := st.tuples[key]
-	if !ok {
-		return false
-	}
-	delete(st.tuples, key)
-	for col, id := range ids {
-		if m := st.index[col][id]; m != nil {
-			delete(m, key)
-			if len(m) == 0 {
-				delete(st.index[col], id)
-			}
-		}
-	}
-	return true
-}
-
-// clone deep-copies the state's maps (tuple ID slices stay shared — they
-// are immutable once inserted).
-func (st *shardState) clone() *shardState {
-	out := &shardState{
-		tuples: make(map[string][]uint32, len(st.tuples)),
-		index:  make([]map[uint32]map[string]int, len(st.index)),
-	}
-	for k, ids := range st.tuples {
-		out.tuples[k] = ids
-	}
-	for col := range st.index {
-		out.index[col] = make(map[uint32]map[string]int, len(st.index[col]))
-		for id, set := range st.index[col] {
-			ns := make(map[string]int, len(set))
-			for k, c := range set {
-				ns[k] = c
-			}
-			out.index[col][id] = ns
-		}
-	}
-	return out
-}
-
-// materialize gives the shard exclusive ownership of its state before a
-// mutation (copy-on-write, as Relation.materialize).
-func (sh *diskShard) materialize() {
-	if !sh.shared.Load() {
-		return
-	}
-	sh.state = sh.state.clone()
-	sh.shared.Store(false)
-}
-
-// appendRecord buffers one segment record; new symbols referenced by it
-// were already flushed by symtab.intern.
-func (sh *diskShard) appendRecord(version int, op byte, ids []uint32) error {
-	if _, err := sh.w.Write(appendSegRecord(nil, version, op, ids)); err != nil {
+// appendRecord buffers one segment record to the shard; new symbols
+// referenced by it were already flushed by symtab.intern.
+func (s *DiskStore) appendRecord(sh *diskShard, op byte, ids []uint32) error {
+	s.rec = appendSegRecord(s.rec[:0], s.version, op, ids)
+	if _, err := sh.w.Write(s.rec); err != nil {
 		return err
 	}
 	if op != opCommit {
@@ -637,10 +642,11 @@ func (s *DiskStore) Schema() *schema.Schema { return s.schema }
 // health checks (server /readyz) surface it.
 func (s *DiskStore) Err() error { return s.err }
 
-// Rel returns the named relation's read view, or nil if unknown.
+// Rel returns the named relation's read view, or nil if unknown: the
+// relation's read index itself.
 func (s *DiskStore) Rel(name string) Rel {
 	if r := s.rels[name]; r != nil {
-		return r
+		return r.rel
 	}
 	return nil
 }
@@ -648,14 +654,14 @@ func (s *DiskStore) Rel(name string) Rel {
 // Has reports whether the fact is present.
 func (s *DiskStore) Has(f Fact) bool {
 	r := s.rels[f.Rel]
-	return r != nil && r.Has(f.Args)
+	return r != nil && r.rel.Has(f.Args)
 }
 
 // Len returns the total fact count.
 func (s *DiskStore) Len() int {
 	n := 0
 	for _, r := range s.rels {
-		n += r.Len()
+		n += r.rel.Len()
 	}
 	return n
 }
@@ -664,7 +670,7 @@ func (s *DiskStore) Len() int {
 func (s *DiskStore) Facts() []Fact {
 	out := make([]Fact, 0, s.Len())
 	for _, n := range s.relNames {
-		for _, t := range s.rels[n].Tuples() {
+		for _, t := range s.rels[n].rel.Tuples() {
 			out = append(out, Fact{Rel: n, Args: t})
 		}
 	}
@@ -673,7 +679,8 @@ func (s *DiskStore) Facts() []Fact {
 
 // InsertFact adds the fact, appending a segment record first so the
 // in-memory state never runs ahead of what a reopen can recover. A failed
-// append poisons the store (sticky error), mirroring the job journal.
+// append poisons the store (sticky error), mirroring the job journal. The
+// stored tuple holds the symbol table's strings.
 func (s *DiskStore) InsertFact(f Fact) (bool, error) {
 	r := s.rels[f.Rel]
 	if r == nil {
@@ -688,28 +695,31 @@ func (s *DiskStore) InsertFact(f Fact) (bool, error) {
 	if s.err != nil {
 		return false, s.err
 	}
+	if r.rel.Has(f.Args) {
+		return false, nil
+	}
+	if s.detached {
+		r.rel.add(f.Args.Clone())
+		s.gen++
+		return true, nil
+	}
 	ids := make([]uint32, len(f.Args))
+	t := make(Tuple, len(f.Args))
 	for i, v := range f.Args {
 		id, err := s.syms.intern(v)
 		if err != nil {
 			s.err = err
 			return false, err
 		}
-		ids[i] = id
+		ids[i], t[i] = id, s.syms.str(id)
 	}
-	key := packKey(ids)
-	sh := r.shards[shardOf(f.Args.Key(), s.nshards)]
-	if _, ok := sh.state.tuples[key]; ok {
-		return false, nil
+	sh := r.shards[shardOf(t, s.nshards)]
+	if err := s.appendRecord(sh, opInsert, ids); err != nil {
+		s.err = fmt.Errorf("db: appending segment record: %w", err)
+		return false, s.err
 	}
-	if !s.detached {
-		if err := sh.appendRecord(s.version, opInsert, ids); err != nil {
-			s.err = fmt.Errorf("db: appending segment record: %w", err)
-			return false, s.err
-		}
-	}
-	sh.materialize()
-	sh.state.insert(key, ids)
+	r.rel.add(t)
+	sh.live++
 	s.gen++
 	return true, nil
 }
@@ -726,27 +736,23 @@ func (s *DiskStore) DeleteFact(f Fact) (bool, error) {
 	if s.err != nil {
 		return false, s.err
 	}
-	ids := make([]uint32, len(f.Args))
-	for i, v := range f.Args {
-		id, ok := s.syms.lookup(v)
-		if !ok {
-			return false, nil // a never-interned constant cannot be stored
-		}
-		ids[i] = id
-	}
-	key := packKey(ids)
-	sh := r.shards[shardOf(f.Args.Key(), s.nshards)]
-	if _, ok := sh.state.tuples[key]; !ok {
+	if !r.rel.Has(f.Args) {
 		return false, nil
 	}
 	if !s.detached {
-		if err := sh.appendRecord(s.version, opDelete, ids); err != nil {
+		// Every value of a stored tuple was interned when it was stored.
+		ids := make([]uint32, len(f.Args))
+		for i, v := range f.Args {
+			ids[i], _ = s.syms.lookup(v)
+		}
+		sh := r.shards[shardOf(f.Args, s.nshards)]
+		if err := s.appendRecord(sh, opDelete, ids); err != nil {
 			s.err = fmt.Errorf("db: appending segment record: %w", err)
 			return false, s.err
 		}
+		sh.live--
 	}
-	sh.materialize()
-	sh.state.delete(key)
+	r.rel.Delete(f.Args)
 	s.gen++
 	return true, nil
 }
@@ -775,7 +781,8 @@ func (s *DiskStore) ApplyAll(edits []Edit) (int, error) {
 }
 
 // forkDetached builds the copy-on-write in-memory overlay shared by Fork
-// and Snapshot: same symbol table, shared shard states.
+// and Snapshot: same symbol table, relations cloned copy-on-write, no
+// shards.
 func (s *DiskStore) forkDetached() *DiskStore {
 	out := &DiskStore{
 		dir:      s.dir,
@@ -790,14 +797,7 @@ func (s *DiskStore) forkDetached() *DiskStore {
 		detached: true,
 	}
 	for name, r := range s.rels {
-		nr := &diskRel{store: out, name: r.name, arity: r.arity, shards: make([]*diskShard, len(r.shards))}
-		for i, sh := range r.shards {
-			sh.shared.Store(true)
-			c := &diskShard{state: sh.state}
-			c.shared.Store(true)
-			nr.shards[i] = c
-		}
-		out.rels[name] = nr
+		out.rels[name] = &diskRel{name: r.name, arity: r.arity, rel: r.rel.Clone()}
 	}
 	return out
 }
@@ -829,8 +829,8 @@ func (s *DiskStore) Stats() Stats {
 		Symbols:    s.syms.size(),
 	}
 	for n, r := range s.rels {
-		st.Relations[n] = r.Len()
-		st.TotalFacts += r.Len()
+		st.Relations[n] = r.rel.Len()
+		st.TotalFacts += r.rel.Len()
 	}
 	if s.detached {
 		return st
@@ -855,9 +855,8 @@ func (s *DiskStore) Stats() Stats {
 			}
 			bytes += int64(sh.w.Buffered())
 			st.DiskBytes += bytes
-			live := len(sh.state.tuples)
-			dead := sh.records - live
-			seg := SegmentStat{Relation: name, Shard: i, Live: live, Dead: dead, Bytes: bytes}
+			dead := sh.records - sh.live
+			seg := SegmentStat{Relation: name, Shard: i, Live: sh.live, Dead: dead, Bytes: bytes}
 			if sh.records > 0 {
 				seg.GarbageRatio = float64(dead) / float64(sh.records)
 			}
@@ -902,7 +901,7 @@ func (s *DiskStore) Sync() error {
 				continue
 			}
 			if s.version >= 2 && sh.dirty {
-				if err := sh.appendRecord(s.version, opCommit, nil); err != nil {
+				if err := s.appendRecord(sh, opCommit, nil); err != nil {
 					s.err = fmt.Errorf("db: appending commit marker: %w", err)
 					return s.err
 				}
@@ -939,7 +938,7 @@ func (s *DiskStore) Close() error {
 			}
 			if s.err == nil {
 				if s.version >= 2 && sh.dirty {
-					if err := sh.appendRecord(s.version, opCommit, nil); err != nil && first == nil {
+					if err := s.appendRecord(sh, opCommit, nil); err != nil && first == nil {
 						first = fmt.Errorf("db: appending commit marker: %w", err)
 					}
 				}
@@ -981,148 +980,6 @@ func (s *DiskStore) Crash() {
 	s.syms.close(false)
 }
 
-// --- Rel interface on diskRel ---
-
-func (r *diskRel) Name() string { return r.name }
-func (r *diskRel) Arity() int   { return r.arity }
-
-func (r *diskRel) Len() int {
-	n := 0
-	for _, sh := range r.shards {
-		n += len(sh.state.tuples)
-	}
-	return n
-}
-
-func (r *diskRel) Has(t Tuple) bool {
-	if len(t) != r.arity {
-		return false
-	}
-	ids := make([]uint32, len(t))
-	for i, v := range t {
-		id, ok := r.store.syms.lookup(v)
-		if !ok {
-			return false
-		}
-		ids[i] = id
-	}
-	sh := r.shards[shardOf(t.Key(), r.store.nshards)]
-	_, ok := sh.state.tuples[packKey(ids)]
-	return ok
-}
-
-// resolve materializes an interned tuple back into strings.
-func (r *diskRel) resolve(ids []uint32) Tuple {
-	t := make(Tuple, len(ids))
-	for i, id := range ids {
-		t[i] = r.store.syms.str(id)
-	}
-	return t
-}
-
-func (r *diskRel) Tuples() []Tuple {
-	out := make([]Tuple, 0, r.Len())
-	for _, sh := range r.shards {
-		for _, ids := range sh.state.tuples {
-			out = append(out, r.resolve(ids))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
-func (r *diskRel) Each(fn func(Tuple) bool) {
-	for _, sh := range r.shards {
-		for _, ids := range sh.state.tuples {
-			if !fn(r.resolve(ids)) {
-				return
-			}
-		}
-	}
-}
-
-// resolveBindings interns binding values; ok = false when some bound value
-// was never interned (no tuple can match).
-func (r *diskRel) resolveBindings(bindings []Binding) ([]uint32, bool) {
-	vals := make([]uint32, len(bindings))
-	for i, b := range bindings {
-		if b.Col < 0 || b.Col >= r.arity {
-			return nil, false
-		}
-		id, ok := r.store.syms.lookup(b.Value)
-		if !ok {
-			return nil, false
-		}
-		vals[i] = id
-	}
-	return vals, true
-}
-
-// scanShard enumerates one shard's matching tuple keys through the most
-// selective bound column's index, invoking fn for each match.
-func scanShard(st *shardState, bindings []Binding, vals []uint32, fn func(key string, ids []uint32)) {
-	if len(bindings) == 0 {
-		for k, ids := range st.tuples {
-			fn(k, ids)
-		}
-		return
-	}
-	best := -1
-	bestSize := 0
-	for i, b := range bindings {
-		m := st.index[b.Col][vals[i]]
-		if m == nil {
-			return
-		}
-		if best == -1 || len(m) < bestSize {
-			best, bestSize = i, len(m)
-		}
-	}
-	drive := st.index[bindings[best].Col][vals[best]]
-outer:
-	for k := range drive {
-		ids := st.tuples[k]
-		for i, b := range bindings {
-			if i == best {
-				continue
-			}
-			if ids[b.Col] != vals[i] {
-				continue outer
-			}
-		}
-		fn(k, ids)
-	}
-}
-
-func (r *diskRel) Scan(bindings []Binding) []Tuple {
-	vals, ok := r.resolveBindings(bindings)
-	if !ok {
-		return nil
-	}
-	var out []Tuple
-	for _, sh := range r.shards {
-		scanShard(sh.state, bindings, vals, func(_ string, ids []uint32) {
-			out = append(out, r.resolve(ids))
-		})
-	}
-	return out
-}
-
-func (r *diskRel) MatchCount(bindings []Binding) int {
-	if len(bindings) == 0 {
-		return r.Len()
-	}
-	vals, ok := r.resolveBindings(bindings)
-	if !ok {
-		return 0
-	}
-	n := 0
-	for _, sh := range r.shards {
-		scanShard(sh.state, bindings, vals, func(string, []uint32) { n++ })
-	}
-	return n
-}
-
 // diskSnapshot is the disk store's immutable read view (see
 // DiskStore.Snapshot).
 type diskSnapshot struct {
@@ -1143,5 +1000,4 @@ func (s *diskSnapshot) Fork() Store            { return s.d.forkDetached() }
 var (
 	_ Store    = (*DiskStore)(nil)
 	_ Snapshot = (*diskSnapshot)(nil)
-	_ Rel      = (*diskRel)(nil)
 )

@@ -29,11 +29,15 @@ type Relation struct {
 }
 
 // NewRelation creates an empty relation with the given name and arity.
-func NewRelation(name string, arity int) *Relation {
+func NewRelation(name string, arity int) *Relation { return newRelationSize(name, arity, 0) }
+
+// newRelationSize creates an empty relation whose tuple map is sized for n
+// tuples.
+func newRelationSize(name string, arity, n int) *Relation {
 	r := &Relation{
 		name:   name,
 		arity:  arity,
-		tuples: make(map[string]Tuple),
+		tuples: make(map[string]Tuple, n),
 		index:  make([]map[string][]Tuple, arity),
 	}
 	for i := range r.index {
@@ -51,9 +55,11 @@ func (r *Relation) Arity() int { return r.arity }
 // Len returns the number of tuples.
 func (r *Relation) Len() int { return len(r.tuples) }
 
-// Has reports whether the tuple is present.
+// Has reports whether the tuple is present. It builds the tuple's key in a
+// stack buffer, so it allocates nothing for keys up to 128 bytes.
 func (r *Relation) Has(t Tuple) bool {
-	_, ok := r.tuples[t.Key()]
+	var buf [128]byte
+	_, ok := r.tuples[string(t.AppendKey(buf[:0]))]
 	return ok
 }
 
@@ -63,17 +69,21 @@ func (r *Relation) Insert(t Tuple) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("db: arity mismatch inserting %v into %s/%d", t, r.name, r.arity))
 	}
-	k := t.Key()
-	if _, ok := r.tuples[k]; ok {
+	if r.Has(t) {
 		return false
 	}
+	r.add(t.Clone())
+	return true
+}
+
+// add stores an absent tuple of the relation's arity, taking ownership of
+// it: the caller must not modify t afterwards.
+func (r *Relation) add(t Tuple) {
 	r.materialize()
-	t = t.Clone()
-	r.tuples[k] = t
+	r.tuples[t.Key()] = t
 	for col, v := range t {
 		r.index[col][v] = append(r.index[col][v], t)
 	}
-	return true
 }
 
 // Delete removes the tuple, returning true if it was present.

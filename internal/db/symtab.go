@@ -152,6 +152,16 @@ func (s *symtab) str(id uint32) string {
 	return v
 }
 
+// all returns the interned strings, indexed by ID. Entries never change
+// once interned, so the slice stays valid while later symbols are appended
+// past its end.
+func (s *symtab) all() []string {
+	s.mu.RLock()
+	strs := s.strs
+	s.mu.RUnlock()
+	return strs
+}
+
 // size returns the number of interned symbols.
 func (s *symtab) size() int {
 	s.mu.RLock()

@@ -6,6 +6,7 @@
 package eval
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -47,22 +48,26 @@ func (a Assignment) TotalFor(q *cq.Query) bool {
 }
 
 // Key returns a canonical representation used for dedup and map keys.
-func (a Assignment) Key() string {
-	keys := make([]string, 0, len(a))
+func (a Assignment) Key() string { return string(a.appendKey(nil)) }
+
+// appendKey appends Key() to b. It sorts the variables in a stack array, so
+// for up to 16 variables it allocates only to grow b.
+func (a Assignment) appendKey(b []byte) []byte {
+	var arr [16]string
+	keys := arr[:0]
 	for k := range a {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	var b strings.Builder
+	slices.Sort(keys)
 	for i, k := range keys {
 		if i > 0 {
-			b.WriteByte('\x1e')
+			b = append(b, '\x1e')
 		}
-		b.WriteString(k)
-		b.WriteByte('\x1f')
-		b.WriteString(a[k])
+		b = append(b, k...)
+		b = append(b, '\x1f')
+		b = append(b, a[k]...)
 	}
-	return b.String()
+	return b
 }
 
 // String renders the assignment as {x -> a, y -> b} with sorted variables.

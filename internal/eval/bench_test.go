@@ -28,7 +28,7 @@ func BenchmarkWitnessesCold(b *testing.B) {
 
 // BenchmarkResultCold guards the join search itself: Q(D) of Soccer Q1–Q5
 // with the cache and any maintainer bypassed, on the in-memory store and on a
-// 4-shard DiskStore (which resolves interned values on every scan).
+// 4-shard DiskStore (which reads through the same db.Relation index).
 func BenchmarkResultCold(b *testing.B) {
 	mem := dataset.Soccer(dataset.SoccerOpts{})
 	disk, err := db.OpenDisk(b.TempDir(), mem.Schema(), 4)

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"strings"
 	"sync"
 
 	"repro/internal/cq"
@@ -142,34 +141,43 @@ func section(d db.Reader) *dbCache {
 	return evalCache.dbs[d.ID()][d.Generation()]
 }
 
-// fingerprint renders the query's canonical cache identity. Query.String is
-// a parseable, deterministic rendering, so distinct queries cannot collide;
-// its cost is proportional to the query size (a handful of atoms), not the
-// database, keeping warm lookups O(|Q|).
-func fingerprint(q *cq.Query) string { return q.String() }
+// Cache keys. A key is the query's canonical rendering, Query.AppendText:
+// it is parseable and deterministic, so distinct queries cannot collide,
+// and it costs O(|Q|), not O(|D|). Each class of memoized call prefixes its
+// key so a boolean Holds can never alias a Result of the same query. Keys
+// are built in the caller's buffer (a stack array of keyBufSize bytes holds
+// every key of the paper's workloads), looked up without a copy, and copied
+// only when an entry is stored.
+const keyBufSize = 256
 
-// unionFingerprint is the canonical identity of a UCQ.
-func unionFingerprint(u *cq.Union) string {
-	var b strings.Builder
-	for i, q := range u.Disjuncts {
-		if i > 0 {
-			b.WriteByte('\x01')
-		}
-		b.WriteString(q.String())
-	}
-	return b.String()
+// appendResultKey appends Result's key for q.
+func appendResultKey(b []byte, q *cq.Query) []byte {
+	return q.AppendText(append(b, "r\x00"...))
 }
 
-// Cache key namespaces. Each class of memoized call prefixes its key so a
-// boolean Holds can never alias a Result of the same query.
-func resultKey(fp string) string      { return "r\x00" + fp }
-func unionResultKey(fp string) string { return "u\x00" + fp }
-func holdsKey(fp, seed string) string { return "h\x00" + fp + "\x00" + seed }
+// appendUnionKey appends ResultUnion's key for u: its disjuncts' renderings
+// joined by 0x01.
+func appendUnionKey(b []byte, u *cq.Union) []byte {
+	b = append(b, "u\x00"...)
+	for i, q := range u.Disjuncts {
+		if i > 0 {
+			b = append(b, '\x01')
+		}
+		b = q.AppendText(b)
+	}
+	return b
+}
+
+// appendHoldsKey appends Holds's key for q under seed.
+func appendHoldsKey(b []byte, q *cq.Query, seed Assignment) []byte {
+	b = q.AppendText(append(b, "h\x00"...))
+	return seed.appendKey(append(b, 0))
+}
 
 // lookupTuples consults the cache for a []db.Tuple entry. The returned slice
 // is a fresh copy of the cached spine (tuples themselves are shared and
 // treated as immutable, as everywhere in the engine).
-func lookupTuples(d db.Reader, key string) ([]db.Tuple, bool) {
+func lookupTuples(d db.Reader, key []byte) ([]db.Tuple, bool) {
 	evalCache.Lock()
 	defer evalCache.Unlock()
 	c := section(d)
@@ -177,7 +185,7 @@ func lookupTuples(d db.Reader, key string) ([]db.Tuple, bool) {
 		rec().Inc(MetricCacheMisses)
 		return nil, false
 	}
-	v, ok := c.results[key]
+	v, ok := c.results[string(key)]
 	if !ok {
 		rec().Inc(MetricCacheMisses)
 		return nil, false
@@ -190,7 +198,7 @@ func lookupTuples(d db.Reader, key string) ([]db.Tuple, bool) {
 // entry is dropped unless the database is still at gen (an edit that raced
 // the evaluation — only possible for callers that broke the serialization
 // contract — must not poison the cache).
-func storeTuples(d db.Reader, gen uint64, key string, v []db.Tuple) {
+func storeTuples(d db.Reader, gen uint64, key []byte, v []db.Tuple) {
 	if d.Generation() != gen {
 		return
 	}
@@ -201,11 +209,11 @@ func storeTuples(d db.Reader, gen uint64, key string, v []db.Tuple) {
 		c = newDBCache(gen)
 		evalCache.dbs[d.ID()][gen] = c
 	}
-	c.results[key] = append([]db.Tuple(nil), v...)
+	c.results[string(key)] = append([]db.Tuple(nil), v...)
 }
 
 // lookupHolds / storeHolds memoize boolean satisfiability checks.
-func lookupHolds(d db.Reader, key string) (bool, bool) {
+func lookupHolds(d db.Reader, key []byte) (bool, bool) {
 	evalCache.Lock()
 	defer evalCache.Unlock()
 	c := section(d)
@@ -213,7 +221,7 @@ func lookupHolds(d db.Reader, key string) (bool, bool) {
 		rec().Inc(MetricCacheMisses)
 		return false, false
 	}
-	v, ok := c.holds[key]
+	v, ok := c.holds[string(key)]
 	if !ok {
 		rec().Inc(MetricCacheMisses)
 		return false, false
@@ -222,7 +230,7 @@ func lookupHolds(d db.Reader, key string) (bool, bool) {
 	return v, true
 }
 
-func storeHolds(d db.Reader, gen uint64, key string, v bool) {
+func storeHolds(d db.Reader, gen uint64, key []byte, v bool) {
 	if d.Generation() != gen {
 		return
 	}
@@ -233,5 +241,5 @@ func storeHolds(d db.Reader, gen uint64, key string, v bool) {
 		c = newDBCache(gen)
 		evalCache.dbs[d.ID()][gen] = c
 	}
-	c.holds[key] = v
+	c.holds[string(key)] = v
 }

@@ -28,9 +28,10 @@ func Result(q *cq.Query, d db.Reader, opts ...Option) []db.Tuple {
 		defer r.Timer(MetricResultSeconds)()
 	}
 	cfg := resolve(opts)
-	var key string
+	var kb [keyBufSize]byte
+	var key []byte
 	if !cfg.noCache {
-		key = resultKey(fingerprint(q))
+		key = appendResultKey(kb[:0], q)
 		if out, ok := lookupTuples(d, key); ok {
 			return out
 		}
@@ -66,9 +67,10 @@ func ResultUnion(u *cq.Union, d db.Reader, opts ...Option) []db.Tuple {
 		defer r.Timer(MetricResultUnionSeconds)()
 	}
 	cfg := resolve(opts)
-	var key string
+	var kb [keyBufSize]byte
+	var key []byte
 	if !cfg.noCache {
-		key = unionResultKey(unionFingerprint(u))
+		key = appendUnionKey(kb[:0], u)
 		if out, ok := lookupTuples(d, key); ok {
 			return out
 		}
@@ -245,9 +247,10 @@ func appendWitnessKey(b []byte, w []db.Fact) []byte {
 // generation and seed.
 func Holds(q *cq.Query, d db.Reader, seed Assignment, opts ...Option) bool {
 	cfg := resolve(opts)
-	var key string
+	var kb [keyBufSize]byte
+	var key []byte
 	if !cfg.noCache {
-		key = holdsKey(fingerprint(q), seed.Key())
+		key = appendHoldsKey(kb[:0], q, seed)
 		if v, ok := lookupHolds(d, key); ok {
 			return v
 		}

@@ -1,15 +1,18 @@
 package eval
 
 import (
+	"slices"
+	"sync"
+
 	"repro/internal/cq"
 	"repro/internal/db"
 )
 
 // A plan is a query compiled for one search. Every variable becomes a slot of
 // a flat frame, and every term of the head, the atoms, the negated atoms and
-// the inequalities becomes a slot or a constant. Compiling allocates O(|Q|)
-// and builds no map: a query has a handful of variables, so slots are found
-// by a linear scan over their names.
+// the inequalities becomes a slot or a constant. Compiling writes into a
+// pooled searcher's buffers and builds no map: a query has a handful of
+// variables, so slots are found by a linear scan over their names.
 type plan struct {
 	names []string   // slot -> variable name: the query's, then seed-only ones
 	head  []slotTerm // the head terms
@@ -101,15 +104,23 @@ func (r *Row) copyTo(a Assignment) {
 }
 
 // searcher is the state of one join search: the compiled query, its frame,
-// and scratch space reused at every node.
+// and scratch space reused at every node. Searchers are pooled: a search
+// compiles into the buffers of a released searcher, so once they fit the
+// query a search allocates nothing.
 type searcher struct {
 	plan
 	Row
+	terms     []slotTerm   // backing array of the plan's term slices
+	slots     []slotAtom   // backing array of atoms and negs
+	bind      []db.Binding // backing array of cur and best
 	cur, best []db.Binding // index bindings of the candidate and of the chosen atom
 	fresh     []freshCol   // per node, stacked: the columns the chosen atom binds
+	checks    []db.Binding // per node, stacked: the bindings its driving posting leaves to check
 	neg       db.Tuple     // a negated atom's grounding, for the membership probe
-	yield     func(*Row) bool
 }
+
+// searchers holds released searchers for reuse.
+var searchers = sync.Pool{New: func() any { return new(searcher) }}
 
 // freshCol is a column of the atom chosen at a node whose variable was
 // unbound there: the first such column of a variable binds its slot, a
@@ -142,9 +153,10 @@ func (p *plan) compile(buf []slotTerm, terms ...cq.Term) []slotTerm {
 	return buf
 }
 
-// newSearcher compiles q for a search over d extending seed. It reports false
+// compile readies the searcher for a search of q over d extending seed,
+// growing its buffers where the query needs more room. It reports false
 // when no assignment can exist: a positive atom names a relation d lacks.
-func newSearcher(q *cq.Query, d db.Reader, seed Assignment) (*searcher, bool) {
+func (s *searcher) compile(q *cq.Query, d db.Reader, seed Assignment) bool {
 	nterms, maxArity, negArity := len(q.Head)+2*len(q.Ineqs), 0, 0
 	for _, a := range q.Atoms {
 		nterms += len(a.Args)
@@ -154,21 +166,22 @@ func newSearcher(q *cq.Query, d db.Reader, seed Assignment) (*searcher, bool) {
 		nterms += len(a.Args)
 		negArity = max(negArity, len(a.Args))
 	}
-	s := &searcher{}
 	p := &s.plan
-	p.names = make([]string, 0, nterms+len(seed))
-	terms := make([]slotTerm, 0, nterms)
-	atoms := make([]slotAtom, len(q.Atoms)+len(q.Negs))
-	p.atoms, p.negs = atoms[:len(q.Atoms)], atoms[len(q.Atoms):]
+	p.names = slices.Grow(p.names[:0], nterms+len(seed))
+	// The plan's term slices share one array, which must not move while
+	// they are cut from it.
+	terms := slices.Grow(s.terms[:0], nterms)
+	natoms := len(q.Atoms) + len(q.Negs)
+	s.slots = slices.Grow(s.slots[:0], natoms)[:natoms]
+	p.atoms, p.negs = s.slots[:len(q.Atoms)], s.slots[len(q.Atoms):]
 	terms = p.compile(terms, q.Head...)
 	p.head = terms
+	ok := true
 	for i, a := range q.Atoms {
 		n := len(terms)
 		terms = p.compile(terms, a.Args...)
 		p.atoms[i] = slotAtom{name: a.Rel, args: terms[n:], rel: d.Rel(a.Rel)}
-		if p.atoms[i].rel == nil {
-			return nil, false
-		}
+		ok = ok && p.atoms[i].rel != nil
 	}
 	for i, a := range q.Negs {
 		n := len(terms)
@@ -180,44 +193,58 @@ func newSearcher(q *cq.Query, d db.Reader, seed Assignment) (*searcher, bool) {
 		terms = p.compile(terms, e.Left, e.Right)
 	}
 	p.ineqs = terms[n:]
+	s.terms = terms
 	for name := range seed {
 		p.slotOf(name)
 	}
-	s.Row = Row{p: p, cells: make([]cell, len(p.names))}
+	s.Row = Row{p: p, cells: slices.Grow(s.cells[:0], len(p.names))[:len(p.names)]}
+	clear(s.cells)
 	for name, v := range seed {
 		s.cells[p.slotOf(name)] = cell{val: v, ok: true}
 	}
-	bindings := make([]db.Binding, 2*maxArity)
-	s.cur, s.best = bindings[:0:maxArity], bindings[maxArity:maxArity]
-	s.fresh = make([]freshCol, 0, nterms)
-	if negArity > 0 {
-		s.neg = make(db.Tuple, negArity)
-	}
-	return s, true
+	s.bind = slices.Grow(s.bind[:0], 2*maxArity)
+	s.cur, s.best = s.bind[:0:maxArity], s.bind[maxArity:maxArity:2*maxArity]
+	s.fresh = slices.Grow(s.fresh[:0], nterms)
+	s.checks = s.checks[:0]
+	s.neg = slices.Grow(s.neg[:0], negArity)[:negArity]
+	return ok
+}
+
+// release clears what the searcher holds of the store and the seed (the
+// relations, cell values, bindings and groundings) and returns it to the
+// pool.
+func (s *searcher) release() {
+	clear(s.slots)
+	clear(s.cells)
+	clear(s.bind[:cap(s.bind)])
+	clear(s.checks[:cap(s.checks)])
+	clear(s.neg)
+	searchers.Put(s)
 }
 
 // search enumerates the valid total assignments of q over d that extend
 // seed, handing each to yield as a borrowed Row until yield returns false.
 // It joins the atoms by index-nested loops, picking at every node the
 // remaining atom with the fewest matching tuples under the current bindings
-// (the first one on ties, and an empty one at once).
+// (the first one on ties, and an empty one at once). It yields nothing when
+// a positive atom names a relation d lacks or the seed violates an
+// inequality.
 func search(q *cq.Query, d db.Reader, seed Assignment, yield func(*Row) bool) {
-	s, ok := newSearcher(q, d, seed)
-	if !ok || !s.ineqsHold() {
-		return // an unknown relation, or the seed violates an inequality
+	s := searchers.Get().(*searcher)
+	if s.compile(q, d, seed) && s.ineqsHold() {
+		s.join(0, yield)
 	}
-	s.yield = yield
-	s.join(0)
+	s.release()
 }
 
 // join extends the frame over the atoms not yet done on this path; depth
 // counts the done ones. It reports false when yield stopped the search.
-func (s *searcher) join(depth int) bool {
+func (s *searcher) join(depth int, yield func(*Row) bool) bool {
 	if depth == len(s.atoms) {
 		if !s.negsHold() {
 			return true // blocked by a negated atom; keep enumerating
 		}
-		return s.yield(&s.Row)
+		return yield(&s.Row)
 	}
 	best, bestN := -1, 0
 	for i := range s.atoms {
@@ -236,7 +263,25 @@ func (s *searcher) join(depth int) bool {
 		}
 	}
 	a := &s.atoms[best]
-	tuples := a.rel.Scan(s.best)
+
+	// An atom with several bindings is driven by the posting of its most
+	// selective one (the first on ties, as Relation.mostSelective picks), and
+	// its other bindings are checked per tuple, so no filtered copy is made.
+	drive := s.best
+	cbase := len(s.checks)
+	if len(drive) > 1 {
+		k, kn := 0, a.rel.MatchCount(drive[:1])
+		for i := 1; i < len(drive); i++ {
+			if n := a.rel.MatchCount(drive[i : i+1]); n < kn {
+				k, kn = i, n
+			}
+		}
+		s.checks = append(s.checks, drive[:k]...)
+		s.checks = append(s.checks, drive[k+1:]...)
+		drive = drive[k : k+1]
+	}
+	checks := s.checks[cbase:]
+	tuples := a.rel.Scan(drive)
 
 	// The index bindings cover the atom's constants and bound variables, so
 	// a scanned tuple only needs its unbound columns: bind the first column
@@ -260,6 +305,11 @@ func (s *searcher) join(depth int) bool {
 	more := true
 tuples:
 	for _, tuple := range tuples {
+		for _, c := range checks {
+			if tuple[c.Col] != c.Value {
+				continue tuples
+			}
+		}
 		for _, f := range fresh {
 			if !f.check {
 				s.cells[f.slot].val = tuple[f.col]
@@ -267,7 +317,7 @@ tuples:
 				continue tuples
 			}
 		}
-		if s.ineqsHold() && !s.join(depth+1) {
+		if s.ineqsHold() && !s.join(depth+1, yield) {
 			more = false
 			break
 		}
@@ -277,6 +327,7 @@ tuples:
 		s.cells[f.slot] = cell{}
 	}
 	s.fresh = s.fresh[:base]
+	s.checks = s.checks[:cbase]
 	return more
 }
 

@@ -153,14 +153,44 @@ func TestUnknownRelationYieldsNothing(t *testing.T) {
 	}
 }
 
-// TestCompileAllocs: compiling a query into its slot plan allocates a fixed
-// handful of slices, whatever the database size, and builds no map; the
-// evaluator compiles at every search call.
-func TestCompileAllocs(t *testing.T) {
-	d := dataset.Soccer(dataset.SoccerOpts{Tournaments: 2})
-	q := dataset.SoccerQueries()[2]
-	seed := Assignment{"x": "GER"}
-	if n := testing.AllocsPerRun(50, func() { newSearcher(q, d, seed) }); n > 7 {
-		t.Errorf("compiling %s allocates %.0f times, want at most 7", q, n)
+// TestHoldsAllocs: a seeded Holds allocates a small constant per call, cold
+// (NoCache) and from the cache alike, on the in-memory store and on a
+// 4-shard disk store. A cold call compiles into a pooled searcher and scans
+// postings in place; a cache hit builds its key in a stack buffer.
+func TestHoldsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled searchers at random")
+	}
+	mem := dataset.Soccer(dataset.SoccerOpts{})
+	disk, err := db.OpenDisk(t.TempDir(), mem.Schema(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	if _, err := db.Copy(disk, mem); err != nil {
+		t.Fatal(err)
+	}
+	const maxCold, maxHit = 2, 1
+	for _, store := range []struct {
+		name string
+		d    db.Reader
+	}{{"mem", mem}, {"disk", disk}} {
+		for i, q := range dataset.SoccerQueries() {
+			answers := Result(q, store.d, NoCache())
+			if len(answers) == 0 {
+				t.Fatalf("%s Q%d: no answers to seed with", store.name, i+1)
+			}
+			seed, _ := PartialFromAnswer(q, answers[0])
+			if !Holds(q, store.d, seed, NoCache()) {
+				t.Fatalf("%s Q%d: Holds(%v) = false for an answer", store.name, i+1, seed)
+			}
+			if n := testing.AllocsPerRun(100, func() { Holds(q, store.d, seed, NoCache()) }); n > maxCold {
+				t.Errorf("%s Q%d: a cold Holds allocates %.1f times per call, want at most %d", store.name, i+1, n, maxCold)
+			}
+			Holds(q, store.d, seed)
+			if n := testing.AllocsPerRun(100, func() { Holds(q, store.d, seed) }); n > maxHit {
+				t.Errorf("%s Q%d: a cached Holds allocates %.1f times per call, want at most %d", store.name, i+1, n, maxHit)
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -16,7 +17,7 @@ import (
 // EvalBenchOpts tunes the evaluation micro-benchmark figure.
 type EvalBenchOpts struct {
 	// Repeats is how many timed repetitions each measurement takes the
-	// minimum of (default 5).
+	// median and quartiles of (default 21).
 	Repeats int
 	// Soccer sizes the benchmark database (default full 20 tournaments).
 	Soccer dataset.SoccerOpts
@@ -29,7 +30,7 @@ type EvalBenchOpts struct {
 
 func (o *EvalBenchOpts) applyDefaults() {
 	if o.Repeats == 0 {
-		o.Repeats = 5
+		o.Repeats = 21
 	}
 }
 
@@ -44,10 +45,16 @@ type EvalBenchRow struct {
 	// Answers is |Q(D)| (summed for aggregates).
 	Answers int `json:"answers"`
 	// ColdNS is evaluation with the cache bypassed; WarmNS re-reads the same
-	// unchanged database through the generation-stamped cache.
-	ColdNS int64 `json:"cold_ns"`
-	WarmNS int64 `json:"warm_ns"`
-	// WarmSpeedup = cold/warm.
+	// unchanged database through the generation-stamped cache. Each is the
+	// median of its repeats, with the repeats' quartiles beside it; an
+	// aggregate's repeat sums its members' repeats of the same index.
+	ColdNS   int64 `json:"cold_ns"`
+	ColdQ1NS int64 `json:"cold_q1_ns"`
+	ColdQ3NS int64 `json:"cold_q3_ns"`
+	WarmNS   int64 `json:"warm_ns"`
+	WarmQ1NS int64 `json:"warm_q1_ns"`
+	WarmQ3NS int64 `json:"warm_q3_ns"`
+	// WarmSpeedup = cold/warm, of the medians.
 	WarmSpeedup float64 `json:"warm_speedup"`
 	// Identical reports that cold and warm evaluation produced
 	// byte-identical answer sets.
@@ -58,11 +65,18 @@ type EvalBenchRow struct {
 // store against the disk-backed store holding the same facts.
 type StoreBenchRow struct {
 	Name string `json:"name"`
-	// MemColdNS and DiskColdNS are cache-bypassed evaluation times.
-	MemColdNS  int64 `json:"mem_cold_ns"`
-	DiskColdNS int64 `json:"disk_cold_ns"`
-	// DiskPenalty = disk/mem (interning round-trips make disk reads slower;
-	// the trajectory watches that this stays a small constant).
+	// MemColdNS and DiskColdNS are cache-bypassed evaluation times, timed
+	// in alternation (a mem repeat, then a disk repeat): the medians, with
+	// the quartiles beside them.
+	MemColdNS    int64 `json:"mem_cold_ns"`
+	MemColdQ1NS  int64 `json:"mem_cold_q1_ns"`
+	MemColdQ3NS  int64 `json:"mem_cold_q3_ns"`
+	DiskColdNS   int64 `json:"disk_cold_ns"`
+	DiskColdQ1NS int64 `json:"disk_cold_q1_ns"`
+	DiskColdQ3NS int64 `json:"disk_cold_q3_ns"`
+	// DiskPenalty = disk/mem, of the medians. The disk store reads through
+	// the same db.Relation index as the mem store, so it reads near 1; it
+	// rises if the two read paths part again.
 	DiskPenalty float64 `json:"disk_penalty"`
 	// Identical reports byte-identical answers across the two backends.
 	Identical bool `json:"identical"`
@@ -72,7 +86,9 @@ type StoreBenchRow struct {
 // BENCH_eval.json, the repo's evaluation-performance trajectory.
 type EvalBenchReport struct {
 	Facts      int `json:"facts"`
+	NProc      int `json:"nproc"`
 	GOMAXPROCS int `json:"gomaxprocs"`
+	Repeats    int `json:"repeats"`
 	// NaiveAgrees reports that the indexed evaluator matched the naive
 	// reference evaluator on every query over a reduced instance (the
 	// full-scale instance is out of the naive evaluator's reach).
@@ -100,21 +116,57 @@ func tuplesFingerprint(ts []db.Tuple) string {
 	return b.String()
 }
 
-// timeEval times one evaluation configuration, returning the minimum of
-// repeats runs and the fingerprint of the (identical across runs) output.
-func timeEval(q *cq.Query, d db.Reader, repeats int, opts ...eval.Option) (time.Duration, string) {
-	best := time.Duration(-1)
+// timing is the repeats of one cell, in nanoseconds.
+type timing []int64
+
+// timeEval times one evaluation configuration repeats times, returning the
+// timings and the fingerprint of the (identical across runs) output. A cold
+// configuration collects garbage before each repeat, so no repeat pays for
+// an earlier one's.
+func timeEval(q *cq.Query, d db.Reader, repeats int, opts ...eval.Option) (timing, string) {
+	ts := make(timing, 0, repeats)
 	var fp string
 	for i := 0; i < repeats; i++ {
+		if len(opts) > 0 {
+			runtime.GC()
+		}
 		start := time.Now()
 		out := eval.Result(q, d, opts...)
-		el := time.Since(start)
-		if best < 0 || el < best {
-			best = el
-		}
+		ts = append(ts, time.Since(start).Nanoseconds())
 		fp = tuplesFingerprint(out)
 	}
-	return best, fp
+	return ts, fp
+}
+
+// quartiles returns the timings' first quartile, median and third quartile
+// by Python's statistics.quantiles(n=4) (the exclusive method, as bench/
+// reports its runs).
+func (t timing) quartiles() (q1, med, q3 int64) {
+	x := slices.Clone(t)
+	slices.Sort(x)
+	n := len(x)
+	switch n {
+	case 0:
+		return 0, 0, 0
+	case 1:
+		return x[0], x[0], x[0]
+	}
+	at := func(i int) int64 {
+		m := n + 1
+		j := min(max(i*m/4, 1), n-1)
+		delta := int64(i*m - j*4)
+		return (x[j-1]*(4-delta) + x[j]*delta) / 4
+	}
+	return at(1), at(2), at(3)
+}
+
+// plus returns the per-repeat sums of two timings of equal length.
+func (t timing) plus(o timing) timing {
+	out := slices.Clone(t)
+	for i := range out {
+		out[i] += o[i]
+	}
+	return out
 }
 
 // EvalBench measures the evaluation engine on the Fig3 workloads (Soccer
@@ -130,7 +182,9 @@ func EvalBench(opts EvalBenchOpts) EvalBenchReport {
 
 	rep := EvalBenchReport{
 		Facts:       d.Len(),
+		NProc:       runtime.NumCPU(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		Repeats:     opts.Repeats,
 		NaiveAgrees: true,
 	}
 
@@ -144,24 +198,23 @@ func EvalBench(opts EvalBenchOpts) EvalBenchReport {
 		}
 	}
 
-	byName := make(map[string]EvalBenchRow, len(queries))
+	type measured struct {
+		row        EvalBenchRow
+		cold, warm timing
+	}
+	byName := make(map[string]measured, len(queries))
 	for i, q := range queries {
 		cold, coldFP := timeEval(q, d, opts.Repeats, eval.NoCache())
 		// Prime the cache once, then measure pure cache reads.
 		eval.Result(q, d)
 		warm, warmFP := timeEval(q, d, opts.Repeats*4)
-
 		row := EvalBenchRow{
 			Name:      names[i],
 			Answers:   strings.Count(coldFP, "\n"),
-			ColdNS:    cold.Nanoseconds(),
-			WarmNS:    warm.Nanoseconds(),
 			Identical: coldFP == warmFP,
 		}
-		if warm > 0 {
-			row.WarmSpeedup = float64(cold) / float64(warm)
-		}
-		byName[row.Name] = row
+		row.setTimings(cold, warm)
+		byName[row.Name] = measured{row, cold, warm}
 		rep.Rows = append(rep.Rows, row)
 	}
 
@@ -174,28 +227,40 @@ func EvalBench(opts EvalBenchOpts) EvalBenchReport {
 		{"fig3c", []string{"Q1", "Q2", "Q3"}},
 	} {
 		agg := EvalBenchRow{Name: fig.name, Queries: fig.members, Identical: true}
-		for _, m := range fig.members {
-			r := byName[m]
-			agg.Answers += r.Answers
-			agg.ColdNS += r.ColdNS
-			agg.WarmNS += r.WarmNS
-			agg.Identical = agg.Identical && r.Identical
+		var cold, warm timing
+		for _, name := range fig.members {
+			m := byName[name]
+			agg.Answers += m.row.Answers
+			agg.Identical = agg.Identical && m.row.Identical
+			if cold == nil {
+				cold, warm = m.cold, m.warm
+			} else {
+				cold, warm = cold.plus(m.cold), warm.plus(m.warm)
+			}
 		}
-		if agg.WarmNS > 0 {
-			agg.WarmSpeedup = float64(agg.ColdNS) / float64(agg.WarmNS)
-		}
+		agg.setTimings(cold, warm)
 		rep.Rows = append(rep.Rows, agg)
 	}
 
-	storeBench(&rep, d, queries, names, opts, byName)
+	storeBench(&rep, d, queries, names, opts)
 	cloneBench(&rep, d)
 	return rep
 }
 
+// setTimings records the cold and warm timings' medians and quartiles.
+func (r *EvalBenchRow) setTimings(cold, warm timing) {
+	r.ColdQ1NS, r.ColdNS, r.ColdQ3NS = cold.quartiles()
+	r.WarmQ1NS, r.WarmNS, r.WarmQ3NS = warm.quartiles()
+	if r.WarmNS > 0 {
+		r.WarmSpeedup = float64(r.ColdNS) / float64(r.WarmNS)
+	}
+}
+
 // storeBench materializes the benchmark facts into a disk-backed store and
-// re-times cold evaluation there, recording the per-query penalty relative
-// to the in-memory store.
-func storeBench(rep *EvalBenchReport, d *db.Database, queries []*cq.Query, names []string, opts EvalBenchOpts, byName map[string]EvalBenchRow) {
+// times cold evaluation on both stores, a mem repeat then a disk repeat, so
+// both see the same machine state; it records the per-query penalty of the
+// disk store.
+func storeBench(rep *EvalBenchReport, d *db.Database, queries []*cq.Query, names []string, opts EvalBenchOpts) {
 	dir := opts.StoreDir
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "qoco-evalbench-*")
@@ -223,17 +288,19 @@ func storeBench(rep *EvalBenchReport, d *db.Database, queries []*cq.Query, names
 		}
 	}
 	for i, q := range queries {
-		mem := byName[names[i]]
-		memFP := tuplesFingerprint(eval.Result(q, d, eval.NoCache()))
-		diskCold, diskFP := timeEval(q, dsk, opts.Repeats, eval.NoCache())
-		row := StoreBenchRow{
-			Name:       names[i],
-			MemColdNS:  mem.ColdNS,
-			DiskColdNS: diskCold.Nanoseconds(),
-			Identical:  memFP == diskFP,
+		var mem, disk timing
+		var memFP, diskFP string
+		for r := 0; r < opts.Repeats; r++ {
+			m, fp := timeEval(q, d, 1, eval.NoCache())
+			mem, memFP = append(mem, m...), fp
+			k, fp := timeEval(q, dsk, 1, eval.NoCache())
+			disk, diskFP = append(disk, k...), fp
 		}
-		if mem.ColdNS > 0 {
-			row.DiskPenalty = float64(row.DiskColdNS) / float64(mem.ColdNS)
+		row := StoreBenchRow{Name: names[i], Identical: memFP == diskFP}
+		row.MemColdQ1NS, row.MemColdNS, row.MemColdQ3NS = mem.quartiles()
+		row.DiskColdQ1NS, row.DiskColdNS, row.DiskColdQ3NS = disk.quartiles()
+		if row.MemColdNS > 0 {
+			row.DiskPenalty = float64(row.DiskColdNS) / float64(row.MemColdNS)
 		}
 		rep.Store = append(rep.Store, row)
 	}
@@ -267,8 +334,8 @@ func cloneBench(rep *EvalBenchReport, d *db.Database) {
 // RenderEvalBench formats the benchmark report as an aligned text table.
 func RenderEvalBench(rep EvalBenchReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Evaluation benchmark — Fig3 workloads (%d facts, GOMAXPROCS %d, naive-agrees %v)\n",
-		rep.Facts, rep.GOMAXPROCS, rep.NaiveAgrees)
+	fmt.Fprintf(&b, "Evaluation benchmark — Fig3 workloads (%d facts, nproc %d, GOMAXPROCS %d, medians of %d repeats, naive-agrees %v)\n",
+		rep.Facts, rep.NProc, rep.GOMAXPROCS, rep.Repeats, rep.NaiveAgrees)
 	fmt.Fprintf(&b, "%-7s %8s %12s %12s %9s %-3s\n",
 		"name", "answers", "cold", "warm", "warm-x", "ok")
 	for _, r := range rep.Rows {

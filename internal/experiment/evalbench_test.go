@@ -41,3 +41,21 @@ func TestEvalBenchSmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestTimingQuartiles: a cell's quartiles follow Python's
+// statistics.quantiles(n=4), the method bench/ reports its runs with.
+func TestTimingQuartiles(t *testing.T) {
+	for _, c := range []struct {
+		in          timing
+		q1, med, q3 int64
+	}{
+		{timing{50, 10, 40, 20, 30}, 15, 30, 45},
+		{timing{40, 10, 30, 20}, 12, 25, 37},
+		{timing{7}, 7, 7, 7},
+	} {
+		q1, med, q3 := c.in.quartiles()
+		if q1 != c.q1 || med != c.med || q3 != c.q3 {
+			t.Errorf("quartiles(%v) = %d, %d, %d; want %d, %d, %d", c.in, q1, med, q3, c.q1, c.med, c.q3)
+		}
+	}
+}

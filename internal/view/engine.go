@@ -46,10 +46,11 @@ func NewEngine(d db.Store) *Engine {
 	}
 }
 
-// fingerprint is the query's registry identity — the same canonical rendering
-// the eval cache keys on, so a maintained lookup matches exactly the queries
-// that were ensured.
-func fingerprint(q *cq.Query) string { return q.String() }
+// A query's registry identity is its canonical rendering — the one the eval
+// cache keys on — so a maintained lookup matches exactly the queries that
+// were ensured. Lookups render it into a stack buffer of keyBufSize bytes
+// (longer renderings spill to the heap) and only Ensure copies it.
+const keyBufSize = 256
 
 // Ensure materializes the query as a maintained view (a no-op if it already
 // is one). A stale engine resyncs first, so Ensure doubles as the recovery
@@ -62,10 +63,10 @@ func (e *Engine) Ensure(q *cq.Query) error {
 		return err
 	}
 	e.Sync()
-	fp := fingerprint(q)
-	if _, ok := e.views[fp]; ok {
+	if e.Maintains(q) {
 		return nil
 	}
+	fp := q.String()
 	e.views[fp] = New(fp, q, e.d)
 	// Materializing evaluates the query, which cannot edit the store — but
 	// record the generation anyway in case a future reader is added between
@@ -88,15 +89,17 @@ func (e *Engine) EnsureUnion(u *cq.Union) error {
 
 // Release drops the maintained view of q (a no-op if not maintained). The
 // cleaner uses it for the transient Q|t views of the insertion loop.
-func (e *Engine) Release(q *cq.Query) { delete(e.views, fingerprint(q)) }
+func (e *Engine) Release(q *cq.Query) {
+	var kb [keyBufSize]byte
+	delete(e.views, string(q.AppendText(kb[:0])))
+}
 
 // Covers reports whether q is currently maintained and in sync.
 func (e *Engine) Covers(q *cq.Query) bool {
 	if e.stale || e.d.Generation() != e.synced {
 		return false
 	}
-	_, ok := e.views[fingerprint(q)]
-	return ok
+	return e.Maintains(q)
 }
 
 // Queries returns the number of maintained queries.
@@ -126,7 +129,8 @@ func (e *Engine) Apply(ed db.Edit) {
 // (compare Covers). The cleaner uses it to avoid releasing a permanent view
 // when a transient query turns out identical to it.
 func (e *Engine) Maintains(q *cq.Query) bool {
-	_, ok := e.views[fingerprint(q)]
+	var kb [keyBufSize]byte
+	_, ok := e.views[string(q.AppendText(kb[:0]))]
 	return ok
 }
 
@@ -152,7 +156,8 @@ func (e *Engine) lookup(d db.Reader, q *cq.Query) *View {
 	if e.stale || d.ID() != e.id || d.Generation() != e.synced {
 		return nil
 	}
-	return e.views[fingerprint(q)]
+	var kb [keyBufSize]byte
+	return e.views[string(q.AppendText(kb[:0]))]
 }
 
 // MaintainedResult implements eval.Maintainer.

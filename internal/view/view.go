@@ -97,17 +97,21 @@ func (v *View) Rows() []db.Tuple {
 func (v *View) Len() int { return len(v.answers) }
 
 // Has reports whether the answer is currently in the view.
-func (v *View) Has(t db.Tuple) bool {
-	_, ok := v.answers[t.Key()]
-	return ok
-}
+func (v *View) Has(t db.Tuple) bool { return v.lookup(t) != nil }
 
 // Support returns the number of valid assignments supporting the answer.
 func (v *View) Support(t db.Tuple) int {
-	if ans := v.answers[t.Key()]; ans != nil {
+	if ans := v.lookup(t); ans != nil {
 		return ans.n
 	}
 	return 0
+}
+
+// lookup returns the answer's entry, or nil. It builds the key in a stack
+// buffer: concurrent readers may call it, so it cannot use v.key.
+func (v *View) lookup(t db.Tuple) *answer {
+	var kb [128]byte
+	return v.answers[string(t.AppendKey(kb[:0]))]
 }
 
 // Apply updates the materialization for a single edit. The database must
