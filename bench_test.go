@@ -231,7 +231,9 @@ func BenchmarkCleanFigure1(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		total.Add(rep.Timings)
+		total.Verify += rep.Timings.Verify
+		total.Delete += rep.Timings.Delete
+		total.Insert += rep.Timings.Insert
 	}
 	n := float64(b.N)
 	b.ReportMetric(float64(total.Verify)/n, "verify-ns/op")

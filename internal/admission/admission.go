@@ -203,13 +203,6 @@ func (c *Controller) Saturated() bool {
 	return c.queue.len()*10 >= c.opts.QueueCap*8
 }
 
-// Inflight returns the number of admitted, unreleased jobs.
-func (c *Controller) Inflight() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.inflight
-}
-
 // retryAfterLocked sizes a Retry-After hint from observed job latency: one
 // EWMA job latency (at least a second), the time for roughly one slot to
 // free up.

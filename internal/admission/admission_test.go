@@ -52,8 +52,8 @@ func TestControllerConcurrencyLimitAndQueueing(t *testing.T) {
 	if rej != nil {
 		t.Fatalf("second admit rejected: %+v", rej)
 	}
-	if c.Inflight() != 2 {
-		t.Fatalf("inflight = %d, want 2", c.Inflight())
+	if inflight(c) != 2 {
+		t.Fatalf("inflight = %d, want 2", inflight(c))
 	}
 
 	// Third admit must queue until a slot frees.
@@ -74,8 +74,8 @@ func TestControllerConcurrencyLimitAndQueueing(t *testing.T) {
 	}
 	got.g.Release()
 	g2.Release()
-	if c.Inflight() != 0 {
-		t.Fatalf("inflight = %d after releases, want 0", c.Inflight())
+	if inflight(c) != 0 {
+		t.Fatalf("inflight = %d after releases, want 0", inflight(c))
 	}
 	if n := rec.Counter(MetricAdmitted); n != 3 {
 		t.Fatalf("admitted = %d, want 3", n)
@@ -252,7 +252,7 @@ func TestGrantReleaseIdempotent(t *testing.T) {
 	g, _ := c.Admit(context.Background())
 	g.Release()
 	g.Release()
-	if got := c.Inflight(); got != 0 {
+	if got := inflight(c); got != 0 {
 		t.Fatalf("inflight = %d after redundant releases, want 0", got)
 	}
 	var nilGrant *Grant
@@ -333,4 +333,11 @@ func TestControllerContextCancellation(t *testing.T) {
 	}
 	waitFor(t, func() bool { return c.QueueDepth() == 0 })
 	g.Release()
+}
+
+// inflight returns the number of admitted, unreleased jobs.
+func inflight(c *Controller) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.inflight
 }

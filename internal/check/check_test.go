@@ -41,8 +41,10 @@ func TestGeneratedInstancesValid(t *testing.T) {
 		if err := ins.Query.Validate(ins.Schema); err != nil {
 			return err
 		}
-		if err := ins.Union.Validate(ins.Schema); err != nil {
-			return err
+		for _, q := range ins.Union.Disjuncts {
+			if err := q.Validate(ins.Schema); err != nil {
+				return err
+			}
 		}
 		return checkQueryRoundTrip(ins)
 	})

@@ -4,7 +4,7 @@
 //   - Membership: a static peer list plus health-probe failure detection
 //     against each peer's existing /readyz endpoint. A peer that answers is
 //     reachable; a 200 additionally makes it ready (routable). A peer that
-//     stops answering for FailThreshold consecutive probes is declared down,
+//     stops answering for three consecutive probes is declared down,
 //     which is what triggers takeover.
 //
 //   - Routing: a consistent-hash ring over the peer list. Each job
@@ -94,24 +94,26 @@ type Config struct {
 	// redirects (clients must follow them).
 	Redirect bool
 
-	// ProbeInterval is the health-probe period (default 2s); ProbeTimeout
-	// bounds one probe (default ProbeInterval). FailThreshold is the number
-	// of consecutive failed probes before a peer is declared down
-	// (default 3).
+	// ProbeInterval is the health-probe period (default 2s).
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
-	FailThreshold int
-	// VNodes is the consistent-hash virtual node count per peer (default 64).
-	VNodes int
 
 	// Obs receives cluster.* metrics; nil disables.
 	Obs *obs.Recorder
-	// Client performs probes, forwards, and replication calls. Defaults to
-	// an http.Client with a 5s timeout.
-	Client *http.Client
 	// Logf logs membership transitions and takeovers; nil discards.
 	Logf func(format string, args ...interface{})
+
+	// probeTimeout bounds one probe (default ProbeInterval). failThreshold
+	// is the number of consecutive failed probes before a peer is declared
+	// down (default 3). client performs probes, forwards, and replication
+	// calls (default an http.Client with a 5s timeout). The soak tightens
+	// all three so that failover fits its kill cycles.
+	probeTimeout  time.Duration
+	failThreshold int
+	client        *http.Client
 }
+
+// ringVNodes is the consistent-hash virtual node count per peer.
+const ringVNodes = 64
 
 // Cluster metric names.
 const (
@@ -141,17 +143,14 @@ func (c *Config) withDefaults() Config {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 2 * time.Second
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = cfg.ProbeInterval
+	if cfg.probeTimeout <= 0 {
+		cfg.probeTimeout = cfg.ProbeInterval
 	}
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 3
+	if cfg.failThreshold <= 0 {
+		cfg.failThreshold = 3
 	}
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = 64
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 5 * time.Second}
+	if cfg.client == nil {
+		cfg.client = &http.Client{Timeout: 5 * time.Second}
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...interface{}) {}

@@ -13,7 +13,7 @@ import (
 // tracks two facts per peer:
 //
 //   - reachable: the peer's HTTP server answered at all. Reachability has a
-//     failure threshold (FailThreshold consecutive probe failures flip it
+//     failure threshold (three consecutive probe failures flip it
 //     down) because a single dropped probe must not trigger a takeover; a
 //     reachable→down transition fires the onDown callback.
 //
@@ -53,9 +53,9 @@ func newMembership(cfg Config, onDown func(Peer), onChange func()) *Membership {
 	m := &Membership{
 		self:      cfg.Self,
 		interval:  cfg.ProbeInterval,
-		timeout:   cfg.ProbeTimeout,
-		threshold: cfg.FailThreshold,
-		client:    cfg.Client,
+		timeout:   cfg.probeTimeout,
+		threshold: cfg.failThreshold,
+		client:    cfg.client,
 		logf:      cfg.Logf,
 		onDown:    onDown,
 		onChange:  onChange,

@@ -82,8 +82,8 @@ func NewNode(srv *server.Server, jl *wal.JobLog, boot []wal.JobRecord, cfg Confi
 		cfg:      cfg,
 		srv:      srv,
 		jl:       jl,
-		ring:     NewRing(cfg.Peers, cfg.VNodes),
-		client:   cfg.Client,
+		ring:     NewRing(cfg.Peers, ringVNodes),
+		client:   cfg.client,
 		obs:      cfg.Obs,
 		logf:     cfg.Logf,
 		self:     self,
@@ -170,9 +170,6 @@ func (n *Node) isStopped() bool {
 	defer n.mu.Unlock()
 	return n.stopped
 }
-
-// Membership exposes the failure detector (primarily for tests and status).
-func (n *Node) Membership() *Membership { return n.mem }
 
 // replicaLog returns the receiver journal for one origin peer, nil when the
 // origin is unknown or replication is off.

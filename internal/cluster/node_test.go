@@ -75,9 +75,9 @@ func startReplica(t *testing.T, id string, peers []Peer, sl *slot, jlPath, repDi
 	srv.SetJobLog(jl)
 	node, err := NewNode(srv, jl, records, Config{
 		Self: id, Peers: peers, Dir: repDir, Replicate: true,
-		ProbeInterval: probe, ProbeTimeout: time.Second, FailThreshold: 2,
+		ProbeInterval: probe, probeTimeout: time.Second, failThreshold: 2,
 		Obs:    srv.Obs(),
-		Client: &http.Client{Timeout: 2 * time.Second},
+		client: &http.Client{Timeout: 2 * time.Second},
 		Logf:   t.Logf,
 	})
 	if err != nil {
@@ -365,7 +365,7 @@ func TestStoppedNodeShipsLateEnd(t *testing.T) {
 	owner.srv.Close()
 	_ = owner.jl.Close()
 	waitFor(t, "r1 to declare r0 down", 10*time.Second, func() bool {
-		return !succ.node.Membership().Reachable("r0")
+		return !succ.node.mem.Reachable("r0")
 	})
 	failures := succ.srv.Obs().Counter(MetricProbeFailures)
 	waitFor(t, "r1's takeover pass over r0", 10*time.Second, func() bool {

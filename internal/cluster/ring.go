@@ -7,7 +7,7 @@ import (
 )
 
 // Ring is a consistent-hash ring over the static peer list. Each peer
-// contributes VNodes points hashed from "<id>#<i>"; a key is owned by the
+// contributes vnodes points hashed from "<id>#<i>"; a key is owned by the
 // peer of the first point at or clockwise of the key's hash. Aliveness is a
 // query-time predicate, not ring state: a dead peer's points stay on the
 // circle and ownership slides to the next alive point, so keys come back to

@@ -30,8 +30,6 @@ type SoakOptions struct {
 	// Seed drives every random choice: submission routing, fault injection,
 	// chaos victims. The same seed replays the same soak.
 	Seed int64
-	// Replicas is the cluster size (default 3).
-	Replicas int
 	// Submissions is the number of cleaning jobs submitted (default 250).
 	Submissions int
 	// FaultRate is the probability a crowd answer is wrong — flipped booleans
@@ -42,24 +40,23 @@ type SoakOptions struct {
 	// replica is down at a time: the cluster's guarantee is single-failure
 	// tolerance (see docs/CLUSTER.md).
 	KillCycles int
-	// ProbeInterval is the membership probe period (default 15ms).
-	ProbeInterval time.Duration
-	// RestartDelay is how long a killed replica stays down (default 12x
-	// ProbeInterval — comfortably past the detection threshold, so takeover
-	// always completes before the restart's claims query).
-	RestartDelay time.Duration
 	// Timeout bounds the whole soak (default 2m).
 	Timeout time.Duration
-	// Dir holds journals and replica logs; a temp dir is created when empty.
-	Dir string
 	// Logf receives progress lines; nil discards.
 	Logf func(string, ...interface{})
 }
 
+// The soak runs soakReplicas replicas, which probe each other every
+// soakProbeInterval. A killed replica stays down for soakRestartDelay,
+// comfortably past the detection threshold, so takeover always completes
+// before the restart's claims query.
+const (
+	soakReplicas      = 3
+	soakProbeInterval = 15 * time.Millisecond
+	soakRestartDelay  = 12 * soakProbeInterval
+)
+
 func (o SoakOptions) withDefaults() SoakOptions {
-	if o.Replicas <= 0 {
-		o.Replicas = 3
-	}
 	if o.Submissions <= 0 {
 		o.Submissions = 250
 	}
@@ -70,12 +67,6 @@ func (o SoakOptions) withDefaults() SoakOptions {
 	}
 	if o.KillCycles <= 0 {
 		o.KillCycles = 6
-	}
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = 15 * time.Millisecond
-	}
-	if o.RestartDelay <= 0 {
-		o.RestartDelay = 12 * o.ProbeInterval
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 2 * time.Minute
@@ -219,22 +210,19 @@ func (s *slotServer) set(h http.Handler) {
 }
 
 // RunSoak runs the crash-tolerance soak: Submissions cleaning jobs against a
-// Replicas-node in-process cluster with a FaultRate-faulty crowd, while a
+// soakReplicas-node in-process cluster with a FaultRate-faulty crowd, while a
 // chaos loop kills and restarts replicas. It fails unless every acked job
 // reaches a terminal state on exactly one replica — across every crash,
 // takeover, and restart — as audited from the job journals themselves.
 func RunSoak(opts SoakOptions) (*SoakReport, error) {
 	opts = opts.withDefaults()
-	h := &soakHarness{opts: opts, dir: opts.Dir}
-	if h.dir == "" {
-		dir, err := os.MkdirTemp("", "qoco-cluster-soak-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		h.dir = dir
+	dir, err := os.MkdirTemp("", "qoco-cluster-soak-")
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < opts.Replicas; i++ {
+	defer os.RemoveAll(dir)
+	h := &soakHarness{opts: opts, dir: dir}
+	for i := 0; i < soakReplicas; i++ {
 		h.ids = append(h.ids, fmt.Sprintf("r%d", i))
 	}
 	for i, id := range h.ids {
@@ -244,7 +232,7 @@ func RunSoak(opts SoakOptions) (*SoakReport, error) {
 		h.peers = append(h.peers, Peer{ID: id, URL: sl.ts.URL})
 		_ = i
 	}
-	h.live = make([]*soakReplica, opts.Replicas)
+	h.live = make([]*soakReplica, soakReplicas)
 	for i := range h.ids {
 		r, err := h.startReplica(i)
 		if err != nil {
@@ -330,9 +318,9 @@ func (h *soakHarness) startReplica(i int) (*soakReplica, error) {
 	srv.SetJobLog(jl)
 	node, err := NewNode(srv, jl, records, Config{
 		Self: id, Peers: h.peers, Dir: filepath.Join(h.dir, id+"-replica"), Replicate: true,
-		ProbeInterval: h.opts.ProbeInterval, ProbeTimeout: time.Second, FailThreshold: 2,
+		ProbeInterval: soakProbeInterval, probeTimeout: time.Second, failThreshold: 2,
 		Obs:    srv.Obs(),
-		Client: &http.Client{Timeout: 2 * time.Second},
+		client: &http.Client{Timeout: 2 * time.Second},
 		Logf:   func(format string, args ...interface{}) { h.opts.Logf("["+id+"] "+format, args...) },
 	})
 	if err != nil {
@@ -442,12 +430,12 @@ func (h *soakHarness) submitAll(acked map[int]bool) error {
 }
 
 // chaos runs the kill/restart loop: one victim at a time, preferring
-// replicas with jobs in flight, down for RestartDelay (past failure
+// replicas with jobs in flight, down for soakRestartDelay (past failure
 // detection, so takeover completes before the restart's claims query).
 func (h *soakHarness) chaos() {
 	rnd := rand.New(rand.NewSource(h.opts.Seed + 2))
 	for c := 0; c < h.opts.KillCycles; c++ {
-		time.Sleep(h.opts.RestartDelay)
+		time.Sleep(soakRestartDelay)
 		victim := -1
 		h.mu.Lock()
 		busy := []int{}
@@ -481,7 +469,7 @@ func (h *soakHarness) chaos() {
 		h.mu.Lock()
 		h.report.Kills++
 		h.mu.Unlock()
-		time.Sleep(h.opts.RestartDelay)
+		time.Sleep(soakRestartDelay)
 		reborn, err := h.startReplica(victim)
 		if err != nil {
 			h.opts.Logf("soak: restarting %s: %v", h.ids[victim], err)
@@ -492,7 +480,7 @@ func (h *soakHarness) chaos() {
 		h.mu.Unlock()
 		// Let membership heal before the next kill: single-failure tolerance
 		// assumes detection and takeover finish between failures.
-		time.Sleep(4 * h.opts.ProbeInterval)
+		time.Sleep(4 * soakProbeInterval)
 	}
 }
 

@@ -192,14 +192,6 @@ type Timings struct {
 	Total  time.Duration `json:"total"`
 }
 
-// Add accumulates another Timings into t.
-func (t *Timings) Add(o Timings) {
-	t.Verify += o.Verify
-	t.Delete += o.Delete
-	t.Insert += o.Insert
-	t.Total += o.Total
-}
-
 // Degrader is implemented by oracles that may substitute the edit-free
 // default for a real crowd answer — the server's question queue when a
 // question exhausts its deadline re-asks. DegradedAnswers returns the
@@ -292,9 +284,6 @@ func New(d db.Store, oracle crowd.Oracle, cfg Config) *Cleaner {
 		unsat:      make(map[string]bool),
 	}
 }
-
-// Store returns the cleaner's fact store.
-func (c *Cleaner) Store() db.Store { return c.d }
 
 // Stats returns the crowd interaction statistics accumulated so far.
 func (c *Cleaner) Stats() crowd.Stats { return c.oracle.Snapshot() }

@@ -59,7 +59,7 @@ func (c *Cleaner) addMissingAnswer(ctx context.Context, r *Report, q *cq.Query, 
 		queue = append(queue, l, rr)
 	}
 	// Lines 4-17: process subqueries until a witness materializes.
-	for len(queue) > 0 && !eval.Holds(qt, c.d, eval.Assignment{}) {
+	for len(queue) > 0 && !eval.Holds(qt, c.d, nil) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -78,7 +78,7 @@ func (c *Cleaner) addMissingAnswer(ctx context.Context, r *Report, q *cq.Query, 
 			}
 		}
 	}
-	if eval.Holds(qt, c.d, eval.Assignment{}) {
+	if eval.Holds(qt, c.d, nil) {
 		return nil
 	}
 	// Line 18: fall back to asking the crowd for an entire witness.

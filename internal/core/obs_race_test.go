@@ -45,9 +45,7 @@ func TestSharedRecorderUnderParallelCleaners(t *testing.T) {
 					return
 				default:
 				}
-				s := rec.Snapshot()
-				_ = s.Flat()
-				_ = s.Names()
+				_ = rec.Snapshot().Flat()
 			}
 		}()
 	}

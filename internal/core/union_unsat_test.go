@@ -35,8 +35,10 @@ func TestCleanUnionUnsatisfiableDisjunct(t *testing.T) {
 	// The unsatisfiable disjunct comes first so the missing answer (C5) is
 	// tried against it before the disjunct that can actually complete it.
 	u := &cq.Union{Disjuncts: []*cq.Query{unsat, sat}}
-	if err := u.Validate(s); err != nil {
-		t.Fatal(err)
+	for _, q := range u.Disjuncts {
+		if err := q.Validate(s); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	cl := New(d, crowd.NewPerfect(dg), Config{})

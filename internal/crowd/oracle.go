@@ -75,15 +75,6 @@ func (s Stats) Closed() int { return s.VerifyFactQs + s.VerifyAnswerQs }
 // Total returns the total crowd cost: closed answers plus filled variables.
 func (s Stats) Total() int { return s.Closed() + s.VariablesFilled }
 
-// Add accumulates another Stats into s.
-func (s *Stats) Add(o Stats) {
-	s.VerifyFactQs += o.VerifyFactQs
-	s.VerifyAnswerQs += o.VerifyAnswerQs
-	s.CompleteQs += o.CompleteQs
-	s.CompleteResultQs += o.CompleteResultQs
-	s.VariablesFilled += o.VariablesFilled
-}
-
 // Metric names Counting records under, by question kind. MetricQuestionSeconds
 // takes one wall-clock sample per oracle call: a batch of verifications is
 // one sample, so the histogram's sum is the time the cleaner waited on the

@@ -11,91 +11,27 @@ import (
 	"repro/internal/eval"
 )
 
-// DefaultTranscriptTail is the number of recent interactions a Transcript
-// retains in memory when no explicit limit is set.
-const DefaultTranscriptTail = 1024
-
 // Transcript wraps an oracle and logs every question and answer as one text
 // line to a writer — the audit trail a deployed cleaning session keeps of its
-// crowd interactions. Alongside the stream it retains a bounded in-memory
-// tail of recent lines (DefaultTranscriptTail unless SetLimit says
-// otherwise), so a long-lived server can expose recent crowd traffic without
-// growing with the lifetime question count. It is safe for concurrent use.
+// crowd interactions. It is safe for concurrent use.
 type Transcript struct {
 	Oracle Oracle
 
-	mu    sync.Mutex
-	w     io.Writer
-	n     int
-	limit int      // retained-tail capacity; 0 disables retention
-	tail  []string // ring of the last limit lines
-	head  int      // index of the oldest line once the ring is full
+	mu sync.Mutex
+	w  io.Writer
+	n  int
 }
 
-// NewTranscript wraps an oracle, logging to w. A nil writer is allowed: the
-// transcript then only keeps its in-memory tail.
+// NewTranscript wraps an oracle, logging to w.
 func NewTranscript(o Oracle, w io.Writer) *Transcript {
-	return &Transcript{Oracle: o, w: w, limit: DefaultTranscriptTail}
-}
-
-// SetLimit caps the retained in-memory tail at n lines (0 disables
-// retention). Shrinking keeps the most recent lines. The streamed writer is
-// unaffected — this bounds memory, not the audit trail.
-func (t *Transcript) SetLimit(n int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	cur := t.tailLocked()
-	t.limit = n
-	t.head = 0
-	if n <= 0 {
-		t.tail = nil
-		return
-	}
-	if len(cur) > n {
-		cur = cur[len(cur)-n:]
-	}
-	t.tail = append([]string(nil), cur...)
+	return &Transcript{Oracle: o, w: w}
 }
 
 func (t *Transcript) log(format string, args ...interface{}) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.n++
-	line := fmt.Sprintf("[%03d] %s", t.n, fmt.Sprintf(format, args...))
-	if t.w != nil {
-		fmt.Fprintln(t.w, line)
-	}
-	if t.limit <= 0 {
-		return
-	}
-	if len(t.tail) < t.limit {
-		t.tail = append(t.tail, line)
-		return
-	}
-	t.tail[t.head] = line
-	t.head = (t.head + 1) % t.limit
-}
-
-// Lines returns the number of logged interactions (all-time, not just the
-// retained tail).
-func (t *Transcript) Lines() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
-}
-
-// Tail returns the retained recent lines, oldest first.
-func (t *Transcript) Tail() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.tailLocked()
-}
-
-func (t *Transcript) tailLocked() []string {
-	out := make([]string, 0, len(t.tail))
-	out = append(out, t.tail[t.head:]...)
-	out = append(out, t.tail[:t.head]...)
-	return out
+	fmt.Fprintf(t.w, "[%03d] %s\n", t.n, fmt.Sprintf(format, args...))
 }
 
 // VerifyFact implements Oracle.

@@ -36,8 +36,9 @@ func TestTranscriptLogsAllQuestionTypes(t *testing.T) {
 	}
 
 	out := buf.String()
-	if tr.Lines() != 6 {
-		t.Errorf("Lines = %d, want 6", tr.Lines())
+	if n := strings.Count(out, "\n"); n != 6 || !strings.HasPrefix(out, "[001] ") ||
+		!strings.Contains(out, "\n[006] ") {
+		t.Errorf("transcript holds %d lines, want 6 numbered [001] to [006]:\n%s", n, out)
 	}
 	for _, want := range []string{
 		"TRUE(Teams(ESP, EU))? -> true",

@@ -74,16 +74,14 @@ type SoccerOpts struct {
 	// (default and cap 20, 1930–2014 skipping the war years, as in the real
 	// history). A non-positive value means the default.
 	Tournaments int
-	// Seed drives the deterministic generator (default 1).
-	Seed int64
 }
+
+// soccerSeed drives the deterministic generator.
+const soccerSeed = 1
 
 func (o *SoccerOpts) applyDefaults() {
 	if o.Tournaments <= 0 {
 		o.Tournaments = len(worldCupYears)
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 }
 
@@ -98,7 +96,7 @@ var worldCupYears = []int{
 // The same options always produce the same database.
 func Soccer(opts SoccerOpts) *db.Database {
 	opts.applyDefaults()
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(rand.NewSource(soccerSeed))
 	d := db.New(SoccerSchema())
 
 	for _, t := range nationalTeams {

@@ -50,9 +50,6 @@ type CompactionResult struct {
 // unchanged — compaction is invisible to readers and caches.
 func (s *DiskStore) Compact(minGarbage float64) (CompactionResult, error) {
 	var res CompactionResult
-	if s.detached {
-		return res, errors.New("db: compacting a detached store")
-	}
 	if s.closed {
 		return res, errors.New("db: compacting a closed store")
 	}

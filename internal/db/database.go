@@ -47,10 +47,6 @@ func (d *Database) Generation() uint64 { return d.gen }
 // Schema returns the database schema.
 func (d *Database) Schema() *schema.Schema { return d.schema }
 
-// Relation returns the named relation instance, or nil if the schema has no
-// such relation.
-func (d *Database) Relation(name string) *Relation { return d.rels[name] }
-
 // Rel returns the named relation's read view — the Store interface's
 // backend-neutral accessor. It returns an untyped nil for unknown relations
 // so `Rel(x) == nil` behaves as callers expect.
@@ -180,10 +176,6 @@ func (d *Database) deepClone() *Database {
 	return out
 }
 
-// Fork returns a mutable copy-on-write copy — Clone behind the Store
-// interface.
-func (d *Database) Fork() Store { return d.Clone() }
-
 // Snapshot captures an immutable read view of the database at its current
 // generation. The snapshot keeps reporting d's identity and the captured
 // generation, so evaluation-cache entries warmed through it serve the live
@@ -239,24 +231,4 @@ func (d *Database) Distance(o *Database) int {
 		})
 	}
 	return n
-}
-
-// Equal reports whether both databases contain exactly the same facts.
-func (d *Database) Equal(o *Database) bool { return d.Distance(o) == 0 }
-
-// Diff returns the edits that transform d into o: deletions of facts in
-// d − o followed by insertions of facts in o − d, in deterministic order.
-func (d *Database) Diff(o *Database) []Edit {
-	var edits []Edit
-	for _, f := range d.Facts() {
-		if !o.Has(f) {
-			edits = append(edits, Deletion(f))
-		}
-	}
-	for _, f := range o.Facts() {
-		if !d.Has(f) {
-			edits = append(edits, Insertion(f))
-		}
-	}
-	return edits
 }

@@ -127,7 +127,7 @@ func TestFactsDeterministicOrder(t *testing.T) {
 func TestDistanceAndEqual(t *testing.T) {
 	a := New(testSchema())
 	b := New(testSchema())
-	if a.Distance(b) != 0 || !a.Equal(b) {
+	if a.Distance(b) != 0 || !Equal(a, b) {
 		t.Fatalf("empty databases not equal")
 	}
 	a.InsertFact(NewFact("Teams", "GER", "EU"))
@@ -141,7 +141,7 @@ func TestDistanceAndEqual(t *testing.T) {
 	if got := a.Distance(b); got != 2 {
 		t.Errorf("Distance = %d, want 2", got)
 	}
-	if a.Equal(b) {
+	if Equal(a, b) {
 		t.Errorf("distinct databases Equal")
 	}
 }
@@ -195,14 +195,14 @@ func TestDiffTransformsDatabase(t *testing.T) {
 	b.InsertFact(NewFact("Teams", "GER", "EU"))
 	b.InsertFact(NewFact("Teams", "ITA", "EU"))
 
-	edits := a.Diff(b)
+	edits := Diff(a, b)
 	if len(edits) != 2 {
 		t.Fatalf("Diff = %v, want 2 edits", edits)
 	}
 	if _, err := a.ApplyAll(edits); err != nil {
 		t.Fatalf("ApplyAll: %v", err)
 	}
-	if !a.Equal(b) {
+	if !Equal(a, b) {
 		t.Errorf("a != b after applying Diff")
 	}
 }
@@ -241,7 +241,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := LoadCSV(d, strings.NewReader(text)); err != nil {
 		t.Fatalf("LoadCSV: %v", err)
 	}
-	if !d.Equal(want) {
+	if !Equal(d, want) {
 		t.Errorf("LoadCSV parsed %v, want %v", d.Facts(), want.Facts())
 	}
 }

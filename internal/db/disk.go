@@ -25,7 +25,7 @@ import (
 // store's: each relation is one *Relation (relation.go) whose tuples hold
 // the symbol table's own strings, so every value lives once in memory no
 // matter how many tuples reference it, and Scan, MatchCount, Has, Tuples,
-// Each, Fork and Snapshot run exactly the mem store's code. A shard keeps
+// Each and Snapshot run exactly the mem store's code. A shard keeps
 // only its segment file, its writer and its record and live counts; the
 // shard a tuple belongs to follows from hashing it (shardOf).
 //
@@ -99,26 +99,27 @@ func WithFS(fsys faultfs.FS) DiskOption {
 	return func(o *diskOptions) { o.fs = fsys }
 }
 
-// WithFormatVersion pins the on-disk format for newly created stores (1 or
+// withFormatVersion pins the on-disk format for newly created stores (1 or
 // 2); reopens always use the version recorded in the store's metadata.
-// Exists so tests (and emergency rollbacks) can produce legacy stores.
-func WithFormatVersion(v int) DiskOption {
+// Exists so tests can produce legacy stores.
+func withFormatVersion(v int) DiskOption {
 	return func(o *diskOptions) { o.version = v }
 }
 
-// WithReplayWorkers bounds the open-time segment-replay parallelism; n <= 0
+// withReplayWorkers bounds the open-time segment-replay parallelism; n <= 0
 // (the default) means GOMAXPROCS. File operations stay serial and in sorted
 // relation order regardless — only the pure parse of already-read segment
 // bytes fans out — so fault injection and recovery counters are
-// byte-identical to a serial open. 1 forces a fully serial replay.
-func WithReplayWorkers(n int) DiskOption {
+// byte-identical to a serial open. 1 forces a fully serial replay, which
+// tests compare the parallel replay against.
+func withReplayWorkers(n int) DiskOption {
 	return func(o *diskOptions) { o.replayWorkers = n }
 }
 
 // DiskStore is the disk-backed Store implementation. Its concurrency
 // contract matches *Database: concurrent readers are safe, mutations must
-// be serialized by the caller. Forks and snapshots share the relations
-// copy-on-write (Relation.Clone) and the symbol table outright.
+// be serialized by the caller. Snapshots share the relations copy-on-write
+// (Relation.Clone) and the symbol table outright.
 type DiskStore struct {
 	dir      string
 	schema   *schema.Schema
@@ -144,12 +145,8 @@ type DiskStore struct {
 
 	rec []byte // scratch for the segment record being appended
 
-	// detached marks forks and snapshot backings: in-memory overlays that
-	// never touch the segment files (their edits are not durable — they are
-	// working copies; only the source store's edits persist).
-	detached bool
-	closed   bool
-	err      error // first append/fsync failure; sticky, poisons mutations
+	closed bool
+	err    error // first append/fsync failure; sticky, poisons mutations
 }
 
 // diskRel is one relation: its read index and, on a store that owns its
@@ -698,11 +695,6 @@ func (s *DiskStore) InsertFact(f Fact) (bool, error) {
 	if r.rel.Has(f.Args) {
 		return false, nil
 	}
-	if s.detached {
-		r.rel.add(f.Args.Clone())
-		s.gen++
-		return true, nil
-	}
 	ids := make([]uint32, len(f.Args))
 	t := make(Tuple, len(f.Args))
 	for i, v := range f.Args {
@@ -739,19 +731,17 @@ func (s *DiskStore) DeleteFact(f Fact) (bool, error) {
 	if !r.rel.Has(f.Args) {
 		return false, nil
 	}
-	if !s.detached {
-		// Every value of a stored tuple was interned when it was stored.
-		ids := make([]uint32, len(f.Args))
-		for i, v := range f.Args {
-			ids[i], _ = s.syms.lookup(v)
-		}
-		sh := r.shards[shardOf(f.Args, s.nshards)]
-		if err := s.appendRecord(sh, opDelete, ids); err != nil {
-			s.err = fmt.Errorf("db: appending segment record: %w", err)
-			return false, s.err
-		}
-		sh.live--
+	// Every value of a stored tuple was interned when it was stored.
+	ids := make([]uint32, len(f.Args))
+	for i, v := range f.Args {
+		ids[i], _ = s.syms.lookup(v)
 	}
+	sh := r.shards[shardOf(f.Args, s.nshards)]
+	if err := s.appendRecord(sh, opDelete, ids); err != nil {
+		s.err = fmt.Errorf("db: appending segment record: %w", err)
+		return false, s.err
+	}
+	sh.live--
 	r.rel.Delete(f.Args)
 	s.gen++
 	return true, nil
@@ -780,10 +770,9 @@ func (s *DiskStore) ApplyAll(edits []Edit) (int, error) {
 	return changed, nil
 }
 
-// forkDetached builds the copy-on-write in-memory overlay shared by Fork
-// and Snapshot: same symbol table, relations cloned copy-on-write, no
-// shards.
-func (s *DiskStore) forkDetached() *DiskStore {
+// snapshotCopy builds the in-memory copy a snapshot reads: same symbol
+// table, relations cloned copy-on-write, no shards. Nothing writes to it.
+func (s *DiskStore) snapshotCopy() *DiskStore {
 	out := &DiskStore{
 		dir:      s.dir,
 		schema:   s.schema,
@@ -794,7 +783,6 @@ func (s *DiskStore) forkDetached() *DiskStore {
 		syms:     s.syms,
 		rels:     make(map[string]*diskRel, len(s.rels)),
 		relNames: s.relNames,
-		detached: true,
 	}
 	for name, r := range s.rels {
 		out.rels[name] = &diskRel{name: r.name, arity: r.arity, rel: r.rel.Clone()}
@@ -802,18 +790,12 @@ func (s *DiskStore) forkDetached() *DiskStore {
 	return out
 }
 
-// Fork returns a mutable copy-on-write copy with a fresh identity at
-// generation zero. Forks are detached: their edits live in memory only (the
-// cleaner's working copies don't need segment durability; only the source
-// store's edits persist).
-func (s *DiskStore) Fork() Store { return s.forkDetached() }
-
 // Snapshot captures an immutable read view at the current generation,
 // reporting the live store's identity so cache entries are shared at equal
 // generations. Like every mutation, Snapshot must be serialized against
 // other writes; afterwards the snapshot reads safely while edits land.
 func (s *DiskStore) Snapshot() Snapshot {
-	return &diskSnapshot{d: s.forkDetached(), id: s.id, gen: s.gen}
+	return &diskSnapshot{d: s.snapshotCopy(), id: s.id, gen: s.gen}
 }
 
 // Stats describes the store: per-relation fact counts, the on-disk
@@ -831,9 +813,6 @@ func (s *DiskStore) Stats() Stats {
 	for n, r := range s.rels {
 		st.Relations[n] = r.rel.Len()
 		st.TotalFacts += r.rel.Len()
-	}
-	if s.detached {
-		return st
 	}
 	st.FormatVersion = s.version
 	st.TornTails = s.tornTails
@@ -885,7 +864,7 @@ func (s *DiskStore) Stats() Stats {
 // both sticky: an fsync that failed may have dropped arbitrary dirty
 // pages, so the store fails stop rather than risk acknowledging lost data.
 func (s *DiskStore) Sync() error {
-	if s.detached || s.closed {
+	if s.closed {
 		return nil
 	}
 	if s.err != nil {
@@ -922,7 +901,7 @@ func (s *DiskStore) Sync() error {
 
 // Close flushes and closes every file. The store must not be used after.
 func (s *DiskStore) Close() error {
-	if s.detached || s.closed {
+	if s.closed {
 		return nil
 	}
 	s.closed = true
@@ -962,7 +941,7 @@ func (s *DiskStore) Close() error {
 // closed without flushing, dropping all records buffered since the last
 // Sync (or buffer spill). The store must not be used after.
 func (s *DiskStore) Crash() {
-	if s.detached || s.closed {
+	if s.closed {
 		return
 	}
 	s.closed = true
@@ -995,7 +974,6 @@ func (s *diskSnapshot) Rel(name string) Rel    { return s.d.Rel(name) }
 func (s *diskSnapshot) Has(f Fact) bool        { return s.d.Has(f) }
 func (s *diskSnapshot) Len() int               { return s.d.Len() }
 func (s *diskSnapshot) Facts() []Fact          { return s.d.Facts() }
-func (s *diskSnapshot) Fork() Store            { return s.d.forkDetached() }
 
 var (
 	_ Store    = (*DiskStore)(nil)

@@ -207,12 +207,6 @@ func TestDiskStoreBookkeeping(t *testing.T) {
 			edits("inserts", ds, m, 150)
 			check("after edits")
 
-			fork := ds.Fork()
-			fm := m.clone()
-			edits("fork edits", fork, fm, 60)
-			checkStore(t, "fork", fork, nil, fm, shards, pool, rng)
-			check("source after fork edits")
-
 			snap := ds.Snapshot()
 			sm := m.clone()
 			edits("edits after snapshot", ds, m, 60)

@@ -98,7 +98,7 @@ func TestDiskReplayWorkersParity(t *testing.T) {
 	}
 
 	tear()
-	serial, err := OpenDisk(dir, testSchema(), 0, WithReplayWorkers(1))
+	serial, err := OpenDisk(dir, testSchema(), 0, withReplayWorkers(1))
 	if err != nil {
 		t.Fatalf("serial open: %v", err)
 	}
@@ -110,7 +110,7 @@ func TestDiskReplayWorkersParity(t *testing.T) {
 	// Opening truncates the torn tail away; tear it again so the parallel
 	// open replays the same bytes the serial open did.
 	tear()
-	parallel, err := OpenDisk(dir, testSchema(), 0, WithReplayWorkers(8))
+	parallel, err := OpenDisk(dir, testSchema(), 0, withReplayWorkers(8))
 	if err != nil {
 		t.Fatalf("parallel open: %v", err)
 	}
@@ -160,7 +160,7 @@ func BenchmarkDiskOpen(b *testing.B) {
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ds, err := OpenDisk(dir, testSchema(), 0, WithReplayWorkers(bench.workers))
+				ds, err := OpenDisk(dir, testSchema(), 0, withReplayWorkers(bench.workers))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -186,7 +186,7 @@ func TestDiskMetaChecksumFlip(t *testing.T) {
 
 func TestDiskV1Compat(t *testing.T) {
 	dir := t.TempDir()
-	ds, err := OpenDisk(dir, testSchema(), 2, WithFormatVersion(1))
+	ds, err := OpenDisk(dir, testSchema(), 2, withFormatVersion(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestCompactCrashSweep(t *testing.T) {
 			t.Fatalf("point %d: open: %v", p, err)
 		}
 		_, cerr := ds.Compact(0)
-		if inj.Fired() == 0 {
+		if inj.OpCount() < openOps+p { // the crash is the (openOps+p)th counted op
 			ds.Close()
 			t.Fatalf("point %d: fault never fired", p)
 		}

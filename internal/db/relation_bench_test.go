@@ -18,7 +18,7 @@ const (
 // soccerGames returns the full Soccer instance's Games relation (780 tuples)
 // and every tuple in lexicographic order.
 func soccerGames() (*db.Relation, []db.Tuple) {
-	r := dataset.Soccer(dataset.SoccerOpts{}).Relation("Games")
+	r := dataset.Soccer(dataset.SoccerOpts{}).Rel("Games").(*db.Relation)
 	return r, r.Tuples()
 }
 

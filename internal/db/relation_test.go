@@ -255,7 +255,7 @@ func TestOverlayInsertionsShareNoPosting(t *testing.T) {
 	for _, n := range []string{"GER", "ITA", "ESP"} {
 		d.InsertFact(NewFact("Teams", n, "EU"))
 	}
-	if p := d.Relation("Teams").index[1]["EU"]; cap(p) == len(p) {
+	if p := d.rels["Teams"].index[1]["EU"]; cap(p) == len(p) {
 		t.Fatalf("posting has no spare capacity (len %d, cap %d): the test needs some", len(p), cap(p))
 	}
 	bs := []Binding{{Col: 1, Value: "EU"}}

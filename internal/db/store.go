@@ -67,10 +67,6 @@ type Reader interface {
 // versa).
 type Snapshot interface {
 	Reader
-	// Fork returns a new mutable Store seeded with the snapshot's contents.
-	// Implementations use copy-on-write, so forking is O(relations · shards),
-	// not O(|D|). The fork has a fresh identity at generation zero.
-	Fork() Store
 }
 
 // Store is the pluggable storage API: everything the cleaning loop and the
@@ -78,30 +74,22 @@ type Snapshot interface {
 // the disk-backed *DiskStore implement it.
 //
 // The concurrency contract matches the historical *db.Database one:
-// concurrent readers are safe, but mutations (InsertFact, DeleteFact,
-// Apply, ApplyAll, Snapshot, Fork) must be serialized by the caller against
-// both readers and each other on the same store. Snapshots and forks are
-// independent stores: reading or mutating them concurrently with the
-// original is safe once the Snapshot/Fork call itself has returned.
+// concurrent readers are safe, but mutations (InsertFact, Apply, Snapshot)
+// must be serialized by the caller against both readers and each other on
+// the same store. A snapshot is an independent store: reading it
+// concurrently with the original is safe once the Snapshot call itself has
+// returned.
 type Store interface {
 	Reader
 	// InsertFact adds the fact, returning true if it was newly inserted.
 	// It returns an error for unknown relations, arity mismatches and values
 	// holding a reserved byte (ErrReservedByte).
 	InsertFact(f Fact) (bool, error)
-	// DeleteFact removes the fact, returning true if it was present.
-	DeleteFact(f Fact) (bool, error)
 	// Apply applies a single edit (the paper's D ⊕ e). Edits are
 	// idempotent: re-inserting or re-deleting changes nothing.
 	Apply(e Edit) (changed bool, err error)
-	// ApplyAll applies the edits in order, returning how many changed the
-	// store. It stops at the first error.
-	ApplyAll(edits []Edit) (changed int, err error)
 	// Snapshot captures an immutable read view at the current generation.
 	Snapshot() Snapshot
-	// Fork returns a mutable copy-on-write copy with a fresh identity at
-	// generation zero — the cheap replacement for the old O(|D|) Clone.
-	Fork() Store
 	// Stats describes the store: backend, per-relation fact counts, shard
 	// fan-out, and on-disk footprint.
 	Stats() Stats
@@ -274,7 +262,6 @@ func (s *memSnapshot) Rel(name string) Rel    { return s.d.Rel(name) }
 func (s *memSnapshot) Has(f Fact) bool        { return s.d.Has(f) }
 func (s *memSnapshot) Len() int               { return s.d.Len() }
 func (s *memSnapshot) Facts() []Fact          { return s.d.Facts() }
-func (s *memSnapshot) Fork() Store            { return s.d.Clone() }
 
 // Interface conformance.
 var (

@@ -227,57 +227,6 @@ func TestDiskSnapshotIsolation(t *testing.T) {
 	if snap.Len() != wantLen {
 		t.Errorf("snapshot Len changed: %d -> %d", wantLen, snap.Len())
 	}
-	// Forking the snapshot yields an independent mutable store.
-	fork := snap.Fork()
-	if fork.ID() == ds.ID() || fork.Generation() != 0 {
-		t.Errorf("fork identity: id %d (src %d), gen %d", fork.ID(), ds.ID(), fork.Generation())
-	}
-	g := NewFact("Teams", "fork-only", "Y")
-	if _, err := fork.InsertFact(g); err != nil {
-		t.Fatalf("fork insert: %v", err)
-	}
-	if ds.Has(g) || snap.Has(g) {
-		t.Errorf("fork edit leaked to source or snapshot")
-	}
-}
-
-func TestDiskForkIndependence(t *testing.T) {
-	ds, dir := openTestDisk(t, 2)
-	seedFacts(t, ds, 5, 80)
-	before := ds.Facts()
-	fork := ds.Fork()
-	if !Equal(fork, ds) {
-		t.Fatalf("fork differs from source at birth")
-	}
-	// Heavy divergence in both directions.
-	for i := 0; i < 40; i++ {
-		if _, err := fork.InsertFact(NewFact("Goals", fmt.Sprintf("f%d", i), "d")); err != nil {
-			t.Fatalf("fork insert: %v", err)
-		}
-	}
-	for _, f := range before[:10] {
-		if _, err := fork.DeleteFact(f); err != nil {
-			t.Fatalf("fork delete: %v", err)
-		}
-	}
-	if _, err := ds.InsertFact(NewFact("Teams", "src-only", "Z")); err != nil {
-		t.Fatalf("source insert: %v", err)
-	}
-	// Fork edits are not durable: a reopen sees only the source's edits.
-	if err := ds.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	re, err := OpenDisk(dir, testSchema(), 2)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer re.Close()
-	if !re.Has(NewFact("Teams", "src-only", "Z")) {
-		t.Errorf("source edit lost on reopen")
-	}
-	if re.Has(NewFact("Goals", "f0", "d")) {
-		t.Errorf("fork edit leaked to disk")
-	}
 }
 
 // TestDiskCSVRoundTrip: facts rendered as CSV load into the disk store as
@@ -328,10 +277,6 @@ func TestMemSnapshotSemantics(t *testing.T) {
 	}
 	if snap.Has(f) {
 		t.Errorf("mem snapshot sees later insert")
-	}
-	fork := snap.Fork()
-	if fork.Generation() != 0 || fork.ID() == d.ID() {
-		t.Errorf("mem fork identity: id %d gen %d", fork.ID(), fork.Generation())
 	}
 }
 

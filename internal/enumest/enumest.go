@@ -34,12 +34,6 @@ func (e *Estimator) Observe(id string) {
 // answer to COMPL(Q(D))). Consecutive nulls are a direct completeness signal.
 func (e *Estimator) ObserveNull() { e.nulls++ }
 
-// Samples returns the number of non-null observations.
-func (e *Estimator) Samples() int { return e.n }
-
-// Distinct returns the number of distinct observed answers (c in Chao92).
-func (e *Estimator) Distinct() int { return len(e.counts) }
-
 // ConsecutiveNulls returns the current run of trailing null replies.
 func (e *Estimator) ConsecutiveNulls() int { return e.nulls }
 

@@ -9,7 +9,7 @@ import (
 
 func TestEmptyEstimator(t *testing.T) {
 	e := New()
-	if e.Samples() != 0 || e.Distinct() != 0 {
+	if e.n != 0 || len(e.counts) != 0 {
 		t.Errorf("fresh estimator not empty")
 	}
 	if e.Coverage() != 0 {
@@ -140,7 +140,7 @@ func TestSkewedPopulationUnderestimatesWithoutCV(t *testing.T) {
 		}
 	}
 	cov := e.Coverage()
-	plain := float64(e.Distinct()) / cov
+	plain := float64(len(e.counts)) / cov
 	if e.Chao92() < plain-1e-9 {
 		t.Errorf("CV-corrected Chao92 (%v) below plain estimate (%v)", e.Chao92(), plain)
 	}

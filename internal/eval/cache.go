@@ -7,7 +7,7 @@ import (
 	"repro/internal/db"
 )
 
-// The evaluation cache memoizes Result, ResultUnion and Holds per database
+// The evaluation cache memoizes Result and ResultUnion per database
 // generation. QOCO's cleaning loop re-evaluates Q(D) and re-checks answers
 // between crowd questions, and each oracle round changes at most a handful
 // of facts — so across a run most evaluations hit an unchanged database and
@@ -37,17 +37,12 @@ const (
 type dbCache struct {
 	gen     uint64
 	results map[string][]db.Tuple // result/union key -> Q(D)
-	holds   map[string]bool       // satisfiability key -> Holds
 }
 
-func (c *dbCache) size() int { return len(c.results) + len(c.holds) }
+func (c *dbCache) size() int { return len(c.results) }
 
 func newDBCache(gen uint64) *dbCache {
-	return &dbCache{
-		gen:     gen,
-		results: make(map[string][]db.Tuple),
-		holds:   make(map[string]bool),
-	}
+	return &dbCache{gen: gen, results: make(map[string][]db.Tuple)}
 }
 
 // evalCache sections are keyed by (store ID, generation). Keeping a few
@@ -76,25 +71,6 @@ func InvalidateDB(id uint64) {
 	if ok {
 		rec().Inc(MetricCacheDBInvalidations)
 	}
-}
-
-// CacheStats is a point-in-time summary of one store's cache footprint,
-// exposed so tests can assert that finished jobs do not leak sections.
-type CacheStats struct {
-	Sections int // cache sections (generations) held for the store
-	Entries  int // memoized entries across those sections
-}
-
-// CacheStatsFor reports the cache footprint of the store with the given ID.
-func CacheStatsFor(id uint64) CacheStats {
-	evalCache.Lock()
-	defer evalCache.Unlock()
-	var s CacheStats
-	for _, c := range evalCache.dbs[id] {
-		s.Sections++
-		s.Entries += c.size()
-	}
-	return s
 }
 
 // forDB returns the cache section for the store at the given generation,
@@ -144,7 +120,7 @@ func section(d db.Reader) *dbCache {
 // Cache keys. A key is the query's canonical rendering, Query.AppendText:
 // it is parseable and deterministic, so distinct queries cannot collide,
 // and it costs O(|Q|), not O(|D|). Each class of memoized call prefixes its
-// key so a boolean Holds can never alias a Result of the same query. Keys
+// key so a union can never alias a Result. Keys
 // are built in the caller's buffer (a stack array of keyBufSize bytes holds
 // every key of the paper's workloads), looked up without a copy, and copied
 // only when an entry is stored.
@@ -166,12 +142,6 @@ func appendUnionKey(b []byte, u *cq.Union) []byte {
 		b = q.AppendText(b)
 	}
 	return b
-}
-
-// appendHoldsKey appends Holds's key for q under seed.
-func appendHoldsKey(b []byte, q *cq.Query, seed Assignment) []byte {
-	b = q.AppendText(append(b, "h\x00"...))
-	return seed.appendKey(append(b, 0))
 }
 
 // lookupTuples consults the cache for a []db.Tuple entry. The returned slice
@@ -210,36 +180,4 @@ func storeTuples(d db.Reader, gen uint64, key []byte, v []db.Tuple) {
 		evalCache.dbs[d.ID()][gen] = c
 	}
 	c.results[string(key)] = append([]db.Tuple(nil), v...)
-}
-
-// lookupHolds / storeHolds memoize boolean satisfiability checks.
-func lookupHolds(d db.Reader, key []byte) (bool, bool) {
-	evalCache.Lock()
-	defer evalCache.Unlock()
-	c := section(d)
-	if c == nil {
-		rec().Inc(MetricCacheMisses)
-		return false, false
-	}
-	v, ok := c.holds[string(key)]
-	if !ok {
-		rec().Inc(MetricCacheMisses)
-		return false, false
-	}
-	rec().Inc(MetricCacheHits)
-	return v, true
-}
-
-func storeHolds(d db.Reader, gen uint64, key []byte, v bool) {
-	if d.Generation() != gen {
-		return
-	}
-	evalCache.Lock()
-	defer evalCache.Unlock()
-	c := forDB(d, gen)
-	if c.size() >= cacheMaxEntries {
-		c = newDBCache(gen)
-		evalCache.dbs[d.ID()][gen] = c
-	}
-	c.holds[string(key)] = v
 }

@@ -243,44 +243,34 @@ func appendWitnessKey(b []byte, w []db.Fact) []byte {
 
 // Holds reports whether the boolean query (or the body of q under the given
 // seed) has at least one valid extension w.r.t. D — i.e. whether the partial
-// assignment is satisfiable (§2). Outcomes are memoized per database
-// generation and seed.
+// assignment is satisfiable (§2). A registered maintainer answers it when it
+// can; otherwise the join search stops at the first valid assignment.
 func Holds(q *cq.Query, d db.Reader, seed Assignment, opts ...Option) bool {
-	cfg := resolve(opts)
-	var kb [keyBufSize]byte
-	var key []byte
-	if !cfg.noCache {
-		key = appendHoldsKey(kb[:0], q, seed)
-		if v, ok := lookupHolds(d, key); ok {
-			return v
-		}
+	if !resolve(opts).noCache {
 		if v, ok := maintainedHolds(d, q, seed); ok {
-			storeHolds(d, d.Generation(), key, v)
 			return v
 		}
 	}
-	gen := d.Generation()
 	found := false
 	search(q, d, seed, func(*Row) bool {
 		found = true
 		return false // stop at first
 	})
-	if !cfg.noCache {
-		storeHolds(d, gen, key, found)
-	}
 	return found
 }
 
-// AnswerHolds reports whether tuple t ∈ Q(D).
+// AnswerHolds reports whether tuple t ∈ Q(D). The maintainer is asked before
+// the seed is built: a maintained Q(D) holds no tuple that PartialFromAnswer
+// rejects, and the question then allocates nothing.
 func AnswerHolds(q *cq.Query, d db.Reader, t db.Tuple, opts ...Option) bool {
-	seed, ok := PartialFromAnswer(q, t)
-	if !ok {
-		return false
-	}
 	if !resolve(opts).noCache {
 		if v, ok := maintainedAnswerHolds(d, q, t); ok {
 			return v
 		}
+	}
+	seed, ok := PartialFromAnswer(q, t)
+	if !ok {
+		return false
 	}
 	return Holds(q, d, seed, opts...)
 }

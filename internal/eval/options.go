@@ -10,7 +10,7 @@ type Option struct{ c config }
 
 // config is the resolved per-call evaluation configuration.
 type config struct {
-	noCache bool // bypass the result/holds cache entirely
+	noCache bool // bypass the result cache and any maintainer
 }
 
 // NoCache makes the call bypass the evaluation cache AND any registered

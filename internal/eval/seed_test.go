@@ -153,10 +153,9 @@ func TestUnknownRelationYieldsNothing(t *testing.T) {
 	}
 }
 
-// TestHoldsAllocs: a seeded Holds allocates a small constant per call, cold
-// (NoCache) and from the cache alike, on the in-memory store and on a
-// 4-shard disk store. A cold call compiles into a pooled searcher and scans
-// postings in place; a cache hit builds its key in a stack buffer.
+// TestHoldsAllocs: a seeded Holds allocates a small constant per call, on
+// the in-memory store and on a 4-shard disk store. It compiles into a pooled
+// searcher and scans postings in place.
 func TestHoldsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled searchers at random")
@@ -170,7 +169,7 @@ func TestHoldsAllocs(t *testing.T) {
 	if _, err := db.Copy(disk, mem); err != nil {
 		t.Fatal(err)
 	}
-	const maxCold, maxHit = 2, 1
+	const maxCold = 2
 	for _, store := range []struct {
 		name string
 		d    db.Reader
@@ -186,10 +185,6 @@ func TestHoldsAllocs(t *testing.T) {
 			}
 			if n := testing.AllocsPerRun(100, func() { Holds(q, store.d, seed, NoCache()) }); n > maxCold {
 				t.Errorf("%s Q%d: a cold Holds allocates %.1f times per call, want at most %d", store.name, i+1, n, maxCold)
-			}
-			Holds(q, store.d, seed)
-			if n := testing.AllocsPerRun(100, func() { Holds(q, store.d, seed) }); n > maxHit {
-				t.Errorf("%s Q%d: a cached Holds allocates %.1f times per call, want at most %d", store.name, i+1, n, maxHit)
 			}
 		}
 	}

@@ -16,9 +16,6 @@ import (
 
 // EvalBenchOpts tunes the evaluation micro-benchmark figure.
 type EvalBenchOpts struct {
-	// Repeats is how many timed repetitions each measurement takes the
-	// median and quartiles of (default 21).
-	Repeats int
 	// Soccer sizes the benchmark database (default full 20 tournaments).
 	Soccer dataset.SoccerOpts
 	// StoreDir is where the disk-backed store of the mem-vs-disk comparison
@@ -26,11 +23,15 @@ type EvalBenchOpts struct {
 	StoreDir string
 	// StoreShards is the disk store's hash fan-out (0 = db.DefaultShards).
 	StoreShards int
+
+	// repeats is how many timed repetitions each measurement takes the
+	// median and quartiles of (default 21; tests take fewer).
+	repeats int
 }
 
 func (o *EvalBenchOpts) applyDefaults() {
-	if o.Repeats == 0 {
-		o.Repeats = 21
+	if o.repeats == 0 {
+		o.repeats = 21
 	}
 }
 
@@ -184,7 +185,7 @@ func EvalBench(opts EvalBenchOpts) EvalBenchReport {
 		Facts:       d.Len(),
 		NProc:       runtime.NumCPU(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Repeats:     opts.Repeats,
+		Repeats:     opts.repeats,
 		NaiveAgrees: true,
 	}
 
@@ -204,10 +205,10 @@ func EvalBench(opts EvalBenchOpts) EvalBenchReport {
 	}
 	byName := make(map[string]measured, len(queries))
 	for i, q := range queries {
-		cold, coldFP := timeEval(q, d, opts.Repeats, eval.NoCache())
+		cold, coldFP := timeEval(q, d, opts.repeats, eval.NoCache())
 		// Prime the cache once, then measure pure cache reads.
 		eval.Result(q, d)
-		warm, warmFP := timeEval(q, d, opts.Repeats*4)
+		warm, warmFP := timeEval(q, d, opts.repeats*4)
 		row := EvalBenchRow{
 			Name:      names[i],
 			Answers:   strings.Count(coldFP, "\n"),
@@ -290,7 +291,7 @@ func storeBench(rep *EvalBenchReport, d *db.Database, queries []*cq.Query, names
 	for i, q := range queries {
 		var mem, disk timing
 		var memFP, diskFP string
-		for r := 0; r < opts.Repeats; r++ {
+		for r := 0; r < opts.repeats; r++ {
 			m, fp := timeEval(q, d, 1, eval.NoCache())
 			mem, memFP = append(mem, m...), fp
 			k, fp := timeEval(q, dsk, 1, eval.NoCache())

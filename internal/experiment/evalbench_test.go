@@ -11,7 +11,7 @@ import (
 // the report's structure and its correctness invariants (the timings
 // themselves are machine-dependent and recorded, not asserted).
 func TestEvalBenchSmoke(t *testing.T) {
-	rep := EvalBench(EvalBenchOpts{Repeats: 1, Soccer: dataset.SoccerOpts{Tournaments: 2}})
+	rep := EvalBench(EvalBenchOpts{repeats: 1, Soccer: dataset.SoccerOpts{Tournaments: 2}})
 	if !rep.NaiveAgrees {
 		t.Error("indexed evaluator disagreed with the naive reference")
 	}

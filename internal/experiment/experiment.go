@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"time"
 
@@ -440,14 +439,4 @@ func RenderMix(title string, rows []QuestionMixRow) string {
 			float64(r.CleanTime)/float64(time.Millisecond))
 	}
 	return b.String()
-}
-
-// SortRows orders rows by workload then algorithm for stable output.
-func SortRows(rows []Row) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].Workload != rows[j].Workload {
-			return rows[i].Workload < rows[j].Workload
-		}
-		return rows[i].Algorithm < rows[j].Algorithm
-	})
 }

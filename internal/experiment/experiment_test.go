@@ -251,18 +251,6 @@ func TestRenderers(t *testing.T) {
 	}
 }
 
-func TestSortRows(t *testing.T) {
-	rows := []Row{
-		{Workload: "Q2", Algorithm: "B"},
-		{Workload: "Q1", Algorithm: "Z"},
-		{Workload: "Q1", Algorithm: "A"},
-	}
-	SortRows(rows)
-	if rows[0].Workload != "Q1" || rows[0].Algorithm != "A" || rows[2].Workload != "Q2" {
-		t.Errorf("SortRows order wrong: %+v", rows)
-	}
-}
-
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -136,7 +136,6 @@ type Injector struct {
 	mu         sync.Mutex
 	n          int64 // counted ops so far
 	faults     []Fault
-	fired      int64
 	crashed    bool
 	stickySync bool
 }
@@ -152,20 +151,6 @@ func (in *Injector) OpCount() int64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.n
-}
-
-// Fired reports how many faults have triggered.
-func (in *Injector) Fired() int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.fired
-}
-
-// Crashed reports whether a KindCrash fault has fired.
-func (in *Injector) Crashed() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.crashed
 }
 
 // step counts one operation of class op and returns the fault to apply, if
@@ -189,7 +174,6 @@ func (in *Injector) step(op Op) (*Fault, error) {
 		if f.Op != OpAny && f.Op != op {
 			continue
 		}
-		in.fired++
 		switch f.Kind {
 		case KindCrash:
 			in.crashed = true

@@ -23,9 +23,6 @@ func New(n int) *Graph {
 	return g
 }
 
-// N returns the number of vertices.
-func (g *Graph) N() int { return g.n }
-
 // AddEdge adds weight w to the undirected edge {u, v}. Negative weights and
 // out-of-range vertices panic: the query graph construction controls both.
 func (g *Graph) AddEdge(u, v int, w int64) {

@@ -8,8 +8,8 @@ import (
 // cutWeight computes the weight of the cut induced by side directly.
 func cutWeight(g *Graph, side []bool) int64 {
 	var w int64
-	for u := 0; u < g.N(); u++ {
-		for v := u + 1; v < g.N(); v++ {
+	for u := 0; u < g.n; u++ {
+		for v := u + 1; v < g.n; v++ {
 			if side[u] != side[v] {
 				w += g.Weight(u, v)
 			}
@@ -20,7 +20,7 @@ func cutWeight(g *Graph, side []bool) int64 {
 
 // bruteMinCut enumerates all proper 2-partitions.
 func bruteMinCut(g *Graph) int64 {
-	n := g.N()
+	n := g.n
 	best := int64(-1)
 	for mask := 1; mask < (1<<n)-1; mask++ {
 		side := make([]bool, n)

@@ -120,8 +120,8 @@ func TestInjectWrongZeroDoesNothing(t *testing.T) {
 	if got, want := rng.Int63(), rand.New(rand.NewSource(5)).Int63(); got != want {
 		t.Errorf("rng advanced: next draw %d, want %d", got, want)
 	}
-	if names := rec.Snapshot().Names(); len(names) != 0 {
-		t.Errorf("InjectWrong(k=0) evaluated queries: recorded %v", names)
+	if flat := rec.Snapshot().Flat(); len(flat) != 0 {
+		t.Errorf("InjectWrong(k=0) evaluated queries: recorded %v", flat)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 )
@@ -127,16 +126,6 @@ func (r *Recorder) SetGauge(name string, v float64) {
 	r.mu.Unlock()
 }
 
-// Gauge returns the current value of the named gauge (0 if absent).
-func (r *Recorder) Gauge(name string) float64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gauges[name]
-}
-
 // Observe adds one observation to the named histogram.
 func (r *Recorder) Observe(name string, v float64) {
 	if r == nil {
@@ -237,17 +226,6 @@ func (s Snapshot) Flat() map[string]interface{} {
 		out[k] = v
 	}
 	return out
-}
-
-// Names returns the sorted metric names of the snapshot.
-func (s Snapshot) Names() []string {
-	flat := s.Flat()
-	names := make([]string, 0, len(flat))
-	for k := range flat {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Handler serves the recorder as expvar-compatible JSON (sorted keys, one

@@ -1,8 +1,9 @@
-// Package provenance computes Boolean why-provenance for query answers. The
+// Package provenance holds the Boolean why-provenance of a query answer. The
 // paper grounds its witness machinery in provenance semirings ("a witness can
 // in fact be extracted from a semiring of polynomials", §2, citing Green et
 // al.); this package realizes that connection: the provenance of an answer is
-// the DNF over fact variables whose disjuncts are the answer's witnesses.
+// the DNF over fact variables whose disjuncts are the answer's witnesses, and
+// the caller builds it from those witnesses.
 //
 // On top of the DNF it computes exact tuple influence — the probability that
 // the answer's truth flips with the tuple, under independent tuple
@@ -12,15 +13,10 @@
 package provenance
 
 import (
-	"cmp"
 	"encoding/binary"
 	"slices"
 	"sort"
 	"strings"
-
-	"repro/internal/cq"
-	"repro/internal/db"
-	"repro/internal/eval"
 )
 
 // DNF is the why-provenance of an answer: a disjunction of conjunctions of
@@ -29,29 +25,6 @@ import (
 type DNF struct {
 	// Terms are the conjuncts; each term lists distinct fact keys, sorted.
 	Terms [][]string
-	facts map[string]db.Fact
-}
-
-// Of computes the why-provenance of answer t for q over d: one term per
-// witness.
-func Of(q *cq.Query, d db.Reader, t db.Tuple) *DNF {
-	p := &DNF{facts: make(map[string]db.Fact)}
-	for _, w := range eval.Witnesses(q, d, t) {
-		term := make([]string, 0, len(w))
-		for _, f := range w {
-			p.facts[f.Key()] = f
-			term = append(term, f.Key())
-		}
-		sort.Strings(term)
-		p.Terms = append(p.Terms, term)
-	}
-	return p
-}
-
-// Fact resolves a fact key back to the fact.
-func (p *DNF) Fact(key string) (db.Fact, bool) {
-	f, ok := p.facts[key]
-	return f, ok
 }
 
 // Variables returns the sorted distinct fact keys of the formula.
@@ -68,33 +41,6 @@ func (p *DNF) Variables() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Eval evaluates the formula under a truth assignment (facts absent from the
-// map count as false).
-func (p *DNF) Eval(truth map[string]bool) bool {
-	for _, term := range p.Terms {
-		all := true
-		for _, v := range term {
-			if !truth[v] {
-				all = false
-				break
-			}
-		}
-		if all {
-			return true
-		}
-	}
-	return false
-}
-
-// Probability computes P(formula true) exactly under independent per-fact
-// probabilities (default 0.5 for facts without an entry), by Shannon
-// expansion of the residual formula (see expander). Exponential in the worst
-// case; the residuals of witness formulas absorb and split quickly.
-func (p *DNF) Probability(prob map[string]float64) float64 {
-	e := newExpander(p, prob)
-	return e.prob(e.terms)
 }
 
 // Influence returns the influence of each fact on the formula: the
@@ -289,30 +235,8 @@ func (p *DNF) MostInfluential(prob map[string]float64) string {
 	return best
 }
 
-// Minimize removes subsumed terms (a term that is a superset of another is
-// redundant in a monotone DNF).
-func (p *DNF) Minimize() {
-	var keep [][]string
-	for i, t1 := range p.Terms {
-		subsumed := false
-		for j, t2 := range p.Terms {
-			if i == j {
-				continue
-			}
-			if isSubset(t2, t1) && (len(t2) < len(t1) || j < i) {
-				subsumed = true
-				break
-			}
-		}
-		if !subsumed {
-			keep = append(keep, t1)
-		}
-	}
-	p.Terms = keep
-}
-
 // isSubset reports whether sorted slice a ⊆ sorted slice b.
-func isSubset[T cmp.Ordered](a, b []T) bool {
+func isSubset(a, b []int32) bool {
 	i := 0
 	for _, x := range b {
 		if i < len(a) && a[i] == x {
@@ -322,22 +246,14 @@ func isSubset[T cmp.Ordered](a, b []T) bool {
 	return i == len(a)
 }
 
-// String renders the formula as (k1 ∧ k2) ∨ (k3) using short fact renderings.
+// String renders the formula as (k1 ∧ k2) ∨ (k3).
 func (p *DNF) String() string {
 	if len(p.Terms) == 0 {
 		return "false"
 	}
 	parts := make([]string, len(p.Terms))
 	for i, term := range p.Terms {
-		lits := make([]string, len(term))
-		for j, v := range term {
-			if f, ok := p.facts[v]; ok {
-				lits[j] = f.String()
-			} else {
-				lits[j] = v
-			}
-		}
-		parts[i] = "(" + strings.Join(lits, " ∧ ") + ")"
+		parts[i] = "(" + strings.Join(term, " ∧ ") + ")"
 	}
 	return strings.Join(parts, " ∨ ")
 }

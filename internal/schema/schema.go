@@ -97,12 +97,6 @@ func (s *Schema) Relation(name string) (Relation, bool) {
 	return r, ok
 }
 
-// Has reports whether the named relation exists in the schema.
-func (s *Schema) Has(name string) bool {
-	_, ok := s.rels[name]
-	return ok
-}
-
 // Arity returns the arity of the named relation, or -1 if it is not in the
 // schema.
 func (s *Schema) Arity(name string) int {

@@ -58,9 +58,6 @@ func TestSchemaLookup(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}
-	if !s.Has("Teams") || s.Has("Players") {
-		t.Errorf("Has mismatch: Teams=%v Players=%v", s.Has("Teams"), s.Has("Players"))
-	}
 	if got := s.Arity("Goals"); got != 2 {
 		t.Errorf("Arity(Goals) = %d, want 2", got)
 	}
@@ -70,6 +67,9 @@ func TestSchemaLookup(t *testing.T) {
 	r, ok := s.Relation("Teams")
 	if !ok || r.Name != "Teams" {
 		t.Errorf("Relation(Teams) = %v, %v", r, ok)
+	}
+	if _, ok := s.Relation("Players"); ok {
+		t.Errorf("Relation(Players) found a relation the schema lacks")
 	}
 }
 

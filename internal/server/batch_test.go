@@ -73,7 +73,7 @@ func TestBatchDeadlinesRunPerQuestion(t *testing.T) {
 	if limit := 5 * (maxReasks + 1) * deadline; elapsed > limit {
 		t.Errorf("batch took %v, want about %v (each question on its own clock)", elapsed, (maxReasks+1)*deadline)
 	}
-	if got := q.DegradedFor(1); got != n-1 {
+	if got := q.DegradedAnswers(); got != n-1 {
 		t.Errorf("degraded answers = %d, want %d", got, n-1)
 	}
 	if got := q.Obs.Counter(MetricQuestionsReasked); got != (n-1)*maxReasks {

@@ -40,7 +40,8 @@ func (s *Server) Admission() *admission.Controller {
 // submissions are rejected with 503/draining (and Retry-After), queued
 // submissions are shed, /readyz flips to not-ready so load balancers stop
 // routing here, but in-flight jobs keep running to completion (or journal
-// checkpoint) and every other endpoint stays up. Resume lifts it.
+// checkpoint) and every other endpoint stays up. Drain is one-way: the
+// process exits once its jobs are done.
 func (s *Server) Drain() {
 	s.mu.Lock()
 	s.draining = true
@@ -48,17 +49,6 @@ func (s *Server) Drain() {
 	s.mu.Unlock()
 	if ctrl != nil {
 		ctrl.SetDraining(true)
-	}
-}
-
-// Resume lifts drain mode.
-func (s *Server) Resume() {
-	s.mu.Lock()
-	s.draining = false
-	ctrl := s.admit
-	s.mu.Unlock()
-	if ctrl != nil {
-		ctrl.SetDraining(false)
 	}
 }
 

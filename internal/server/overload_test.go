@@ -240,7 +240,7 @@ func TestDrainLifecycle(t *testing.T) {
 		t.Errorf("/healthz during drain = %d, want 200", lres.StatusCode)
 	}
 
-	srv.Resume()
+	resume(srv)
 	if code, _ := readyzState(t, ts.URL); code != http.StatusOK {
 		t.Fatalf("post-resume /readyz = %d, want 200", code)
 	}
@@ -470,5 +470,16 @@ func TestQuestionLogEndpoint(t *testing.T) {
 		if ev.Outcome != "degraded" {
 			t.Errorf("outcome = %q, want degraded (2ms deadline, no crowd): %+v", ev.Outcome, ev)
 		}
+	}
+}
+
+// resume lifts drain mode, which the server itself never does.
+func resume(s *Server) {
+	s.mu.Lock()
+	s.draining = false
+	ctrl := s.admit
+	s.mu.Unlock()
+	if ctrl != nil {
+		ctrl.SetDraining(false)
 	}
 }

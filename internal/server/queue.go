@@ -320,7 +320,6 @@ type Queue struct {
 	maxReasks int
 	journal   Journal
 	replays   map[int]map[string][]Answer // per-job recorded answers, FIFO per key
-	degraded  map[int]int                 // per-job degraded answer counts
 	degTotal  int
 
 	// Resolved-question history: a bounded ring of recent outcomes, so a
@@ -351,10 +350,9 @@ type QuestionEvent struct {
 // NewQueue creates an empty question queue.
 func NewQueue() *Queue {
 	return &Queue{
-		pending:  make(map[int]*Question),
-		replays:  make(map[int]map[string][]Answer),
-		degraded: make(map[int]int),
-		histCap:  DefaultQuestionHistory,
+		pending: make(map[int]*Question),
+		replays: make(map[int]map[string][]Answer),
+		histCap: DefaultQuestionHistory,
 	}
 }
 
@@ -475,13 +473,6 @@ func (q *Queue) DegradedAnswers() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.degTotal
-}
-
-// DegradedFor returns one job's degraded-answer count.
-func (q *Queue) DegradedFor(jobID int) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.degraded[jobID]
 }
 
 // Pending returns copies of the open questions: escalated questions (highest
@@ -696,7 +687,6 @@ func (q *Queue) askAll(ctx context.Context, qs []*Question) []Answer {
 	for i, qu := range qs {
 		if a, ok := q.takeReplayLocked(job, keys[i]); ok {
 			if a.Degraded {
-				q.degraded[job]++
 				q.degTotal++
 			}
 			q.recordHistoryLocked(qu, "replayed")
@@ -824,7 +814,6 @@ func (q *Queue) expire(qs []*Question, done []bool, maxReasks int) []int {
 		if qu.Attempt > maxReasks {
 			// Re-ask budget exhausted: degrade instead of waiting forever.
 			delete(q.pending, qu.ID)
-			q.degraded[qu.Job]++
 			q.degTotal++
 			q.recordHistoryLocked(qu, "degraded")
 			degraded = append(degraded, i)

@@ -263,7 +263,7 @@ func TestDeadlineDegradesJob(t *testing.T) {
 	if cur.Report.Insertions != 0 || cur.Report.Deletions != 0 {
 		t.Errorf("degraded defaults caused edits: %+v", cur.Report)
 	}
-	if got := srv.Queue().DegradedFor(job.ID); got != cur.Report.DegradedQuestions {
+	if got := srv.Queue().DegradedAnswers(); got != cur.Report.DegradedQuestions {
 		t.Errorf("queue counts %d degraded answers, report says %d", got, cur.Report.DegradedQuestions)
 	}
 	// Exhausting the budget implies at least one re-ask happened first.

@@ -608,6 +608,13 @@ func (s *Server) runJob(job *Job, run func(*core.Cleaner) (*core.Report, error))
 // open so the next boot recovers it.
 func (s *Server) finishJob(job *Job, report *core.Report, err, syncErr error) {
 	s.queue.ClearReplay(job.ID)
+	// The finished job's evaluation-cache sections are dead weight (the next
+	// job re-warms from its own edits); drop them so sections never leak
+	// across jobs. The cleaner already invalidates when Clean returns — this
+	// covers every terminal path, including handoff and cancellation races.
+	// It runs before the terminal state is published, so a client that sees
+	// the state sees the sections gone.
+	eval.InvalidateDB(s.d.ID())
 	s.mu.Lock()
 	job.Report = report
 	job.cleaner = nil
@@ -642,11 +649,6 @@ func (s *Server) finishJob(job *Job, report *core.Report, err, syncErr error) {
 	if jl != nil && syncErr == nil && (!closing || state == JobCancelled || state == JobHandoff) {
 		_ = jl.End(job.ID, string(state))
 	}
-	// The finished job's evaluation-cache sections are dead weight (the next
-	// job re-warms from its own edits); drop them so sections never leak
-	// across jobs. The cleaner already invalidates when Clean returns — this
-	// covers every terminal path, including handoff and cancellation races.
-	eval.InvalidateDB(s.d.ID())
 }
 
 // reportOfEdits summarizes a targeted repair as a Report.

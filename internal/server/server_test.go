@@ -36,6 +36,8 @@ func postJSON(t *testing.T, url string, body interface{}) *http.Response {
 func TestServerEndToEnd(t *testing.T) {
 	d, dg := dataset.Figure1()
 	srv := New(d, core.Config{})
+	eval.Instrument(srv.Obs())
+	defer eval.Instrument(nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
@@ -76,19 +78,17 @@ func TestServerEndToEnd(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Terminal state released the store's eval-cache sections (finishJob
-	// calls eval.InvalidateDB). The poller can observe JobDone a beat before
-	// finishJob's last line runs, so allow a short settle.
-	leakDeadline := time.Now().Add(2 * time.Second)
-	for {
-		if st := eval.CacheStatsFor(d.ID()); st.Sections == 0 && st.Entries == 0 {
-			break
-		}
-		if time.Now().After(leakDeadline) {
-			t.Fatalf("eval cache still holds sections for the store after job completion: %+v",
-				eval.CacheStatsFor(d.ID()))
-		}
-		time.Sleep(2 * time.Millisecond)
+	// The terminal state is published after finishJob released the store's
+	// eval-cache sections through eval.InvalidateDB, which counts only the
+	// calls that found a section: the job released one, and a second call
+	// now finds none left.
+	n := srv.Obs().Counter(eval.MetricCacheDBInvalidations)
+	if n == 0 {
+		t.Errorf("the job released no eval-cache section")
+	}
+	eval.InvalidateDB(d.ID())
+	if got := srv.Obs().Counter(eval.MetricCacheDBInvalidations); got != n {
+		t.Errorf("eval cache still held a section for the store after job completion")
 	}
 
 	// The database now matches the ground truth on the query.

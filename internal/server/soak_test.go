@@ -132,7 +132,7 @@ func TestServerOverloadChurnHammer(t *testing.T) {
 			}
 			srv.Drain()
 			time.Sleep(2 * time.Millisecond)
-			srv.Resume()
+			resume(srv)
 			time.Sleep(5 * time.Millisecond)
 		}
 	}()
@@ -225,7 +225,7 @@ func TestServerOverloadChurnHammer(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	churn.Wait()
-	srv.Resume()
+	resume(srv)
 	waitJobsIdle(t, srv)
 
 	for _, p := range problems {
@@ -460,8 +460,8 @@ func soakOverload(t *testing.T, seed int64) {
 		states[st]++
 	}
 	t.Logf("seed %d: job states %v, %d answers degraded", seed, states, srv.Queue().DegradedAnswers())
-	if got := ctrl.Inflight(); got != 0 {
-		t.Errorf("admission inflight = %d after all jobs finished, want 0", got)
+	if got := srv.Obs().Snapshot().Gauges[admission.MetricInflight]; got != 0 {
+		t.Errorf("admission inflight = %v after all jobs finished, want 0", got)
 	}
 	if got := ctrl.QueueDepth(); got != 0 {
 		t.Errorf("admission queue depth = %d after soak, want 0", got)

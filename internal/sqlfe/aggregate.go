@@ -47,15 +47,6 @@ func ParseAggregate(s *schema.Schema, sql string) (*agg.Query, error) {
 	return q, nil
 }
 
-// MustParseAggregate is ParseAggregate that panics on error.
-func MustParseAggregate(s *schema.Schema, sql string) *agg.Query {
-	q, err := ParseAggregate(s, sql)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
 type aggSpec struct {
 	kind agg.Kind
 	col  colRef

@@ -54,12 +54,12 @@ func TestParseAggregateMinMaxSum(t *testing.T) {
 	if err != nil || !ok || v != 1976 {
 		t.Errorf("MIN birthyear(ITA) = %v; want 1976", v)
 	}
-	q2 := MustParseAggregate(d.Schema(), "SELECT team, MAX(birthyear) FROM Players GROUP BY team")
+	q2 := mustParseAggregate(d.Schema(), "SELECT team, MAX(birthyear) FROM Players GROUP BY team")
 	v2, _, _ := agg.GroupValue(q2, d, db.Tuple{"ITA"})
 	if v2 != 1979 {
 		t.Errorf("MAX birthyear(ITA) = %v; want 1979", v2)
 	}
-	q3 := MustParseAggregate(d.Schema(), "SELECT team, SUM(birthyear) FROM Players GROUP BY team")
+	q3 := mustParseAggregate(d.Schema(), "SELECT team, SUM(birthyear) FROM Players GROUP BY team")
 	v3, _, _ := agg.GroupValue(q3, d, db.Tuple{"ITA"})
 	if v3 != 1976+1979 {
 		t.Errorf("SUM birthyear(ITA) = %v", v3)
@@ -93,14 +93,4 @@ func TestParseAggregateCountAsColumnName(t *testing.T) {
 	if _, err := ParseAggregate(d.Schema(), "SELECT count, COUNT(name) FROM Players GROUP BY count"); err == nil {
 		t.Errorf("unknown column 'count' accepted")
 	}
-}
-
-func TestMustParseAggregatePanics(t *testing.T) {
-	d, _ := dataset.Figure1()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("MustParseAggregate on bad SQL did not panic")
-		}
-	}()
-	MustParseAggregate(d.Schema(), "garbage")
 }

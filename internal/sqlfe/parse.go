@@ -82,16 +82,6 @@ func Parse(s *schema.Schema, sql string) (*cq.Query, error) {
 	return q, nil
 }
 
-// MustParse is Parse that panics on error, for fixed queries in tests and
-// examples.
-func MustParse(s *schema.Schema, sql string) *cq.Query {
-	q, err := Parse(s, sql)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
 type parser struct {
 	lex    *lexer
 	peeked *token

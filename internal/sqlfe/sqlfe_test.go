@@ -5,9 +5,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/agg"
+	"repro/internal/cq"
 	"repro/internal/dataset"
 	"repro/internal/db"
 	"repro/internal/eval"
+	"repro/internal/schema"
 )
 
 // introQ1SQL is the paper's Q1 written as SQL.
@@ -16,6 +19,32 @@ SELECT g1.winner FROM Games g1, Games g2, Teams t
 WHERE g1.winner = g2.winner AND t.name = g1.winner
   AND g1.stage = 'Final' AND g2.stage = 'Final'
   AND t.continent = 'EU' AND g1.date <> g2.date`
+
+// mustParse, mustParseUnion and mustParseAggregate parse a test's fixed
+// SQL, panicking on error.
+func mustParse(s *schema.Schema, sql string) *cq.Query {
+	q, err := Parse(s, sql)
+	if err != nil {
+		panic(err)
+	}
+	return q
+}
+
+func mustParseUnion(s *schema.Schema, sql string) *cq.Union {
+	u, err := ParseUnion(s, sql)
+	if err != nil {
+		panic(err)
+	}
+	return u
+}
+
+func mustParseAggregate(s *schema.Schema, sql string) *agg.Query {
+	q, err := ParseAggregate(s, sql)
+	if err != nil {
+		panic(err)
+	}
+	return q
+}
 
 func TestParseIntroQ1Equivalence(t *testing.T) {
 	d, dg := dataset.Figure1()
@@ -228,16 +257,6 @@ func TestSoccerQ4SQL(t *testing.T) {
 	}
 }
 
-func TestMustParsePanics(t *testing.T) {
-	d, _ := dataset.Figure1()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("MustParse on bad SQL did not panic")
-		}
-	}()
-	MustParse(d.Schema(), "not sql")
-}
-
 // TestTypedSyntaxErrors pins the lexer/parser hardening: malformed inputs
 // (minimized from FuzzParseSQL findings) must produce a *SyntaxError matching
 // ErrSyntax — never a panic, never a silently mis-tokenized parse.
@@ -310,7 +329,7 @@ func TestNestedParensAggregateTyped(t *testing.T) {
 // by set semantics, so both forms must translate identically.
 func TestAggregateDistinct(t *testing.T) {
 	s := dataset.WorldCupSchema()
-	plain := MustParseAggregate(s, "SELECT winner, COUNT(date) FROM Games GROUP BY winner")
+	plain := mustParseAggregate(s, "SELECT winner, COUNT(date) FROM Games GROUP BY winner")
 	distinct, err := ParseAggregate(s, "SELECT DISTINCT winner, COUNT(date) FROM Games GROUP BY winner")
 	if err != nil {
 		t.Fatalf("ParseAggregate with DISTINCT: %v", err)
@@ -335,7 +354,7 @@ func TestUnionDropsEmptyDisjuncts(t *testing.T) {
 	if len(u.Disjuncts) != 1 {
 		t.Fatalf("got %d disjuncts, want 1 (empty disjunct dropped)", len(u.Disjuncts))
 	}
-	want := eval.ResultUnion(MustParseUnion(s, "SELECT name FROM Teams"), d)
+	want := eval.ResultUnion(mustParseUnion(s, "SELECT name FROM Teams"), d)
 	got := eval.ResultUnion(u, d)
 	if len(got) != len(want) {
 		t.Errorf("results differ: %v vs %v", got, want)

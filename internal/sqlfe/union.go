@@ -43,15 +43,6 @@ func ParseUnion(s *schema.Schema, sql string) (*cq.Union, error) {
 	return cq.NewUnion(qs...)
 }
 
-// MustParseUnion is ParseUnion that panics on error.
-func MustParseUnion(s *schema.Schema, sql string) *cq.Union {
-	u, err := ParseUnion(s, sql)
-	if err != nil {
-		panic(err)
-	}
-	return u
-}
-
 // splitUnion splits the statement on top-level UNION [ALL] keywords,
 // respecting quoted strings.
 func splitUnion(sql string) []string {

@@ -111,13 +111,3 @@ func TestCleanUnionFromSQL(t *testing.T) {
 		}
 	}
 }
-
-func TestMustParseUnionPanics(t *testing.T) {
-	d, _ := dataset.Figure1()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("MustParseUnion on bad SQL did not panic")
-		}
-	}()
-	MustParseUnion(d.Schema(), "nope")
-}

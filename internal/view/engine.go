@@ -102,9 +102,6 @@ func (e *Engine) Covers(q *cq.Query) bool {
 	return e.Maintains(q)
 }
 
-// Queries returns the number of maintained queries.
-func (e *Engine) Queries() int { return len(e.views) }
-
 // Apply propagates one already-applied, semantically-changing edit through
 // every maintained view. Callers must skip no-op edits (Apply on the store
 // reported changed == false): counting a no-op would corrupt the support

@@ -177,3 +177,36 @@ func TestUnifyAtomRepeatedVars(t *testing.T) {
 		t.Errorf("arity mismatch should not unify")
 	}
 }
+
+// TestMaintainedReadsAllocateNothing: with an engine registered for the
+// store, the cleaner's TRUE(Q,t)? check (eval.AnswerHolds) and its
+// insertion-loop probe (eval.Holds with no seed) are served from the
+// maintained view without allocating, whether t is an answer, a tuple
+// outside Q(D), or one no assignment of Q's head can produce.
+func TestMaintainedReadsAllocateNothing(t *testing.T) {
+	d, _ := dataset.Figure1()
+	q := dataset.IntroQ1()
+	e := NewEngine(d)
+	if err := e.Ensure(q); err != nil {
+		t.Fatal(err)
+	}
+	eval.SetMaintainer(d.ID(), e)
+	defer eval.ClearMaintainer(d.ID(), e)
+	for _, tc := range []struct {
+		t    db.Tuple
+		want bool
+	}{{db.Tuple{"GER"}, true}, {db.Tuple{"BRA"}, false}, {db.Tuple{"GER", "ITA"}, false}} {
+		if got := eval.AnswerHolds(q, d, tc.t); got != tc.want {
+			t.Fatalf("AnswerHolds(%v) = %v, want %v", tc.t, got, tc.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { eval.AnswerHolds(q, d, tc.t) }); n != 0 {
+			t.Errorf("a maintained AnswerHolds(%v) allocates %.1f times per call, want 0", tc.t, n)
+		}
+	}
+	if !eval.Holds(q, d, nil) {
+		t.Fatal("Holds(q, d, nil) = false on a query with answers")
+	}
+	if n := testing.AllocsPerRun(100, func() { eval.Holds(q, d, nil) }); n != 0 {
+		t.Errorf("a maintained Holds(q, d, nil) allocates %.1f times per call, want 0", n)
+	}
+}
