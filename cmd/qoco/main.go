@@ -49,8 +49,8 @@ func run() error {
 	sqlText := flag.String("sql", "", "query to clean, as a SELECT statement (alternative to -query)")
 	oracleKind := flag.String("oracle", "human", "oracle: human (stdin) or perfect (built-in ground truth)")
 	transcript := flag.Bool("transcript", false, "log every crowd question and answer to stderr")
-	dbinfo := flag.Bool("dbinfo", false, "print the fact store's stats (backend, relations, shards, disk bytes, per-shard garbage) as JSON and exit")
-	compact := flag.Bool("compact", false, "compact the disk store's segments (drop dead records), print the result as JSON, and exit")
+	dbinfo := flag.Bool("dbinfo", false, "print the fact store's stats (backend, relations, disk bytes, garbage ratio) as JSON and exit")
+	compact := flag.Bool("compact", false, "compact the disk store's log (drop dead records), print the result as JSON, and exit")
 	ivm := flag.Bool("ivm", true, "maintained (incremental view maintenance) evaluation during cleaning; output is identical either way (see docs/EVAL.md)")
 	scfg := storecfg.Register(flag.CommandLine)
 	flag.Parse()

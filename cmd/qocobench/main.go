@@ -131,9 +131,8 @@ func main() {
 	// performance trajectory.
 	if *fig == "eval" {
 		rep := experiment.EvalBench(experiment.EvalBenchOpts{
-			Soccer:      cfg.Soccer,
-			StoreDir:    scfg.Dir,
-			StoreShards: scfg.Shards,
+			Soccer:   cfg.Soccer,
+			StoreDir: scfg.Dir,
 		})
 		if *jsonOut {
 			f, err := os.Create("BENCH_eval.json")

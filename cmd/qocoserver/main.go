@@ -135,9 +135,9 @@ func run() error {
 	ivm := flag.Bool("ivm", true,
 		"maintained (incremental view maintenance) evaluation: cleaning jobs propagate each edit as a delta through materialized views instead of re-evaluating the query cold (see docs/EVAL.md)")
 	compactEvery := flag.Duration("compact-store", 0,
-		"background disk-store compaction interval (0 disables); each run rewrites segment shards past -compact-garbage")
+		"background disk-store compaction interval (0 disables); each run rewrites the store log once its garbage passes -compact-garbage")
 	compactGarbage := flag.Float64("compact-garbage", 0.5,
-		"garbage ratio (dead records / total records) above which a segment shard is compacted")
+		"garbage ratio (dead records / total records) at which the store log is compacted")
 	peersFlag := flag.String("peers", "",
 		"cluster membership as comma-separated id=url pairs (e.g. r0=http://h0:8080,r1=http://h1:8080); empty runs single-node")
 	replicaID := flag.String("replica-id", "",
@@ -273,7 +273,7 @@ func run() error {
 		}
 	}
 
-	// Background segment compaction: reclaim dead records from the disk
+	// Background log compaction: reclaim dead records from the disk
 	// store on a timer, pausing while the server drains (compaction takes
 	// the database write lock, which would stall a draining job's exit).
 	// The period is jittered ±10% per cycle so a fleet of replicas started
@@ -306,9 +306,9 @@ func run() error {
 				if !ok {
 					return // in-memory backend: nothing will ever compact
 				}
-				if res.ShardsCompacted > 0 {
-					log.Printf("store compaction: %d shard(s), %d dead record(s), %d -> %d bytes",
-						res.ShardsCompacted, res.RecordsDropped, res.BytesBefore, res.BytesAfter)
+				if res.RecordsDropped > 0 {
+					log.Printf("store compaction: %d dead record(s), %d -> %d bytes",
+						res.RecordsDropped, res.BytesBefore, res.BytesAfter)
 				}
 			}
 		}()

@@ -37,7 +37,7 @@ func checkCleanRun(ins *Instance, union bool) error {
 		label = "CleanUnion"
 	}
 	d := ins.D.Clone()
-	dist := d.Distance(ins.DG)
+	dist := db.Distance(d, ins.DG)
 	cl := core.New(d, crowd.NewPerfect(ins.DG), core.Config{
 		RNG: rand.New(rand.NewSource(ins.Seed)),
 	})

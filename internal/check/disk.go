@@ -13,14 +13,10 @@ import (
 )
 
 // The disk-backend differential properties replay the same generated
-// instances through the disk-backed sharded store and compare every
+// instances through the disk-backed store and compare every
 // observable against the in-memory reference. The generator's awkward value
 // pool (empty strings, separators, quotes) doubles as a fuzz of the symbol
-// table and segment encoding.
-
-// diskShardsFor derives a shard fan-out from the seed so the sweep covers
-// 1-shard and many-shard layouts.
-func diskShardsFor(seed int64) int { return 1 + int(seed%4) }
+// table and log encoding.
 
 // withDiskStore opens a disk store in a fresh temp dir, runs fn, and cleans
 // up. fn receives the store and its directory (for reopen scenarios).
@@ -30,7 +26,7 @@ func withDiskStore(ins *Instance, fn func(ds *db.DiskStore, dir string) error) e
 		return fmt.Errorf("disk: temp dir: %w", err)
 	}
 	defer os.RemoveAll(dir)
-	ds, err := db.OpenDisk(dir, ins.Schema, diskShardsFor(ins.Seed))
+	ds, err := db.OpenDisk(dir, ins.Schema, 0)
 	if err != nil {
 		return fmt.Errorf("disk: open: %w", err)
 	}
@@ -96,7 +92,7 @@ func CheckStoreParity(ins *Instance) error {
 		if err := ds.Close(); err != nil {
 			return fmt.Errorf("store parity: close: %w", err)
 		}
-		re, err := db.OpenDisk(dir, ins.Schema, diskShardsFor(ins.Seed))
+		re, err := db.OpenDisk(dir, ins.Schema, 0)
 		if err != nil {
 			return fmt.Errorf("store parity: reopen: %w", err)
 		}
@@ -164,7 +160,7 @@ func CheckCleanerDisk(ins *Instance) error {
 		if err := ds.Close(); err != nil {
 			return fmt.Errorf("cleaner (disk): close: %w", err)
 		}
-		re, err := db.OpenDisk(dir, ins.Schema, diskShardsFor(ins.Seed))
+		re, err := db.OpenDisk(dir, ins.Schema, 0)
 		if err != nil {
 			return fmt.Errorf("cleaner (disk): reopen: %w", err)
 		}
@@ -185,7 +181,7 @@ func CheckCleanerDisk(ins *Instance) error {
 //   - no fact loss past the last Sync: every fact state from the synced
 //     prefix that no later edit touched is recovered exactly
 //   - facts touched after the Sync recover to either their synced state or
-//     a state some prefix of the post-sync edits produces (per-shard prefix
+//     a state some prefix of the post-sync edits produces (prefix
 //     recovery) — never an invented value
 //   - the reopened store is writable and a clean close then reopen is exact
 func CheckDiskReopen(ins *Instance) error {
@@ -230,7 +226,7 @@ func CheckDiskReopen(ins *Instance) error {
 		final := db.DeepCopy(mirror)
 		ds.Crash()
 
-		re, err := db.OpenDisk(dir, ins.Schema, diskShardsFor(ins.Seed))
+		re, err := db.OpenDisk(dir, ins.Schema, 0)
 		if err != nil {
 			return fmt.Errorf("disk reopen: reopen after crash: %w", err)
 		}
@@ -244,7 +240,7 @@ func CheckDiskReopen(ins *Instance) error {
 		}
 		for _, f := range re.Facts() {
 			if touched[f.Key()] {
-				// A touched fact may recover to any per-shard prefix state,
+				// A touched fact may recover to any prefix state,
 				// but the value itself must come from the script.
 				if !synced.Has(f) && !final.Has(f) && !everInserted(script, f) {
 					re.Close()
@@ -268,7 +264,7 @@ func CheckDiskReopen(ins *Instance) error {
 		if err := re.Close(); err != nil {
 			return fmt.Errorf("disk reopen: clean close: %w", err)
 		}
-		re2, err := db.OpenDisk(dir, ins.Schema, diskShardsFor(ins.Seed))
+		re2, err := db.OpenDisk(dir, ins.Schema, 0)
 		if err != nil {
 			return fmt.Errorf("disk reopen: final reopen: %w", err)
 		}

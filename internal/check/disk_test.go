@@ -15,7 +15,7 @@ func diskTrials(t *testing.T, full int) int {
 	return trials(t, full)
 }
 
-// TestStoreParityDifferential: the disk-backed sharded store is observably
+// TestStoreParityDifferential: the disk-backed store is observably
 // identical to the in-memory store under the same edit script — Apply
 // outcomes, Facts byte-for-byte, optimized evaluation (cold and warm
 // cache), union evaluation, and a clean close/reopen.

@@ -32,7 +32,7 @@ import (
 //
 // A third phase crashes a compaction at every counted file operation and
 // asserts the store reopens parity-equal to its uncompacted reference, and
-// that a clean compaction strictly shrinks the segment bytes it rewrites.
+// that a clean compaction strictly shrinks the log it rewrites.
 func CheckDiskFaults(ins *Instance) error { return checkDiskFaults(ins, 0) }
 
 // CheckDiskFaultsSampled bounds the per-phase injection points to at most
@@ -143,7 +143,7 @@ func checkFaultSweep(ins *Instance, script []db.Edit, maxPoints int) error {
 	}
 	defer os.RemoveAll(dryDir)
 	counter := faultfs.NewInjector(faultfs.OS())
-	ds, err := db.OpenDisk(dryDir, ins.Schema, diskShardsFor(ins.Seed), db.WithFS(counter))
+	ds, err := db.OpenDisk(dryDir, ins.Schema, 0, db.WithFS(counter))
 	if err != nil {
 		return fmt.Errorf("disk faults: dry open: %w", err)
 	}
@@ -168,10 +168,9 @@ func runFaultPoint(ins *Instance, script []db.Edit, fault faultfs.Fault) error {
 	}
 	defer os.RemoveAll(dir)
 	inj := faultfs.NewInjector(faultfs.OS(), fault)
-	shards := diskShardsFor(ins.Seed)
 	mirror, acked := db.New(ins.Schema), db.New(ins.Schema)
 	touched := map[string]bool{}
-	ds, err := db.OpenDisk(dir, ins.Schema, shards, db.WithFS(inj))
+	ds, err := db.OpenDisk(dir, ins.Schema, 0, db.WithFS(inj))
 	if err != nil {
 		// The fault hit the open itself: nothing was acknowledged. The
 		// injected open must not have poisoned the directory for a healthy
@@ -184,7 +183,7 @@ func runFaultPoint(ins *Instance, script []db.Edit, fault faultfs.Fault) error {
 		ds.Crash()
 	}
 
-	re, err := db.OpenDisk(dir, ins.Schema, shards)
+	re, err := db.OpenDisk(dir, ins.Schema, 0)
 	if err != nil {
 		return fmt.Errorf("clean reopen after fault: %w", err)
 	}
@@ -220,7 +219,7 @@ func runFaultPoint(ins *Instance, script []db.Edit, fault faultfs.Fault) error {
 	if err := re.Close(); err != nil {
 		return fmt.Errorf("clean close after resume: %w", err)
 	}
-	re2, err := db.OpenDisk(dir, ins.Schema, shards)
+	re2, err := db.OpenDisk(dir, ins.Schema, 0)
 	if err != nil {
 		return fmt.Errorf("final reopen: %w", err)
 	}
@@ -255,8 +254,7 @@ func runBitFlip(ins *Instance, script []db.Edit, rng *rand.Rand) error {
 		return fmt.Errorf("temp dir: %w", err)
 	}
 	defer os.RemoveAll(dir)
-	shards := diskShardsFor(ins.Seed)
-	ds, err := db.OpenDisk(dir, ins.Schema, shards)
+	ds, err := db.OpenDisk(dir, ins.Schema, 0)
 	if err != nil {
 		return fmt.Errorf("open: %w", err)
 	}
@@ -290,11 +288,11 @@ func runBitFlip(ins *Instance, script []db.Edit, rng *rand.Rand) error {
 		return err
 	}
 
-	re, err := db.OpenDisk(dir, ins.Schema, shards)
+	re, err := db.OpenDisk(dir, ins.Schema, 0)
 	if err != nil {
 		if errors.Is(err, db.ErrCorrupt) {
 			// Detected: the quarantine must be sticky.
-			if _, err2 := db.OpenDisk(dir, ins.Schema, shards); !errors.Is(err2, db.ErrCorrupt) {
+			if _, err2 := db.OpenDisk(dir, ins.Schema, 0); !errors.Is(err2, db.ErrCorrupt) {
 				return fmt.Errorf("flip in %s at bit %d: quarantine not sticky (second open: %v)", name, bit, err2)
 			}
 			return nil
@@ -319,15 +317,14 @@ func runBitFlip(ins *Instance, script []db.Edit, rng *rand.Rand) error {
 // checkCompactionCrashes is phase C: crash a compaction at every counted
 // file operation; every outcome must reopen parity-equal to the
 // uncompacted reference, and a clean compaction must strictly shrink the
-// bytes of the shards it rewrites.
+// log it rewrites.
 func checkCompactionCrashes(ins *Instance, script []db.Edit, maxPoints int) error {
-	shards := diskShardsFor(ins.Seed)
 	build := func() (string, *db.Database, error) {
 		dir, err := os.MkdirTemp("", "check-compact-*")
 		if err != nil {
 			return "", nil, fmt.Errorf("temp dir: %w", err)
 		}
-		ds, err := db.OpenDisk(dir, ins.Schema, shards)
+		ds, err := db.OpenDisk(dir, ins.Schema, 0)
 		if err != nil {
 			os.RemoveAll(dir)
 			return "", nil, fmt.Errorf("open: %w", err)
@@ -347,7 +344,7 @@ func checkCompactionCrashes(ins *Instance, script []db.Edit, maxPoints int) erro
 	}
 	defer os.RemoveAll(dryDir)
 	counter := faultfs.NewInjector(faultfs.OS())
-	ds, err := db.OpenDisk(dryDir, ins.Schema, shards, db.WithFS(counter))
+	ds, err := db.OpenDisk(dryDir, ins.Schema, 0, db.WithFS(counter))
 	if err != nil {
 		return fmt.Errorf("disk faults: compaction dry open: %w", err)
 	}
@@ -368,13 +365,13 @@ func checkCompactionCrashes(ins *Instance, script []db.Edit, maxPoints int) erro
 			defer os.RemoveAll(dir)
 			inj := faultfs.NewInjector(faultfs.OS(),
 				faultfs.Fault{At: openOps + p, Kind: faultfs.KindCrash})
-			ds, err := db.OpenDisk(dir, ins.Schema, shards, db.WithFS(inj))
+			ds, err := db.OpenDisk(dir, ins.Schema, 0, db.WithFS(inj))
 			if err != nil {
 				return fmt.Errorf("open under injector: %w", err)
 			}
 			ds.Compact(0) // errors expected: the crash interrupts it
 			ds.Crash()
-			re, err := db.OpenDisk(dir, ins.Schema, shards)
+			re, err := db.OpenDisk(dir, ins.Schema, 0)
 			if err != nil {
 				return fmt.Errorf("reopen after compaction crash: %w", err)
 			}
@@ -389,14 +386,14 @@ func checkCompactionCrashes(ins *Instance, script []db.Edit, maxPoints int) erro
 		}
 	}
 
-	// Clean compaction: strictly fewer bytes on every rewritten shard, and
-	// exact parity across a reopen.
+	// Clean compaction: strictly fewer bytes in the rewritten log, and exact
+	// parity across a reopen.
 	dir, _, err := build()
 	if err != nil {
 		return fmt.Errorf("disk faults: clean compaction build: %w", err)
 	}
 	defer os.RemoveAll(dir)
-	cds, err := db.OpenDisk(dir, ins.Schema, shards)
+	cds, err := db.OpenDisk(dir, ins.Schema, 0)
 	if err != nil {
 		return fmt.Errorf("disk faults: clean compaction open: %w", err)
 	}
@@ -405,12 +402,11 @@ func checkCompactionCrashes(ins *Instance, script []db.Edit, maxPoints int) erro
 		cds.Close()
 		return fmt.Errorf("disk faults: clean compaction: %w", err)
 	}
-	if res.ShardsCompacted != dryRes.ShardsCompacted {
+	if res != dryRes {
 		cds.Close()
-		return fmt.Errorf("disk faults: compaction nondeterministic: %d shards vs %d in dry run",
-			res.ShardsCompacted, dryRes.ShardsCompacted)
+		return fmt.Errorf("disk faults: compaction nondeterministic: %+v vs %+v in dry run", res, dryRes)
 	}
-	if res.ShardsCompacted > 0 && res.BytesAfter >= res.BytesBefore {
+	if res.RecordsDropped > 0 && res.BytesAfter >= res.BytesBefore {
 		cds.Close()
 		return fmt.Errorf("disk faults: compaction did not shrink: %d -> %d bytes", res.BytesBefore, res.BytesAfter)
 	}
@@ -421,7 +417,7 @@ func checkCompactionCrashes(ins *Instance, script []db.Edit, maxPoints int) erro
 	if err := cds.Close(); err != nil {
 		return fmt.Errorf("disk faults: close after compaction: %w", err)
 	}
-	re, err := db.OpenDisk(dir, ins.Schema, shards)
+	re, err := db.OpenDisk(dir, ins.Schema, 0)
 	if err != nil {
 		return fmt.Errorf("disk faults: reopen after compaction: %w", err)
 	}

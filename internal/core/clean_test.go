@@ -218,12 +218,12 @@ func TestCleanConvergenceRandomized(t *testing.T) {
 // a perfect-oracle clean (Proposition 3.3 applied to the whole run).
 func TestCleanDistanceMonotone(t *testing.T) {
 	d, dg := dataset.Figure1()
-	before := d.Distance(dg)
+	before := db.Distance(d, dg)
 	c := New(d, crowd.NewPerfect(dg), Config{})
 	if _, err := c.Clean(context.Background(), dataset.IntroQ1()); err != nil {
 		t.Fatalf("Clean: %v", err)
 	}
-	after := d.Distance(dg)
+	after := db.Distance(d, dg)
 	if after > before {
 		t.Errorf("distance grew: %d -> %d", before, after)
 	}

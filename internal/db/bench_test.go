@@ -32,14 +32,15 @@ func benchDB(n int) *Database {
 }
 
 // BenchmarkCloneVsSnapshot guards the copy-on-write win: the historical
-// per-job deep clone was O(|D|); Clone and Snapshot are now O(relations).
+// per-job deep clone was O(|D|), as DeepCopy still is; Clone and Snapshot
+// are O(relations).
 func BenchmarkCloneVsSnapshot(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		d := benchDB(n)
-		b.Run(fmt.Sprintf("deepClone/n=%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("deepCopy/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = d.deepClone()
+				_ = DeepCopy(d)
 			}
 		})
 		b.Run(fmt.Sprintf("clone/n=%d", n), func(b *testing.B) {
@@ -60,7 +61,7 @@ func BenchmarkCloneVsSnapshot(b *testing.B) {
 // BenchmarkDiskInsert measures the disk store's append path.
 func BenchmarkDiskInsert(b *testing.B) {
 	dir := b.TempDir()
-	ds, err := OpenDisk(dir, testSchema(), DefaultShards)
+	ds, err := OpenDisk(dir, testSchema(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}

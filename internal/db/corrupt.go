@@ -11,7 +11,7 @@ import (
 
 // ErrCorrupt is the sentinel matched by errors.Is for every detected
 // storage-corruption condition: a checksum mismatch, an undecodable record
-// in the middle of a segment, corrupt metadata, or a store already
+// in the middle of the log, corrupt metadata, or a store already
 // quarantined by a previous open. Torn tails are NOT corruption — they are
 // the expected signature of a crash mid-append and are silently truncated.
 var ErrCorrupt = errors.New("db: corrupt store")

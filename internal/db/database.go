@@ -161,21 +161,6 @@ func (d *Database) Clone() *Database {
 	return out
 }
 
-// deepClone is the historical O(|D|) physical copy, kept for the
-// clone-vs-snapshot benchmark baseline.
-func (d *Database) deepClone() *Database {
-	out := &Database{schema: d.schema, rels: make(map[string]*Relation, len(d.rels)), id: lastDBID.Add(1)}
-	for n, r := range d.rels {
-		nr := NewRelation(r.name, r.arity)
-		r.Each(func(t Tuple) bool {
-			nr.Insert(t)
-			return true
-		})
-		out.rels[n] = nr
-	}
-	return out
-}
-
 // Snapshot captures an immutable read view of the database at its current
 // generation. The snapshot keeps reporting d's identity and the captured
 // generation, so evaluation-cache entries warmed through it serve the live
@@ -192,7 +177,6 @@ func (d *Database) Stats() Stats {
 		Backend:    "mem",
 		Generation: d.gen,
 		Relations:  make(map[string]int, len(d.rels)),
-		Shards:     1,
 	}
 	for n, r := range d.rels {
 		st.Relations[n] = r.Len()
@@ -206,29 +190,3 @@ func (d *Database) Sync() error { return nil }
 
 // Close is a no-op for the in-memory store.
 func (d *Database) Close() error { return nil }
-
-// Distance returns the size of the symmetric difference |D − D′| + |D′ − D|.
-// The paper writes |D − D′| for this quantity and uses it to show each
-// oracle-derived edit moves D closer to DG (Prop 3.3).
-func (d *Database) Distance(o *Database) int {
-	n := 0
-	for name, r := range d.rels {
-		or := o.rels[name]
-		r.Each(func(t Tuple) bool {
-			if or == nil || !or.Has(t) {
-				n++
-			}
-			return true
-		})
-	}
-	for name, or := range o.rels {
-		r := d.rels[name]
-		or.Each(func(t Tuple) bool {
-			if r == nil || !r.Has(t) {
-				n++
-			}
-			return true
-		})
-	}
-	return n
-}

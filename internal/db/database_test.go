@@ -127,18 +127,18 @@ func TestFactsDeterministicOrder(t *testing.T) {
 func TestDistanceAndEqual(t *testing.T) {
 	a := New(testSchema())
 	b := New(testSchema())
-	if a.Distance(b) != 0 || !Equal(a, b) {
+	if Distance(a, b) != 0 || !Equal(a, b) {
 		t.Fatalf("empty databases not equal")
 	}
 	a.InsertFact(NewFact("Teams", "GER", "EU"))
-	if got := a.Distance(b); got != 1 {
+	if got := Distance(a, b); got != 1 {
 		t.Errorf("Distance = %d, want 1", got)
 	}
-	if got := b.Distance(a); got != 1 {
+	if got := Distance(b, a); got != 1 {
 		t.Errorf("Distance not symmetric: %d", got)
 	}
 	b.InsertFact(NewFact("Teams", "ESP", "EU"))
-	if got := a.Distance(b); got != 2 {
+	if got := Distance(a, b); got != 2 {
 		t.Errorf("Distance = %d, want 2", got)
 	}
 	if Equal(a, b) {
@@ -161,7 +161,7 @@ func TestDistanceMonotoneUnderCorrectEdits(t *testing.T) {
 	d.InsertFact(NewFact("Teams", "NED", "SA")) // wrong fact
 
 	for i := 0; i < 200; i++ {
-		before := d.Distance(dg)
+		before := Distance(d, dg)
 		// A "correct" edit: insert a fact of DG or delete a fact not in DG.
 		var e Edit
 		if rng.Intn(2) == 0 {
@@ -181,7 +181,7 @@ func TestDistanceMonotoneUnderCorrectEdits(t *testing.T) {
 		if _, err := d.Apply(e); err != nil {
 			t.Fatalf("Apply(%v): %v", e, err)
 		}
-		if after := d.Distance(dg); after > before {
+		if after := Distance(d, dg); after > before {
 			t.Fatalf("edit %v increased distance %d -> %d", e, before, after)
 		}
 	}

@@ -2,63 +2,64 @@ package db
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/faultfs"
 	"repro/internal/schema"
 )
 
-// The disk-backed store keeps facts in per-relation append-only segment
-// files, hash-sharded N ways, with constants interned to uint32 IDs through
-// a shared symbol table (symtab.go). Its read index is the in-memory
-// store's: each relation is one *Relation (relation.go) whose tuples hold
-// the symbol table's own strings, so every value lives once in memory no
-// matter how many tuples reference it, and Scan, MatchCount, Has, Tuples,
-// Each and Snapshot run exactly the mem store's code. A shard keeps
-// only its segment file, its writer and its record and live counts; the
-// shard a tuple belongs to follows from hashing it (shardOf).
+// The disk-backed store keeps D as one append-only log, store.log: symbol
+// definitions, relation-tagged inserts and deletes, and a commit marker per
+// Sync, in the order they were applied (record.go documents the format).
+// Constants are interned to uint32 IDs (symtab.go), and the log defines
+// each symbol before the first fact record that uses it. The read index is
+// an in-memory Database whose tuples hold the symbol table's own strings,
+// so every value lives once in memory no matter how many tuples reference
+// it, and Scan, MatchCount, Has, Tuples, Each and Snapshot run exactly the
+// mem store's code. Open replays the log through the same Relation calls
+// the live store makes, so a reopen rebuilds the same postings in the same
+// order.
 //
-// Durability model: every mutating edit appends one record to its shard's
-// segment through a buffered writer; new symbols are flushed to the OS
-// before the first fact record referencing them is buffered. Sync() flushes
-// and fsyncs everything — after it returns, even a machine crash loses
-// nothing. A process kill between Syncs loses at most the buffered tail;
-// reopening truncates each segment at its last complete, valid record
-// (per-shard prefix recovery, the same torn-tail contract as the job journal).
+// Durability model: every mutating edit appends its new symbols and then
+// its fact record to one buffered writer. Sync() appends a commit marker,
+// flushes and fsyncs the log: one fsync, and none when nothing was
+// appended since the last Sync. After it returns, even a machine crash
+// loses nothing; the log's directory entry was made durable when the open
+// created it. A process kill between Syncs loses at most the buffered
+// tail: reopening truncates the log at its last complete, valid record
+// (prefix recovery, the same torn-tail contract as the job journal).
 //
-// Robustness model (v2 format, record.go): every record carries a CRC-32C
-// trailer and every Sync appends a commit marker, so recovery can prove
-// whether a decode failure is a torn tail (truncate and continue) or
-// corruption (typed *CorruptError; the file is quarantined and a sticky
-// QUARANTINE marker blocks reopens rather than inventing facts). All file
-// I/O goes through a faultfs.FS so the whole story is provable under
-// seeded fault injection (internal/check.CheckDiskFaults).
+// Robustness model: every record carries a CRC-32C trailer and every Sync
+// appends a commit marker, so recovery can prove whether a decode failure
+// is a torn tail (truncate and continue) or corruption (typed
+// *CorruptError; the file is quarantined and a sticky QUARANTINE marker
+// blocks reopens rather than inventing facts). All file I/O goes through a
+// faultfs.FS so the whole story is provable under seeded fault injection
+// (internal/check.CheckDiskFaults).
+//
+// Migration: a store written in the sharded v1 or v2 layout (hash-sharded
+// segment files per relation plus symbols.dat) is read with the legacy
+// decoders the first time it is opened and rewritten as a log (migrate).
+// Nothing writes the old layouts.
 
 const (
-	// diskMetaFile pins the shard fan-out a store was created with; reopens
-	// use it regardless of the requested shard count (records are routed by
-	// hash, so the fan-out is part of the on-disk format).
 	diskMetaFile = "store.json"
-	diskSymsFile = "symbols.dat"
+	diskLogFile  = "store.log"
+	// legacySymsFile is the v1/v2 symbol table, read only to migrate.
+	legacySymsFile = "symbols.dat"
 
-	// formatVersion is the on-disk format for newly created stores. Version
-	// 1 (no checksums, no commit markers) is still read and written
-	// transparently for stores created before the bump.
-	formatVersion = 2
+	// formatVersion is the on-disk format: 3 is the one log. Versions 1 and
+	// 2 are migrated to it on open.
+	formatVersion = 3
 
-	// DefaultShards is the per-relation shard fan-out used when OpenDisk is
-	// given a non-positive count.
+	// DefaultShards is ignored: the store has no shards. It remains because
+	// the benchmark module passes it to OpenDisk.
 	DefaultShards = 4
 
 	opInsert = 1
@@ -66,31 +67,40 @@ const (
 	// opCommit marks a Sync: it carries no data, but its presence
 	// guarantees the synced region ends with a valid record, which is what
 	// lets recovery refuse to classify synced-region corruption as a torn
-	// tail (v2 only).
+	// tail.
 	opCommit = 3
+	opSymbol = 4
 )
 
-// diskMeta is the persisted store descriptor. Checksum (v2+) covers
-// Version and Shards: a bit flip in either would silently re-route every
-// tuple to the wrong shard, so the metadata must be self-validating.
+// diskMeta is the persisted store descriptor. Checksum covers the
+// load-bearing fields, so the metadata is self-validating.
 type diskMeta struct {
-	Version  int    `json:"version"`
-	Shards   int    `json:"shards"`
+	Version int `json:"version"`
+	// Shards is the hash fan-out of a v1 or v2 store.
+	Shards   int    `json:"shards,omitempty"`
 	Checksum uint32 `json:"checksum,omitempty"`
 }
 
-// metaChecksum is the self-check over the load-bearing metadata fields.
-func metaChecksum(version, shards int) uint32 {
-	return crc32c([]byte(fmt.Sprintf("qoco-meta;v=%d;shards=%d", version, shards)))
+// checksum is the self-check over the version, and for v2 over the fan-out
+// too: a bit flip in either must read as corruption.
+func (m diskMeta) checksum() uint32 {
+	if m.Version <= 2 {
+		return crc32c([]byte(fmt.Sprintf("qoco-meta;v=%d;shards=%d", m.Version, m.Shards)))
+	}
+	return crc32c([]byte(fmt.Sprintf("qoco-meta;v=%d", m.Version)))
 }
+
+// errUnknownRelation marks a stored fact of a relation the schema lacks.
+// It fails the open without a quarantine: the store is intact but was
+// written under another schema, and skipping the facts would let the next
+// compaction drop them for good.
+var errUnknownRelation = errors.New("db: store holds facts of a relation the schema lacks")
 
 // DiskOption configures OpenDisk.
 type DiskOption func(*diskOptions)
 
 type diskOptions struct {
-	fs            faultfs.FS
-	version       int
-	replayWorkers int
+	fs faultfs.FS
 }
 
 // WithFS routes every file operation through fsys — the fault-injection
@@ -99,38 +109,22 @@ func WithFS(fsys faultfs.FS) DiskOption {
 	return func(o *diskOptions) { o.fs = fsys }
 }
 
-// withFormatVersion pins the on-disk format for newly created stores (1 or
-// 2); reopens always use the version recorded in the store's metadata.
-// Exists so tests can produce legacy stores.
-func withFormatVersion(v int) DiskOption {
-	return func(o *diskOptions) { o.version = v }
-}
-
-// withReplayWorkers bounds the open-time segment-replay parallelism; n <= 0
-// (the default) means GOMAXPROCS. File operations stay serial and in sorted
-// relation order regardless — only the pure parse of already-read segment
-// bytes fans out — so fault injection and recovery counters are
-// byte-identical to a serial open. 1 forces a fully serial replay, which
-// tests compare the parallel replay against.
-func withReplayWorkers(n int) DiskOption {
-	return func(o *diskOptions) { o.replayWorkers = n }
-}
-
 // DiskStore is the disk-backed Store implementation. Its concurrency
 // contract matches *Database: concurrent readers are safe, mutations must
 // be serialized by the caller. Snapshots share the relations copy-on-write
-// (Relation.Clone) and the symbol table outright.
+// (Relation.Clone).
 type DiskStore struct {
-	dir      string
-	schema   *schema.Schema
-	nshards  int
-	version  int
-	fs       faultfs.FS
-	id       uint64
-	gen      uint64
-	syms     *symtab
-	rels     map[string]*diskRel
-	relNames []string // sorted; fixes file-op order for deterministic fault injection
+	dir  string
+	fs   faultfs.FS
+	d    *Database // the read index over the symbol table's strings; its identity and generation are the store's
+	syms *symtab
+
+	file     faultfs.File  // the log's append handle; nil once closed
+	w        *bufio.Writer // nil iff file is nil
+	records  int           // insert and delete records in the log (file and buffer)
+	unsynced bool          // records appended since the last Sync, whether or not a full buffer flushed them
+	rec      []byte        // scratch for the records one edit appends
+	ids      []uint32      // scratch for one fact record's symbol IDs
 
 	// Recovery counters, frozen at open (surfaced via Stats).
 	tornTails       int64
@@ -140,67 +134,341 @@ type DiskStore struct {
 
 	// Compaction counters (surfaced via Stats).
 	compactRuns      int64
-	compactShards    int64
 	compactReclaimed int64
-
-	rec []byte // scratch for the segment record being appended
 
 	closed bool
 	err    error // first append/fsync failure; sticky, poisons mutations
 }
 
-// diskRel is one relation: its read index and, on a store that owns its
-// files, its segment shards.
-type diskRel struct {
-	name   string
-	arity  int
-	rel    *Relation    // the read index, over the symbol table's strings
-	shards []*diskShard // nil on detached stores
+// OpenDisk opens (creating if empty) the disk-backed store in dir for the
+// given schema. The int argument is ignored: it was the hash fan-out of the
+// sharded layout, and the benchmark module still passes DefaultShards. A
+// store in a legacy layout is migrated to the log here. Detected corruption
+// — as opposed to a recoverable torn tail — returns a *CorruptError
+// (errors.Is ErrCorrupt), quarantines the damaged file, and leaves a sticky
+// QUARANTINE marker so later opens keep failing until an operator
+// intervenes (docs/OPERATIONS.md). Facts of a relation the schema lacks
+// fail the open with a plain error.
+func OpenDisk(dir string, s *schema.Schema, _ int, opts ...DiskOption) (*DiskStore, error) {
+	o := diskOptions{fs: faultfs.OS()}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	fsys := o.fs
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("db: creating store dir %s: %w", dir, err)
+	}
+	if err := checkQuarantine(fsys, dir); err != nil {
+		return nil, err
+	}
+	m, found, err := readMeta(fsys, dir)
+	if err != nil {
+		return nil, err
+	}
+	legacy := found && m.Version < formatVersion
+	ds := &DiskStore{
+		dir:          dir,
+		fs:           fsys,
+		d:            New(s),
+		syms:         newSymtab(),
+		leftoverQuar: cleanupStale(fsys, dir, !legacy),
+	}
+	switch {
+	case legacy:
+		err = ds.migrate(m)
+	case !found:
+		if err = writeMetaAtomic(fsys, dir); err == nil {
+			err = ds.replay()
+		}
+	default:
+		err = ds.replay()
+	}
+	if err != nil {
+		ds.Crash()
+		var cerr *CorruptError
+		if errors.As(err, &cerr) {
+			quarantine(fsys, dir, cerr, true)
+		}
+		return nil, err
+	}
+	if ds.tornTails > 0 {
+		rec().Add(MetricRecoveryTornTails, ds.tornTails)
+		rec().Add(MetricRecoveryTornBytes, ds.tornBytes)
+	}
+	rec().Add(MetricRecoveryRecords, ds.recordsReplayed)
+	return ds, nil
 }
 
-// diskShard is one segment file and its counts.
-type diskShard struct {
-	file    faultfs.File  // nil once closed
-	w       *bufio.Writer // nil iff file is nil
-	records int           // insert/delete records in the segment (file + buffer)
-	live    int           // the relation's tuples that route to this shard
-	dirty   bool          // records appended since the last commit marker (v2)
+// readMeta reads store.json; found is false when there is none. Corrupt
+// metadata is quarantined in place and returned as a *CorruptError.
+func readMeta(fsys faultfs.FS, dir string) (m diskMeta, found bool, err error) {
+	path := filepath.Join(dir, diskMetaFile)
+	raw, err := fsys.ReadFile(path)
+	if os.IsNotExist(err) {
+		return m, false, nil
+	}
+	if err != nil {
+		return m, false, fmt.Errorf("db: reading store metadata: %w", err)
+	}
+	var reason string
+	switch {
+	case json.Unmarshal(raw, &m) != nil || m.Version < 1 || m.Version <= 2 && m.Shards <= 0:
+		reason = "undecodable store metadata"
+	// The checksum self-check runs before the newer-version refusal: a
+	// bit-flipped version byte must read as corruption, not as a plausible
+	// future format.
+	case m.Checksum != 0 && m.Checksum != m.checksum():
+		reason = "store metadata checksum mismatch"
+	case m.Version > formatVersion:
+		return m, true, fmt.Errorf("db: store %s uses format version %d, newer than this binary supports (%d)", dir, m.Version, formatVersion)
+	case m.Version >= 2 && m.Checksum == 0:
+		reason = fmt.Sprintf("v%d store metadata missing its checksum", m.Version)
+	default:
+		return m, true, nil
+	}
+	cerr := &CorruptError{Path: path, Reason: reason}
+	quarantine(fsys, dir, cerr, false)
+	return m, true, cerr
 }
 
-// packKey renders interned IDs as a compact fixed-width map key.
-func packKey(ids []uint32) string {
-	b := make([]byte, 4*len(ids))
+// isLegacyFile reports whether name is a file of the sharded layout.
+func isLegacyFile(name string) bool {
+	return name == legacySymsFile || strings.HasPrefix(name, "rel-") && strings.HasSuffix(name, ".seg")
+}
+
+// cleanupStale removes temp files left by a crash mid-install (metadata
+// or log rewrites that never reached their rename) and, with legacy set,
+// files of the sharded layout that a migration left behind after its
+// metadata rewrite committed it. It counts the *.quarantined files an
+// operator has not yet dealt with.
+func cleanupStale(fsys faultfs.FS, dir string, legacy bool) (quarantined int) {
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		return 0
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if strings.Contains(name, ".tmp-") || strings.Contains(name, ".compact-") || legacy && isLegacyFile(name) {
+			_ = fsys.Remove(filepath.Join(dir, name))
+		}
+		if strings.HasSuffix(name, ".quarantined") {
+			quarantined++
+		}
+	}
+	return quarantined
+}
+
+// writeMetaAtomic installs the v3 store descriptor via temp file + fsync +
+// rename + directory fsync, so a crash can never leave a torn store.json.
+func writeMetaAtomic(fsys faultfs.FS, dir string) error {
+	m := diskMeta{Version: formatVersion}
+	m.Checksum = m.checksum()
+	raw, err := json.Marshal(m)
+	if err != nil {
+		return err
+	}
+	tmp, err := fsys.CreateTemp(dir, diskMetaFile+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("db: writing store metadata: %w", err)
+	}
+	tmpName := tmp.Name()
+	if _, err = tmp.Write(raw); err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = faultfs.RenameAndSyncDir(fsys, tmpName, filepath.Join(dir, diskMetaFile))
+	}
+	if err != nil {
+		_ = fsys.Remove(tmpName)
+		return fmt.Errorf("db: writing store metadata: %w", err)
+	}
+	return nil
+}
+
+// replay reads the log in one pass, applying each record as the live store
+// applied it, and opens the append handle. A torn tail is truncated;
+// any other damage is a *CorruptError (record.go says why the two are
+// separable).
+func (s *DiskStore) replay() error {
+	path := filepath.Join(s.dir, diskLogFile)
+	raw, err := s.fs.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("db: reading store log: %w", err)
+	}
+	var sl tupleSlab
+	good := 0
+	for off := 0; off < len(raw); off = good {
+		r, perr := parseLogRecord(raw, off)
+		if perr != nil {
+			if cerr := classify(perr, path, off, func() bool { return resyncLog(raw, off+1) }); cerr != nil {
+				return cerr
+			}
+			break
+		}
+		switch r.op {
+		case opSymbol:
+			s.syms.add(string(r.body))
+			s.recordsReplayed++
+		case opInsert, opDelete:
+			if err := s.replayFact(r, &sl); err != nil {
+				var cerr *CorruptError
+				if errors.As(err, &cerr) {
+					cerr.Path, cerr.Offset = path, int64(off)
+				}
+				return err
+			}
+			s.records++
+			s.recordsReplayed++
+		}
+		good = off + r.n
+	}
+	s.noteTorn(len(raw) - good)
+	return s.openLog(int64(len(raw)), int64(good))
+}
+
+// replayFact applies one insert or delete record of the log.
+func (s *DiskStore) replayFact(r logRec, sl *tupleSlab) error {
+	ids, ok := decodeFactBody(r.body, uint32(s.syms.size()), s.ids)
+	s.ids = ids
+	if !ok {
+		return &CorruptError{Reason: "fact record malformed or naming an undefined symbol"}
+	}
+	name := s.syms.str(ids[0])
+	rel := s.d.rels[name]
+	if rel == nil {
+		return fmt.Errorf("%w: %q", errUnknownRelation, name)
+	}
+	if len(ids)-1 != rel.arity {
+		return &CorruptError{Reason: fmt.Sprintf("fact record of %s holds %d values, want %d", name, len(ids)-1, rel.arity)}
+	}
+	s.applyIDs(rel, r.op, ids[1:], sl)
+	return nil
+}
+
+// applyIDs applies an insert or delete of the tuple whose symbol IDs are
+// ids through the relation's own Has, add and Delete: the calls InsertFact
+// and DeleteFact make, so replay rebuilds the live store's postings in
+// their order.
+func (s *DiskStore) applyIDs(rel *Relation, op byte, ids []uint32, sl *tupleSlab) {
+	strs := s.syms.strs // not shared yet: the store is still opening
+	t := sl.next(len(ids))
 	for i, id := range ids {
-		binary.BigEndian.PutUint32(b[4*i:], id)
+		t[i] = strs[id]
 	}
-	return string(b)
+	if op == opDelete {
+		rel.Delete(t)
+	} else if !rel.Has(t) {
+		rel.add(t)
+		sl.keep(len(t))
+	}
 }
 
-// FNV-1a parameters (hash/fnv's New32a).
-const (
-	fnvOffset32 = 2166136261
-	fnvPrime32  = 16777619
-)
+// tupleSlab hands out the tuples replay stores, carved from shared backing
+// arrays: stored tuples are immutable, so they may share one.
+type tupleSlab []string
 
-// shardOf routes a tuple to a shard by the 32-bit FNV-1a hash of its
-// string key (Tuple.Key) — stable across reopens and independent of
-// symbol-ID assignment order. It hashes the key's bytes in place instead
-// of building it.
-func shardOf(t Tuple, n int) int {
-	h := uint32(fnvOffset32)
-	for i, v := range t {
-		if i > 0 {
-			h = (h ^ uint32(keySep[0])) * fnvPrime32
-		}
-		for j := 0; j < len(v); j++ {
-			h = (h ^ uint32(v[j])) * fnvPrime32
-		}
+// next returns room for a tuple of the given arity at the slab's front;
+// keep then claims it. Unclaimed room is reused by the next call.
+func (sl *tupleSlab) next(arity int) Tuple {
+	if len(*sl) < arity {
+		*sl = make([]string, max(1024, arity))
 	}
-	return int(h % uint32(n))
+	return Tuple((*sl)[:arity:arity])
 }
 
-// segName builds a segment file name for a relation shard, hex-escaping
-// name bytes that are unsafe in file names.
+func (sl *tupleSlab) keep(arity int) { *sl = (*sl)[arity:] }
+
+// noteTorn counts a torn tail of n bytes dropped from a file at open.
+func (s *DiskStore) noteTorn(n int) {
+	if n > 0 {
+		s.tornTails++
+		s.tornBytes += int64(n)
+	}
+}
+
+// openLog opens the log's append handle at offset good, truncating the
+// torn tail past it in a file of size bytes. An open that creates the log
+// fsyncs the directory first, so records synced to it cannot outlive its
+// directory entry.
+func (s *DiskStore) openLog(size, good int64) error {
+	path := filepath.Join(s.dir, diskLogFile)
+	f, err := faultfs.OpenAndSyncDir(s.fs, path, os.O_RDWR, 0o644)
+	if err != nil {
+		return fmt.Errorf("db: opening store log: %w", err)
+	}
+	if good < size {
+		if err := f.Truncate(good); err != nil {
+			f.Close()
+			return fmt.Errorf("db: truncating torn log tail: %w", err)
+		}
+	}
+	if _, err := f.Seek(good, io.SeekStart); err != nil {
+		f.Close()
+		return fmt.Errorf("db: seeking store log: %w", err)
+	}
+	s.file, s.w = f, bufio.NewWriter(f)
+	return nil
+}
+
+// migrate reads a v1 or v2 store with the legacy decoders and rewrites it
+// as a log. The compaction writer installs store.log; rewriting store.json
+// as v3 then commits the switch; then the legacy files are removed. A
+// crash before the metadata rewrite leaves the legacy store as it was (the
+// next open migrates it again, replacing any store.log); a crash after it
+// leaves legacy files that the next open removes.
+func (s *DiskStore) migrate(m diskMeta) error {
+	if err := s.readLegacySymbols(m.Version); err != nil {
+		return err
+	}
+	names := s.d.schema.Names()
+	segs := make(map[string]bool, len(names)*m.Shards)
+	for _, name := range names {
+		for i := 0; i < m.Shards; i++ {
+			segs[segName(name, i)] = true
+		}
+	}
+	// Segments of a relation the schema lacks hold facts the log could not
+	// name; migrating would delete them.
+	entries, err := s.fs.ReadDir(s.dir)
+	if err != nil {
+		return fmt.Errorf("db: listing store dir: %w", err)
+	}
+	for _, e := range entries {
+		if n := e.Name(); isLegacyFile(n) && n != legacySymsFile && !segs[n] {
+			if fi, err := e.Info(); err == nil && fi.Size() > 0 {
+				return fmt.Errorf("%w: segment %s", errUnknownRelation, n)
+			}
+		}
+	}
+	var sl tupleSlab
+	for _, name := range names {
+		for i := 0; i < m.Shards; i++ {
+			if err := s.readLegacySegment(s.d.rels[name], segName(name, i), m.Version, &sl); err != nil {
+				return err
+			}
+		}
+	}
+	buf := s.liveLog()
+	if _, err := s.installLog(buf); err != nil {
+		return err
+	}
+	if err := writeMetaAtomic(s.fs, s.dir); err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if isLegacyFile(e.Name()) {
+			_ = s.fs.Remove(filepath.Join(s.dir, e.Name()))
+		}
+	}
+	s.records = s.d.Len()
+	return s.openLog(int64(len(buf)), int64(len(buf)))
+}
+
+// segName is the file name of a legacy relation shard's segment, with name
+// bytes that are unsafe in file names hex-escaped.
 func segName(rel string, shard int) string {
 	var b []byte
 	for i := 0; i < len(rel); i++ {
@@ -214,472 +482,124 @@ func segName(rel string, shard int) string {
 	return fmt.Sprintf("rel-%s.%d.seg", b, shard)
 }
 
-// OpenDisk opens (creating if empty) the disk-backed store in dir for the
-// given schema. shards fixes the per-relation hash fan-out on first
-// creation; reopens always use the fan-out recorded in the store's
-// metadata. The schema must match the one the store was created with.
-// Detected corruption — as opposed to a recoverable torn tail — returns a
-// *CorruptError (errors.Is ErrCorrupt), quarantines the damaged file, and
-// leaves a sticky QUARANTINE marker so later opens keep failing until an
-// operator intervenes (docs/OPERATIONS.md).
-func OpenDisk(dir string, s *schema.Schema, shards int, opts ...DiskOption) (*DiskStore, error) {
-	o := diskOptions{fs: faultfs.OS(), version: formatVersion}
-	for _, opt := range opts {
-		opt(&o)
+// readLegacySymbols loads a v1 or v2 symbols.dat into the symbol table,
+// keeping its IDs.
+func (s *DiskStore) readLegacySymbols(version int) error {
+	path := filepath.Join(s.dir, legacySymsFile)
+	raw, err := s.fs.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("db: reading symbol table: %w", err)
 	}
-	if o.version < 1 || o.version > formatVersion {
-		return nil, fmt.Errorf("db: unsupported store format version %d", o.version)
-	}
-	fsys := o.fs
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("db: creating store dir %s: %w", dir, err)
-	}
-	if err := checkQuarantine(fsys, dir); err != nil {
-		return nil, err
-	}
-	leftoverQuar := cleanupStale(fsys, dir)
-
-	version := o.version
-	metaPath := filepath.Join(dir, diskMetaFile)
-	if raw, err := fsys.ReadFile(metaPath); err == nil {
-		var m diskMeta
-		// The checksum self-check runs before the newer-version refusal: a
-		// bit-flipped version byte must read as corruption, not as a
-		// plausible future format.
-		if jerr := json.Unmarshal(raw, &m); jerr != nil || m.Shards <= 0 || m.Version < 1 {
-			cerr := &CorruptError{Path: metaPath, Reason: "undecodable store metadata"}
-			quarantine(fsys, dir, cerr, false)
-			return nil, cerr
-		} else if m.Checksum != 0 && m.Checksum != metaChecksum(m.Version, m.Shards) {
-			cerr := &CorruptError{Path: metaPath, Reason: "store metadata checksum mismatch"}
-			quarantine(fsys, dir, cerr, false)
-			return nil, cerr
-		} else if m.Version > formatVersion {
-			return nil, fmt.Errorf("db: store %s uses format version %d, newer than this binary supports (%d)", dir, m.Version, formatVersion)
-		} else if m.Version >= 2 && m.Checksum == 0 {
-			cerr := &CorruptError{Path: metaPath, Reason: "v2 store metadata missing its checksum"}
-			quarantine(fsys, dir, cerr, false)
-			return nil, cerr
-		}
-		shards = m.Shards
-		version = m.Version
-	} else if os.IsNotExist(err) {
-		if shards <= 0 {
-			shards = DefaultShards
-		}
-		m := diskMeta{Version: version, Shards: shards}
-		if version >= 2 {
-			m.Checksum = metaChecksum(m.Version, m.Shards)
-		}
-		if err := writeMetaAtomic(fsys, dir, m); err != nil {
-			return nil, fmt.Errorf("db: writing store metadata: %w", err)
-		}
-	} else {
-		return nil, fmt.Errorf("db: reading store metadata: %w", err)
-	}
-
-	syms, symRcv, err := openSymtab(fsys, filepath.Join(dir, diskSymsFile), version)
-	if err != nil {
-		var cerr *CorruptError
-		if errors.As(err, &cerr) {
-			quarantine(fsys, dir, cerr, true)
-		}
-		return nil, err
-	}
-	ds := &DiskStore{
-		dir:          dir,
-		schema:       s,
-		nshards:      shards,
-		version:      version,
-		fs:           fsys,
-		id:           lastDBID.Add(1),
-		syms:         syms,
-		rels:         make(map[string]*diskRel, s.Len()),
-		relNames:     append([]string(nil), s.Names()...),
-		leftoverQuar: leftoverQuar,
-	}
-	sort.Strings(ds.relNames)
-	ds.recordsReplayed += symRcv.records
-	ds.tornBytes += symRcv.tornBytes
-	if symRcv.tornBytes > 0 {
-		ds.tornTails++
-	}
-	// Segment replay is split into three passes so the parse — the CPU-bound
-	// part of a large open — can fan out across replayWorkers goroutines
-	// while every file operation stays serial and in sorted relation order
-	// (the order deterministic fault injection counts on). Pass 1 reads all
-	// segment bytes; pass 2 parses them in parallel (replayShard is pure),
-	// and the worker that parses a relation's last shard builds the
-	// relation's read index; pass 3 aggregates counters, surfaces the first
-	// error in segment order, and opens the append handles.
-	var pend []*pendingShard
-	var rels []*pendingRel
-	for _, name := range ds.relNames {
-		rel, _ := s.Relation(name)
-		dr := &diskRel{name: name, arity: rel.Arity(), shards: make([]*diskShard, shards)}
-		ds.rels[name] = dr
-		pr := &pendingRel{rel: dr, shards: make([]*pendingShard, shards)}
-		pr.left.Store(int32(shards))
-		rels = append(rels, pr)
-		for i := 0; i < shards; i++ {
-			path := filepath.Join(dir, segName(name, i))
-			raw, err := fsys.ReadFile(path)
-			if err != nil && !os.IsNotExist(err) {
-				ds.Close()
-				return nil, fmt.Errorf("db: reading segment %s: %w", path, err)
-			}
-			p := &pendingShard{rel: pr, path: path, raw: raw}
-			pr.shards[i] = p
-			pend = append(pend, p)
-		}
-	}
-	strs := ds.syms.all()
-	replay := func(p *pendingShard) {
-		p.rep = replayShard(p.raw, version, p.rel.rel.arity, uint32(len(strs)), p.path)
-		p.raw = nil
-		if p.rel.left.Add(-1) == 0 {
-			p.rel.build(strs)
-		}
-	}
-	workers := o.replayWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pend) {
-		workers = len(pend)
-	}
-	if workers > 1 {
-		var wg sync.WaitGroup
-		work := make(chan *pendingShard)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for p := range work {
-					replay(p)
-				}
-			}()
-		}
-		for _, p := range pend {
-			work <- p
-		}
-		close(work)
-		wg.Wait()
-	} else {
-		for _, p := range pend {
-			replay(p)
-		}
-	}
-	for _, pr := range rels {
-		for i, p := range pr.shards {
-			sh, err := ds.finishShard(p.path, p.rep)
-			if err != nil {
-				ds.Close()
-				var cerr *CorruptError
-				if errors.As(err, &cerr) {
-					quarantine(fsys, dir, cerr, true)
-				}
-				return nil, err
-			}
-			pr.rel.shards[i] = sh
-		}
-	}
-	if ds.tornTails > 0 {
-		rec().Add(MetricRecoveryTornTails, ds.tornTails)
-		rec().Add(MetricRecoveryTornBytes, ds.tornBytes)
-	}
-	rec().Add(MetricRecoveryRecords, ds.recordsReplayed)
-	return ds, nil
-}
-
-// cleanupStale removes temp files left by a crash mid-install (metadata
-// or compaction rewrites that never reached their rename) and counts the
-// *.quarantined files an operator has not yet dealt with.
-func cleanupStale(fsys faultfs.FS, dir string) (quarantined int) {
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if strings.Contains(name, ".tmp-") || strings.Contains(name, ".compact-") {
-			_ = fsys.Remove(filepath.Join(dir, name))
-		}
-		if strings.HasSuffix(name, ".quarantined") {
-			quarantined++
-		}
-	}
-	return quarantined
-}
-
-// writeMetaAtomic installs the store descriptor via temp file + fsync +
-// rename + directory fsync, so a crash can never leave a torn store.json.
-func writeMetaAtomic(fsys faultfs.FS, dir string, m diskMeta) error {
-	raw, err := json.Marshal(m)
+	strs, good, err := decodeLegacySymbols(raw, version, path)
 	if err != nil {
 		return err
 	}
-	tmp, err := fsys.CreateTemp(dir, diskMetaFile+".tmp-*")
-	if err != nil {
-		return err
+	for _, v := range strs {
+		s.syms.add(v)
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		_ = fsys.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		_ = fsys.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		_ = fsys.Remove(tmpName)
-		return err
-	}
-	if err := faultfs.RenameAndSyncDir(fsys, tmpName, filepath.Join(dir, diskMetaFile)); err != nil {
-		_ = fsys.Remove(tmpName)
-		return err
-	}
+	s.recordsReplayed += int64(len(strs))
+	s.noteTorn(len(raw) - good)
 	return nil
 }
 
-// pendingRel is one relation during replay: its shards' parses and how
-// many are still running.
-type pendingRel struct {
-	rel    *diskRel
-	shards []*pendingShard
-	left   atomic.Int32
-}
-
-// pendingShard is one segment during replay: its bytes until parsed, then
-// the parse.
-type pendingShard struct {
-	rel  *pendingRel
-	path string
-	raw  []byte
-	rep  shardReplay
-}
-
-// build makes the relation's read index from its shards' live tuples,
-// shard by shard and in the order of each tuple's surviving insert record,
-// so a reopen always builds the same postings. The tuples hold strs, the
-// symbol table's strings, and share one backing array. A relation with a
-// corrupt shard is left unbuilt: the open fails.
-func (pr *pendingRel) build(strs []string) {
-	n := 0
-	for _, p := range pr.shards {
-		if p.rep.err != nil {
-			return
-		}
-		n += p.rep.live
+// readLegacySegment replays one v1 or v2 segment file into rel. A torn
+// tail is dropped; v2 damage anywhere else is a *CorruptError.
+func (s *DiskStore) readLegacySegment(rel *Relation, name string, version int, sl *tupleSlab) error {
+	path := filepath.Join(s.dir, name)
+	raw, err := s.fs.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil
 	}
-	arity := pr.rel.arity
-	rel := newRelationSize(pr.rel.name, arity, n)
-	vals := make([]string, n*arity)
-	for _, p := range pr.shards {
-		for _, ids := range p.rep.order {
-			if ids == nil {
-				continue // deleted after this insert
-			}
-			t := Tuple(vals[:arity:arity])
-			vals = vals[arity:]
-			for i, id := range ids {
-				t[i] = strs[id]
-			}
-			rel.add(t)
-		}
-		p.rep.order = nil
+	if err != nil {
+		return fmt.Errorf("db: reading segment %s: %w", path, err)
 	}
-	pr.rel.rel = rel
-}
-
-// shardReplay is the pure result of parsing one segment's bytes.
-type shardReplay struct {
-	order     [][]uint32 // insert records of live tuples in segment order; nil where deleted since
-	live      int        // non-nil entries of order
-	records   int        // insert/delete records replayed
-	good      int        // byte offset of the last intact record's end
-	tornBytes int64      // bytes truncated from a torn tail (0 if clean)
-	err       error      // *CorruptError on any non-tail decode failure
-}
-
-// replayShard parses one segment file's bytes into the shard's live tuples.
-// A torn tail (incomplete final record with nothing valid after it) is
-// marked for truncation; under the v2 format any other decode failure is
-// corruption (record.go documents the classification argument). The
-// function touches no file or store state, so shards replay in parallel.
-// The set semantics of the in-memory relation apply: inserting a live tuple
-// or deleting an absent one changes nothing.
-func replayShard(raw []byte, version, arity int, symCount uint32, path string) shardReplay {
-	var rep shardReplay
-	at := make(map[string]int) // packed key of a live tuple -> its index in order
-	for off := 0; off < len(raw); {
-		r, perr := parseSegRecord(raw, off, version, arity, symCount)
+	symCount := uint32(s.syms.size())
+	good := 0
+	for off := 0; off < len(raw); off = good {
+		r, perr := parseSegRecord(raw, off, version, rel.arity, symCount, s.ids)
 		if perr != nil {
-			if inv, ok := perr.(*invalidRecord); ok {
-				rep.err = &CorruptError{Path: path, Offset: int64(off), Reason: inv.reason}
-				return rep
+			resync := func() bool { return version >= 2 && resyncSeg(raw, off+1, version, rel.arity, symCount) }
+			if cerr := classify(perr, path, off, resync); cerr != nil {
+				return cerr
 			}
-			if version >= 2 && resyncSeg(raw, off+1, version, arity, symCount) {
-				rep.err = &CorruptError{Path: path, Offset: int64(off),
-					Reason: "incomplete record followed by intact records"}
-				return rep
-			}
-			rep.tornBytes = int64(len(raw) - rep.good)
 			break
 		}
-		switch r.op {
-		case opInsert:
-			k := packKey(r.ids)
-			if _, ok := at[k]; !ok {
-				at[k] = len(rep.order)
-				rep.order = append(rep.order, r.ids)
-				rep.live++
-			}
-			rep.records++
-		case opDelete:
-			k := packKey(r.ids)
-			if i, ok := at[k]; ok {
-				delete(at, k)
-				rep.order[i] = nil
-				rep.live--
-			}
-			rep.records++
+		if r.op != opCommit {
+			s.ids = r.ids
+			s.applyIDs(rel, r.op, r.ids, sl)
+			s.recordsReplayed++
 		}
-		off += r.n
-		rep.good = off
+		good = off + r.n
 	}
-	return rep
-}
-
-// finishShard folds one shard's replay into the store counters and opens
-// its append handle, truncating any torn tail. Called serially in segment
-// order so errors and counters land deterministically.
-func (s *DiskStore) finishShard(path string, rep shardReplay) (*diskShard, error) {
-	if rep.err != nil {
-		return nil, rep.err
-	}
-	if rep.tornBytes > 0 {
-		s.tornTails++
-		s.tornBytes += rep.tornBytes
-	}
-	s.recordsReplayed += int64(rep.records)
-	f, err := s.fs.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("db: opening segment %s: %w", path, err)
-	}
-	if err := f.Truncate(int64(rep.good)); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("db: truncating torn segment tail %s: %w", path, err)
-	}
-	if _, err := f.Seek(int64(rep.good), io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("db: seeking segment %s: %w", path, err)
-	}
-	return &diskShard{file: f, w: bufio.NewWriter(f), records: rep.records, live: rep.live}, nil
-}
-
-// decodeRecord parses a segment payload: op byte + arity interned IDs, all
-// IDs below the symbol-table size, no trailing bytes.
-func decodeRecord(payload []byte, arity int, symCount uint32) ([]uint32, bool) {
-	if len(payload) < 1 {
-		return nil, false
-	}
-	op := payload[0]
-	if op != opInsert && op != opDelete {
-		return nil, false
-	}
-	rest := payload[1:]
-	ids := make([]uint32, arity)
-	for i := 0; i < arity; i++ {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 || v >= uint64(symCount) {
-			return nil, false
-		}
-		ids[i] = uint32(v)
-		rest = rest[n:]
-	}
-	if len(rest) != 0 {
-		return nil, false
-	}
-	return ids, true
-}
-
-// appendRecord buffers one segment record to the shard; new symbols
-// referenced by it were already flushed by symtab.intern.
-func (s *DiskStore) appendRecord(sh *diskShard, op byte, ids []uint32) error {
-	s.rec = appendSegRecord(s.rec[:0], s.version, op, ids)
-	if _, err := sh.w.Write(s.rec); err != nil {
-		return err
-	}
-	if op != opCommit {
-		sh.records++
-		sh.dirty = true
-	}
+	s.noteTorn(len(raw) - good)
 	return nil
+}
+
+// appendRecord encodes a fact record after the symbol records the edit
+// already put in s.rec, and buffers them all. A failed append poisons the
+// store (sticky error), mirroring the job journal.
+func (s *DiskStore) appendRecord(op byte, ids []uint32) error {
+	s.rec = appendLogRecord(s.rec, op, "", ids)
+	if _, err := s.w.Write(s.rec); err != nil {
+		s.err = fmt.Errorf("db: appending to the store log: %w", err)
+		return s.err
+	}
+	s.records++
+	s.unsynced = true
+	return nil
+}
+
+// intern returns v's symbol ID. A new symbol's record goes onto s.rec, so
+// the log defines it before the fact record that follows.
+func (s *DiskStore) intern(v string) uint32 {
+	id, added := s.syms.intern(v)
+	if added {
+		s.rec = appendLogRecord(s.rec, opSymbol, v, nil)
+	}
+	return id
 }
 
 // --- Store interface ---
 
 // ID returns the store's process-unique identity (fresh on every open, so
 // evaluation caches can never confuse two opens of the same directory).
-func (s *DiskStore) ID() uint64 { return s.id }
+func (s *DiskStore) ID() uint64 { return s.d.ID() }
 
 // Generation returns the edit-generation counter. It starts at zero on
 // every open; see Database.Generation for the caching contract.
-func (s *DiskStore) Generation() uint64 { return s.gen }
+func (s *DiskStore) Generation() uint64 { return s.d.Generation() }
 
 // Schema returns the store's schema.
-func (s *DiskStore) Schema() *schema.Schema { return s.schema }
+func (s *DiskStore) Schema() *schema.Schema { return s.d.Schema() }
 
 // Err returns the sticky write-path error, if any: once an append, flush,
 // or fsync has failed, every further mutation and Sync fails with it, and
 // health checks (server /readyz) surface it.
 func (s *DiskStore) Err() error { return s.err }
 
-// Rel returns the named relation's read view, or nil if unknown: the
-// relation's read index itself.
-func (s *DiskStore) Rel(name string) Rel {
-	if r := s.rels[name]; r != nil {
-		return r.rel
-	}
-	return nil
-}
+// Rel returns the named relation's read view, or nil if unknown.
+func (s *DiskStore) Rel(name string) Rel { return s.d.Rel(name) }
 
 // Has reports whether the fact is present.
-func (s *DiskStore) Has(f Fact) bool {
-	r := s.rels[f.Rel]
-	return r != nil && r.rel.Has(f.Args)
-}
+func (s *DiskStore) Has(f Fact) bool { return s.d.Has(f) }
 
 // Len returns the total fact count.
-func (s *DiskStore) Len() int {
-	n := 0
-	for _, r := range s.rels {
-		n += r.rel.Len()
-	}
-	return n
-}
+func (s *DiskStore) Len() int { return s.d.Len() }
 
 // Facts returns every fact in deterministic order.
-func (s *DiskStore) Facts() []Fact {
-	out := make([]Fact, 0, s.Len())
-	for _, n := range s.relNames {
-		for _, t := range s.rels[n].rel.Tuples() {
-			out = append(out, Fact{Rel: n, Args: t})
-		}
-	}
-	return out
-}
+func (s *DiskStore) Facts() []Fact { return s.d.Facts() }
 
-// InsertFact adds the fact, appending a segment record first so the
-// in-memory state never runs ahead of what a reopen can recover. A failed
-// append poisons the store (sticky error), mirroring the job journal. The
-// stored tuple holds the symbol table's strings.
+// Snapshot captures an immutable read view at the current generation,
+// reporting the live store's identity so cache entries are shared at equal
+// generations. Like every mutation, Snapshot must be serialized against
+// other writes; afterwards the snapshot reads safely while edits land.
+func (s *DiskStore) Snapshot() Snapshot { return s.d.Snapshot() }
+
+// InsertFact adds the fact, appending its record (after any new symbols)
+// first so the in-memory state never runs ahead of what a reopen can
+// recover. The stored tuple holds the symbol table's strings.
 func (s *DiskStore) InsertFact(f Fact) (bool, error) {
-	r := s.rels[f.Rel]
+	r := s.d.rels[f.Rel]
 	if r == nil {
 		return false, fmt.Errorf("db: unknown relation %q", f.Rel)
 	}
@@ -692,33 +612,29 @@ func (s *DiskStore) InsertFact(f Fact) (bool, error) {
 	if s.err != nil {
 		return false, s.err
 	}
-	if r.rel.Has(f.Args) {
+	if r.Has(f.Args) {
 		return false, nil
 	}
-	ids := make([]uint32, len(f.Args))
+	s.rec = s.rec[:0]
+	ids := append(s.ids[:0], s.intern(f.Rel))
 	t := make(Tuple, len(f.Args))
 	for i, v := range f.Args {
-		id, err := s.syms.intern(v)
-		if err != nil {
-			s.err = err
-			return false, err
-		}
-		ids[i], t[i] = id, s.syms.str(id)
+		id := s.intern(v)
+		ids = append(ids, id)
+		t[i] = s.syms.str(id)
 	}
-	sh := r.shards[shardOf(t, s.nshards)]
-	if err := s.appendRecord(sh, opInsert, ids); err != nil {
-		s.err = fmt.Errorf("db: appending segment record: %w", err)
-		return false, s.err
+	s.ids = ids
+	if err := s.appendRecord(opInsert, ids); err != nil {
+		return false, err
 	}
-	r.rel.add(t)
-	sh.live++
-	s.gen++
+	r.add(t)
+	s.d.gen++
 	return true, nil
 }
 
 // DeleteFact removes the fact, returning true if it was present.
 func (s *DiskStore) DeleteFact(f Fact) (bool, error) {
-	r := s.rels[f.Rel]
+	r := s.d.rels[f.Rel]
 	if r == nil {
 		return false, fmt.Errorf("db: unknown relation %q", f.Rel)
 	}
@@ -728,22 +644,24 @@ func (s *DiskStore) DeleteFact(f Fact) (bool, error) {
 	if s.err != nil {
 		return false, s.err
 	}
-	if !r.rel.Has(f.Args) {
+	if !r.Has(f.Args) {
 		return false, nil
 	}
-	// Every value of a stored tuple was interned when it was stored.
-	ids := make([]uint32, len(f.Args))
-	for i, v := range f.Args {
-		ids[i], _ = s.syms.lookup(v)
+	// A stored tuple's values and its relation's name were interned when
+	// it was stored.
+	relID, _ := s.syms.lookup(f.Rel)
+	ids := append(s.ids[:0], relID)
+	for _, v := range f.Args {
+		id, _ := s.syms.lookup(v)
+		ids = append(ids, id)
 	}
-	sh := r.shards[shardOf(f.Args, s.nshards)]
-	if err := s.appendRecord(sh, opDelete, ids); err != nil {
-		s.err = fmt.Errorf("db: appending segment record: %w", err)
-		return false, s.err
+	s.ids = ids
+	s.rec = s.rec[:0]
+	if err := s.appendRecord(opDelete, ids); err != nil {
+		return false, err
 	}
-	sh.live--
-	r.rel.Delete(f.Args)
-	s.gen++
+	r.Delete(f.Args)
+	s.d.gen++
 	return true, nil
 }
 
@@ -770,85 +688,28 @@ func (s *DiskStore) ApplyAll(edits []Edit) (int, error) {
 	return changed, nil
 }
 
-// snapshotCopy builds the in-memory copy a snapshot reads: same symbol
-// table, relations cloned copy-on-write, no shards. Nothing writes to it.
-func (s *DiskStore) snapshotCopy() *DiskStore {
-	out := &DiskStore{
-		dir:      s.dir,
-		schema:   s.schema,
-		nshards:  s.nshards,
-		version:  s.version,
-		fs:       s.fs,
-		id:       lastDBID.Add(1),
-		syms:     s.syms,
-		rels:     make(map[string]*diskRel, len(s.rels)),
-		relNames: s.relNames,
-	}
-	for name, r := range s.rels {
-		out.rels[name] = &diskRel{name: r.name, arity: r.arity, rel: r.rel.Clone()}
-	}
-	return out
-}
-
-// Snapshot captures an immutable read view at the current generation,
-// reporting the live store's identity so cache entries are shared at equal
-// generations. Like every mutation, Snapshot must be serialized against
-// other writes; afterwards the snapshot reads safely while edits land.
-func (s *DiskStore) Snapshot() Snapshot {
-	return &diskSnapshot{d: s.snapshotCopy(), id: s.id, gen: s.gen}
-}
-
 // Stats describes the store: per-relation fact counts, the on-disk
-// footprint (current file sizes plus bytes still buffered), per-shard
-// live/dead record counts with garbage ratios, and the recovery and
-// compaction counters.
+// footprint (current file sizes plus bytes still buffered), the log's
+// garbage ratio, and the recovery and compaction counters.
 func (s *DiskStore) Stats() Stats {
-	st := Stats{
-		Backend:    "disk",
-		Generation: s.gen,
-		Relations:  make(map[string]int, len(s.rels)),
-		Shards:     s.nshards,
-		Symbols:    s.syms.size(),
+	st := s.d.Stats()
+	st.Backend = "disk"
+	st.Symbols = s.syms.size()
+	st.FormatVersion = formatVersion
+	if s.records > 0 {
+		st.GarbageRatio = float64(s.records-st.TotalFacts) / float64(s.records)
 	}
-	for n, r := range s.rels {
-		st.Relations[n] = r.rel.Len()
-		st.TotalFacts += r.rel.Len()
-	}
-	st.FormatVersion = s.version
 	st.TornTails = s.tornTails
 	st.TornBytesTruncated = s.tornBytes
 	st.RecordsReplayed = s.recordsReplayed
 	st.QuarantinedFiles = s.leftoverQuar
 	st.CompactionRuns = s.compactRuns
 	st.CompactionReclaimedBytes = s.compactReclaimed
-	totalRecords, totalDead := 0, 0
-	for _, name := range s.relNames {
-		r := s.rels[name]
-		for i, sh := range r.shards {
-			if sh.file == nil {
-				continue
-			}
-			var bytes int64
-			if fi, err := sh.file.Stat(); err == nil {
-				bytes = fi.Size()
-			}
-			bytes += int64(sh.w.Buffered())
-			st.DiskBytes += bytes
-			dead := sh.records - sh.live
-			seg := SegmentStat{Relation: name, Shard: i, Live: sh.live, Dead: dead, Bytes: bytes}
-			if sh.records > 0 {
-				seg.GarbageRatio = float64(dead) / float64(sh.records)
-			}
-			st.Segments = append(st.Segments, seg)
-			totalRecords += sh.records
-			totalDead += dead
+	if s.file != nil {
+		if fi, err := s.file.Stat(); err == nil {
+			st.DiskBytes = fi.Size()
 		}
-	}
-	if totalRecords > 0 {
-		st.GarbageRatio = float64(totalDead) / float64(totalRecords)
-	}
-	if fi, err := s.fs.Stat(filepath.Join(s.dir, diskSymsFile)); err == nil {
-		st.DiskBytes += fi.Size()
+		st.DiskBytes += int64(s.w.Buffered())
 	}
 	if fi, err := s.fs.Stat(filepath.Join(s.dir, diskMetaFile)); err == nil {
 		st.DiskBytes += fi.Size()
@@ -856,10 +717,10 @@ func (s *DiskStore) Stats() Stats {
 	return st
 }
 
-// Sync flushes every buffered segment record and fsyncs the symbol table
-// and all segment files: after Sync, nothing applied so far can be lost.
-// Under the v2 format each dirty file first gets a commit marker, so the
-// synced region always ends with a valid record (the torn-vs-corrupt
+// Sync makes everything applied so far durable: it appends a commit
+// marker, flushes, and fsyncs the log — the one fsync — when anything was
+// appended since the last Sync, and does nothing otherwise. The marker
+// keeps the synced region ending with a valid record (the torn-vs-corrupt
 // classifier depends on this — record.go). Flush and fsync failures are
 // both sticky: an fsync that failed may have dropped arbitrary dirty
 // pages, so the store fails stop rather than risk acknowledging lost data.
@@ -867,115 +728,65 @@ func (s *DiskStore) Sync() error {
 	if s.closed {
 		return nil
 	}
-	if s.err != nil {
+	if s.err != nil || !s.unsynced {
 		return s.err
 	}
-	if err := s.syms.sync(); err != nil {
-		s.err = err
-		return err
+	s.rec = appendLogRecord(s.rec[:0], opCommit, "", nil)
+	if _, err := s.w.Write(s.rec); err != nil {
+		s.err = fmt.Errorf("db: appending commit marker: %w", err)
+		return s.err
 	}
-	for _, name := range s.relNames {
-		for _, sh := range s.rels[name].shards {
-			if sh.w == nil {
-				continue
-			}
-			if s.version >= 2 && sh.dirty {
-				if err := s.appendRecord(sh, opCommit, nil); err != nil {
-					s.err = fmt.Errorf("db: appending commit marker: %w", err)
-					return s.err
-				}
-			}
-			if err := sh.w.Flush(); err != nil {
-				s.err = fmt.Errorf("db: flushing segment: %w", err)
-				return s.err
-			}
-			if err := sh.file.Sync(); err != nil {
-				s.err = fmt.Errorf("db: syncing segment: %w", err)
-				return s.err
-			}
-			sh.dirty = false
-		}
+	if err := s.w.Flush(); err != nil {
+		s.err = fmt.Errorf("db: flushing the store log: %w", err)
+		return s.err
 	}
+	if err := s.file.Sync(); err != nil {
+		s.err = fmt.Errorf("db: syncing the store log: %w", err)
+		return s.err
+	}
+	s.unsynced = false
 	return nil
 }
 
-// Close flushes and closes every file. The store must not be used after.
+// Close flushes the log (ending it with a commit marker) and closes it,
+// without an fsync. The store must not be used after.
 func (s *DiskStore) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	var first error
-	for _, name := range s.relNames {
-		r := s.rels[name]
-		if r == nil {
-			continue // partially opened store (OpenDisk failure path)
+	if s.file == nil {
+		return nil
+	}
+	var err error
+	if s.err == nil && s.unsynced {
+		s.rec = appendLogRecord(s.rec[:0], opCommit, "", nil)
+		if _, err = s.w.Write(s.rec); err == nil {
+			err = s.w.Flush()
 		}
-		for _, sh := range r.shards {
-			if sh == nil || sh.file == nil {
-				continue
-			}
-			if s.err == nil {
-				if s.version >= 2 && sh.dirty {
-					if err := s.appendRecord(sh, opCommit, nil); err != nil && first == nil {
-						first = fmt.Errorf("db: appending commit marker: %w", err)
-					}
-				}
-				if err := sh.w.Flush(); err != nil && first == nil {
-					first = fmt.Errorf("db: flushing segment: %w", err)
-				}
-			}
-			if err := sh.file.Close(); err != nil && first == nil {
-				first = err
-			}
-			sh.file, sh.w = nil, nil
+		if err != nil {
+			err = fmt.Errorf("db: flushing the store log: %w", err)
 		}
 	}
-	if err := s.syms.close(s.err == nil); err != nil && first == nil {
-		first = err
+	if cerr := s.file.Close(); err == nil {
+		err = cerr
 	}
-	return first
+	s.file, s.w = nil, nil
+	return err
 }
 
-// Crash simulates a process kill for crash-recovery tests: every file is
-// closed without flushing, dropping all records buffered since the last
+// Crash simulates a process kill for crash-recovery tests: the log is
+// closed without flushing, dropping every record buffered since the last
 // Sync (or buffer spill). The store must not be used after.
 func (s *DiskStore) Crash() {
 	if s.closed {
 		return
 	}
 	s.closed = true
-	for _, r := range s.rels {
-		if r == nil {
-			continue
-		}
-		for _, sh := range r.shards {
-			if sh != nil && sh.file != nil {
-				sh.file.Close()
-				sh.file, sh.w = nil, nil
-			}
-		}
+	if s.file != nil {
+		s.file.Close()
+		s.file, s.w = nil, nil
 	}
-	s.syms.close(false)
 }
 
-// diskSnapshot is the disk store's immutable read view (see
-// DiskStore.Snapshot).
-type diskSnapshot struct {
-	d   *DiskStore
-	id  uint64
-	gen uint64
-}
-
-func (s *diskSnapshot) ID() uint64             { return s.id }
-func (s *diskSnapshot) Generation() uint64     { return s.gen }
-func (s *diskSnapshot) Schema() *schema.Schema { return s.d.Schema() }
-func (s *diskSnapshot) Rel(name string) Rel    { return s.d.Rel(name) }
-func (s *diskSnapshot) Has(f Fact) bool        { return s.d.Has(f) }
-func (s *diskSnapshot) Len() int               { return s.d.Len() }
-func (s *diskSnapshot) Facts() []Fact          { return s.d.Facts() }
-
-var (
-	_ Store    = (*DiskStore)(nil)
-	_ Snapshot = (*diskSnapshot)(nil)
-)
+var _ Store = (*DiskStore)(nil)

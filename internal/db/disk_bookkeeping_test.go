@@ -2,7 +2,6 @@ package db
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sort"
 	"testing"
@@ -11,43 +10,42 @@ import (
 )
 
 // storeModel is the reference a DiskStore is compared with: the facts each
-// relation holds and, for a store that owns its files, each segment's
-// record count.
+// relation holds and the insert and delete records the store's log holds.
 type storeModel struct {
 	facts   map[string]map[string]Tuple // relation -> tuple key -> tuple
-	records map[string][]int            // relation -> shard -> insert/delete records
+	records int
 }
 
-func newStoreModel(s *schema.Schema, shards int) *storeModel {
-	m := &storeModel{facts: make(map[string]map[string]Tuple), records: make(map[string][]int)}
+func newStoreModel(s *schema.Schema) *storeModel {
+	m := &storeModel{facts: make(map[string]map[string]Tuple)}
 	for _, name := range s.Names() {
 		m.facts[name] = make(map[string]Tuple)
-		m.records[name] = make([]int, shards)
 	}
 	return m
 }
 
 func (m *storeModel) clone() *storeModel {
-	c := &storeModel{facts: make(map[string]map[string]Tuple), records: make(map[string][]int)}
+	c := &storeModel{facts: make(map[string]map[string]Tuple), records: m.records}
 	for name, ts := range m.facts {
 		c.facts[name] = make(map[string]Tuple, len(ts))
 		for k, t := range ts {
 			c.facts[name][k] = t
 		}
-		c.records[name] = append([]int(nil), m.records[name]...)
 	}
 	return c
 }
 
-// refShard routes a tuple as the on-disk format does: FNV-1a over its key.
-func refShard(t Tuple, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(t.Key()))
-	return int(h.Sum32() % uint32(n))
+// live is the model's fact count.
+func (m *storeModel) live() int {
+	n := 0
+	for _, ts := range m.facts {
+		n += len(ts)
+	}
+	return n
 }
 
 // apply mirrors one edit on the model and reports whether it changed it.
-func (m *storeModel) apply(e Edit, shards int) bool {
+func (m *storeModel) apply(e Edit) bool {
 	ts := m.facts[e.Fact.Rel]
 	k := e.Fact.Args.Key()
 	_, has := ts[k]
@@ -59,30 +57,17 @@ func (m *storeModel) apply(e Edit, shards int) bool {
 	} else {
 		delete(ts, k)
 	}
-	m.records[e.Fact.Rel][refShard(e.Fact.Args, shards)]++
+	m.records++
 	return true
 }
 
-// compact mirrors Compact(0): a shard with dead records keeps only its live
-// ones.
-func (m *storeModel) compact(shards int) {
-	for name, ts := range m.facts {
-		live := make([]int, shards)
-		for _, t := range ts {
-			live[refShard(t, shards)]++
-		}
-		for i, n := range live {
-			if m.records[name][i] > n {
-				m.records[name][i] = n
-			}
-		}
-	}
-}
+// compact mirrors Compact(0): the log keeps one record per live fact.
+func (m *storeModel) compact() { m.records = m.live() }
 
 // checkStore compares the reader with the model: Facts, Scan and MatchCount
-// for 0–3 bindings drawn from the value pool, and — when st is given — every
-// segment's live and dead counts.
-func checkStore(t *testing.T, step string, d Reader, st *Stats, m *storeModel, shards int, pool []string, rng *rand.Rand) {
+// for 0–3 bindings drawn from the value pool, and — when ds is given — the
+// log's record count and the garbage ratio Stats derives from it.
+func checkStore(t *testing.T, step string, d Reader, ds *DiskStore, m *storeModel, pool []string, rng *rand.Rand) {
 	t.Helper()
 	var want []string
 	for name, ts := range m.facts {
@@ -125,35 +110,26 @@ func checkStore(t *testing.T, step string, d Reader, st *Stats, m *storeModel, s
 			}
 		}
 	}
-	if st == nil {
+	if ds == nil {
 		return
 	}
-	seen := 0
-	for _, seg := range st.Segments {
-		live := 0
-		for _, tu := range m.facts[seg.Relation] {
-			if refShard(tu, shards) == seg.Shard {
-				live++
-			}
-		}
-		records := m.records[seg.Relation][seg.Shard]
-		if seg.Live != live || seg.Dead != records-live {
-			t.Fatalf("%s: segment %s.%d live %d dead %d, model live %d dead %d",
-				step, seg.Relation, seg.Shard, seg.Live, seg.Dead, live, records-live)
-		}
-		seen++
+	if ds.records != m.records {
+		t.Fatalf("%s: log holds %d fact records, model %d", step, ds.records, m.records)
 	}
-	if want := len(m.facts) * shards; seen != want {
-		t.Fatalf("%s: Stats lists %d segments, want %d", step, seen, want)
+	ratio := 0.0
+	if m.records > 0 {
+		ratio = float64(m.records-m.live()) / float64(m.records)
+	}
+	if got := ds.Stats().GarbageRatio; got != ratio {
+		t.Fatalf("%s: GarbageRatio = %v, model %v", step, got, ratio)
 	}
 }
 
 // TestDiskStoreBookkeeping runs seeded inserts, deletes and re-inserts
-// through a DiskStore, with a Fork, a Snapshot, Compact(0) and a reopen
+// through a DiskStore, with a Snapshot, Compact(0) and a reopen
 // along the way, and after every step compares the store with a reference
-// model: Facts, each segment's live and dead counts (which drive Stats, the
-// garbage ratio and Compact's choice of shards), and Scan and MatchCount for
-// 0–3 bindings.
+// model: Facts, the log's record count (which drives Stats' garbage ratio
+// and Compact's trigger), and Scan and MatchCount for 0–3 bindings.
 func TestDiskStoreBookkeeping(t *testing.T) {
 	s := schema.New(
 		schema.Relation{Name: "R", Attrs: []string{"a", "b", "c"}},
@@ -162,15 +138,14 @@ func TestDiskStoreBookkeeping(t *testing.T) {
 	pool := []string{"A", "B", "C", "D", "", "x y", "E"}
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
-			const shards = 4
 			rng := rand.New(rand.NewSource(seed))
 			dir := t.TempDir()
-			ds, err := OpenDisk(dir, s, shards)
+			ds, err := OpenDisk(dir, s, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer func() { ds.Close() }()
-			m := newStoreModel(s, shards)
+			m := newStoreModel(s)
 			randomFact := func() Fact {
 				name := s.Names()[rng.Intn(2)]
 				rel, _ := s.Relation(name)
@@ -193,16 +168,13 @@ func TestDiskStoreBookkeeping(t *testing.T) {
 							}
 						}
 					}
-					want := m.apply(e, shards)
+					want := m.apply(e)
 					if got, err := st.Apply(e); err != nil || got != want {
 						t.Fatalf("%s: Apply(%v) = %v, %v; model %v", step, e, got, err, want)
 					}
 				}
 			}
-			check := func(step string) {
-				st := ds.Stats()
-				checkStore(t, step, ds, &st, m, shards, pool, rng)
-			}
+			check := func(step string) { checkStore(t, step, ds, ds, m, pool, rng) }
 
 			edits("inserts", ds, m, 150)
 			check("after edits")
@@ -210,13 +182,13 @@ func TestDiskStoreBookkeeping(t *testing.T) {
 			snap := ds.Snapshot()
 			sm := m.clone()
 			edits("edits after snapshot", ds, m, 60)
-			checkStore(t, "snapshot", snap, nil, sm, shards, pool, rng)
+			checkStore(t, "snapshot", snap, nil, sm, pool, rng)
 			check("after snapshot edits")
 
 			if _, err := ds.Compact(0); err != nil {
 				t.Fatal(err)
 			}
-			m.compact(shards)
+			m.compact()
 			check("after Compact(0)")
 
 			edits("edits after compaction", ds, m, 60)
@@ -225,7 +197,7 @@ func TestDiskStoreBookkeeping(t *testing.T) {
 			if err := ds.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if ds, err = OpenDisk(dir, s, shards); err != nil {
+			if ds, err = OpenDisk(dir, s, 0); err != nil {
 				t.Fatal(err)
 			}
 			check("after reopen")

@@ -2,19 +2,19 @@ package db
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
-	"path/filepath"
-	"reflect"
-	"sort"
 	"testing"
+
+	"repro/internal/faultfs"
 )
 
-// buildReplayStore populates a multi-shard store with inserts, deletes, and
-// re-inserts so replay has real work (live tuples, dead records, shared
-// symbols) and then closes it.
+// buildReplayStore populates a store with inserts, deletes, and re-inserts
+// so replay has real work (live tuples, dead records, shared symbols) and
+// then closes it.
 func buildReplayStore(tb testing.TB, dir string, facts int) {
 	tb.Helper()
-	ds, err := OpenDisk(dir, testSchema(), 4)
+	ds, err := OpenDisk(dir, testSchema(), 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -39,133 +39,129 @@ func buildReplayStore(tb testing.TB, dir string, facts int) {
 	}
 }
 
-// shardFingerprint flattens what replay built into a comparable form: each
-// shard's live and record counts, and each relation's postings, in order.
-func shardFingerprint(ds *DiskStore) map[string][]string {
-	fp := make(map[string][]string)
-	for name, r := range ds.rels {
-		for i, sh := range r.shards {
-			fp[fmt.Sprintf("%s.%d", name, i)] = []string{fmt.Sprintf("live %d, records %d", sh.live, sh.records)}
-		}
-		var postings []string
-		seen := make(map[Binding]bool)
-		for _, t := range r.rel.Tuples() {
-			for col, v := range t {
-				b := Binding{Col: col, Value: v}
-				if seen[b] {
-					continue
-				}
-				seen[b] = true
-				for _, u := range r.rel.Scan([]Binding{b}) {
-					postings = append(postings, fmt.Sprintf("%d=%s: %v", col, v, u))
-				}
-			}
-		}
-		fp[name] = postings
-	}
-	return fp
-}
-
-// TestDiskReplayWorkersParity: the parallel open replays every segment to a
-// state byte-identical with a fully serial open — same shard counts, same
-// postings in the same order, same recovery counters, same torn-tail
-// truncation — including over a store with a torn segment tail.
-func TestDiskReplayWorkersParity(t *testing.T) {
+// TestReopenKeepsPostingOrder: a disk store and a mem database take the
+// same seeded inserts, deletes and re-inserts; after a close and a reopen,
+// every one-binding Scan of the disk store equals the mem store's, order
+// included. Replay runs the live path's Relation calls in log order, so it
+// rebuilds the postings the live store had.
+func TestReopenKeepsPostingOrder(t *testing.T) {
 	dir := t.TempDir()
-	buildReplayStore(t, dir, 400)
-
-	// Tear one segment's tail: append the first half of a real record — an
-	// incomplete final record that replay must truncate identically in both
-	// modes.
-	seg := filepath.Join(dir, segName("Teams", 1))
-	raw, err := os.ReadFile(seg)
+	ds, err := OpenDisk(dir, testSchema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, perr := parseSegRecord(raw, 0, formatVersion, 2, ^uint32(0))
-	if perr != nil {
-		t.Fatalf("parsing first segment record: %v", perr)
-	}
-	tear := func() {
-		f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
+	mem := New(testSchema())
+	rng := rand.New(rand.NewSource(5))
+	pool := []string{"A", "B", "C", "D", "E"}
+	var seen []Fact
+	for i := 0; i < 400; i++ {
+		e := Insertion(NewFact(testSchema().Names()[rng.Intn(2)], pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]))
+		if rng.Intn(3) == 0 && len(seen) > 0 {
+			e = Deletion(seen[rng.Intn(len(seen))]) // deletes and, later, re-inserts
+		} else {
+			seen = append(seen, e.Fact)
+		}
+		if _, err := ds.Apply(e); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Write(raw[:first.n/2]); err != nil {
-			t.Fatal(err)
+		mem.Apply(e)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDisk(dir, testSchema(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for _, name := range testSchema().Names() {
+		for col := 0; col < 2; col++ {
+			for _, v := range pool {
+				b := []Binding{{Col: col, Value: v}}
+				if got, want := fmt.Sprint(re.Rel(name).Scan(b)), fmt.Sprint(mem.Rel(name).Scan(b)); got != want {
+					t.Errorf("%s col %d = %s: reopened disk store scans %s, mem store %s", name, col, v, got, want)
+				}
+			}
 		}
-		f.Close()
-	}
-
-	tear()
-	serial, err := OpenDisk(dir, testSchema(), 0, withReplayWorkers(1))
-	if err != nil {
-		t.Fatalf("serial open: %v", err)
-	}
-	serialFP := shardFingerprint(serial)
-	serialStats := serial.Stats()
-	serialFacts := factStrings(serial)
-	serial.Close()
-
-	// Opening truncates the torn tail away; tear it again so the parallel
-	// open replays the same bytes the serial open did.
-	tear()
-	parallel, err := OpenDisk(dir, testSchema(), 0, withReplayWorkers(8))
-	if err != nil {
-		t.Fatalf("parallel open: %v", err)
-	}
-	defer parallel.Close()
-	if got := shardFingerprint(parallel); !reflect.DeepEqual(got, serialFP) {
-		t.Error("parallel replay produced different shard contents than serial replay")
-	}
-	ps := parallel.Stats()
-	if ps.TornTails != serialStats.TornTails || ps.TornBytesTruncated != serialStats.TornBytesTruncated ||
-		ps.RecordsReplayed != serialStats.RecordsReplayed || ps.TotalFacts != serialStats.TotalFacts {
-		t.Errorf("recovery counters diverge: parallel {torn %d/%dB, replayed %d, facts %d} vs serial {torn %d/%dB, replayed %d, facts %d}",
-			ps.TornTails, ps.TornBytesTruncated, ps.RecordsReplayed, ps.TotalFacts,
-			serialStats.TornTails, serialStats.TornBytesTruncated, serialStats.RecordsReplayed, serialStats.TotalFacts)
-	}
-	if serialStats.TornTails == 0 {
-		t.Error("test setup: expected at least one torn tail")
-	}
-	if got := factStrings(parallel); !reflect.DeepEqual(got, serialFacts) {
-		t.Error("parallel replay produced a different fact set than serial replay")
-	}
-	// The parallel-opened store is fully writable afterwards.
-	if _, err := parallel.InsertFact(NewFact("Teams", "postopen", "X")); err != nil {
-		t.Errorf("insert after parallel open: %v", err)
 	}
 }
 
-func factStrings(s Store) []string {
-	var out []string
-	for _, f := range s.Facts() {
-		out = append(out, f.String())
-	}
-	sort.Strings(out)
-	return out
+// syncCountFS counts the fsyncs of the files it opens, the way the
+// benchmark's counting filesystem does.
+type syncCountFS struct {
+	faultfs.FS
+	n *int
 }
 
-// BenchmarkDiskOpen measures open-time segment replay serial vs parallel
-// over the same populated store.
+func (c syncCountFS) OpenFile(name string, flag int, perm os.FileMode) (faultfs.File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return syncCountFile{File: f, n: c.n}, nil
+}
+
+type syncCountFile struct {
+	faultfs.File
+	n *int
+}
+
+func (f syncCountFile) Sync() error {
+	*f.n++
+	return f.File.Sync()
+}
+
+// TestSyncFsyncsOnlyWhatItWrote: a Sync with nothing appended since the
+// last one makes no fsync, and a Sync after an edit makes exactly one.
+func TestSyncFsyncsOnlyWhatItWrote(t *testing.T) {
+	var fsyncs int
+	ds, err := OpenDisk(t.TempDir(), testSchema(), 0, WithFS(syncCountFS{FS: faultfs.OS(), n: &fsyncs}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	if _, err := Copy(ds, benchDB(50)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		name   string
+		edit   bool
+		fsyncs int
+	}{
+		{"second Sync", false, 0},
+		{"Sync after one edit", true, 1},
+		{"Sync after that", false, 0},
+	} {
+		if step.edit {
+			if _, err := ds.InsertFact(NewFact("Teams", "late", "EU")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := fsyncs
+		if err := ds.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got := fsyncs - before; got != step.fsyncs {
+			t.Errorf("%s made %d fsyncs, want %d", step.name, got, step.fsyncs)
+		}
+	}
+}
+
+// BenchmarkDiskOpen measures an open's replay of a populated store: 10,000
+// inserts and 1,667 deletes over about 10,000 symbols.
 func BenchmarkDiskOpen(b *testing.B) {
 	dir := b.TempDir()
 	buildReplayStore(b, dir, 5000)
-	for _, bench := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"parallel", 0}, // GOMAXPROCS
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ds, err := OpenDisk(dir, testSchema(), 0, withReplayWorkers(bench.workers))
-				if err != nil {
-					b.Fatal(err)
-				}
-				ds.Close()
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ds, err := OpenDisk(dir, testSchema(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds.Close()
 	}
 }

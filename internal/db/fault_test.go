@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/faultfs"
@@ -13,7 +14,7 @@ import (
 // openFaultDisk opens a fresh disk store routed through the given injector.
 func openFaultDisk(t *testing.T, dir string, inj *faultfs.Injector) (*DiskStore, error) {
 	t.Helper()
-	return OpenDisk(dir, testSchema(), 1, WithFS(inj))
+	return OpenDisk(dir, testSchema(), 0, WithFS(inj))
 }
 
 func TestDiskShortWriteSticky(t *testing.T) {
@@ -35,8 +36,8 @@ func TestDiskShortWriteSticky(t *testing.T) {
 		t.Fatalf("OpenDisk: %v", err)
 	}
 	defer ds.Close()
-	// The first insert interns new symbols, which writes to symbols.dat
-	// immediately — the short write must surface there or on Sync.
+	// Inserts are buffered, so the short write reaches the log at the
+	// Sync that flushes them and must surface there.
 	var ierr error
 	for i := 0; i < 50 && ierr == nil; i++ {
 		_, ierr = ds.InsertFact(NewFact("Goals", fmt.Sprintf("p%d", i), "d"))
@@ -61,7 +62,7 @@ func TestDiskShortWriteSticky(t *testing.T) {
 
 func TestDiskCrashPreservesAcked(t *testing.T) {
 	dir := t.TempDir()
-	ds, err := OpenDisk(dir, testSchema(), 2)
+	ds, err := OpenDisk(dir, testSchema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestDiskCrashPreservesAcked(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds.Crash()
-	re, err := OpenDisk(dir, testSchema(), 2)
+	re, err := OpenDisk(dir, testSchema(), 0)
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
@@ -98,7 +99,7 @@ func TestDiskCrashPreservesAcked(t *testing.T) {
 
 func TestDiskMidFileCorruptionQuarantines(t *testing.T) {
 	dir := t.TempDir()
-	ds, err := OpenDisk(dir, testSchema(), 1)
+	ds, err := OpenDisk(dir, testSchema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,17 +111,17 @@ func TestDiskMidFileCorruptionQuarantines(t *testing.T) {
 	if err := ds.Close(); err != nil {
 		t.Fatal(err)
 	}
-	seg := filepath.Join(dir, segName("Teams", 0))
-	raw, err := os.ReadFile(seg)
+	log := filepath.Join(dir, diskLogFile)
+	raw, err := os.ReadFile(log)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Flip a bit in the middle of the file: a complete-but-invalid record.
 	raw[len(raw)/2] ^= 0x40
-	if err := os.WriteFile(seg, raw, 0o644); err != nil {
+	if err := os.WriteFile(log, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = OpenDisk(dir, testSchema(), 1)
+	_, err = OpenDisk(dir, testSchema(), 0)
 	if err == nil {
 		t.Fatal("open succeeded over mid-file corruption")
 	}
@@ -140,16 +141,16 @@ func TestDiskMidFileCorruptionQuarantines(t *testing.T) {
 		t.Errorf("quarantined copy missing: %v", err)
 	}
 	// Sticky: the second open fails too, even though the corrupt file moved.
-	_, err = OpenDisk(dir, testSchema(), 1)
+	_, err = OpenDisk(dir, testSchema(), 0)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("second open = %v, want ErrCorrupt (sticky quarantine)", err)
 	}
 	// Operator clears the marker: the store opens again (without the
-	// quarantined shard's facts — it refuses to invent them, not to serve).
+	// quarantined log's facts — it refuses to invent them, not to serve).
 	if err := os.Remove(filepath.Join(dir, quarantineFile)); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenDisk(dir, testSchema(), 1)
+	re, err := OpenDisk(dir, testSchema(), 0)
 	if err != nil {
 		t.Fatalf("open after clearing marker: %v", err)
 	}
@@ -161,7 +162,7 @@ func TestDiskMidFileCorruptionQuarantines(t *testing.T) {
 
 func TestDiskMetaChecksumFlip(t *testing.T) {
 	dir := t.TempDir()
-	ds, err := OpenDisk(dir, testSchema(), 3)
+	ds, err := OpenDisk(dir, testSchema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,71 +174,64 @@ func TestDiskMetaChecksumFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-route every tuple: change the shard count but keep valid JSON.
-	tampered := []byte(`{"version":2,"shards":7,` + string(raw[len(`{"version":2,"shards":3,`):]))
+	// Claim the sharded v2 layout under the v3 checksum: still valid JSON,
+	// but it would send the open down the migration path.
+	tampered := []byte(strings.Replace(string(raw), `"version":3`, `"version":2,"shards":4`, 1))
+	if string(tampered) == string(raw) {
+		t.Fatalf("store.json %s holds no version 3", raw)
+	}
 	if err := os.WriteFile(metaPath, tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = OpenDisk(dir, testSchema(), 3)
+	_, err = OpenDisk(dir, testSchema(), 0)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open with tampered metadata = %v, want ErrCorrupt", err)
 	}
 }
 
+// TestDiskV1Compat: a v1 store migrates to the log on open and then
+// compacts and reopens like any other store.
 func TestDiskV1Compat(t *testing.T) {
-	dir := t.TempDir()
-	ds, err := OpenDisk(dir, testSchema(), 2, withFormatVersion(1))
+	dir := copyFixture(t, "v1-2shards")
+	want := fixtureFacts(t, "v1-2shards")
+	re, err := OpenDisk(dir, testSchema(), 0)
 	if err != nil {
+		t.Fatalf("open v1 store: %v", err)
+	}
+	if got := re.Stats().FormatVersion; got != formatVersion {
+		t.Errorf("FormatVersion = %d, want %d", got, formatVersion)
+	}
+	if !Equal(re, want) {
+		t.Fatalf("v1 store opened %d facts away from the recorded ones", Distance(re, want))
+	}
+	f := want.Facts()[0]
+	if _, err := re.DeleteFact(f); err != nil {
 		t.Fatal(err)
 	}
-	facts := []Fact{NewFact("Teams", "GER", "EU"), NewFact("Teams", "BRA", "SA"), NewFact("Goals", "Klose", "2014")}
-	for _, f := range facts {
-		if _, err := ds.InsertFact(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := ds.DeleteFact(facts[1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Reopen uses the recorded version, not the binary default.
-	re, err := OpenDisk(dir, testSchema(), 2)
-	if err != nil {
-		t.Fatalf("reopen v1 store: %v", err)
-	}
-	if got := re.Stats().FormatVersion; got != 1 {
-		t.Errorf("FormatVersion = %d, want 1", got)
-	}
-	if !re.Has(facts[0]) || !re.Has(facts[2]) || re.Has(facts[1]) {
-		t.Errorf("v1 round-trip facts wrong: %v", re.Facts())
-	}
-	// v1 stores still compact (no commit markers, but the same live-only
-	// rewrite applies).
+	want.DeleteFact(f)
 	res, err := re.Compact(0)
 	if err != nil {
-		t.Fatalf("Compact v1: %v", err)
+		t.Fatalf("Compact after migration: %v", err)
 	}
-	if res.ShardsCompacted == 0 || res.RecordsDropped == 0 {
-		t.Errorf("Compact v1 result = %+v, want work done", res)
+	if res.RecordsDropped != 2 {
+		t.Errorf("Compact after migration = %+v, want the delete and its insert dropped", res)
 	}
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re2, err := OpenDisk(dir, testSchema(), 2)
+	re2, err := OpenDisk(dir, testSchema(), 0)
 	if err != nil {
-		t.Fatalf("reopen after v1 compaction: %v", err)
+		t.Fatalf("reopen after compaction: %v", err)
 	}
 	defer re2.Close()
-	if !re2.Has(facts[0]) || !re2.Has(facts[2]) || re2.Has(facts[1]) {
-		t.Errorf("v1 post-compaction facts wrong: %v", re2.Facts())
+	if !Equal(re2, want) {
+		t.Errorf("post-compaction reopen is %d facts away", Distance(re2, want))
 	}
 }
 
 func TestCompactBasic(t *testing.T) {
 	dir := t.TempDir()
-	ds, err := OpenDisk(dir, testSchema(), 2)
+	ds, err := OpenDisk(dir, testSchema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +266,7 @@ func TestCompactBasic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	if res.ShardsCompacted == 0 || res.RecordsDropped == 0 {
+	if res.RecordsDropped == 0 {
 		t.Fatalf("Compact result = %+v, want work done", res)
 	}
 	if res.BytesAfter >= res.BytesBefore {
@@ -300,7 +294,7 @@ func TestCompactBasic(t *testing.T) {
 	if err := ds.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenDisk(dir, testSchema(), 2)
+	re, err := OpenDisk(dir, testSchema(), 0)
 	if err != nil {
 		t.Fatalf("reopen after compaction: %v", err)
 	}
@@ -317,7 +311,7 @@ func TestCompactBasic(t *testing.T) {
 }
 
 func TestCompactThreshold(t *testing.T) {
-	ds, _ := openTestDisk(t, 1)
+	ds, _ := openTestDisk(t)
 	f := NewFact("Teams", "A", "B")
 	if _, err := ds.InsertFact(f); err != nil {
 		t.Fatal(err)
@@ -335,15 +329,15 @@ func TestCompactThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ShardsCompacted != 0 {
-		t.Errorf("Compact(0.5) rewrote %d shards, want 0", res.ShardsCompacted)
+	if res != (CompactionResult{}) {
+		t.Errorf("Compact(0.5) = %+v, want no rewrite", res)
 	}
 	res, err = ds.Compact(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ShardsCompacted != 1 || res.RecordsDropped != 2 {
-		t.Errorf("Compact(0) = %+v, want 1 shard, 2 records", res)
+	if res.RecordsDropped != 2 || res.BytesAfter >= res.BytesBefore {
+		t.Errorf("Compact(0) = %+v, want 2 records dropped and fewer bytes", res)
 	}
 }
 
@@ -352,7 +346,7 @@ func TestCompactThreshold(t *testing.T) {
 func TestCompactCrashSweep(t *testing.T) {
 	build := func(t *testing.T, dir string) map[string]bool {
 		t.Helper()
-		ds, err := OpenDisk(dir, testSchema(), 1)
+		ds, err := OpenDisk(dir, testSchema(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,7 +377,7 @@ func TestCompactCrashSweep(t *testing.T) {
 	dryDir := t.TempDir()
 	build(t, dryDir)
 	counter := faultfs.NewInjector(faultfs.OS())
-	ds, err := OpenDisk(dryDir, testSchema(), 1, WithFS(counter))
+	ds, err := OpenDisk(dryDir, testSchema(), 0, WithFS(counter))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +396,7 @@ func TestCompactCrashSweep(t *testing.T) {
 		live := build(t, dir)
 		inj := faultfs.NewInjector(faultfs.OS(),
 			faultfs.Fault{At: openOps + p, Kind: faultfs.KindCrash})
-		ds, err := OpenDisk(dir, testSchema(), 1, WithFS(inj))
+		ds, err := OpenDisk(dir, testSchema(), 0, WithFS(inj))
 		if err != nil {
 			t.Fatalf("point %d: open: %v", p, err)
 		}
@@ -413,7 +407,7 @@ func TestCompactCrashSweep(t *testing.T) {
 		}
 		_ = cerr // a crash-torn write reports success; later ops fail
 		ds.Crash()
-		re, err := OpenDisk(dir, testSchema(), 1)
+		re, err := OpenDisk(dir, testSchema(), 0)
 		if err != nil {
 			t.Fatalf("point %d: reopen after crash: %v", p, err)
 		}
@@ -433,8 +427,10 @@ func TestCompactCrashSweep(t *testing.T) {
 	}
 }
 
+// TestStatsSegments: Stats reports the log's format and its store-level
+// garbage ratio, dead fact records over all fact records.
 func TestStatsSegments(t *testing.T) {
-	ds, _ := openTestDisk(t, 2)
+	ds, _ := openTestDisk(t)
 	f := NewFact("Teams", "A", "B")
 	if _, err := ds.InsertFact(f); err != nil {
 		t.Fatal(err)
@@ -449,22 +445,11 @@ func TestStatsSegments(t *testing.T) {
 	if st.FormatVersion != formatVersion {
 		t.Errorf("FormatVersion = %d, want %d", st.FormatVersion, formatVersion)
 	}
-	if len(st.Segments) != 4 { // 2 relations x 2 shards
-		t.Fatalf("len(Segments) = %d, want 4", len(st.Segments))
+	if ds.records != 3 || st.TotalFacts != 1 {
+		t.Errorf("records, facts = %d, %d; want 3, 1", ds.records, st.TotalFacts)
 	}
-	var dead, live int
-	for _, seg := range st.Segments {
-		if seg.Relation != "Teams" && seg.Relation != "Goals" {
-			t.Errorf("unexpected segment relation %q", seg.Relation)
-		}
-		dead += seg.Dead
-		live += seg.Live
-	}
-	if dead != 2 || live != 1 {
-		t.Errorf("dead, live = %d, %d; want 2, 1", dead, live)
-	}
-	if st.GarbageRatio <= 0 {
-		t.Errorf("GarbageRatio = %v, want > 0", st.GarbageRatio)
+	if st.GarbageRatio != 2.0/3 {
+		t.Errorf("GarbageRatio = %v, want 2/3", st.GarbageRatio)
 	}
 }
 
@@ -493,7 +478,7 @@ func TestDiskFaultSweepSmoke(t *testing.T) {
 	// Count ops in a clean run.
 	dry := faultfs.NewInjector(faultfs.OS())
 	dir := t.TempDir()
-	ds, err := OpenDisk(dir, testSchema(), 1, WithFS(dry))
+	ds, err := OpenDisk(dir, testSchema(), 0, WithFS(dry))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,13 +490,13 @@ func TestDiskFaultSweepSmoke(t *testing.T) {
 	for p := int64(1); p <= total; p++ {
 		dir := t.TempDir()
 		inj := faultfs.NewInjector(faultfs.OS(), faultfs.Fault{At: p, Kind: faultfs.KindCrash})
-		ds, err := OpenDisk(dir, testSchema(), 1, WithFS(inj))
+		ds, err := OpenDisk(dir, testSchema(), 0, WithFS(inj))
 		if err != nil {
 			continue // crash during open: nothing acked, nothing to check
 		}
 		acked, _ := script(ds)
 		ds.Crash()
-		re, err := OpenDisk(dir, testSchema(), 1)
+		re, err := OpenDisk(dir, testSchema(), 0)
 		if err != nil {
 			t.Fatalf("point %d: reopen: %v", p, err)
 		}

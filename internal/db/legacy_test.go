@@ -1,10 +1,14 @@
 package db
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/faultfs"
+	"repro/internal/schema"
 )
 
 // legacyFixtures are the good stores under testdata/legacy, written by the
@@ -51,25 +55,142 @@ func fixtureFacts(t *testing.T, name string) *Database {
 	return want
 }
 
-// TestLegacyFixtures: each good fixture opens to the facts recorded beside
-// it, and the bit-flipped one fails as corruption.
+// legacyFilesIn lists the files of the sharded layout left in dir.
+func legacyFilesIn(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, e := range entries {
+		if isLegacyFile(e.Name()) {
+			out = append(out, e.Name())
+		}
+	}
+	return out
+}
+
+// TestLegacyFixtures: each good fixture opens to the facts the sharded code
+// read from it and is migrated by that open: store.json reads version 3, no
+// symbols.dat or segment is left, and a reopen reads the same facts. The
+// bit-flipped fixture fails as corruption, is quarantined, and every later
+// open refuses it.
 func TestLegacyFixtures(t *testing.T) {
 	for _, name := range legacyFixtures {
 		t.Run(name, func(t *testing.T) {
 			want := fixtureFacts(t, name)
-			ds, err := OpenDisk(copyFixture(t, name), testSchema(), 0)
+			dir := copyFixture(t, name)
+			ds, err := OpenDisk(dir, testSchema(), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer ds.Close()
 			if !Equal(ds, want) {
 				t.Fatalf("opened to %d facts, %d away from the recorded %d", ds.Len(), Distance(ds, want), want.Len())
+			}
+			if err := ds.Close(); err != nil {
+				t.Fatal(err)
+			}
+			meta, err := os.ReadFile(filepath.Join(dir, diskMetaFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m diskMeta
+			if err := json.Unmarshal(meta, &m); err != nil || m.Version != formatVersion || m.Checksum != m.checksum() {
+				t.Errorf("store.json after migration = %s, want version %d with its checksum", meta, formatVersion)
+			}
+			if left := legacyFilesIn(t, dir); len(left) > 0 {
+				t.Errorf("legacy files left after migration: %v", left)
+			}
+			re, err := OpenDisk(dir, testSchema(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if !Equal(re, want) {
+				t.Errorf("reopen after migration is %d facts away", Distance(re, want))
 			}
 		})
 	}
 	t.Run("v2-bitflip", func(t *testing.T) {
-		if _, err := OpenDisk(copyFixture(t, "v2-bitflip"), testSchema(), 0); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("open = %v, want ErrCorrupt", err)
+		dir := copyFixture(t, "v2-bitflip")
+		for i := 0; i < 2; i++ {
+			if _, err := OpenDisk(dir, testSchema(), 0); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("open %d = %v, want ErrCorrupt", i+1, err)
+			}
+		}
+		if _, err := os.Stat(filepath.Join(dir, quarantineFile)); err != nil {
+			t.Errorf("QUARANTINE marker missing: %v", err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, segName("Goals", 2)+".quarantined")); err != nil {
+			t.Errorf("corrupt segment not moved aside: %v", err)
 		}
 	})
+}
+
+// TestMigrationCrashSweep injects a crash at every counted file operation
+// of a migrating open; the next clean open of whatever the crash left must
+// read the facts the sharded code read.
+func TestMigrationCrashSweep(t *testing.T) {
+	for _, name := range legacyFixtures {
+		t.Run(name, func(t *testing.T) {
+			want := fixtureFacts(t, name)
+			counter := faultfs.NewInjector(faultfs.OS())
+			ds, err := OpenDisk(copyFixture(t, name), testSchema(), 0, WithFS(counter))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds.Close()
+			ops := counter.OpCount()
+			for p := int64(1); p <= ops; p++ {
+				dir := copyFixture(t, name)
+				inj := faultfs.NewInjector(faultfs.OS(), faultfs.Fault{At: p, Kind: faultfs.KindCrash})
+				if ds, err := OpenDisk(dir, testSchema(), 0, WithFS(inj)); err == nil {
+					ds.Crash()
+				}
+				re, err := OpenDisk(dir, testSchema(), 0)
+				if err != nil {
+					t.Fatalf("crash at op %d/%d: clean open: %v", p, ops, err)
+				}
+				if !Equal(re, want) {
+					t.Fatalf("crash at op %d/%d: clean open is %d facts away", p, ops, Distance(re, want))
+				}
+				re.Close()
+			}
+		})
+	}
+}
+
+// TestUnknownRelationFailsPlainly: facts of a relation the schema lacks
+// fail the open without a quarantine, in the log and in a legacy store, and
+// the store opens again under its own schema.
+func TestUnknownRelationFailsPlainly(t *testing.T) {
+	teamsOnly := schema.New(schema.Relation{Name: "Teams", Attrs: []string{"name", "continent"}})
+	check := func(t *testing.T, dir string) {
+		t.Helper()
+		for i := 0; i < 2; i++ {
+			_, err := OpenDisk(dir, teamsOnly, 0)
+			if !errors.Is(err, errUnknownRelation) || errors.Is(err, ErrCorrupt) {
+				t.Fatalf("open %d under a narrower schema = %v, want a plain unknown-relation error", i+1, err)
+			}
+		}
+		ds, err := OpenDisk(dir, testSchema(), 0)
+		if err != nil {
+			t.Fatalf("open under the store's schema: %v", err)
+		}
+		ds.Close()
+	}
+	t.Run("log", func(t *testing.T) {
+		dir := t.TempDir()
+		ds, err := OpenDisk(dir, testSchema(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ds.InsertFact(NewFact("Goals", "Klose", "2014")); err != nil {
+			t.Fatal(err)
+		}
+		ds.Close()
+		check(t, dir)
+	})
+	t.Run("legacy", func(t *testing.T) { check(t, copyFixture(t, "v2-4shards-torn")) })
 }

@@ -11,7 +11,7 @@ import (
 // distinct tuples share a key. Both backends must refuse it with the same
 // error, and never report the colliding tuple as present.
 func TestReservedBytesRejected(t *testing.T) {
-	ds, _ := openTestDisk(t, 4)
+	ds, _ := openTestDisk(t)
 	stores := []struct {
 		name string
 		s    Store
@@ -56,7 +56,7 @@ func TestReservedBytesRejected(t *testing.T) {
 func TestMatchCountMatchesScan(t *testing.T) {
 	vals := []string{"a", "b", "c", "d", ""}
 	mem := New(testSchema())
-	ds, _ := openTestDisk(t, 4)
+	ds, _ := openTestDisk(t)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 60; i++ {
 		f := NewFact("Goals", vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))])

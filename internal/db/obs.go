@@ -13,19 +13,17 @@ const (
 	MetricRecoveryTornTails = "db.recovery.torn_tails"
 	// MetricRecoveryTornBytes counts the bytes those truncations discarded.
 	MetricRecoveryTornBytes = "db.recovery.torn_bytes"
-	// MetricRecoveryRecords counts segment and symbol records replayed at
-	// open.
+	// MetricRecoveryRecords counts the symbol and fact records replayed at
+	// open (from a legacy store's files when the open migrates it).
 	MetricRecoveryRecords = "db.recovery.records_replayed"
 	// MetricRecoveryQuarantines counts corrupt files quarantined (each one
 	// also leaves the sticky QUARANTINE marker).
 	MetricRecoveryQuarantines = "db.recovery.quarantines"
 
-	// MetricCompactionRuns counts Compact calls that rewrote at least one
-	// shard; MetricCompactionShards the shards rewritten;
-	// MetricCompactionReclaimed the segment bytes reclaimed;
+	// MetricCompactionRuns counts Compact calls that rewrote the log;
+	// MetricCompactionReclaimed the log bytes reclaimed;
 	// MetricCompactionErrors the failed compaction attempts.
 	MetricCompactionRuns      = "db.compaction.runs"
-	MetricCompactionShards    = "db.compaction.shards"
 	MetricCompactionReclaimed = "db.compaction.reclaimed_bytes"
 	MetricCompactionErrors    = "db.compaction.errors"
 )

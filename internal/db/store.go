@@ -7,9 +7,8 @@ import (
 )
 
 // Rel is the read view of one relation instance: membership, scans, and
-// index-assisted match counting. Both the in-memory *Relation and the
-// disk-backed sharded relation implement it; the evaluator plans its joins
-// against this interface only.
+// index-assisted match counting. *Relation implements it for both stores;
+// the evaluator plans its joins against this interface only.
 type Rel interface {
 	// Name returns the relation symbol.
 	Name() string
@@ -90,8 +89,8 @@ type Store interface {
 	Apply(e Edit) (changed bool, err error)
 	// Snapshot captures an immutable read view at the current generation.
 	Snapshot() Snapshot
-	// Stats describes the store: backend, per-relation fact counts, shard
-	// fan-out, and on-disk footprint.
+	// Stats describes the store: backend, per-relation fact counts, and
+	// on-disk footprint.
 	Stats() Stats
 	// Sync makes all applied edits durable (a no-op for purely in-memory
 	// stores). After Sync returns, a process kill loses nothing.
@@ -112,21 +111,18 @@ type Stats struct {
 	TotalFacts int `json:"total_facts"`
 	// Relations maps each relation name to its fact count.
 	Relations map[string]int `json:"relations"`
-	// Shards is the hash-shard fan-out per relation (1 for mem).
-	Shards int `json:"shards"`
 	// Symbols is the interned-constant count (0 for mem).
 	Symbols int `json:"symbols,omitempty"`
 	// DiskBytes is the on-disk footprint in bytes (0 for mem).
 	DiskBytes int64 `json:"disk_bytes"`
 
 	// FormatVersion is the on-disk record format (disk stores only; 0 for
-	// mem). Version 2 adds per-record CRC-32C checksums and commit markers.
+	// mem): 3, the one log of checksummed records. Older stores are
+	// migrated to it when opened.
 	FormatVersion int `json:"format_version,omitempty"`
-	// Segments reports per-shard live/dead record counts and garbage
-	// ratios, sorted by (relation, shard) — the numbers the compaction
-	// trigger acts on (disk stores only).
-	Segments []SegmentStat `json:"segments,omitempty"`
-	// GarbageRatio is dead records over total records across all segments.
+	// GarbageRatio is the log's dead fact records over all its fact
+	// records — the number the compaction trigger acts on (disk stores
+	// only).
 	GarbageRatio float64 `json:"garbage_ratio,omitempty"`
 
 	// Recovery counters, frozen when the store was opened.
@@ -141,21 +137,6 @@ type Stats struct {
 	// Compaction counters for this open.
 	CompactionRuns           int64 `json:"compaction_runs,omitempty"`
 	CompactionReclaimedBytes int64 `json:"compaction_reclaimed_bytes,omitempty"`
-}
-
-// SegmentStat describes one relation shard's segment file.
-type SegmentStat struct {
-	Relation string `json:"relation"`
-	Shard    int    `json:"shard"`
-	// Live is the tuple count; Dead the insert/delete records the segment
-	// still carries for tuples that are no longer (or were re-) present —
-	// the bytes compaction reclaims.
-	Live int `json:"live_records"`
-	Dead int `json:"dead_records"`
-	// Bytes is the segment size (file plus write buffer).
-	Bytes int64 `json:"bytes"`
-	// GarbageRatio is Dead over total records (0 for an empty segment).
-	GarbageRatio float64 `json:"garbage_ratio"`
 }
 
 // Distance returns the size of the symmetric difference |D − D′| + |D′ − D|

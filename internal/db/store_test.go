@@ -7,15 +7,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/faultfs"
 )
 
 // openTestDisk opens a disk store in a fresh temp dir and registers cleanup.
-func openTestDisk(t *testing.T, shards int) (*DiskStore, string) {
+func openTestDisk(t *testing.T) (*DiskStore, string) {
 	t.Helper()
 	dir := t.TempDir()
-	ds, err := OpenDisk(dir, testSchema(), shards)
+	ds, err := OpenDisk(dir, testSchema(), 0)
 	if err != nil {
 		t.Fatalf("OpenDisk: %v", err)
 	}
@@ -48,7 +46,7 @@ func seedFacts(t *testing.T, s Store, seed int64, n int) []Fact {
 }
 
 func TestDiskStoreBasics(t *testing.T) {
-	ds, _ := openTestDisk(t, 4)
+	ds, _ := openTestDisk(t)
 	f := NewFact("Teams", "GER", "EU")
 	if ch, err := ds.InsertFact(f); err != nil || !ch {
 		t.Fatalf("InsertFact = %v, %v", ch, err)
@@ -80,7 +78,7 @@ func TestDiskStoreBasics(t *testing.T) {
 }
 
 func TestDiskMemParity(t *testing.T) {
-	ds, _ := openTestDisk(t, 3)
+	ds, _ := openTestDisk(t)
 	md := New(testSchema())
 	rng := rand.New(rand.NewSource(7))
 	vals := []string{"", "a;b", "a\\", "v w", "'", "日本"}
@@ -131,21 +129,17 @@ func TestDiskMemParity(t *testing.T) {
 }
 
 func TestDiskReopenRoundTrip(t *testing.T) {
-	ds, dir := openTestDisk(t, 4)
+	ds, dir := openTestDisk(t)
 	seedFacts(t, ds, 42, 300)
 	want := ds.Facts()
 	if err := ds.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	// Reopen with a different (ignored) shard request: META pins the layout.
-	re, err := OpenDisk(dir, testSchema(), 9)
+	re, err := OpenDisk(dir, testSchema(), 0)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer re.Close()
-	if re.Stats().Shards != 4 {
-		t.Errorf("reopen shards = %d, want 4 from metadata", re.Stats().Shards)
-	}
 	got := re.Facts()
 	if len(got) != len(want) {
 		t.Fatalf("reopen facts = %d, want %d", len(got), len(want))
@@ -158,7 +152,7 @@ func TestDiskReopenRoundTrip(t *testing.T) {
 }
 
 func TestDiskCrashRecovery(t *testing.T) {
-	ds, dir := openTestDisk(t, 2)
+	ds, dir := openTestDisk(t)
 	seedFacts(t, ds, 1, 100)
 	if err := ds.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
@@ -174,7 +168,7 @@ func TestDiskCrashRecovery(t *testing.T) {
 		after = append(after, f)
 	}
 	ds.Crash()
-	re, err := OpenDisk(dir, testSchema(), 2)
+	re, err := OpenDisk(dir, testSchema(), 0)
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
@@ -207,7 +201,7 @@ func TestDiskCrashRecovery(t *testing.T) {
 }
 
 func TestDiskSnapshotIsolation(t *testing.T) {
-	ds, _ := openTestDisk(t, 2)
+	ds, _ := openTestDisk(t)
 	seedFacts(t, ds, 3, 50)
 	snap := ds.Snapshot()
 	if snap.ID() != ds.ID() {
@@ -233,7 +227,7 @@ func TestDiskSnapshotIsolation(t *testing.T) {
 // exactly the facts they came from, awkward values included, and survive a
 // reopen.
 func TestDiskCSVRoundTrip(t *testing.T) {
-	ds, dir := openTestDisk(t, 4)
+	ds, dir := openTestDisk(t)
 	md := New(testSchema())
 	seedFacts(t, md, 11, 120)
 	var text strings.Builder
@@ -253,7 +247,7 @@ func TestDiskCSVRoundTrip(t *testing.T) {
 	if err := ds.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	re, err := OpenDisk(dir, testSchema(), 4)
+	re, err := OpenDisk(dir, testSchema(), 0)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -311,15 +305,15 @@ func TestStatsShapes(t *testing.T) {
 	d := New(testSchema())
 	seedFacts(t, d, 21, 30)
 	st := d.Stats()
-	if st.Backend != "mem" || st.Shards != 1 || st.TotalFacts != d.Len() {
+	if st.Backend != "mem" || st.TotalFacts != d.Len() {
 		t.Errorf("mem stats = %+v", st)
 	}
-	ds, _ := openTestDisk(t, 4)
+	ds, _ := openTestDisk(t)
 	if _, err := Copy(ds, d); err != nil {
 		t.Fatal(err)
 	}
 	dst := ds.Stats()
-	if dst.Backend != "disk" || dst.Shards != 4 || dst.TotalFacts != d.Len() {
+	if dst.Backend != "disk" || dst.TotalFacts != d.Len() {
 		t.Errorf("disk stats = %+v", dst)
 	}
 	if dst.Symbols == 0 {
@@ -333,52 +327,36 @@ func TestStatsShapes(t *testing.T) {
 	}
 }
 
+// TestSymtabTornTail: the legacy symbol decoder drops a torn final record
+// and keeps every symbol before it, under its ID.
 func TestSymtabTornTail(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "syms.dat")
-	s, _, err := openSymtab(faultfs.OS(), path, formatVersion)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var raw []byte
 	for _, v := range []string{"alpha", "", "beta", "日本"} {
-		if _, err := s.intern(v); err != nil {
-			t.Fatal(err)
-		}
+		raw = appendSymRecord(raw, 2, v, false)
 	}
-	if err := s.close(true); err != nil {
-		t.Fatal(err)
-	}
-	// Append a torn record: a length header promising more bytes than exist.
-	appendBytes(t, path, []byte{200, 1, 'x'})
-	re, _, err := openSymtab(faultfs.OS(), path, formatVersion)
+	intact := len(raw)
+	// A torn record: a length header promising more bytes than exist.
+	raw = append(raw, 200, 1, 'x')
+	syms, good, err := decodeLegacySymbols(raw, 2, legacySymsFile)
 	if err != nil {
-		t.Fatalf("reopen with torn tail: %v", err)
+		t.Fatalf("decoding with a torn tail: %v", err)
 	}
-	defer re.close(true)
-	if re.size() != 4 {
-		t.Fatalf("size after torn tail = %d, want 4", re.size())
-	}
-	if id, ok := re.lookup("beta"); !ok || id != 2 {
-		t.Errorf("lookup beta = %d, %v", id, ok)
-	}
-	// New interning continues from the truncation point.
-	id, err := re.intern("gamma")
-	if err != nil || id != 4 {
-		t.Errorf("intern gamma = %d, %v; want 4, nil", id, err)
+	if good != intact || len(syms) != 4 || syms[2] != "beta" {
+		t.Errorf("decoded %q up to byte %d, want 4 symbols up to %d", syms, good, intact)
 	}
 }
 
 func TestDiskSegmentTornTail(t *testing.T) {
-	ds, dir := openTestDisk(t, 1)
+	ds, dir := openTestDisk(t)
 	if _, err := ds.InsertFact(NewFact("Teams", "A", "B")); err != nil {
 		t.Fatal(err)
 	}
 	if err := ds.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the single Teams segment with a garbage tail.
-	appendBytes(t, filepath.Join(dir, segName("Teams", 0)), []byte{5, 9, 9})
-	re, err := OpenDisk(dir, testSchema(), 1)
+	// Tear the log: a length header promising absent bytes.
+	appendBytes(t, filepath.Join(dir, diskLogFile), []byte{5, 9, 9})
+	re, err := OpenDisk(dir, testSchema(), 0)
 	if err != nil {
 		t.Fatalf("reopen with torn segment: %v", err)
 	}
@@ -388,6 +366,9 @@ func TestDiskSegmentTornTail(t *testing.T) {
 	}
 	if re.Len() != 1 {
 		t.Errorf("Len = %d after torn-tail truncation, want 1", re.Len())
+	}
+	if st := re.Stats(); st.TornTails != 1 || st.TornBytesTruncated != 3 {
+		t.Errorf("torn tails, bytes = %d, %d; want 1, 3", st.TornTails, st.TornBytesTruncated)
 	}
 	// The store stays writable after truncation.
 	if _, err := re.InsertFact(NewFact("Teams", "C", "D")); err != nil {

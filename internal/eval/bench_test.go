@@ -28,10 +28,10 @@ func BenchmarkWitnessesCold(b *testing.B) {
 
 // BenchmarkResultCold guards the join search itself: Q(D) of Soccer Q1–Q5
 // with the cache and any maintainer bypassed, on the in-memory store and on a
-// 4-shard DiskStore (which reads through the same db.Relation index).
+// DiskStore (which reads through the same db.Relation index).
 func BenchmarkResultCold(b *testing.B) {
 	mem := dataset.Soccer(dataset.SoccerOpts{})
-	disk, err := db.OpenDisk(b.TempDir(), mem.Schema(), 4)
+	disk, err := db.OpenDisk(b.TempDir(), mem.Schema(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -234,9 +234,9 @@ func TestDistanceTriangleInequality(t *testing.T) {
 		a := randDB(rng, s)
 		b := randDB(rng, s)
 		c := randDB(rng, s)
-		if a.Distance(c) > a.Distance(b)+b.Distance(c) {
+		if db.Distance(a, c) > db.Distance(a, b)+db.Distance(b, c) {
 			t.Fatalf("trial %d: d(a,c)=%d > d(a,b)+d(b,c)=%d+%d",
-				trial, a.Distance(c), a.Distance(b), b.Distance(c))
+				trial, db.Distance(a, c), db.Distance(a, b), db.Distance(b, c))
 		}
 	}
 	_ = fmt.Sprint() // keep fmt for debugging convenience

@@ -154,14 +154,14 @@ func TestUnknownRelationYieldsNothing(t *testing.T) {
 }
 
 // TestHoldsAllocs: a seeded Holds allocates a small constant per call, on
-// the in-memory store and on a 4-shard disk store. It compiles into a pooled
+// the in-memory store and on a disk store. It compiles into a pooled
 // searcher and scans postings in place.
 func TestHoldsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled searchers at random")
 	}
 	mem := dataset.Soccer(dataset.SoccerOpts{})
-	disk, err := db.OpenDisk(t.TempDir(), mem.Schema(), 4)
+	disk, err := db.OpenDisk(t.TempDir(), mem.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,6 @@ type EvalBenchOpts struct {
 	// StoreDir is where the disk-backed store of the mem-vs-disk comparison
 	// lives (empty = fresh temp dir, removed afterwards).
 	StoreDir string
-	// StoreShards is the disk store's hash fan-out (0 = db.DefaultShards).
-	StoreShards int
 
 	// repeats is how many timed repetitions each measurement takes the
 	// median and quartiles of (default 21; tests take fewer).
@@ -272,7 +270,7 @@ func storeBench(rep *EvalBenchReport, d *db.Database, queries []*cq.Query, names
 		defer os.RemoveAll(tmp)
 		dir = tmp
 	}
-	dsk, err := db.OpenDisk(dir, d.Schema(), opts.StoreShards)
+	dsk, err := db.OpenDisk(dir, d.Schema(), 0)
 	if err != nil {
 		rep.StoreError = err.Error()
 		return

@@ -7,12 +7,12 @@
 // package with no indirection cost beyond an interface call per operation
 // (all of which sit next to a syscall anyway).
 //
-// The package also owns RenameAndSyncDir, the one shared helper for the
-// atomic-replace idiom: rename alone is not durable on ext4 — the new
-// directory entry lives in the directory inode, which has its own cache —
-// so every atomic install (store metadata, compacted segments, job-journal
-// and replica-log rewrites) must fsync the containing directory after the
-// rename.
+// The package also owns the two helpers that make a directory entry
+// durable. A file's directory entry lives in the directory inode, which has
+// its own cache, so neither a rename nor a file's creation survives a crash
+// until the directory is fsynced: RenameAndSyncDir serves every atomic
+// install (store metadata, compacted store logs, job-journal and
+// replica-log rewrites) and OpenAndSyncDir every log an open creates.
 package faultfs
 
 import (
@@ -114,11 +114,32 @@ func (osFS) SyncDir(dir string) error {
 // containing directory, the step plain Rename misses: without it a crash
 // shortly after the rename can roll the directory entry back to the old
 // file on ext4 and friends. Used by the disk store (metadata installs,
-// segment compaction, quarantine), the symbol table (quarantine), and the
-// job and replica journals (compaction and full-state rewrites).
+// log compaction and migration, quarantine) and the job and replica
+// journals (compaction and full-state rewrites).
 func RenameAndSyncDir(fsys FS, oldpath, newpath string) error {
 	if err := fsys.Rename(oldpath, newpath); err != nil {
 		return err
 	}
 	return fsys.SyncDir(filepath.Dir(newpath))
+}
+
+// OpenAndSyncDir opens name with flag|O_CREATE and, when the open created
+// the file, fsyncs its directory before returning. fsync(2) on the file
+// makes its data durable but not its directory entry, so without this a
+// machine crash could lose a new log along with every record synced to it.
+// Used by the disk store's log and the job and replica journals.
+func OpenAndSyncDir(fsys FS, name string, flag int, perm os.FileMode) (File, error) {
+	_, err := fsys.Stat(name)
+	created := os.IsNotExist(err)
+	f, err := fsys.OpenFile(name, flag|os.O_CREATE, perm)
+	if err != nil {
+		return nil, err
+	}
+	if created {
+		if err := fsys.SyncDir(filepath.Dir(name)); err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
+	return f, nil
 }

@@ -22,7 +22,7 @@ func Oracles() []Oracle {
 		{Name: "roundtrip", Doc: "SQL → CQ → Datalog text → CQ is the identity", Check: checkRoundTrip},
 		{Name: "cache", Doc: "cache on (cold and warm) vs eval.NoCache", Check: checkCache},
 		{Name: "ivm", Doc: "view.Engine-maintained serving vs cold evaluation", Check: checkIVM},
-		{Name: "store", Doc: "in-memory store vs disk-backed sharded store", Check: checkStore},
+		{Name: "store", Doc: "in-memory store vs disk-backed store", Check: checkStore},
 		{Name: "permute-union", Doc: "union disjunct order (CQ-level and SQL-text-level)", Check: checkPermuteUnion},
 		{Name: "permute-atoms", Doc: "join/atom order (CQ-level and SQL-text-level)", Check: checkPermuteAtoms},
 	}
@@ -302,7 +302,7 @@ func checkIVM(w *Workload) error {
 
 // ---- store -----------------------------------------------------------------
 
-// checkStore replays the workload over the disk-backed sharded store and
+// checkStore replays the workload over the disk-backed store and
 // compares output against the in-memory leg at every step.
 func checkStore(w *Workload) error {
 	if err := skipIfRejected(w); err != nil {
@@ -317,7 +317,7 @@ func checkStore(w *Workload) error {
 		return fmt.Errorf("disk leg: temp dir: %w", err)
 	}
 	defer os.RemoveAll(dir)
-	ds, err := db.OpenDisk(dir, w.Ins.Schema, 1+int(w.Seed%4))
+	ds, err := db.OpenDisk(dir, w.Ins.Schema, 0)
 	if err != nil {
 		return fmt.Errorf("disk leg: open: %w", err)
 	}

@@ -175,7 +175,7 @@ func TestRoundPostedTogether(t *testing.T) {
 }
 
 // BenchmarkServerJob runs the end-to-end benchmark's server-mixed job
-// (Soccer Q2, 3 wrong and 3 missing answers, seed 1) on a 4-shard disk store
+// (Soccer Q2, 3 wrong and 3 missing answers, seed 1) on a disk store
 // with a job journal, answered in-process through the question queue by a
 // perfect crowd. Set-up runs with the timer stopped.
 func BenchmarkServerJob(b *testing.B) {

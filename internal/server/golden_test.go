@@ -26,7 +26,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/questions.golden
 // TestServerQuestionCountGolden pins the crowd questions, by kind, that the
 // end-to-end benchmark's server-mixed shape asks: Soccer Q2 with 3 missing
 // and then 3 wrong answers injected from one rand.Rand per seed, cleaned over
-// HTTP on a 4-shard disk store with a job journal, and answered through the
+// HTTP on a disk store with a job journal, and answered through the
 // question queue by a perfect oracle. A change to the server's question
 // economy shows up as a diff against testdata/questions.golden; run with
 // -update to accept an intended one.
@@ -113,11 +113,11 @@ func soccerQ2Dirty(tb testing.TB, dg *db.Database, seed int64) *db.Database {
 	return d
 }
 
-// bootDiskServer boots the server-mixed server over d: a fresh 4-shard disk
+// bootDiskServer boots the server-mixed server over d: a fresh disk
 // store in dir holding d, synced, IVM on, and a job journal.
 func bootDiskServer(tb testing.TB, d *db.Database, dir string) (*Server, *db.DiskStore, *wal.JobLog) {
 	tb.Helper()
-	ds, err := db.OpenDisk(filepath.Join(dir, "store"), d.Schema(), 4)
+	ds, err := db.OpenDisk(filepath.Join(dir, "store"), d.Schema(), 0)
 	if err != nil {
 		tb.Fatal(err)
 	}

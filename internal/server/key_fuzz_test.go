@@ -1,6 +1,8 @@
 package server
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -171,4 +173,113 @@ func FuzzQuestionKeyRoundTrip(f *testing.F) {
 			t.Fatalf("re-encoding not stable:\n%q\n%q", key, key2)
 		}
 	})
+}
+
+// parseQuestionKey decodes a QuestionKey back into the payload fields it
+// encodes: the inverse FuzzQuestionKeyRoundTrip uses to prove the encoding
+// injective. Empty collections decode as nil.
+func parseQuestionKey(key string) (*Question, error) {
+	rest, ok := strings.CutPrefix(key, questionKeyVersion)
+	if !ok {
+		return nil, fmt.Errorf("server: question key lacks %q version prefix", questionKeyVersion[:3])
+	}
+	p := &keyParser{rest: rest}
+	qu := &Question{}
+	qu.Kind = QuestionKind(p.str())
+	qu.Fact = p.list()
+	qu.Query = p.str()
+	qu.Tuple = p.list()
+	if n := p.count(); n > 0 {
+		qu.Partial = make(map[string]string, n)
+		prev := ""
+		for i := 0; i < n; i++ {
+			k := p.str()
+			if p.err == nil && i > 0 && k <= prev {
+				p.fail("partial keys not strictly sorted")
+			}
+			prev = k
+			qu.Partial[k] = p.str()
+		}
+	}
+	qu.Unbound = p.list()
+	if n := p.count(); n > 0 {
+		qu.Current = make([][]string, n)
+		for i := range qu.Current {
+			qu.Current[i] = p.list()
+			if qu.Current[i] == nil {
+				qu.Current[i] = []string{}
+			}
+		}
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
+	if p.rest != "" {
+		return nil, fmt.Errorf("server: question key has %d trailing bytes", len(p.rest))
+	}
+	return qu, nil
+}
+
+// keyParser consumes the length-prefixed question-key grammar. The first
+// malformed token latches err and every later read returns zero values.
+type keyParser struct {
+	rest string
+	err  error
+}
+
+func (p *keyParser) fail(msg string) {
+	if p.err == nil {
+		p.err = fmt.Errorf("server: malformed question key: %s", msg)
+	}
+}
+
+// num reads a decimal count up to the delimiter sep (':' for strings, ';'
+// for collections).
+func (p *keyParser) num(sep byte) int {
+	if p.err != nil {
+		return 0
+	}
+	i := strings.IndexByte(p.rest, sep)
+	if i < 0 {
+		p.fail("missing length delimiter")
+		return 0
+	}
+	n, err := strconv.Atoi(p.rest[:i])
+	if err != nil || n < 0 || p.rest[:i] != strconv.Itoa(n) {
+		p.fail("bad length")
+		return 0
+	}
+	p.rest = p.rest[i+1:]
+	return n
+}
+
+func (p *keyParser) str() string {
+	n := p.num(':')
+	if p.err != nil {
+		return ""
+	}
+	if n > len(p.rest) {
+		p.fail("string length past end of key")
+		return ""
+	}
+	s := p.rest[:n]
+	p.rest = p.rest[n:]
+	return s
+}
+
+func (p *keyParser) count() int { return p.num(';') }
+
+func (p *keyParser) list() []string {
+	n := p.count()
+	if p.err != nil || n == 0 {
+		return nil
+	}
+	xs := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		xs = append(xs, p.str())
+	}
+	if p.err != nil {
+		return nil
+	}
+	return xs
 }

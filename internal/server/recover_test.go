@@ -425,12 +425,12 @@ func sameTuples(a, b []db.Tuple) bool {
 	return true
 }
 
-// openFigure1Disk opens a 4-shard disk store in dir holding the dirty
+// openFigure1Disk opens a disk store in dir holding the dirty
 // Figure 1 database, synced.
 func openFigure1Disk(t *testing.T, dir string, opts ...db.DiskOption) *db.DiskStore {
 	t.Helper()
 	d0, _ := dataset.Figure1()
-	ds, err := db.OpenDisk(dir, d0.Schema(), 4, opts...)
+	ds, err := db.OpenDisk(dir, d0.Schema(), 0, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +503,7 @@ func TestCrashAfterAnswersOnDisk(t *testing.T) {
 			ds.Crash()
 			log1.Close()
 
-			ds2, err := db.OpenDisk(storeDir, d0.Schema(), 4)
+			ds2, err := db.OpenDisk(storeDir, d0.Schema(), 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -405,7 +405,8 @@ func (s *Server) v1Metrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // v1DB serves GET /api/v1/db: the fact store's stats — backend, generation,
-// per-relation fact counts, shard fan-out, and on-disk footprint.
+// per-relation fact counts, on-disk footprint, and the disk log's garbage
+// ratio and recovery counters.
 func (s *Server) v1DB(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		methodNotAllowed(w, http.MethodGet)

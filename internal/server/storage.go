@@ -55,10 +55,11 @@ func (s *Server) storageUnavailable(w http.ResponseWriter) bool {
 	return true
 }
 
-// CompactStore rewrites garbage-heavy segment shards of a disk-backed
-// store (db.DiskStore.Compact), serialized against jobs and queries via the
-// database write lock. The second return is false when the backend does not
-// support compaction (the in-memory store); that is not an error.
+// CompactStore rewrites the log of a disk-backed store once its garbage
+// ratio reaches minGarbage (db.DiskStore.Compact), serialized against jobs
+// and queries via the database write lock. The second return is false when
+// the backend does not support compaction (the in-memory store); that is
+// not an error.
 func (s *Server) CompactStore(minGarbage float64) (db.CompactionResult, bool, error) {
 	type compactor interface {
 		Compact(float64) (db.CompactionResult, error)

@@ -24,7 +24,7 @@ func storageTestSchema() *schema.Schema {
 func corruptDiskDir(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	ds, err := db.OpenDisk(dir, storageTestSchema(), 1)
+	ds, err := db.OpenDisk(dir, storageTestSchema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,27 +36,13 @@ func corruptDiskDir(t *testing.T) string {
 	if err := ds.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var seg string
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".seg") {
-			if fi, err := e.Info(); err == nil && fi.Size() > 0 {
-				seg = filepath.Join(dir, e.Name())
-			}
-		}
-	}
-	if seg == "" {
-		t.Fatal("no non-empty segment file")
-	}
-	raw, err := os.ReadFile(seg)
+	log := filepath.Join(dir, "store.log")
+	raw, err := os.ReadFile(log)
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[len(raw)/2] ^= 0x20
-	if err := os.WriteFile(seg, raw, 0o644); err != nil {
+	if err := os.WriteFile(log, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -68,7 +54,7 @@ func corruptDiskDir(t *testing.T) string {
 // than silently serving an empty database.
 func TestQuarantinedStoreSurfacesReadyz(t *testing.T) {
 	dir := corruptDiskDir(t)
-	_, err := db.OpenDisk(dir, storageTestSchema(), 1)
+	_, err := db.OpenDisk(dir, storageTestSchema(), 0)
 	if !errors.Is(err, db.ErrCorrupt) {
 		t.Fatalf("OpenDisk over corrupt dir = %v, want ErrCorrupt", err)
 	}
@@ -135,7 +121,7 @@ func TestQuarantinedStoreSurfacesReadyz(t *testing.T) {
 // explicit SetStoreError call.
 func TestDiskStoreErrFlipsReadyz(t *testing.T) {
 	dir := t.TempDir()
-	ds, err := db.OpenDisk(dir, storageTestSchema(), 1)
+	ds, err := db.OpenDisk(dir, storageTestSchema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +147,7 @@ func TestDiskStoreErrFlipsReadyz(t *testing.T) {
 // database write lock; the in-memory backend reports unsupported.
 func TestCompactStore(t *testing.T) {
 	dir := t.TempDir()
-	ds, err := db.OpenDisk(dir, storageTestSchema(), 1)
+	ds, err := db.OpenDisk(dir, storageTestSchema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +165,8 @@ func TestCompactStore(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("CompactStore = %+v, %v, %v", res, ok, err)
 	}
-	if res.ShardsCompacted != 1 || res.RecordsDropped != 2 {
-		t.Errorf("CompactStore result = %+v, want 1 shard, 2 records", res)
+	if res.RecordsDropped != 2 {
+		t.Errorf("CompactStore result = %+v, want 2 records dropped", res)
 	}
 
 	mem := New(db.New(storageTestSchema()), core.Config{})

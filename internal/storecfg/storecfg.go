@@ -1,7 +1,7 @@
 // Package storecfg wires the pluggable db.Store backends into command-line
-// binaries: every cmd/ binary exposes the same -store/-store-dir/
-// -store-shards flags (defaulting from the QOCO_STORE environment variable,
-// which the CI disk matrix leg also sets) and resolves them here.
+// binaries: every cmd/ binary exposes the same -store/-store-dir flags
+// (defaulting from the QOCO_STORE environment variable, which the CI disk
+// matrix leg also sets) and resolves them here.
 package storecfg
 
 import (
@@ -15,13 +15,11 @@ import (
 
 // Config is the resolved storage configuration of one binary.
 type Config struct {
-	// Backend is "mem" (the in-memory store) or "disk" (the sharded
-	// disk-backed store).
+	// Backend is "mem" (the in-memory store) or "disk" (the disk-backed
+	// store, one append-only log).
 	Backend string
 	// Dir is the disk store's directory; empty means a fresh temp dir.
 	Dir string
-	// Shards is the per-relation hash fan-out for newly created disk stores.
-	Shards int
 }
 
 // Register installs the storage flags on fs (flag.CommandLine for binaries).
@@ -34,11 +32,9 @@ func Register(fs *flag.FlagSet) *Config {
 		def = "mem"
 	}
 	fs.StringVar(&c.Backend, "store", def,
-		"fact-store backend: mem (in-memory) or disk (sharded, disk-backed; defaults from $QOCO_STORE)")
+		"fact-store backend: mem (in-memory) or disk (disk-backed log; defaults from $QOCO_STORE)")
 	fs.StringVar(&c.Dir, "store-dir", "",
 		"directory of the disk-backed store (empty = fresh temp dir); reopening a dir resumes its contents")
-	fs.IntVar(&c.Shards, "store-shards", db.DefaultShards,
-		"per-relation hash-shard fan-out when creating a disk-backed store")
 	return c
 }
 
@@ -60,7 +56,7 @@ func (c *Config) Materialize(seed *db.Database) (db.Store, error) {
 				return nil, fmt.Errorf("storecfg: creating store dir: %w", err)
 			}
 		}
-		ds, err := db.OpenDisk(dir, seed.Schema(), c.Shards)
+		ds, err := db.OpenDisk(dir, seed.Schema(), 0)
 		if err != nil {
 			if errors.Is(err, db.ErrCorrupt) {
 				return nil, fmt.Errorf("%w\n(the damaged file was quarantined; see docs/OPERATIONS.md, \"Storage corruption and quarantine\")", err)

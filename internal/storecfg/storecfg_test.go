@@ -26,9 +26,6 @@ func TestRegisterDefaults(t *testing.T) {
 	if c.Backend != "mem" && c.Backend != "disk" {
 		t.Fatalf("default backend = %q", c.Backend)
 	}
-	if c.Shards != db.DefaultShards {
-		t.Errorf("default shards = %d, want %d", c.Shards, db.DefaultShards)
-	}
 }
 
 func TestRegisterHonorsEnv(t *testing.T) {
@@ -66,7 +63,7 @@ func TestMaterializeMem(t *testing.T) {
 func TestMaterializeDiskSeedsAndResumes(t *testing.T) {
 	seed := testSeed(t)
 	dir := t.TempDir()
-	cfg := &Config{Backend: "disk", Dir: dir, Shards: 2}
+	cfg := &Config{Backend: "disk", Dir: dir}
 
 	st, err := cfg.Materialize(seed)
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 // TestMaintenanceIsReadOnly pins the overlay-based delta rules: propagating
 // an edit through maintained views (including the pre-state legs for
 // positive-atom deletes and negated-atom inserts) must not move the store
-// generation, and on a journaled DiskStore must not append any segment
+// generation, and on a journaled DiskStore must not append any log
 // record beyond the semantic edits themselves. The historical temp-toggle
 // implementation journaled an insert/delete pair per maintained view per
 // edit; a crash (or journal-replay failover) landing between a toggle and
@@ -31,7 +31,7 @@ func TestMaintenanceIsReadOnly(t *testing.T) {
 		}
 	}
 
-	ds, err := db.OpenDisk(t.TempDir(), s, 2)
+	ds, err := db.OpenDisk(t.TempDir(), s, 0)
 	if err != nil {
 		t.Fatalf("OpenDisk: %v", err)
 	}
@@ -74,12 +74,12 @@ func TestMaintenanceIsReadOnly(t *testing.T) {
 		}
 	}
 
-	// The durable log must hold exactly one record per semantic edit.
-	records := 0
-	for _, seg := range ds.Stats().Segments {
-		records += seg.Live + seg.Dead
-	}
-	if records != len(edits) {
-		t.Errorf("journal holds %d records, want %d (semantic edits only)", records, len(edits))
+	// The durable log must hold exactly one record per semantic edit. Its
+	// garbage ratio, (records - facts) / records, grows with the record
+	// count, so it pins the count.
+	st := ds.Stats()
+	if want := float64(len(edits)-st.TotalFacts) / float64(len(edits)); st.GarbageRatio != want {
+		t.Errorf("log garbage ratio %v with %d facts, want %v: %d records (semantic edits only)",
+			st.GarbageRatio, st.TotalFacts, want, len(edits))
 	}
 }

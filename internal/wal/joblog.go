@@ -90,7 +90,8 @@ type JobEvent struct {
 }
 
 // OpenJobLog opens (creating if absent) the job journal at path and returns
-// the jobs recorded in it, in start order. A torn final line from a crash
+// the jobs recorded in it, in start order. An open that creates the journal
+// fsyncs its directory before returning, so the file outlives a crash. A torn final line from a crash
 // mid-append is tolerated and counted under MetricTornTails; corruption
 // elsewhere is an error.
 func OpenJobLog(path string, opts ...JobLogOption) (*JobLog, []JobRecord, error) {
@@ -128,7 +129,7 @@ func OpenJobLog(path string, opts ...JobLogOption) (*JobLog, []JobRecord, error)
 		rec().Inc(MetricCompactions)
 		rec().Add(MetricCompactedJobs, int64(len(jobs)-live))
 	}
-	f, err := options.fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := faultfs.OpenAndSyncDir(options.fs, path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: opening job log: %w", err)
 	}

@@ -150,8 +150,8 @@ type ReplicaLog struct {
 	fold *Fold
 }
 
-// OpenReplicaLog opens (creating if absent) the replica journal at path and
-// rebuilds its fold and cursor. Torn tails are tolerated with the same
+// OpenReplicaLog opens (creating if absent, with a directory fsync as for
+// OpenJobLog) the replica journal at path and rebuilds its fold and cursor. Torn tails are tolerated with the same
 // semantics as the job journal; corruption elsewhere is an error.
 func OpenReplicaLog(path string, opts ...JobLogOption) (*ReplicaLog, error) {
 	options := jobLogOptions{fs: faultfs.OS()}
@@ -182,7 +182,7 @@ func OpenReplicaLog(path string, opts ...JobLogOption) (*ReplicaLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := options.fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := faultfs.OpenAndSyncDir(options.fs, path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: opening replica log: %w", err)
 	}

@@ -36,13 +36,14 @@ var surfaceAllow = map[string]string{
 		"split check the query graph through it",
 }
 
-// TestNoUnusedSurface fails on exported surface under internal/ that no
-// caller needs. It type-checks every non-test Go file of the repository (the
-// root, cmd/, internal/, examples/ and the bench/ module) and reports two
-// kinds of finding:
+// TestNoUnusedSurface fails on surface under internal/ that no caller
+// needs. It type-checks every non-test Go file of the repository (the root,
+// cmd/, internal/, examples/ and the bench/ module) and reports two kinds of
+// finding:
 //
-//   - an exported package-level name, method or struct field under internal/
-//     that no non-test code references;
+//   - an exported package-level name, method or struct field, or any
+//     package-level function or method, under internal/ that no non-test
+//     code references;
 //   - an exported field of an internal/ struct named *Config, *Options or
 //     *Opts that no non-test code outside its package and outside examples/
 //     sets.
@@ -162,7 +163,8 @@ func scanSurface(root string, std types.ImporterFrom, allow map[string]string) (
 			found = append(found, finding{obj.Pos(), p.types.Name() + "." + name, msg})
 		}
 		unused := func(obj types.Object, name string) {
-			if obj.Exported() && !s.used[obj] {
+			_, fn := obj.(*types.Func)
+			if (obj.Exported() || fn) && !s.used[obj] {
 				report(obj, name, "no non-test code references it")
 			}
 		}
@@ -488,7 +490,7 @@ func TestSurfaceGuardRules(t *testing.T) {
 	}, {
 		name:  "type named only by its own methods' receivers",
 		files: map[string]string{"internal/a/t.go": "package a\n\ntype T struct{}\n\nfunc (t T) m() {}\n"},
-		want:  []string{"a.T: no non-test code references it"},
+		want:  []string{"a.T: no non-test code references it", "a.T.m: no non-test code references it"},
 	}, {
 		name: "interface method only a wrapper's embedding provides",
 		files: map[string]string{
@@ -504,6 +506,16 @@ func TestSurfaceGuardRules(t *testing.T) {
 			"internal/a/dead_test.go": "package a\n\nimport \"testing\"\n\nfunc TestDead(t *testing.T) { Dead() }\n",
 		},
 		want: []string{"a.Dead: no non-test code references it"},
+	}, {
+		name: "unexported function and method referenced only from a test",
+		files: map[string]string{
+			"internal/a/dead.go": "package a\n\ntype T struct{}\n\nfunc (T) M() { helper() }\n\n" +
+				"func (T) dead() {}\n\nfunc helper() {}\n\nfunc dead() {}\n",
+			"internal/a/dead_test.go": "package a\n\nimport \"testing\"\n\n" +
+				"func TestDead(t *testing.T) { dead(); T{}.dead() }\n",
+			"cmd/y/main.go": "package main\n\nimport \"repro/internal/a\"\n\nfunc main() { a.T{}.M() }\n",
+		},
+		want: []string{"a.dead: no non-test code references it", "a.T.dead: no non-test code references it"},
 	}, {
 		name: "option field set only under examples/",
 		files: map[string]string{
