@@ -298,6 +298,10 @@ func (s *DiskStore) replay() error {
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("db: reading store log: %w", err)
 	}
+	// Nothing shares the store before OpenDisk returns; replay takes the
+	// symbol table's lock once rather than once per record.
+	s.syms.mu.Lock()
+	defer s.syms.mu.Unlock()
 	var sl tupleSlab
 	good := 0
 	for off := 0; off < len(raw); off = good {
@@ -310,7 +314,7 @@ func (s *DiskStore) replay() error {
 		}
 		switch r.op {
 		case opSymbol:
-			s.syms.add(string(r.body))
+			s.syms.addLocked(string(r.body))
 			s.recordsReplayed++
 		case opInsert, opDelete:
 			if err := s.replayFact(r, &sl); err != nil {
@@ -329,14 +333,15 @@ func (s *DiskStore) replay() error {
 	return s.openLog(int64(len(raw)), int64(good))
 }
 
-// replayFact applies one insert or delete record of the log.
+// replayFact applies one insert or delete record of the log. The caller
+// holds the symbol table's lock.
 func (s *DiskStore) replayFact(r logRec, sl *tupleSlab) error {
-	ids, ok := decodeFactBody(r.body, uint32(s.syms.size()), s.ids)
+	ids, ok := decodeFactBody(r.body, uint32(len(s.syms.strs)), s.ids)
 	s.ids = ids
 	if !ok {
 		return &CorruptError{Reason: "fact record malformed or naming an undefined symbol"}
 	}
-	name := s.syms.str(ids[0])
+	name := s.syms.strs[ids[0]]
 	rel := s.d.rels[name]
 	if rel == nil {
 		return fmt.Errorf("%w: %q", errUnknownRelation, name)
@@ -731,14 +736,9 @@ func (s *DiskStore) Sync() error {
 	if s.err != nil || !s.unsynced {
 		return s.err
 	}
-	s.rec = appendLogRecord(s.rec[:0], opCommit, "", nil)
-	if _, err := s.w.Write(s.rec); err != nil {
-		s.err = fmt.Errorf("db: appending commit marker: %w", err)
-		return s.err
-	}
-	if err := s.w.Flush(); err != nil {
-		s.err = fmt.Errorf("db: flushing the store log: %w", err)
-		return s.err
+	if err := s.flushCommit(); err != nil {
+		s.err = err
+		return err
 	}
 	if err := s.file.Sync(); err != nil {
 		s.err = fmt.Errorf("db: syncing the store log: %w", err)
@@ -760,19 +760,25 @@ func (s *DiskStore) Close() error {
 	}
 	var err error
 	if s.err == nil && s.unsynced {
-		s.rec = appendLogRecord(s.rec[:0], opCommit, "", nil)
-		if _, err = s.w.Write(s.rec); err == nil {
-			err = s.w.Flush()
-		}
-		if err != nil {
-			err = fmt.Errorf("db: flushing the store log: %w", err)
-		}
+		err = s.flushCommit()
 	}
 	if cerr := s.file.Close(); err == nil {
 		err = cerr
 	}
 	s.file, s.w = nil, nil
 	return err
+}
+
+// flushCommit appends a commit marker and flushes the log to the OS.
+func (s *DiskStore) flushCommit() error {
+	s.rec = appendLogRecord(s.rec[:0], opCommit, "", nil)
+	if _, err := s.w.Write(s.rec); err != nil {
+		return fmt.Errorf("db: appending commit marker: %w", err)
+	}
+	if err := s.w.Flush(); err != nil {
+		return fmt.Errorf("db: flushing the store log: %w", err)
+	}
+	return nil
 }
 
 // Crash simulates a process kill for crash-recovery tests: the log is

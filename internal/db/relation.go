@@ -29,15 +29,11 @@ type Relation struct {
 }
 
 // NewRelation creates an empty relation with the given name and arity.
-func NewRelation(name string, arity int) *Relation { return newRelationSize(name, arity, 0) }
-
-// newRelationSize creates an empty relation whose tuple map is sized for n
-// tuples.
-func newRelationSize(name string, arity, n int) *Relation {
+func NewRelation(name string, arity int) *Relation {
 	r := &Relation{
 		name:   name,
 		arity:  arity,
-		tuples: make(map[string]Tuple, n),
+		tuples: make(map[string]Tuple),
 		index:  make([]map[string][]Tuple, arity),
 	}
 	for i := range r.index {

@@ -91,9 +91,9 @@ type JobEvent struct {
 
 // OpenJobLog opens (creating if absent) the job journal at path and returns
 // the jobs recorded in it, in start order. An open that creates the journal
-// fsyncs its directory before returning, so the file outlives a crash. A torn final line from a crash
-// mid-append is tolerated and counted under MetricTornTails; corruption
-// elsewhere is an error.
+// fsyncs its directory before returning, so the file outlives a crash. A
+// torn final line from a crash mid-append is tolerated and counted under
+// MetricTornTails; corruption elsewhere is an error.
 func OpenJobLog(path string, opts ...JobLogOption) (*JobLog, []JobRecord, error) {
 	options := jobLogOptions{fs: faultfs.OS()}
 	for _, o := range opts {

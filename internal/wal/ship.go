@@ -151,8 +151,9 @@ type ReplicaLog struct {
 }
 
 // OpenReplicaLog opens (creating if absent, with a directory fsync as for
-// OpenJobLog) the replica journal at path and rebuilds its fold and cursor. Torn tails are tolerated with the same
-// semantics as the job journal; corruption elsewhere is an error.
+// OpenJobLog) the replica journal at path and rebuilds its fold and cursor.
+// Torn tails are tolerated with the same semantics as the job journal;
+// corruption elsewhere is an error.
 func OpenReplicaLog(path string, opts ...JobLogOption) (*ReplicaLog, error) {
 	options := jobLogOptions{fs: faultfs.OS()}
 	for _, o := range opts {
