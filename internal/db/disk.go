@@ -166,16 +166,22 @@ func OpenDisk(dir string, s *schema.Schema, _ int, opts ...DiskOption) (*DiskSto
 		return nil, err
 	}
 	legacy := found && m.Version < formatVersion
+	quarantined, legacyLeft := cleanupStale(fsys, dir, found && !legacy)
 	ds := &DiskStore{
 		dir:          dir,
 		fs:           fsys,
 		d:            New(s),
 		syms:         newSymtab(),
-		leftoverQuar: cleanupStale(fsys, dir, !legacy),
+		leftoverQuar: quarantined,
 	}
 	switch {
 	case legacy:
 		err = ds.migrate(m)
+	case legacyLeft:
+		// Without store.json, the version and fan-out that decode the
+		// sharded files are unknown; creating a fresh log over them would
+		// lose their facts at the next open's cleanup.
+		err = fmt.Errorf("db: store %s holds files of the sharded layout but no %s; restore it to migrate them", dir, diskMetaFile)
 	case !found:
 		if err = writeMetaAtomic(fsys, dir); err == nil {
 			err = ds.replay()
@@ -237,25 +243,28 @@ func isLegacyFile(name string) bool {
 }
 
 // cleanupStale removes temp files left by a crash mid-install (metadata
-// or log rewrites that never reached their rename) and, with legacy set,
-// files of the sharded layout that a migration left behind after its
-// metadata rewrite committed it. It counts the *.quarantined files an
-// operator has not yet dealt with.
-func cleanupStale(fsys faultfs.FS, dir string, legacy bool) (quarantined int) {
+// or log rewrites that never reached their rename) and, with migrated set
+// (store.json reads v3), files of the sharded layout that a migration left
+// behind after its metadata rewrite committed it. It counts the
+// *.quarantined files an operator has not yet dealt with, and reports
+// whether files of the sharded layout remain.
+func cleanupStale(fsys faultfs.FS, dir string, migrated bool) (quarantined int, legacyLeft bool) {
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
-		return 0
+		return 0, false
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if strings.Contains(name, ".tmp-") || strings.Contains(name, ".compact-") || legacy && isLegacyFile(name) {
+		switch {
+		case strings.Contains(name, ".tmp-") || strings.Contains(name, ".compact-") || migrated && isLegacyFile(name):
 			_ = fsys.Remove(filepath.Join(dir, name))
-		}
-		if strings.HasSuffix(name, ".quarantined") {
+		case isLegacyFile(name):
+			legacyLeft = true
+		case strings.HasSuffix(name, ".quarantined"):
 			quarantined++
 		}
 	}
-	return quarantined
+	return quarantined, legacyLeft
 }
 
 // writeMetaAtomic installs the v3 store descriptor via temp file + fsync +

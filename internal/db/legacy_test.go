@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/faultfs"
@@ -75,7 +76,8 @@ func legacyFilesIn(t *testing.T, dir string) []string {
 // read from it and is migrated by that open: store.json reads version 3, no
 // symbols.dat or segment is left, and a reopen reads the same facts. The
 // bit-flipped fixture fails as corruption, is quarantined, and every later
-// open refuses it.
+// open refuses it. Sharded files whose store.json is gone are refused and
+// left in place.
 func TestLegacyFixtures(t *testing.T) {
 	for _, name := range legacyFixtures {
 		t.Run(name, func(t *testing.T) {
@@ -124,6 +126,37 @@ func TestLegacyFixtures(t *testing.T) {
 		}
 		if _, err := os.Stat(filepath.Join(dir, segName("Goals", 2)+".quarantined")); err != nil {
 			t.Errorf("corrupt segment not moved aside: %v", err)
+		}
+	})
+	// Without store.json the sharded files cannot be decoded: the open
+	// refuses and leaves them, and restoring store.json migrates them.
+	t.Run("v2-without-meta", func(t *testing.T) {
+		dir := copyFixture(t, "v2-4shards-torn")
+		meta := filepath.Join(dir, diskMetaFile)
+		raw, err := os.ReadFile(meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(meta); err != nil {
+			t.Fatal(err)
+		}
+		files := legacyFilesIn(t, dir)
+		if _, err := OpenDisk(dir, testSchema(), 0); err == nil || errors.Is(err, ErrCorrupt) {
+			t.Fatalf("open without store.json = %v, want a plain error", err)
+		}
+		if left := legacyFilesIn(t, dir); !slices.Equal(left, files) {
+			t.Fatalf("sharded files after the refused open = %v, want %v", left, files)
+		}
+		if err := os.WriteFile(meta, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ds, err := OpenDisk(dir, testSchema(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		if want := fixtureFacts(t, "v2-4shards-torn"); !Equal(ds, want) {
+			t.Errorf("open after restoring store.json is %d facts away", Distance(ds, want))
 		}
 	})
 }
