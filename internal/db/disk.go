@@ -508,9 +508,11 @@ func (s *DiskStore) readLegacySymbols(version int) error {
 	if err != nil {
 		return err
 	}
+	s.syms.mu.Lock()
 	for _, v := range strs {
-		s.syms.add(v)
+		s.syms.addLocked(v)
 	}
+	s.syms.mu.Unlock()
 	s.recordsReplayed += int64(len(strs))
 	s.noteTorn(len(raw) - good)
 	return nil

@@ -35,15 +35,10 @@ func (s *symtab) intern(v string) (id uint32, added bool) {
 	return s.addLocked(v), true
 }
 
-// add assigns v the next ID even if v already has one: a log defines its
-// symbols by position, so replay must number every definition. Lookups
-// then find the newest ID, and either ID resolves to v.
-func (s *symtab) add(v string) uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.addLocked(v)
-}
-
+// addLocked assigns v the next ID even if v already has one: a log defines
+// its symbols by position, so replay must number every definition. Lookups
+// then find the newest ID, and either ID resolves to v. The caller holds
+// s.mu.
 func (s *symtab) addLocked(v string) uint32 {
 	id := uint32(len(s.strs))
 	s.ids[v] = id
