@@ -41,7 +41,7 @@ func main() {
 	missing := flag.Int("missing", 5, "missing answers injected per query (Figures 3b, 3c, 4)")
 	errRate := flag.Float64("errrate", 0.1, "per-question error rate of imperfect experts (Figure 4)")
 	overloadDur := flag.Duration("overload-duration", 2*time.Second, "load duration per rate point of the overload sweep")
-	jsonOut := flag.Bool("json", false, "overload/cluster: emit JSON to stdout; eval: write BENCH_eval.json")
+	jsonOut := flag.Bool("json", false, "overload/cluster: emit JSON to stdout; eval, ivm: write BENCH_eval.json, BENCH_ivm.json")
 	ivmEdits := flag.Int("ivm-edits", 40, "length of the IVM benchmark's seeded edit script (-fig ivm)")
 	metamorphSeeds := flag.Int("metamorph-seeds", 2000, "seeded workloads per oracle in the metamorphic sweep (-fig metamorph)")
 	clusterSubs := flag.Int("cluster-submissions", 2000, "cleaning jobs submitted by the cluster soak (-fig cluster)")
@@ -153,6 +153,10 @@ func main() {
 			fmt.Println("wrote BENCH_eval.json")
 		} else {
 			fmt.Print(experiment.RenderEvalBench(rep), "\n")
+		}
+		if d := rep.Divergence(); d != "" {
+			fmt.Fprintf(os.Stderr, "eval benchmark: %s\n", d)
+			os.Exit(1)
 		}
 		any = true
 	}

@@ -238,12 +238,12 @@ func WrongAnswerUpperBound(q *cq.Query, d db.Reader, t db.Tuple) int {
 type WitnessSystem struct {
 	*hitting.SetSystem
 	facts []db.Fact // element ID -> fact
-	buf   []byte
+	vals  []string  // the facts' values, back to back
 }
 
 // NewWitnessSystem builds the witness system of answer t of q over d straight
-// from the join search: each fact is keyed in a reused buffer and interned,
-// and only a fact seen for the first time is copied.
+// from the join search, which interns each stored tuple once: its fact is
+// keyed in a stack buffer and, when the key is new, copied into one arena.
 func NewWitnessSystem(q *cq.Query, d db.Reader, t db.Tuple) *WitnessSystem {
 	w := &WitnessSystem{SetSystem: hitting.NewSetSystem()}
 	eval.VisitWitnesses(q, d, t, w.intern, w.AddIDs)
@@ -252,20 +252,23 @@ func NewWitnessSystem(q *cq.Query, d db.Reader, t db.Tuple) *WitnessSystem {
 
 // intern returns the element ID of a borrowed fact.
 func (w *WitnessSystem) intern(f db.Fact) int32 {
-	w.buf = f.AppendKey(w.buf[:0])
-	id := w.InternKey(w.buf)
+	var kb [128]byte
+	id := w.InternKey(f.AppendKey(kb[:0]))
 	if int(id) == len(w.facts) { // IDs are dense: a new element
-		w.facts = append(w.facts, f.Clone())
+		n := len(w.vals)
+		w.vals = append(w.vals, f.Args...)
+		w.facts = append(w.facts, db.Fact{Rel: f.Rel, Args: w.vals[n:len(w.vals):len(w.vals)]})
 	}
 	return id
 }
 
-// Fact returns the fact of the element named e, which must be an element of
-// the system. The name is already interned, so interning it again is a
-// lookup.
+// Fact returns a copy of the fact of the element named e, which must be an
+// element of the system. The name is already interned, so interning it again
+// is a lookup. The copy keeps a fact the caller holds on to, such as a
+// report's deletion, from pinning the system's whole value arena.
 func (w *WitnessSystem) Fact(e string) db.Fact {
-	w.buf = append(w.buf[:0], e...)
-	return w.facts[w.InternKey(w.buf)]
+	var kb [128]byte
+	return w.facts[w.InternKey(append(kb[:0], e...))].Clone()
 }
 
 // MissingAnswerUpperBound returns the number of unique variables of Q|t, the

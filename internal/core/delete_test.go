@@ -225,6 +225,40 @@ func TestDeletionPoliciesIgnoreSetOrder(t *testing.T) {
 	}
 }
 
+// TestWitnessSystemAllocs: building a wrong answer's witness system
+// allocates once per distinct fact (its key) plus the doubling growth of the
+// system's arrays and maps, never once per witness set or join row. The
+// answers are the Soccer Q3 wrong answers BenchmarkRemoveWrongAnswer
+// removes, with 33 to 392 witness sets.
+func TestWitnessSystemAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled search state at random")
+	}
+	dg := dataset.Soccer(dataset.SoccerOpts{})
+	q := dataset.SoccerQ3()
+	d := dg.Clone()
+	if n := noise.InjectWrong(d, dg, q, 5, rand.New(rand.NewSource(1))); n < 5 {
+		t.Fatalf("injected %d of 5 wrong answers", n)
+	}
+	const slack = 64 // allocations beyond one per distinct fact
+	most := 0
+	for _, a := range eval.Result(q, d, eval.NoCache()) {
+		if eval.AnswerHolds(q, dg, a) {
+			continue
+		}
+		ws := NewWitnessSystem(q, d, a)
+		most = max(most, ws.Len())
+		allocs := testing.AllocsPerRun(20, func() { NewWitnessSystem(q, d, a) })
+		if limit := len(ws.facts) + slack; allocs >= float64(limit) {
+			t.Errorf("%v: %d sets over %d facts took %.0f allocations, want fewer than %d",
+				a, ws.Len(), len(ws.facts), allocs, limit)
+		}
+	}
+	if most < 190 {
+		t.Fatalf("the largest witness system has %d sets, want one of at least 190", most)
+	}
+}
+
 // witnessOrder renders the witness sets of every answer of q over d in the
 // order Algorithm 1 adds them.
 func witnessOrder(q *cq.Query, d db.Reader) string {

@@ -363,9 +363,9 @@ func (s *DiskStore) replayFact(r logRec, sl *tupleSlab) error {
 }
 
 // applyIDs applies an insert or delete of the tuple whose symbol IDs are
-// ids through the relation's own Has, add and Delete: the calls InsertFact
-// and DeleteFact make, so replay rebuilds the live store's postings in
-// their order.
+// ids through the relation's own key lookup, add and Delete: the calls
+// InsertFact and DeleteFact make, so replay rebuilds the live store's
+// postings in their order. An insert builds the tuple's key once.
 func (s *DiskStore) applyIDs(rel *Relation, op byte, ids []uint32, sl *tupleSlab) {
 	strs := s.syms.strs // not shared yet: the store is still opening
 	t := sl.next(len(ids))
@@ -374,8 +374,11 @@ func (s *DiskStore) applyIDs(rel *Relation, op byte, ids []uint32, sl *tupleSlab
 	}
 	if op == opDelete {
 		rel.Delete(t)
-	} else if !rel.Has(t) {
-		rel.add(t)
+		return
+	}
+	var kb [128]byte
+	if key := t.AppendKey(kb[:0]); !rel.hasKey(key) {
+		rel.add(key, t)
 		sl.keep(len(t))
 	}
 }
@@ -628,7 +631,9 @@ func (s *DiskStore) InsertFact(f Fact) (bool, error) {
 	if s.err != nil {
 		return false, s.err
 	}
-	if r.Has(f.Args) {
+	var kb [128]byte
+	key := f.Args.AppendKey(kb[:0])
+	if r.hasKey(key) {
 		return false, nil
 	}
 	s.rec = s.rec[:0]
@@ -643,7 +648,7 @@ func (s *DiskStore) InsertFact(f Fact) (bool, error) {
 	if err := s.appendRecord(opInsert, ids); err != nil {
 		return false, err
 	}
-	r.add(t)
+	r.add(key, t)
 	s.d.gen++
 	return true, nil
 }

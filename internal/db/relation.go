@@ -55,7 +55,12 @@ func (r *Relation) Len() int { return len(r.tuples) }
 // stack buffer, so it allocates nothing for keys up to 128 bytes.
 func (r *Relation) Has(t Tuple) bool {
 	var buf [128]byte
-	_, ok := r.tuples[string(t.AppendKey(buf[:0]))]
+	return r.hasKey(t.AppendKey(buf[:0]))
+}
+
+// hasKey reports whether the tuple with the given key is present.
+func (r *Relation) hasKey(key []byte) bool {
+	_, ok := r.tuples[string(key)]
 	return ok
 }
 
@@ -65,18 +70,21 @@ func (r *Relation) Insert(t Tuple) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("db: arity mismatch inserting %v into %s/%d", t, r.name, r.arity))
 	}
-	if r.Has(t) {
+	var buf [128]byte
+	key := t.AppendKey(buf[:0])
+	if r.hasKey(key) {
 		return false
 	}
-	r.add(t.Clone())
+	r.add(key, t.Clone())
 	return true
 }
 
-// add stores an absent tuple of the relation's arity, taking ownership of
-// it: the caller must not modify t afterwards.
-func (r *Relation) add(t Tuple) {
+// add stores an absent tuple of the relation's arity under its key (as
+// Tuple.AppendKey builds it), taking ownership of the tuple: the caller must
+// not modify t afterwards. key is copied, so it may be a reused buffer.
+func (r *Relation) add(key []byte, t Tuple) {
 	r.materialize()
-	r.tuples[t.Key()] = t
+	r.tuples[string(key)] = t
 	for col, v := range t {
 		r.index[col][v] = append(r.index[col][v], t)
 	}

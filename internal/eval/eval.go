@@ -1,10 +1,10 @@
 package eval
 
 import (
-	"encoding/binary"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/cq"
@@ -45,7 +45,7 @@ func Result(q *cq.Query, d db.Reader, opts ...Option) []db.Tuple {
 	head := make(db.Tuple, len(q.Head))
 	var buf []byte
 	search(q, d, nil, func(r *Row) bool {
-		if !r.fill(r.p.head, head) {
+		if !r.Head(head) {
 			return true
 		}
 		buf = head.AppendKey(buf[:0])
@@ -160,12 +160,13 @@ type keyedWitness struct {
 // assignment in A(t,Q,D), as sets of IDs that the caller's intern gives the
 // facts. Nothing is cached: each call runs one join search seeded by t.
 //
-// intern is called with every fact of every row and must return equal IDs
-// for equal facts. The fact is borrowed: the search rebinds its Args once
-// intern returns, so intern copies a fact it keeps. set is called once per
-// distinct witness, in enumeration order, with the witness's sorted, distinct
-// IDs; a row whose IDs repeat an earlier row's is dropped. The slice is
-// borrowed too. Each call records one eval.witnesses observation.
+// A row's fact for an atom is the stored tuple the search joined the atom
+// to, so intern is called once per distinct stored tuple of a relation, not
+// once per row. It must return equal IDs for equal facts. The fact is
+// borrowed: intern copies a fact it keeps. set is called once per distinct
+// witness, in enumeration order, with the witness's sorted, distinct IDs; a
+// row whose IDs repeat an earlier row's is dropped. The slice is borrowed
+// too. Each call records one eval.witnesses observation.
 func VisitWitnesses(q *cq.Query, d db.Reader, t db.Tuple, intern func(db.Fact) int32, set func(ids []int32)) {
 	start := time.Now()
 	seed, ok := PartialFromAnswer(q, t)
@@ -173,48 +174,135 @@ func VisitWitnesses(q *cq.Query, d db.Reader, t db.Tuple, intern func(db.Fact) i
 		observeWitnesses(start, 0, 0)
 		return
 	}
-	n := 0
+	w := witnessStates.Get().(*witnessState)
+	w.rel, w.last = w.rel[:0], w.last[:0]
 	for _, a := range q.Atoms {
-		n += len(a.Args)
+		j := 0
+		for q.Atoms[j].Rel != a.Rel {
+			j++
+		}
+		w.rel = append(w.rel, j)
+		w.last = append(w.last, seenTuple{id: -1})
 	}
-	vals := make([]string, n)
-	args := make([]db.Tuple, len(q.Atoms)) // atom i grounds into args[i]
-	for i, a := range q.Atoms {
-		args[i], vals = vals[:len(a.Args):len(a.Args)], vals[len(a.Args):]
-	}
-	ids := make([]int32, 0, len(q.Atoms))
-	seen := make(map[string]struct{}) // the IDs of every witness set so far
-	var key []byte
-	var distinct map[int32]bool // IDs in a set so far, for the tuples metric
+	var distinct map[int32]bool // IDs interned so far, for the tuples metric
 	if rec() != nil {
 		distinct = make(map[int32]bool)
 	}
 	search(q, d, seed, func(r *Row) bool {
-		ids = ids[:0]
+		w.row = w.row[:0]
 		for i := range r.p.atoms {
-			if r.fill(r.p.atoms[i].args, args[i]) {
-				ids = append(ids, intern(db.Fact{Rel: r.p.atoms[i].name, Args: args[i]}))
+			a, last := &r.p.atoms[i], &w.last[i]
+			ref := tupleRef{rel: w.rel[i]}
+			if len(a.tuple) > 0 {
+				ref.first = &a.tuple[0]
 			}
-		}
-		slices.Sort(ids)
-		ids = slices.Compact(ids)
-		key = key[:0]
-		for _, id := range ids {
-			key = binary.LittleEndian.AppendUint32(key, uint32(id))
-		}
-		if _, ok := seen[string(key)]; ok {
-			return true
-		}
-		seen[string(key)] = struct{}{}
-		if distinct != nil {
-			for _, id := range ids {
-				distinct[id] = true
+			if last.id < 0 || last.ref != ref {
+				id, ok := w.ids[ref]
+				if !ok {
+					id = intern(db.Fact{Rel: a.name, Args: a.tuple})
+					w.ids[ref] = id
+					if distinct != nil {
+						distinct[id] = true
+					}
+				}
+				*last = seenTuple{ref, id}
 			}
+			w.row = append(w.row, last.id)
 		}
-		set(ids)
+		slices.Sort(w.row)
+		w.row = slices.Compact(w.row)
+		if w.sets.add(w.row) {
+			set(w.row)
+		}
 		return true
 	})
-	observeWitnesses(start, len(seen), len(distinct))
+	observeWitnesses(start, len(w.sets.ends), len(distinct))
+	w.release()
+}
+
+// witnessState is the scratch of one VisitWitnesses call. States are pooled
+// like searchers, so once their maps and arenas fit the answers they serve,
+// an enumeration allocates nothing of its own.
+type witnessState struct {
+	rel  []int              // atom -> the first atom over the same relation
+	last []seenTuple        // atom -> the tuple it joined in the previous row
+	ids  map[tupleRef]int32 // stored tuple -> the ID intern gave its fact
+	sets setIndex           // the distinct witness sets so far
+	row  []int32            // the current row's IDs
+}
+
+// seenTuple is a stored tuple with its fact's ID; id < 0 marks none. The
+// search rebinds the innermost atoms between rows and keeps the outer ones,
+// so most of a row's tuples are the previous row's and skip the map.
+type seenTuple struct {
+	ref tupleRef
+	id  int32
+}
+
+// witnessStates holds released witness states for reuse.
+var witnessStates = sync.Pool{New: func() any {
+	return &witnessState{ids: make(map[tupleRef]int32), sets: setIndex{byHash: make(map[uint64]int32)}}
+}}
+
+// release forgets the tuples and sets of the call and returns the state to
+// the pool.
+func (w *witnessState) release() {
+	clear(w.ids)
+	clear(w.last)
+	w.sets.reset()
+	witnessStates.Put(w)
+}
+
+// tupleRef names a stored tuple for the length of one search: the first
+// atom over its relation and the address of its first value (nil for a
+// zero-arity tuple, the relation's only one). A relation stores each tuple
+// once and never rewrites it, and a scan's tuples stay valid until the
+// relation's next mutation, so within a search equal refs hold one fact.
+type tupleRef struct {
+	rel   int
+	first *string
+}
+
+// setIndex deduplicates ID sets without a key per set: the sets lie back to
+// back in one arena, and a set's hash leads to the latest set with that
+// hash, which chains to the earlier ones.
+type setIndex struct {
+	byHash map[uint64]int32 // hash -> the latest set with it
+	next   []int32          // set -> the previous set with its hash, or -1
+	ends   []int32          // set -> the end of its IDs in ids
+	ids    []int32          // every set's IDs, back to back
+}
+
+// add records the set and reports whether it is new.
+func (x *setIndex) add(set []int32) bool {
+	h := uint64(14695981039346656037) // FNV-1a over the IDs
+	for _, id := range set {
+		h = (h ^ uint64(uint32(id))) * 1099511628211
+	}
+	prev, ok := x.byHash[h]
+	if !ok {
+		prev = -1
+	}
+	for i := prev; i >= 0; i = x.next[i] {
+		from := int32(0)
+		if i > 0 {
+			from = x.ends[i-1]
+		}
+		if slices.Equal(x.ids[from:x.ends[i]], set) {
+			return false
+		}
+	}
+	x.byHash[h] = int32(len(x.ends))
+	x.next = append(x.next, prev)
+	x.ids = append(x.ids, set...)
+	x.ends = append(x.ends, int32(len(x.ids)))
+	return true
+}
+
+// reset empties the index, keeping its storage.
+func (x *setIndex) reset() {
+	clear(x.byHash)
+	x.next, x.ends, x.ids = x.next[:0], x.ends[:0], x.ids[:0]
 }
 
 // WitnessSetKey returns the canonical identity of one witness set — the

@@ -28,12 +28,14 @@ type slotTerm struct {
 }
 
 // slotAtom is a compiled atom with the relation it reads and, for positive
-// atoms, whether the current search path has joined it already.
+// atoms, whether the current search path has joined it already and the
+// stored tuple it joined.
 type slotAtom struct {
-	name string
-	args []slotTerm
-	rel  db.Rel
-	done bool
+	name  string
+	args  []slotTerm
+	rel   db.Rel
+	done  bool
+	tuple db.Tuple
 }
 
 // cell is one frame slot: a value and whether it is bound.
@@ -73,6 +75,11 @@ func (r *Row) term(t slotTerm) (string, bool) {
 	c := r.cells[t.slot]
 	return c.val, c.ok
 }
+
+// Head fills dst, which must have the head's length, with α(head(Q)) and
+// reports whether every head term is bound. It reads the compiled head, so
+// it finds no variable by name.
+func (r *Row) Head(dst db.Tuple) bool { return r.fill(r.p.head, dst) }
 
 // fill resolves the terms into dst, reporting false when one is unbound.
 func (r *Row) fill(terms []slotTerm, dst db.Tuple) bool {
@@ -317,6 +324,7 @@ tuples:
 				continue tuples
 			}
 		}
+		a.tuple = tuple
 		if s.ineqsHold() && !s.join(depth+1, yield) {
 			more = false
 			break

@@ -23,13 +23,17 @@ type EvalBenchOpts struct {
 	StoreDir string
 
 	// repeats is how many timed repetitions each measurement takes the
-	// median and quartiles of (default 21; tests take fewer).
+	// median and quartiles of (default benchRepeats; tests take fewer).
 	repeats int
 }
 
+// benchRepeats is how many timed repetitions a cell of the eval and IVM
+// benchmarks takes the median and quartiles of.
+const benchRepeats = 21
+
 func (o *EvalBenchOpts) applyDefaults() {
 	if o.repeats == 0 {
-		o.repeats = 21
+		o.repeats = benchRepeats
 	}
 }
 
@@ -103,6 +107,26 @@ type EvalBenchReport struct {
 	DeepCopyNS int64 `json:"deep_copy_ns"`
 	CloneNS    int64 `json:"clone_ns"`
 	SnapshotNS int64 `json:"snapshot_ns"`
+}
+
+// Divergence names the first correctness check of the report that failed:
+// the naive cross-check, a row's cold/warm identity, or a store row's
+// mem/disk identity. It returns "" when every check held.
+func (r EvalBenchReport) Divergence() string {
+	if !r.NaiveAgrees {
+		return "the indexed evaluator disagreed with the naive reference"
+	}
+	for _, row := range r.Rows {
+		if !row.Identical {
+			return fmt.Sprintf("%s: cold and warm evaluation differ", row.Name)
+		}
+	}
+	for _, row := range r.Store {
+		if !row.Identical {
+			return fmt.Sprintf("%s: the mem and disk stores answer differently", row.Name)
+		}
+	}
+	return ""
 }
 
 // tuplesFingerprint canonicalizes an answer set for byte-identity checks.

@@ -42,6 +42,37 @@ func TestEvalBenchSmoke(t *testing.T) {
 	}
 }
 
+// TestEvalBenchDivergence: the check that fails qocobench -fig eval names
+// the naive cross-check, a cold/warm row or a mem/disk store row that
+// diverged, and passes a report whose checks all held.
+func TestEvalBenchDivergence(t *testing.T) {
+	ok := func() EvalBenchReport {
+		return EvalBenchReport{
+			NaiveAgrees: true,
+			Rows:        []EvalBenchRow{{Name: "Q1", Identical: true}, {Name: "fig3a", Identical: true}},
+			Store:       []StoreBenchRow{{Name: "Q1", Identical: true}},
+		}
+	}
+	if d := ok().Divergence(); d != "" {
+		t.Fatalf("a report whose checks held diverged: %s", d)
+	}
+	for _, c := range []struct {
+		name  string
+		spoil func(*EvalBenchReport)
+		want  string
+	}{
+		{"naive", func(r *EvalBenchReport) { r.NaiveAgrees = false }, "naive"},
+		{"row", func(r *EvalBenchReport) { r.Rows[1].Identical = false }, "fig3a"},
+		{"store", func(r *EvalBenchReport) { r.Store[0].Identical = false }, "disk"},
+	} {
+		rep := ok()
+		c.spoil(&rep)
+		if d := rep.Divergence(); !strings.Contains(d, c.want) {
+			t.Errorf("%s: Divergence() = %q, want it to name %q", c.name, d, c.want)
+		}
+	}
+}
+
 // TestTimingQuartiles: a cell's quartiles follow Python's
 // statistics.quantiles(n=4), the method bench/ reports its runs with.
 func TestTimingQuartiles(t *testing.T) {

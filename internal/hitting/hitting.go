@@ -26,18 +26,21 @@ const MetricBnBNodes = "hitting.bnb.nodes"
 //
 // Each element string is interned once to a dense ID, each set is held as
 // its distinct IDs, and the number of sets holding each ID is kept current,
-// so the queries Algorithm 1 repeats per question touch no strings. A caller
-// can also build the system without a string per element occurrence: intern
-// each name from a reused buffer with InternKey, and add sets of the IDs it
-// returns with AddIDs. Results that list elements are in element-name order,
-// and MostFrequent orders its ties the same way. A SetSystem is not safe for
-// concurrent use, reads included: a read may rebuild the name order.
+// so the queries Algorithm 1 repeats per question touch no strings. The sets
+// lie back to back in one arena of IDs, so adding a set allocates only when
+// the arena grows. A caller can also build the system without a string per
+// element occurrence: intern each name from a reused buffer with InternKey,
+// and add sets of the IDs it returns with AddIDs. Results that list elements
+// are in element-name order, and MostFrequent orders its ties the same way.
+// A SetSystem is not safe for concurrent use, reads included: a read may
+// rebuild the name order.
 type SetSystem struct {
 	ids   map[string]int32 // element name -> ID
 	names []string         // ID -> element name
 	count []int            // ID -> number of sets holding it
 	order []int32          // IDs in name order; stale while shorter than names
-	sets  [][]int32        // each set's distinct IDs, ascending
+	elems []int32          // every set's distinct IDs, ascending, sets in insertion order
+	ends  []int32          // set -> the end of its IDs in elems
 }
 
 // NewSetSystem builds a set system from element-ID slices. Empty sets are
@@ -55,11 +58,11 @@ func (ss *SetSystem) Add(elems []string) {
 	if len(elems) == 0 {
 		return
 	}
-	set := make([]int32, 0, len(elems))
+	from := len(ss.elems)
 	for _, e := range elems {
-		set = append(set, ss.intern(e))
+		ss.elems = append(ss.elems, ss.intern(e))
 	}
-	ss.add(set)
+	ss.seal(from)
 }
 
 // AddIDs appends the set of the given element IDs, each one returned by
@@ -68,18 +71,31 @@ func (ss *SetSystem) AddIDs(ids []int32) {
 	if len(ids) == 0 {
 		return
 	}
-	ss.add(slices.Clone(ids))
+	from := len(ss.elems)
+	ss.elems = append(ss.elems, ids...)
+	ss.seal(from)
 }
 
-// add takes ownership of set, reduces it to its distinct IDs in ascending
-// order and appends it.
-func (ss *SetSystem) add(set []int32) {
+// seal makes the IDs appended to the arena from index from on one set:
+// its distinct IDs in ascending order, counted.
+func (ss *SetSystem) seal(from int) {
+	set := ss.elems[from:]
 	slices.Sort(set)
 	set = slices.Compact(set)
 	for _, id := range set {
 		ss.count[id]++
 	}
-	ss.sets = append(ss.sets, set)
+	ss.elems = ss.elems[:from+len(set)]
+	ss.ends = append(ss.ends, int32(len(ss.elems)))
+}
+
+// set returns the IDs of set i, a window of the arena.
+func (ss *SetSystem) set(i int) []int32 {
+	from := int32(0)
+	if i > 0 {
+		from = ss.ends[i-1]
+	}
+	return ss.elems[from:ss.ends[i]]
 }
 
 // InternKey returns the ID of the element named key, interning the name
@@ -123,15 +139,16 @@ func (ss *SetSystem) byName() []int32 {
 }
 
 // Len returns the number of sets.
-func (ss *SetSystem) Len() int { return len(ss.sets) }
+func (ss *SetSystem) Len() int { return len(ss.ends) }
 
 // Empty reports whether no sets remain (everything is hit).
-func (ss *SetSystem) Empty() bool { return len(ss.sets) == 0 }
+func (ss *SetSystem) Empty() bool { return len(ss.ends) == 0 }
 
 // Sets returns the sets as sorted slices, in insertion order.
 func (ss *SetSystem) Sets() [][]string {
-	out := make([][]string, len(ss.sets))
-	for i, s := range ss.sets {
+	out := make([][]string, len(ss.ends))
+	for i := range out {
+		s := ss.set(i)
 		names := make([]string, len(s))
 		for j, id := range s {
 			names[j] = ss.names[id]
@@ -155,24 +172,21 @@ func (ss *SetSystem) Elements() []string {
 
 // Clone returns an independent copy.
 func (ss *SetSystem) Clone() *SetSystem {
-	out := &SetSystem{
+	return &SetSystem{
 		ids:   maps.Clone(ss.ids),
 		names: slices.Clone(ss.names),
 		count: slices.Clone(ss.count),
 		order: slices.Clone(ss.order),
-		sets:  make([][]int32, len(ss.sets)),
+		elems: slices.Clone(ss.elems),
+		ends:  slices.Clone(ss.ends),
 	}
-	for i, s := range ss.sets {
-		out.sets[i] = slices.Clone(s)
-	}
-	return out
 }
 
 // Singletons returns the sorted distinct elements of the singleton sets.
 func (ss *SetSystem) Singletons() []string {
 	out := []string{}
-	for _, s := range ss.sets {
-		if len(s) == 1 {
+	for i := range ss.ends {
+		if s := ss.set(i); len(s) == 1 {
 			out = append(out, ss.names[s[0]])
 		}
 	}
@@ -188,8 +202,8 @@ func (ss *SetSystem) IsHittingSet(h []string) bool {
 			inH[id] = true
 		}
 	}
-	for _, s := range ss.sets {
-		if !slices.ContainsFunc(s, func(id int32) bool { return inH[id] }) {
+	for i := range ss.ends {
+		if !slices.ContainsFunc(ss.set(i), func(id int32) bool { return inH[id] }) {
 			return false
 		}
 	}
@@ -283,17 +297,15 @@ func (ss *SetSystem) RemoveSetsContaining(e string) {
 	if !ok || ss.count[id] == 0 {
 		return
 	}
-	out := ss.sets[:0]
-	for _, s := range ss.sets {
+	ss.rewrite(func(s []int32) []int32 {
 		if !slices.Contains(s, id) {
-			out = append(out, s)
-			continue
+			return s
 		}
 		for _, x := range s {
 			ss.count[x]--
 		}
-	}
-	ss.sets = out
+		return nil
+	})
 }
 
 // RemoveElement deletes e from every set (the element was verified true: it
@@ -305,20 +317,36 @@ func (ss *SetSystem) RemoveElement(e string) (emptied int) {
 	if !ok || ss.count[id] == 0 {
 		return 0
 	}
-	out := ss.sets[:0]
-	for _, s := range ss.sets {
-		if i := slices.Index(s, id); i >= 0 {
-			s = slices.Delete(s, i, i+1)
-			if len(s) == 0 {
-				emptied++
-				continue
-			}
+	ss.rewrite(func(s []int32) []int32 {
+		i := slices.Index(s, id)
+		if i < 0 {
+			return s
 		}
-		out = append(out, s)
-	}
-	ss.sets = out
+		if s = slices.Delete(s, i, i+1); len(s) == 0 {
+			emptied++
+		}
+		return s
+	})
 	ss.count[id] = 0
 	return emptied
+}
+
+// rewrite replaces every set by what edit returns for it, in place: a
+// prefix of the set's own window, possibly edited, or an empty slice to drop
+// the set. The kept sets move down the arena and keep their order.
+func (ss *SetSystem) rewrite(edit func(s []int32) []int32) {
+	w, n, from := 0, 0, int32(0)
+	for _, end := range ss.ends {
+		s := edit(ss.elems[from:end])
+		from = end
+		if len(s) == 0 {
+			continue
+		}
+		w += copy(ss.elems[w:], s)
+		ss.ends[n] = int32(w)
+		n++
+	}
+	ss.elems, ss.ends = ss.elems[:w], ss.ends[:n]
 }
 
 // Greedy returns a hitting set built by repeatedly taking the most frequent

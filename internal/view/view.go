@@ -35,6 +35,7 @@ type View struct {
 	answers map[string]*answer // answer key -> answer
 	head    db.Tuple           // scratch: the head tuple being counted
 	key     []byte             // scratch: its key
+	last    *answer            // the answer of the previous row counted, or nil
 }
 
 // answer is one materialized answer with its support |A(t, Q, D)|. It leaves
@@ -55,6 +56,7 @@ func New(name string, q *cq.Query, d db.Reader) *View {
 // over the query's assignments.
 func (v *View) Refresh(d db.Reader) {
 	v.answers = make(map[string]*answer)
+	v.last = nil
 	eval.Each(v.Query, d, nil, func(r *eval.Row) bool {
 		if ans := v.answerOf(r); ans != nil {
 			ans.n++
@@ -65,21 +67,23 @@ func (v *View) Refresh(d db.Reader) {
 
 // answerOf returns the entry of the answer α(head(Q)), creating it with zero
 // support if absent, or nil when the row leaves a head variable unbound.
-// Counting another assignment of a known answer allocates nothing.
+// The head is read through the row's compiled plan, and a row that repeats
+// the previous row's answer skips the map. Counting another assignment of a
+// known answer allocates nothing.
 func (v *View) answerOf(r *eval.Row) *answer {
-	for i, term := range v.Query.Head {
-		val, ok := r.Resolve(term)
-		if !ok {
-			return nil
-		}
-		v.head[i] = val
+	if !r.Head(v.head) {
+		return nil
+	}
+	if v.last != nil && v.last.t.Equal(v.head) {
+		return v.last
 	}
 	v.key = v.head.AppendKey(v.key[:0])
-	if ans := v.answers[string(v.key)]; ans != nil {
-		return ans
+	ans := v.answers[string(v.key)]
+	if ans == nil {
+		ans = &answer{t: v.head.Clone()}
+		v.answers[string(v.key)] = ans
 	}
-	ans := &answer{t: v.head.Clone()}
-	v.answers[string(v.key)] = ans
+	v.last = ans
 	return ans
 }
 
@@ -137,6 +141,7 @@ func (v *View) Apply(d db.Reader, e db.Edit) (appeared, disappeared []db.Tuple) 
 	before := make(map[*answer]int) // touched answer -> support before the edit
 	v.matchAtoms(with, v.Query.Atoms, e.Fact, sign, before)
 	v.matchAtoms(without, v.Query.Negs, e.Fact, -sign, before)
+	v.last = nil // it may leave the view below
 	for ans, n := range before {
 		switch {
 		case n == 0 && ans.n > 0:

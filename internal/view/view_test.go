@@ -1,6 +1,7 @@
 package view
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -55,6 +56,58 @@ func TestViewIncrementalInsert(t *testing.T) {
 	}
 	if !v.Has(db.Tuple{"ITA"}) {
 		t.Errorf("view does not contain (ITA)")
+	}
+}
+
+// TestViewSupportToZeroAndBack drives (ESP)'s support to 0 and back across
+// consecutive Apply calls, then refreshes the view. After every step the
+// maintained view must match a view built from scratch over the same state:
+// an answer that left the view and came back must be counted afresh, never
+// through the entry it left behind.
+func TestViewSupportToZeroAndBack(t *testing.T) {
+	d, _ := dataset.Figure1()
+	q := dataset.IntroQ1()
+	v := New("winners", q, d)
+	esp := db.Tuple{"ESP"}
+	check := func(step string) {
+		t.Helper()
+		fresh := New("fresh", q, d)
+		if got, want := rowsKey(v.Rows()), rowsKey(fresh.Rows()); got != want {
+			t.Fatalf("%s: Rows = %s, want %s", step, got, want)
+		}
+		for _, a := range append(fresh.Rows(), esp) {
+			if got, want := v.Support(a), fresh.Support(a); got != want {
+				t.Fatalf("%s: Support(%v) = %d, want %d", step, a, got, want)
+			}
+		}
+	}
+	finals := []db.Fact{
+		db.NewFact("Games", "12.07.98", "ESP", "NED", "Final", "4:2"),
+		db.NewFact("Games", "17.07.94", "ESP", "NED", "Final", "3:1"),
+		db.NewFact("Games", "11.07.10", "ESP", "NED", "Final", "1:0"),
+	}
+	check("initial")
+	edits := make([]db.Edit, 0, 2*len(finals))
+	for _, f := range finals {
+		edits = append(edits, db.Deletion(f))
+	}
+	for i := len(finals) - 1; i >= 0; i-- {
+		edits = append(edits, db.Insertion(finals[i]))
+	}
+	for i, e := range edits {
+		if changed, err := d.Apply(e); err != nil || !changed {
+			t.Fatalf("edit %d (%v): changed %v, err %v", i, e, changed, err)
+		}
+		v.Apply(d, e)
+		check(fmt.Sprintf("after edit %d (%v)", i, e))
+		if i == len(finals)-1 && v.Has(esp) {
+			t.Fatalf("(ESP) still in the view with one final left")
+		}
+	}
+	v.Refresh(d)
+	check("after Refresh")
+	if got := v.Support(esp); got != 12 {
+		t.Fatalf("Support(ESP) = %d after the round trip, want 12", got)
 	}
 }
 
