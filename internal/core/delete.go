@@ -237,27 +237,24 @@ func WrongAnswerUpperBound(q *cq.Query, d db.Reader, t db.Tuple) int {
 // per witness, over fact keys, with the fact behind each element.
 type WitnessSystem struct {
 	*hitting.SetSystem
-	facts []db.Fact // element ID -> fact
-	vals  []string  // the facts' values, back to back
+	facts []db.Fact // element ID -> fact, over the store's own tuple
 }
 
 // NewWitnessSystem builds the witness system of answer t of q over d straight
 // from the join search, which interns each stored tuple once: its fact is
-// keyed in a stack buffer and, when the key is new, copied into one arena.
+// keyed in a stack buffer and, when the key is new, kept as given.
 func NewWitnessSystem(q *cq.Query, d db.Reader, t db.Tuple) *WitnessSystem {
 	w := &WitnessSystem{SetSystem: hitting.NewSetSystem()}
 	eval.VisitWitnesses(q, d, t, w.intern, w.AddIDs)
 	return w
 }
 
-// intern returns the element ID of a borrowed fact.
+// intern returns the element ID of a fact whose Args is a stored tuple.
 func (w *WitnessSystem) intern(f db.Fact) int32 {
 	var kb [128]byte
 	id := w.InternKey(f.AppendKey(kb[:0]))
 	if int(id) == len(w.facts) { // IDs are dense: a new element
-		n := len(w.vals)
-		w.vals = append(w.vals, f.Args...)
-		w.facts = append(w.facts, db.Fact{Rel: f.Rel, Args: w.vals[n:len(w.vals):len(w.vals)]})
+		w.facts = append(w.facts, f)
 	}
 	return id
 }
@@ -265,7 +262,7 @@ func (w *WitnessSystem) intern(f db.Fact) int32 {
 // Fact returns a copy of the fact of the element named e, which must be an
 // element of the system. The name is already interned, so interning it again
 // is a lookup. The copy keeps a fact the caller holds on to, such as a
-// report's deletion, from pinning the system's whole value arena.
+// report's deletion, from pinning the store's storage behind the tuple.
 func (w *WitnessSystem) Fact(e string) db.Fact {
 	var kb [128]byte
 	return w.facts[w.InternKey(append(kb[:0], e...))].Clone()

@@ -18,7 +18,9 @@ import "repro/internal/schema"
 // generation-stamped caches never alias it with base.
 //
 // The overlay reads through to base and follows the usual reader contract:
-// it must not be used concurrently with mutations of base.
+// it must not be used concurrently with mutations of base. A virtually
+// inserted fact reads as e.Fact's own tuple, which, like a stored tuple, the
+// caller must never rewrite.
 func Overlay(base Reader, e Edit) Reader {
 	add := e.Op == Insert
 	if add == base.Has(e.Fact) {

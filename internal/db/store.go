@@ -26,7 +26,8 @@ type Rel interface {
 	// Scan returns the tuples matching all bindings (every tuple with no
 	// bindings), in unspecified order. The result is read-only and valid
 	// until the relation's next mutation: the in-memory relation returns its
-	// index's own storage.
+	// index's own storage. The tuples in it are the stored tuples, which no
+	// store ever rewrites, so a caller may keep one without copying it.
 	Scan(bindings []Binding) []Tuple
 	// MatchCount returns the number of tuples matching all bindings without
 	// materializing them.

@@ -115,8 +115,8 @@ func AssignmentsFor(q *cq.Query, d db.Reader, t db.Tuple) []Assignment {
 // assignment in A(t,Q,D), deduplicated (distinct assignments can induce the
 // same witness, e.g. by permuting symmetric atoms) and sorted canonically by
 // witness key. Every call enumerates: it runs VisitWitnesses, interning each
-// fact by its key and copying it out the first time it is seen, so sets that
-// share a fact share its value.
+// fact by its key and keeping the store's tuple the first time it is seen, so
+// sets that share a fact share its value.
 func Witnesses(q *cq.Query, d db.Reader, t db.Tuple) [][]db.Fact {
 	var (
 		buf   []byte
@@ -130,7 +130,7 @@ func Witnesses(q *cq.Query, d db.Reader, t db.Tuple) [][]db.Fact {
 		if !ok {
 			id = int32(len(facts))
 			ids[string(buf)] = id
-			facts = append(facts, f.Clone())
+			facts = append(facts, f)
 		}
 		return id
 	}
@@ -162,11 +162,12 @@ type keyedWitness struct {
 //
 // A row's fact for an atom is the stored tuple the search joined the atom
 // to, so intern is called once per distinct stored tuple of a relation, not
-// once per row. It must return equal IDs for equal facts. The fact is
-// borrowed: intern copies a fact it keeps. set is called once per distinct
-// witness, in enumeration order, with the witness's sorted, distinct IDs; a
-// row whose IDs repeat an earlier row's is dropped. The slice is borrowed
-// too. Each call records one eval.witnesses observation.
+// once per row. It must return equal IDs for equal facts. The fact's Args is
+// that stored tuple itself, not a borrowed buffer: no store rewrites a tuple
+// (see db.Rel), so intern may keep the fact as given. set is called once per
+// distinct witness, in enumeration order, with the witness's sorted, distinct
+// IDs; a row whose IDs repeat an earlier row's is dropped. The slice is
+// borrowed. Each call records one eval.witnesses observation.
 func VisitWitnesses(q *cq.Query, d db.Reader, t db.Tuple, intern func(db.Fact) int32, set func(ids []int32)) {
 	start := time.Now()
 	seed, ok := PartialFromAnswer(q, t)
@@ -175,14 +176,13 @@ func VisitWitnesses(q *cq.Query, d db.Reader, t db.Tuple, intern func(db.Fact) i
 		return
 	}
 	w := witnessStates.Get().(*witnessState)
-	w.rel, w.last = w.rel[:0], w.last[:0]
+	w.rel = w.rel[:0]
 	for _, a := range q.Atoms {
 		j := 0
 		for q.Atoms[j].Rel != a.Rel {
 			j++
 		}
 		w.rel = append(w.rel, j)
-		w.last = append(w.last, seenTuple{id: -1})
 	}
 	var distinct map[int32]bool // IDs interned so far, for the tuples metric
 	if rec() != nil {
@@ -191,23 +191,20 @@ func VisitWitnesses(q *cq.Query, d db.Reader, t db.Tuple, intern func(db.Fact) i
 	search(q, d, seed, func(r *Row) bool {
 		w.row = w.row[:0]
 		for i := range r.p.atoms {
-			a, last := &r.p.atoms[i], &w.last[i]
+			a := &r.p.atoms[i]
 			ref := tupleRef{rel: w.rel[i]}
 			if len(a.tuple) > 0 {
 				ref.first = &a.tuple[0]
 			}
-			if last.id < 0 || last.ref != ref {
-				id, ok := w.ids[ref]
-				if !ok {
-					id = intern(db.Fact{Rel: a.name, Args: a.tuple})
-					w.ids[ref] = id
-					if distinct != nil {
-						distinct[id] = true
-					}
+			id, ok := w.ids[ref]
+			if !ok {
+				id = intern(db.Fact{Rel: a.name, Args: a.tuple})
+				w.ids[ref] = id
+				if distinct != nil {
+					distinct[id] = true
 				}
-				*last = seenTuple{ref, id}
 			}
-			w.row = append(w.row, last.id)
+			w.row = append(w.row, id)
 		}
 		slices.Sort(w.row)
 		w.row = slices.Compact(w.row)
@@ -225,18 +222,9 @@ func VisitWitnesses(q *cq.Query, d db.Reader, t db.Tuple, intern func(db.Fact) i
 // an enumeration allocates nothing of its own.
 type witnessState struct {
 	rel  []int              // atom -> the first atom over the same relation
-	last []seenTuple        // atom -> the tuple it joined in the previous row
 	ids  map[tupleRef]int32 // stored tuple -> the ID intern gave its fact
 	sets setIndex           // the distinct witness sets so far
 	row  []int32            // the current row's IDs
-}
-
-// seenTuple is a stored tuple with its fact's ID; id < 0 marks none. The
-// search rebinds the innermost atoms between rows and keeps the outer ones,
-// so most of a row's tuples are the previous row's and skip the map.
-type seenTuple struct {
-	ref tupleRef
-	id  int32
 }
 
 // witnessStates holds released witness states for reuse.
@@ -248,7 +236,6 @@ var witnessStates = sync.Pool{New: func() any {
 // the pool.
 func (w *witnessState) release() {
 	clear(w.ids)
-	clear(w.last)
 	w.sets.reset()
 	witnessStates.Put(w)
 }

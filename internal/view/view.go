@@ -35,7 +35,6 @@ type View struct {
 	answers map[string]*answer // answer key -> answer
 	head    db.Tuple           // scratch: the head tuple being counted
 	key     []byte             // scratch: its key
-	last    *answer            // the answer of the previous row counted, or nil
 }
 
 // answer is one materialized answer with its support |A(t, Q, D)|. It leaves
@@ -56,10 +55,11 @@ func New(name string, q *cq.Query, d db.Reader) *View {
 // over the query's assignments.
 func (v *View) Refresh(d db.Reader) {
 	v.answers = make(map[string]*answer)
-	v.last = nil
+	var last *answer
 	eval.Each(v.Query, d, nil, func(r *eval.Row) bool {
-		if ans := v.answerOf(r); ans != nil {
+		if ans := v.answerOf(r, last); ans != nil {
 			ans.n++
+			last = ans
 		}
 		return true
 	})
@@ -67,15 +67,16 @@ func (v *View) Refresh(d db.Reader) {
 
 // answerOf returns the entry of the answer α(head(Q)), creating it with zero
 // support if absent, or nil when the row leaves a head variable unbound.
-// The head is read through the row's compiled plan, and a row that repeats
-// the previous row's answer skips the map. Counting another assignment of a
-// known answer allocates nothing.
-func (v *View) answerOf(r *eval.Row) *answer {
+// The head is read through the row's compiled plan. last is the answer of
+// the pass's previous row, or nil: a row that repeats it skips the map, and
+// no answer leaves the map during a pass, so last is always still there.
+// Counting another assignment of a known answer allocates nothing.
+func (v *View) answerOf(r *eval.Row, last *answer) *answer {
 	if !r.Head(v.head) {
 		return nil
 	}
-	if v.last != nil && v.last.t.Equal(v.head) {
-		return v.last
+	if last != nil && last.t.Equal(v.head) {
+		return last
 	}
 	v.key = v.head.AppendKey(v.key[:0])
 	ans := v.answers[string(v.key)]
@@ -83,7 +84,6 @@ func (v *View) answerOf(r *eval.Row) *answer {
 		ans = &answer{t: v.head.Clone()}
 		v.answers[string(v.key)] = ans
 	}
-	v.last = ans
 	return ans
 }
 
@@ -141,7 +141,6 @@ func (v *View) Apply(d db.Reader, e db.Edit) (appeared, disappeared []db.Tuple) 
 	before := make(map[*answer]int) // touched answer -> support before the edit
 	v.matchAtoms(with, v.Query.Atoms, e.Fact, sign, before)
 	v.matchAtoms(without, v.Query.Negs, e.Fact, -sign, before)
-	v.last = nil // it may leave the view below
 	for ans, n := range before {
 		switch {
 		case n == 0 && ans.n > 0:
@@ -163,6 +162,7 @@ func (v *View) Apply(d db.Reader, e db.Edit) (appeared, disappeared []db.Tuple) 
 // support in before. An assignment grounding several of the atoms to f is
 // enumerated once per such atom but counted only at the first of them.
 func (v *View) matchAtoms(d db.Reader, atoms []cq.Atom, f db.Fact, by int, before map[*answer]int) {
+	var last *answer
 	for i, atom := range atoms {
 		if atom.Rel != f.Rel {
 			continue
@@ -177,10 +177,11 @@ func (v *View) matchAtoms(d db.Reader, atoms []cq.Atom, f db.Fact, by int, befor
 					return true // counted at prev
 				}
 			}
-			ans := v.answerOf(r)
+			ans := v.answerOf(r, last)
 			if ans == nil {
 				return true
 			}
+			last = ans
 			if _, seen := before[ans]; !seen {
 				before[ans] = ans.n
 			}
